@@ -1,71 +1,3 @@
 """Exact covering solver behind preemptive weighted flow time, plus oracles."""
 
-from .covering import (
-    CoveringInstance,
-    FeasibilityReport,
-    PrefixGroup,
-    Rectangle,
-    Selection,
-    build_covering,
-    check_feasible,
-    demand,
-    full_selection,
-    ray_rectangles,
-    selection_cost,
-)
-from .dpsolver import DpResult, DpSolver, solve
-from .grid import Grid, GridCell, SegmentGroup, build_grid, build_segments, cell_at, check_nesting
-from .harness import CampaignConfig, CampaignResult, run_campaign
-from .jobs import (
-    Job,
-    JobInstance,
-    Schedule,
-    evaluate_schedule,
-    exact_opt_tiny,
-    make_instance,
-    perturb_release_times,
-    total_horizon,
-)
-from .oracle import OracleBudget, OracleBudgetExceeded, VerifyReport, brute_force_covering, verify_pair
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CampaignConfig",
-    "CampaignResult",
-    "CoveringInstance",
-    "DpResult",
-    "DpSolver",
-    "FeasibilityReport",
-    "Grid",
-    "GridCell",
-    "Job",
-    "JobInstance",
-    "OracleBudget",
-    "OracleBudgetExceeded",
-    "PrefixGroup",
-    "Rectangle",
-    "Schedule",
-    "SegmentGroup",
-    "Selection",
-    "VerifyReport",
-    "brute_force_covering",
-    "build_covering",
-    "build_grid",
-    "build_segments",
-    "cell_at",
-    "check_feasible",
-    "check_nesting",
-    "demand",
-    "evaluate_schedule",
-    "exact_opt_tiny",
-    "full_selection",
-    "make_instance",
-    "perturb_release_times",
-    "ray_rectangles",
-    "run_campaign",
-    "selection_cost",
-    "solve",
-    "total_horizon",
-    "verify_pair",
-]

@@ -17,19 +17,17 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .covering import Selection, build_covering, check_feasible, covering_to_json, selection_cost
-from .dpsolver import solve as dp_solve
-from .grid import build_grid
-from .harness import CSV_HEADER, CampaignConfig, campaign_instance, run_campaign
-from .jobs import (
-    JobInstance,
-    instance_from_json,
-    instance_to_json,
-    max_processing,
-    perturb_release_times,
-    total_horizon,
+from .covering import (
+    CoveringInstance,
+    Selection,
+    check_feasible,
+    covering_to_json,
+    selection_cost,
 )
-from .oracle import OracleBudget, brute_force_covering, reduction_grid
+from .dpsolver import solve as dp_solve
+from .harness import CSV_HEADER, CampaignConfig, campaign_instance, run_campaign
+from .jobs import JobInstance, instance_from_json, instance_to_json, max_processing
+from .oracle import OracleBudget, brute_force_covering, reduce_instance
 
 
 def _instance_hash(instance: JobInstance) -> str:
@@ -58,15 +56,18 @@ def _load_instance(path: str) -> JobInstance:
     return instance_from_json(Path(path).read_text())
 
 
-def _reduction(instance: JobInstance, args: argparse.Namespace):
-    """Shared front half: preprocess, build grid (seeded shift), covering."""
-    eps = Fraction(args.epsilon) if args.epsilon is not None else instance.epsilon
-    work = perturb_release_times(instance, eps)
-    T = total_horizon(work) if work.jobs else 0
-    P = max_processing(work) if work.jobs else 0
-    grid = reduction_grid(T, args.K, args.seed, args.leaf_len)
-    cov = build_covering(work, grid, cost_model=args.cost_model)
-    return eps, work, T, P, grid.shift, cov
+def _reduction_fields(instance: JobInstance, cov: CoveringInstance) -> dict:
+    """Record fields shared by reduce, solve and pipeline outputs."""
+    work = cov.instance
+    return {
+        "instance_hash": _instance_hash(instance),
+        "epsilon": str(work.epsilon),
+        "K": cov.grid.K,
+        "shift": cov.grid.shift,
+        "n": work.n,
+        "P": max_processing(work) if work.jobs else 0,
+        "T": cov.horizon,
+    }
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -89,44 +90,34 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    eps, work, T, P, shift, cov = _reduction(instance, args)
-    payload = json.loads(covering_to_json(cov))
-    payload.update(
-        instance_hash=_instance_hash(instance),
-        epsilon=str(eps),
-        seed=args.seed,
-        n=work.n,
-        P=P,
+    cov = reduce_instance(
+        instance, args.K, args.seed, args.epsilon, args.leaf_len, args.cost_model
     )
+    payload = json.loads(covering_to_json(cov))
+    payload.update(_reduction_fields(instance, cov), seed=args.seed)
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return 0
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    eps, work, T, P, shift, cov = _reduction(instance, args)
-    record = {
-        "method": args.method,
-        "instance_hash": _instance_hash(instance),
-        "epsilon": str(eps),
-        "K": args.K,
-        "leaf_len": args.leaf_len,
-        "seed": args.seed,
-        "shift": shift,
-        "n": work.n,
-        "P": P,
-        "T": T,
-        "cost_model": args.cost_model,
-    }
+    cov = reduce_instance(
+        instance, args.K, args.seed, args.epsilon, args.leaf_len, args.cost_model
+    )
+    record = _reduction_fields(instance, cov)
+    record.update(
+        method=args.method, leaf_len=args.leaf_len, seed=args.seed, cost_model=args.cost_model
+    )
     started = time.perf_counter()
     if args.method == "dp":
+        # the DP scans its own answer and raises DpError when it is infeasible
         result = dp_solve(cov)
-        selection = result.selection
         record.update(
             cost=result.cost,
-            selection=list(selection.sorted_ids()),
+            selection=list(result.selection.sorted_ids()),
             states=result.stats.states,
             max_depth=result.stats.max_depth,
+            feasible=True,
         )
         stats = {
             "states": result.stats.states,
@@ -136,9 +127,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         }
     else:
         cost, selection = brute_force_covering(cov)
-        record.update(cost=cost, selection=list(selection.sorted_ids()))
+        record.update(
+            cost=cost,
+            selection=list(selection.sorted_ids()),
+            feasible=check_feasible(cov, selection).ok,
+        )
         stats = {"wall_ms": round((time.perf_counter() - started) * 1000.0, 3)}
-    record["feasible"] = check_feasible(cov, selection).ok
     _emit(json.dumps(record, sort_keys=True, indent=2) + "\n", args.out)
     if args.stats_out:
         _emit(json.dumps(stats, sort_keys=True, indent=2) + "\n", args.stats_out)
@@ -153,10 +147,20 @@ def cmd_check(args: argparse.Namespace) -> int:
     if record["instance_hash"] != _instance_hash(instance):
         print("check: FAIL instance hash mismatch")
         return 1
-    work = perturb_release_times(instance, Fraction(record["epsilon"]))
-    T = total_horizon(work) if work.jobs else 0
-    grid = build_grid(T + 1, record["K"], shift=record["shift"], leaf_len=record["leaf_len"])
-    cov = build_covering(work, grid, cost_model=record.get("cost_model", "weighted_length"))
+    cov = reduce_instance(
+        instance,
+        record["K"],
+        record["seed"],
+        record["epsilon"],
+        record["leaf_len"],
+        record.get("cost_model", "weighted_length"),
+    )
+    if cov.grid.shift != record["shift"]:
+        print(
+            f"check: FAIL recorded shift {record['shift']} does not match seed "
+            f"{record['seed']}, which gives shift {cov.grid.shift}"
+        )
+        return 1
     selection = Selection.of(record["selection"])
     report = check_feasible(cov, selection)
     cost = selection_cost(cov, selection)
@@ -183,25 +187,21 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_pipeline(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
     started = time.perf_counter()
-    eps, work, T, P, shift, cov = _reduction(instance, args)
+    cov = reduce_instance(
+        instance, args.K, args.seed, args.epsilon, args.leaf_len, args.cost_model
+    )
+    # the DP scans its own answer and raises DpError when it is infeasible
     result = dp_solve(cov)
-    feasible = check_feasible(cov, result.selection).ok
     wall_ms = round((time.perf_counter() - started) * 1000.0, 3)
-    record = {
-        "instance_hash": _instance_hash(instance),
-        "epsilon": str(eps),
-        "K": args.K,
-        "shift": shift,
-        "n": work.n,
-        "P": P,
-        "T": T,
-        "dp_cost": result.cost,
-        "selection": list(result.selection.sorted_ids()),
-        "states": result.stats.states,
-        "max_depth": result.stats.max_depth,
-        "feasible": feasible,
-        "wall_ms": wall_ms,
-    }
+    record = _reduction_fields(instance, cov)
+    record.update(
+        dp_cost=result.cost,
+        selection=list(result.selection.sorted_ids()),
+        states=result.stats.states,
+        max_depth=result.stats.max_depth,
+        feasible=True,
+        wall_ms=wall_ms,
+    )
     text = json.dumps(record, sort_keys=True, indent=2) + "\n"
     if args.out:
         _emit(text, args.out)
@@ -209,10 +209,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     if args.csv:
         _append_csv(
             args.csv,
-            f"{args.seed},{work.n},{P},{args.K},{shift},{T},"
-            f"{result.cost},,{result.stats.states},{round(wall_ms)}",
+            f"{args.seed},{record['n']},{record['P']},{args.K},{record['shift']},"
+            f"{record['T']},{result.cost},,{result.stats.states},{round(wall_ms)}",
         )
-    return 0 if feasible else 1
+    return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

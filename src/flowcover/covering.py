@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .grid import Grid, GridCell, Interval, build_segments, cell_path
-from .jobs import Job, JobInstance
+from .jobs import Job, JobInstance, total_horizon
 
 CostFn = Callable[[Job, int, int], int]
 
@@ -79,10 +79,6 @@ class Rectangle:
     @property
     def x_interval(self) -> Interval:
         return (self.x_begin, self.x_end)
-
-    def crosses(self, t: int) -> bool:
-        """Whether the vertical line x = t + 1/2 passes through this rectangle."""
-        return self.x_begin <= t < self.x_end
 
 
 @dataclass(frozen=True)
@@ -142,11 +138,7 @@ class CoveringInstance:
         self.instance = instance
         self.grid = grid
         self.groups = tuple(groups)
-        self.horizon = 0
-        if instance.jobs:
-            self.horizon = max(j.release for j in instance.jobs) + sum(
-                j.processing for j in instance.jobs
-            )
+        self.horizon = total_horizon(instance) if instance.jobs else 0
         self.rectangles: tuple[Rectangle, ...] = tuple(
             r for g in self.groups for r in g.rectangles
         )
@@ -171,9 +163,6 @@ class CoveringInstance:
     def group(self, job: int, cell: GridCell) -> PrefixGroup | None:
         return self._group_by_key.get((job, cell.level, cell.begin))
 
-    def job_groups(self, job: int) -> list[PrefixGroup]:
-        return [g for g in self.groups if g.job == job]
-
     def rects_crossing(self, t: int) -> tuple[Rectangle, ...]:
         """Rectangles whose x-interval contains t + 1/2, sorted by row."""
         idx = t - self.grid.root.begin
@@ -193,24 +182,12 @@ class CoveringInstance:
         return self.instance.jobs[job - 1].release
 
     def demand(self, s: int, t: int) -> int:
+        """d([s, t]) = total processing released within [s, t] minus (t - s)."""
         if not 0 <= s <= t <= self.horizon:
             raise ValueError(f"interval [{s}, {t}] outside 0..{self.horizon}")
         lo = bisect_left(self._releases, s)
         hi = bisect_right(self._releases, t)
         return self._proc_prefix[hi] - self._proc_prefix[lo] - (t - s)
-
-
-def demand(instance: JobInstance, s: int, t: int) -> int:
-    """d([s, t]) = total processing released within [s, t] minus (t - s)."""
-    if not instance.jobs:
-        horizon = 0
-    else:
-        horizon = max(j.release for j in instance.jobs) + sum(
-            j.processing for j in instance.jobs
-        )
-    if not 0 <= s <= t <= horizon:
-        raise ValueError(f"interval [{s}, {t}] outside 0..{horizon}")
-    return sum(j.processing for j in instance.jobs if s <= j.release <= t) - (t - s)
 
 
 def build_covering(
@@ -293,7 +270,6 @@ def check_feasible(cov: CoveringInstance, sel: Selection) -> FeasibilityReport:
             )
 
     demand_viols: list[RayViolation] = []
-    releases = [j.release for j in cov.instance.jobs]
     for t in range(0, cov.horizon + 1):
         crossing = cov.rects_crossing(t)
         rows = [r.job for r in crossing]

@@ -137,10 +137,9 @@ class DpResult:
 class DpSolver:
     """Memoized recursion over covering states; see the module docstring."""
 
-    def __init__(self, cov: CoveringInstance, validate: bool = True):
+    def __init__(self, cov: CoveringInstance):
         self.cov = cov
         self.grid = cov.grid
-        self.validate = validate
         self.memo: dict[StateKey, tuple[int, tuple[int, ...]] | None] = {}
         self._triples: set[tuple[int, int, int, int]] = set()
         self._carries: set[CarryItems] = set()
@@ -203,8 +202,7 @@ class DpSolver:
             self._max_carry = max(self._max_carry, max(v for _, v in carry))
 
         a = area(job, cell, k, self.grid)
-        if self.validate:
-            self._assert_state_valid(job, cell, k, a, carry)
+        self._assert_state_valid(job, cell, k, a, carry)
 
         if not self._area_has_rectangle(a):
             entry: tuple[int, tuple[int, ...]] | None = (0, ())
@@ -231,10 +229,9 @@ class DpSolver:
         assert group is not None
         subs = subcells(cell, k, self.grid)
         rect_by_sub = {(r.x_begin, r.x_end): r for r in group.rectangles}
-        if self.validate:
-            for sub in subs:
-                if sub not in rect_by_sub:
-                    raise DpError(f"canonical state lacks a rectangle over {sub}")
+        for sub in subs:
+            if sub not in rect_by_sub:
+                raise DpError(f"canonical state lacks a rectangle over {sub}")
 
         # Rays ending at t are settled at this row when no deeper rectangle
         # crosses t: only the prefix choice can still cover them.  For those,
@@ -362,10 +359,14 @@ class DpSolver:
                 raise DpError(
                     f"group (job={g.job}, cell=[{g.cell.begin},{g.cell.end})) straddles the area"
                 )
-            if not self.grid.is_descendant_or_self(g.cell, cell):
+            if not g.cell.is_descendant_or_self(cell):
                 raise DpError("group inside the area but not under the state's cell")
 
 
-def solve(cov: CoveringInstance, validate: bool = True) -> DpResult:
-    """Minimum-cost feasible selection for ``cov``; deterministic."""
-    return DpSolver(cov, validate=validate).solve()
+def solve(cov: CoveringInstance) -> DpResult:
+    """Minimum-cost feasible selection for ``cov``; deterministic.
+
+    Raises DpError when the answer fails the exhaustive interval scan or its
+    cost check, so a returned result is always feasible.
+    """
+    return DpSolver(cov).solve()

@@ -56,8 +56,13 @@ class GridCell:
     def contains_point(self, x: int) -> bool:
         return self.begin <= x < self.end
 
-    def contains_interval(self, iv: Interval) -> bool:
-        return self.begin <= iv[0] and iv[1] <= self.end
+    def is_descendant_or_self(self, ancestor: "GridCell") -> bool:
+        """Whether this cell lies in ``ancestor``'s subtree (or is it)."""
+        return (
+            self.level >= ancestor.level
+            and ancestor.begin <= self.begin
+            and self.end <= ancestor.end
+        )
 
 
 class Grid:
@@ -90,13 +95,6 @@ class Grid:
 
     def parent(self, cell: GridCell) -> GridCell | None:
         return self._parent.get(cell)
-
-    def is_descendant_or_self(self, cell: GridCell, ancestor: GridCell) -> bool:
-        return (
-            cell.level >= ancestor.level
-            and ancestor.begin <= cell.begin
-            and cell.end <= ancestor.end
-        )
 
 
 def root_length(T: int, K: int, leaf_len: int = 1, shift: int = 0) -> int:
@@ -214,22 +212,13 @@ def spans_nest(
         span = inner.span
         if span is None:
             continue
-        found = False
-        for outer in outer_groups:
-            ospan = outer.span
-            if ospan is None:
-                continue
-            if not (ospan[0] <= span[0] and span[1] <= ospan[1]):
-                continue
-            cell_ok = (
-                inner.cell.level >= outer.cell.level
-                and outer.cell.begin <= inner.cell.begin
-                and inner.cell.end <= outer.cell.end
-            )
-            if cell_ok:
-                found = True
-                break
-        if not found:
+        if not any(
+            (ospan := outer.span) is not None
+            and ospan[0] <= span[0]
+            and span[1] <= ospan[1]
+            and inner.cell.is_descendant_or_self(outer.cell)
+            for outer in outer_groups
+        ):
             return False
     return True
 

@@ -121,18 +121,6 @@ def max_processing(instance: JobInstance) -> int:
     return max(j.processing for j in instance.jobs)
 
 
-def horizon_within_np(instance: JobInstance) -> bool:
-    """Whether T <= n * max_j p_j.
-
-    The grid-size bound len(root) <= K^2 * n * P assumes this; instances that
-    fail it are still solved exactly, only that bound is void.  Splitting an
-    instance to restore the bound is out of scope here.
-    """
-    if not instance.jobs:
-        return True
-    return total_horizon(instance) <= instance.n * max_processing(instance)
-
-
 @dataclass(frozen=True)
 class Schedule:
     """Unit-slot schedule: ``slots`` maps slot [t, t+1) to the job id run in it.

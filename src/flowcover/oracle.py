@@ -9,9 +9,11 @@ failure.  A running cost bound prunes branches that already cost more than
 the best complete solution.  Both prunings are exact: the search still visits
 every potentially optimal selection, so the result is a true minimum.
 
-``verify_pair`` runs the whole reduction pipeline on one instance, solves it
-both with the dynamic program and with this oracle, and reports whether the
-costs agree and both solutions pass the independent feasibility scan.
+``reduce_instance`` is the reduction pipeline (release perturbation, seeded
+shifted grid, covering) that every solve, check and verification runs.
+``verify_pair`` reduces one instance, solves it both with the dynamic program
+and with this oracle, and reports whether the costs agree and both solutions
+pass the independent feasibility scan.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ from .covering import (
     check_feasible,
     full_selection,
 )
+from .dpsolver import DpError
 from .dpsolver import solve as dp_solve
-from .grid import build_grid, root_length
+from .grid import Grid, build_grid, root_length
 from .jobs import (
     JobInstance,
     instance_to_json,
@@ -208,7 +211,7 @@ def derive_shift(T: int, K: int, leaf_len: int, seed: int) -> int:
     return Random(seed).randrange(root_length(T, K, leaf_len))
 
 
-def reduction_grid(T: int, K: int, seed: int, leaf_len: int = 1):
+def reduction_grid(T: int, K: int, seed: int, leaf_len: int = 1) -> Grid:
     """Seeded-shift grid for the covering reduction.
 
     Sized over T + 1 so the root strictly contains [0, T]: every ray position
@@ -220,6 +223,25 @@ def reduction_grid(T: int, K: int, seed: int, leaf_len: int = 1):
     return build_grid(span, K, shift=shift, leaf_len=leaf_len)
 
 
+def reduce_instance(
+    instance: JobInstance,
+    K: int,
+    seed: int,
+    epsilon: Fraction | int | str | None = None,
+    leaf_len: int = 1,
+    cost_model: str | CostFn = "weighted_length",
+) -> CoveringInstance:
+    """The reduction pipeline: perturb releases, lay the seeded grid, lift.
+
+    ``epsilon`` defaults to the instance's own.  The result carries
+    everything the callers report: the perturbed instance (``n``,
+    ``epsilon``), the horizon ``T`` and the grid with its shift.
+    """
+    work = perturb_release_times(instance, epsilon)
+    grid = reduction_grid(total_horizon(work) if work.jobs else 0, K, seed, leaf_len)
+    return build_covering(work, grid, cost_model=cost_model)
+
+
 def verify_pair(
     instance: JobInstance,
     K: int,
@@ -229,34 +251,37 @@ def verify_pair(
     cost_model: str | CostFn = "weighted_length",
     budget: OracleBudget | None = None,
 ) -> VerifyReport:
-    """Preprocess, reduce, and solve ``instance`` with both solvers.
+    """Reduce ``instance`` and solve it with both solvers.
 
     The release perturbation runs first (so duplicate release times are
-    fine), the grid shift is drawn from ``seed``, and both solutions are
-    re-checked with the exhaustive interval scan.  Any disagreement comes
-    back as a failed report carrying the serialized instance so it can be
-    replayed.
+    fine) and the grid shift is drawn from ``seed``.  The DP checks its own
+    answer with the exhaustive interval scan; the oracle's answer is scanned
+    here.  Any disagreement comes back as a failed report carrying the
+    serialized instance so it can be replayed.
     """
-    eps = Fraction(instance.epsilon if epsilon is None else epsilon)
-    work = perturb_release_times(instance, eps)
-    T = total_horizon(work) if work.jobs else 0
-    P = max_processing(work) if work.jobs else 0
-    grid = reduction_grid(T, K, seed, leaf_len)
-    cov = build_covering(work, grid, cost_model=cost_model)
-
+    cov = reduce_instance(instance, K, seed, epsilon, leaf_len, cost_model)
+    work = cov.instance
     base = dict(
         seed=seed,
         K=K,
         leaf_len=leaf_len,
-        epsilon=str(eps),
-        shift=grid.shift,
+        epsilon=str(work.epsilon),
+        shift=cov.grid.shift,
         n=work.n,
-        P=P,
-        T=T,
+        P=max_processing(work) if work.jobs else 0,
+        T=cov.horizon,
     )
 
     t0 = time.perf_counter()
-    dp = dp_solve(cov)
+    try:
+        dp = dp_solve(cov)
+    except DpError as exc:
+        return VerifyReport(
+            status="dp_infeasible",
+            detail=str(exc),
+            instance_json=instance_to_json(instance),
+            **base,
+        )
     dp_ms = (time.perf_counter() - t0) * 1000.0
     base.update(
         dp_cost=dp.cost,
@@ -279,10 +304,6 @@ def verify_pair(
         oracle_ms=oracle_ms,
     )
 
-    if not check_feasible(cov, dp.selection).ok:
-        return VerifyReport(
-            status="dp_infeasible", instance_json=instance_to_json(instance), **base
-        )
     if not check_feasible(cov, oracle_sel).ok:
         return VerifyReport(
             status="oracle_infeasible", instance_json=instance_to_json(instance), **base

@@ -8,7 +8,6 @@ from flowcover.covering import (
     build_covering,
     check_feasible,
     covering_to_json,
-    demand,
     full_selection,
     ray_rectangles,
     selection_cost,
@@ -90,21 +89,27 @@ def test_cost_models():
 # -- demand ---------------------------------------------------------------------
 
 
+def naive_demand(inst, s, t):
+    """Reference d([s, t]): processing released within [s, t] minus (t - s)."""
+    return sum(j.processing for j in inst.jobs if s <= j.release <= t) - (t - s)
+
+
 def test_demand_examples():
-    inst = make_instance([(0, 3, 1), (1, 2, 1)])
-    assert demand(inst, 0, 4) == 1
-    assert demand(inst, 2, 4) == -2
-    assert demand(inst, 0, 0) == 3
+    cov = cov_for([(0, 3, 1), (1, 2, 1)])
+    assert cov.demand(0, 4) == 1
+    assert cov.demand(2, 4) == -2
+    assert cov.demand(0, 0) == 3
 
 
 def test_demand_bounds():
-    inst = make_instance([(0, 3, 1), (1, 2, 1)])
+    cov = cov_for([(0, 3, 1), (1, 2, 1)])
+    assert cov.horizon == 6
     with pytest.raises(ValueError):
-        demand(inst, 3, 2)
+        cov.demand(3, 2)
     with pytest.raises(ValueError):
-        demand(inst, 0, 7)
+        cov.demand(0, 7)
     with pytest.raises(ValueError):
-        demand(inst, -1, 2)
+        cov.demand(-1, 2)
 
 
 def test_demand_matches_instance_method():
@@ -114,7 +119,7 @@ def test_demand_matches_instance_method():
         inst = cov.instance
         for t in range(0, cov.horizon + 1):
             for s in range(0, t + 1):
-                assert cov.demand(s, t) == demand(inst, s, t)
+                assert cov.demand(s, t) == naive_demand(inst, s, t)
 
 
 def test_demand_window_shift_independent_of_t():
@@ -129,7 +134,7 @@ def test_demand_window_shift_independent_of_t():
                     j.processing for j in inst.jobs if sp <= j.release < s
                 ) - (s - sp)
                 for t in range(s, cov.horizon + 1):
-                    assert demand(inst, sp, t) - demand(inst, s, t) == expect
+                    assert cov.demand(sp, t) - cov.demand(s, t) == expect
 
 
 # -- rays -------------------------------------------------------------------------

@@ -131,6 +131,20 @@ def test_check_flags_corrupted_solution(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_check_rejects_shift_not_matching_seed(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    sol = tmp_path / "sol.json"
+    main(["gen", "--seed", "6", "--out", str(inst)])
+    main(["solve", "--instance", str(inst), "--seed", "6", "--out", str(sol)])
+    record = json.loads(sol.read_text())
+    record["shift"] += 1  # the selection is untouched; only the shift disagrees
+    sol.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["check", "--instance", str(inst), "--solution", str(sol)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out and f"recorded shift {record['shift']}" in out
+
+
 def test_solve_oracle_agrees_with_dp(tmp_path):
     inst = tmp_path / "inst.json"
     dp_out = tmp_path / "dp.json"
@@ -330,6 +344,24 @@ def test_verify_regression_capture(tmp_path, monkeypatch):
     assert len(saved) == 1
     meta = json.loads(saved[0].read_text())
     assert meta["status"] == "mismatch" and meta["seed"] == 80
+
+
+def test_verify_saves_instance_when_dp_raises(tmp_path, monkeypatch, capsys):
+    import flowcover.oracle as oracle_mod
+    from flowcover.dpsolver import DpError
+
+    def failing_dp(cov):
+        raise DpError("solver returned an infeasible selection")
+
+    monkeypatch.setattr(oracle_mod, "dp_solve", failing_dp)
+    regdir = tmp_path / "regressions"
+    rc = main(["verify", "--seed", "3", "--trials", "2", "--regression-dir", str(regdir)])
+    assert rc == 1
+    assert "0/2 ok, 2 failed" in capsys.readouterr().out
+    saved = sorted(regdir.glob("regression_seed*.json"))
+    assert [p.name for p in saved] == ["regression_seed3.json", "regression_seed4.json"]
+    meta = json.loads(saved[0].read_text())
+    assert meta["status"] == "dp_infeasible" and meta["instance"]["jobs"]
 
 
 def test_cli_error_exit_code(tmp_path, capsys):

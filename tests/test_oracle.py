@@ -5,6 +5,7 @@ import pytest
 
 import flowcover.oracle as oracle_mod
 from flowcover.covering import Selection, build_covering, check_feasible, selection_cost
+from flowcover.dpsolver import DpError
 from flowcover.grid import build_grid, root_length
 from flowcover.jobs import make_instance, perturb_release_times, total_horizon
 from flowcover.oracle import (
@@ -165,3 +166,16 @@ def test_verify_pair_mismatch_report(monkeypatch):
     assert report.instance_json is not None and '"jobs"' in report.instance_json
     assert report.dp_selection is not None and report.oracle_selection is not None
     assert not report.ok
+
+
+def test_verify_pair_reports_dp_error_as_dp_infeasible(monkeypatch):
+    inst = make_instance([(0, 2, 1), (1, 1, 1)])
+
+    def failing_dp(cov):
+        raise DpError("solver returned an infeasible selection")
+
+    monkeypatch.setattr(oracle_mod, "dp_solve", failing_dp)
+    report = verify_pair(inst, K=2, seed=0)
+    assert report.status == "dp_infeasible" and not report.ok and not report.skipped
+    assert "infeasible selection" in report.detail
+    assert report.instance_json is not None and '"jobs"' in report.instance_json
