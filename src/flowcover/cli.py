@@ -65,7 +65,7 @@ def _reduction_fields(instance: JobInstance, cov: CoveringInstance) -> dict:
         "K": cov.grid.K,
         "shift": cov.grid.shift,
         "n": work.n,
-        "P": max_processing(work) if work.jobs else 0,
+        "P": max_processing(work),
         "T": cov.horizon,
     }
 
@@ -141,9 +141,20 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0 if record["feasible"] else 1
 
 
+# fields of a ``solve`` record that ``check`` reads
+_SOLVE_RECORD_KEYS = (
+    "instance_hash", "K", "seed", "epsilon", "leaf_len", "shift", "selection", "cost"
+)
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
     record = json.loads(Path(args.solution).read_text())
+    missing = [key for key in _SOLVE_RECORD_KEYS if key not in record]
+    if missing:
+        listed = ", ".join(missing)
+        print(f"check: FAIL {args.solution} is not a solve record (missing: {listed})")
+        return 1
     if record["instance_hash"] != _instance_hash(instance):
         print("check: FAIL instance hash mismatch")
         return 1

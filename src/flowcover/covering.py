@@ -269,21 +269,31 @@ def check_feasible(cov: CoveringInstance, sel: Selection) -> FeasibilityReport:
                 )
             )
 
+    # d(s, t) = (work released by t, minus t) - (work released before s,
+    # minus s); ``lo[s]`` counts the jobs released before s, so the ray of
+    # [s, t] is anchored at job lo[s] + 1.
+    T = cov.horizon
+    n = cov.instance.n
+    prefix = cov._proc_prefix
+    lo = [bisect_left(cov._releases, s) for s in range(T + 1)]
+    before = [prefix[lo[s]] - s for s in range(T + 1)]
     demand_viols: list[RayViolation] = []
-    for t in range(0, cov.horizon + 1):
+    for t in range(0, T + 1):
+        by_t = prefix[bisect_right(cov._releases, t)] - t
         crossing = cov.rects_crossing(t)
         rows = [r.job for r in crossing]
         suffix = [0] * (len(crossing) + 1)
         for i in range(len(crossing) - 1, -1, -1):
             cap = crossing[i].capacity if crossing[i].rid in sel.chosen else 0
             suffix[i] = suffix[i + 1] + cap
+        # covered[i]: selected capacity at t in rows at or below job i + 1
+        covered = [suffix[bisect_left(rows, i + 1)] for i in range(n + 1)]
         for s in range(0, t + 1):
-            need = cov.demand(s, t)
+            need = by_t - before[s]
             if need <= 0:
                 continue
-            anchor = cov.anchor_job(s)
-            assert anchor is not None, "positive demand implies a release in [s, t]"
-            got = suffix[bisect_left(rows, anchor)]
+            assert lo[s] < n, "positive demand implies a release in [s, t]"
+            got = covered[lo[s]]
             if got < need:
                 demand_viols.append(RayViolation(s=s, t=t, required=need, covered=got))
     return FeasibilityReport(

@@ -28,6 +28,17 @@ equal-cost solutions go to the lexicographically smallest sorted tuple of
 rectangle ids, so results are deterministic.  The root state covers the full
 plane with zero carry, which is exactly the covering problem; its solution is
 re-verified against the exhaustive interval scan before being returned.
+
+Work that does not depend on the carry is done once per (job, cell, k), the
+first time a state of that triple is reached, and kept in a
+``TripleTable``: the area, the carry subdivision as a set, whether the area
+holds a rectangle, whether the triple is canonical and, if so, its group and
+its settled rays reduced to the largest demand per subcell.  The structural
+checks (the subdivision tiles the area; every deeper group lies wholly
+inside or outside it, under the state's cell) run when the table is built.
+The carry checks (each interval belongs to the subdivision, each value lies
+in 0 < v <= the processing of the rows above) run for every state, so a
+state's own carry is never trusted because its triple was seen before.
 """
 
 from __future__ import annotations
@@ -37,11 +48,19 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .covering import CoveringInstance, Selection, check_feasible, selection_cost
+from .covering import (
+    CoveringInstance,
+    PrefixGroup,
+    Rectangle,
+    Selection,
+    check_feasible,
+    selection_cost,
+)
 from .grid import Grid, GridCell, Interval
 
 CarryItems = tuple[tuple[Interval, int], ...]
 StateKey = tuple[int, GridCell, int, CarryItems]
+_UNSOLVED = object()  # memo default; a stored None means infeasible
 
 
 class DpError(RuntimeError):
@@ -117,6 +136,29 @@ def next_carry(carry_value: int, processing: int, release_gap: int, paid_capacit
     return max(0, carry_value + processing - release_gap - paid_capacity)
 
 
+@dataclass(frozen=True)
+class TripleTable:
+    """Carry-independent facts of one (job, cell, k), shared by all its states.
+
+    ``group``, ``rect_by_sub``, ``settled`` and ``gap`` are filled for
+    canonical triples only: ``settled`` holds one entry (largest demand,
+    subcell, own capacity, prefix position) per subcell with a settled ray.
+    ``expand`` is filled for internal triples that split: it maps each
+    subcell of the area to the subcells of the k-th child's subdivision
+    inside it.
+    """
+
+    area: Area
+    subs: frozenset[Interval]
+    has_rectangle: bool
+    canonical: bool
+    group: PrefixGroup | None = None
+    rect_by_sub: dict[Interval, Rectangle] | None = None
+    settled: tuple[tuple[int, Interval, int, int], ...] = ()
+    gap: int = 0
+    expand: dict[Interval, tuple[Interval, ...]] | None = None
+
+
 @dataclass
 class SolveStats:
     states: int = 0
@@ -141,7 +183,7 @@ class DpSolver:
         self.cov = cov
         self.grid = cov.grid
         self.memo: dict[StateKey, tuple[int, tuple[int, ...]] | None] = {}
-        self._triples: set[tuple[int, int, int, int]] = set()
+        self._tables: dict[tuple[int, int, int, int], TripleTable] = {}
         self._carries: set[CarryItems] = set()
         self._max_carry = 0
         self._max_depth = 0
@@ -174,7 +216,7 @@ class DpSolver:
             states=len(self.memo),
             max_depth=self._max_depth,
             wall_ms=(time.perf_counter() - started) * 1000.0,
-            triples=len(self._triples),
+            triples=len(self._tables),
             carry_vectors=len(self._carries),
             max_carry=self._max_carry,
         )
@@ -193,25 +235,30 @@ class DpSolver:
         self, job: int, cell: GridCell, k: int, carry: CarryItems, depth: int
     ) -> tuple[int, tuple[int, ...]] | None:
         key: StateKey = (job, cell, k, carry)
-        if key in self.memo:
-            return self.memo[key]
+        entry = self.memo.get(key, _UNSOLVED)
+        if entry is not _UNSOLVED:
+            return entry
         self._max_depth = max(self._max_depth, depth)
-        self._triples.add((job, cell.level, cell.begin, k))
         self._carries.add(carry)
-        if carry:
-            self._max_carry = max(self._max_carry, max(v for _, v in carry))
 
-        a = area(job, cell, k, self.grid)
-        self._assert_state_valid(job, cell, k, a, carry)
+        tab = self._table(job, cell, k)
+        bound = self._proc_before[job]
+        for iv, v in carry:
+            if iv not in tab.subs:
+                raise DpError(f"carry interval {iv} outside the subdivision of the state")
+            if not 0 < v <= bound:
+                raise DpError(f"carry value {v} outside 0..{bound}")
+            if v > self._max_carry:
+                self._max_carry = v
 
-        if not self._area_has_rectangle(a):
-            entry: tuple[int, tuple[int, ...]] | None = (0, ())
-        elif is_canonical(job, cell, k, self.cov):
-            entry = self._canonical(job, cell, k, dict(carry), a, depth)
+        if not tab.has_rectangle:
+            entry = (0, ())
+        elif tab.canonical:
+            entry = self._canonical(job, cell, k, tab, carry, depth)
         elif not cell.is_leaf:
-            entry = self._split(job, cell, k, dict(carry), depth)
+            entry = self._split(job, cell, k, tab, carry, depth)
         else:
-            entry = self._advance_leaf(job, cell, k, dict(carry), depth)
+            entry = self._cell(job, cell, k + 1, _carry_from(carry, cell.begin + k), depth + 1)
 
         self.memo[key] = entry
         return entry
@@ -221,56 +268,38 @@ class DpSolver:
         job: int,
         cell: GridCell,
         k: int,
-        carry: dict[Interval, int],
-        a: Area,
+        tab: TripleTable,
+        carry: CarryItems,
         depth: int,
     ) -> tuple[int, tuple[int, ...]] | None:
-        group = self.cov.group(job, cell)
-        assert group is not None
-        subs = subcells(cell, k, self.grid)
-        rect_by_sub = {(r.x_begin, r.x_end): r for r in group.rectangles}
-        for sub in subs:
-            if sub not in rect_by_sub:
-                raise DpError(f"canonical state lacks a rectangle over {sub}")
-
-        # Rays ending at t are settled at this row when no deeper rectangle
-        # crosses t: only the prefix choice can still cover them.  For those,
-        # demand plus carry must be paid by the row's own rectangle at t, so
+        # A settled ray must be paid by the row's own rectangle at its t, so
         # that rectangle must be selected and its capacity must suffice.
-        r_job = self.cov.release_of(job)
-        pos_of = {r.rid: i for i, r in enumerate(group.rectangles)}
+        owed = dict(carry)
         min_take = 0
-        for t in range(a.x_begin, min(a.x_end, self.cov.horizon + 1)):
-            if t < r_job:
-                continue
-            crossing = self.cov.rects_crossing(t)
-            if any(r.job > job for r in crossing):
-                continue
-            own = next(r for r in crossing if r.job == job)
-            need = self.cov.demand(r_job, t) + self._carry_at(carry, subs, t)
+        for dem, sub, capacity, pos in tab.settled:
+            need = dem + owed.get(sub, 0)
             if need <= 0:
                 continue
-            if need > own.capacity:
+            if need > capacity:
                 return None  # no prefix can pay this ray
-            min_take = max(min_take, pos_of[own.rid] + 1)
+            min_take = max(min_take, pos + 1)
 
-        gap = self.cov.release_of(job + 1) - r_job
+        rects = tab.group.rectangles
         processing = self._proc[job]
         best: tuple[int, tuple[int, ...]] | None = None
-        prefix_cost = sum(r.cost for r in group.rectangles[:min_take])
-        chosen: set[int] = {r.rid for r in group.rectangles[:min_take]}
-        for take in range(min_take, len(group.rectangles) + 1):
+        prefix_cost = sum(r.cost for r in rects[:min_take])
+        chosen: set[int] = {r.rid for r in rects[:min_take]}
+        for take in range(min_take, len(rects) + 1):
             if take > min_take:
-                prefix_cost += group.rectangles[take - 1].cost
-                chosen.add(group.rectangles[take - 1].rid)
-            child_carry: dict[Interval, int] = {}
-            for sub in subs:
-                rect = rect_by_sub[sub]
+                prefix_cost += rects[take - 1].cost
+                chosen.add(rects[take - 1].rid)
+            child_carry: list[tuple[Interval, int]] = []
+            for sub, rect in tab.rect_by_sub.items():
                 paid = rect.capacity if rect.rid in chosen else 0
-                nxt = next_carry(carry.get(sub, 0), processing, gap, paid)
+                nxt = next_carry(owed.get(sub, 0), processing, tab.gap, paid)
                 if nxt > 0:
-                    child_carry[sub] = nxt
-            child = self._cell(job + 1, cell, k, carry_items(child_carry), depth + 1)
+                    child_carry.append((sub, nxt))
+            child = self._cell(job + 1, cell, k, tuple(child_carry), depth + 1)
             if child is None:
                 continue
             cand = (prefix_cost + child[0], tuple(sorted(chosen | set(child[1]))))
@@ -279,75 +308,103 @@ class DpSolver:
         return best
 
     def _split(
-        self, job: int, cell: GridCell, k: int, carry: dict[Interval, int], depth: int
+        self, job: int, cell: GridCell, k: int, tab: TripleTable, carry: CarryItems, depth: int
     ) -> tuple[int, tuple[int, ...]] | None:
         child_cell = cell.children[k - 1]
-        parent_subs = subcells(cell, k, self.grid)
-        child_subs = subcells(child_cell, 1, self.grid)
-        begins = [sub[0] for sub in parent_subs]
-        inherited: dict[Interval, int] = {}
-        for sub in child_subs:
-            idx = self._containing(begins, parent_subs, sub)
-            v = carry.get(parent_subs[idx], 0)
-            if v > 0:
-                inherited[sub] = v
-        left = self._cell(job, child_cell, 1, carry_items(inherited), depth + 1)
+        inherited = tuple((sub, v) for iv, v in carry for sub in tab.expand[iv])
+        left = self._cell(job, child_cell, 1, inherited, depth + 1)
         if left is None or k == self.grid.K:
             return left
-        rest = set(subcells(cell, k + 1, self.grid))
-        kept = {sub: v for sub, v in carry.items() if sub in rest}
-        right = self._cell(job, cell, k + 1, carry_items(kept), depth + 1)
+        kept = _carry_from(carry, cell.children[k].begin)
+        right = self._cell(job, cell, k + 1, kept, depth + 1)
         if right is None:
             return None
         return (left[0] + right[0], tuple(sorted(left[1] + right[1])))
 
-    def _advance_leaf(
-        self, job: int, cell: GridCell, k: int, carry: dict[Interval, int], depth: int
-    ) -> tuple[int, tuple[int, ...]] | None:
-        # A non-canonical leaf state holding a rectangle always has the job
-        # released strictly right of the area's left edge, so k can advance.
-        if k >= cell.length:
-            raise DpError(f"cannot advance k={k} in leaf of length {cell.length}")
-        rest = set(subcells(cell, k + 1, self.grid))
-        kept = {sub: v for sub, v in carry.items() if sub in rest}
-        return self._cell(job, cell, k + 1, carry_items(kept), depth + 1)
+    # -- per-triple tables ---------------------------------------------------
 
-    # -- helpers -------------------------------------------------------------
+    def _table(self, job: int, cell: GridCell, k: int) -> TripleTable:
+        key = (job, cell.level, cell.begin, k)
+        tab = self._tables.get(key)
+        if tab is None:
+            tab = self._tables[key] = self._build_table(job, cell, k)
+        return tab
 
-    def _area_has_rectangle(self, a: Area) -> bool:
-        return any(
-            r.job >= a.row and r.x_begin >= a.x_begin and r.x_end <= a.x_end
-            for r in self.cov.rectangles
-        )
-
-    @staticmethod
-    def _containing(begins: list[int], subs: tuple[Interval, ...], target: Interval) -> int:
-        idx = bisect_right(begins, target[0]) - 1
-        if idx < 0 or not (subs[idx][0] <= target[0] and target[1] <= subs[idx][1]):
-            raise DpError(f"{target} not inside any carry interval")
-        return idx
-
-    def _carry_at(self, carry: dict[Interval, int], subs: tuple[Interval, ...], t: int) -> int:
-        for sub in subs:
-            if sub[0] <= t < sub[1]:
-                return carry.get(sub, 0)
-        raise DpError(f"t={t} outside the carry subdivision")
-
-    def _assert_state_valid(
-        self, job: int, cell: GridCell, k: int, a: Area, carry: CarryItems
-    ) -> None:
+    def _build_table(self, job: int, cell: GridCell, k: int) -> TripleTable:
+        a = area(job, cell, k, self.grid)
         subs = subcells(cell, k, self.grid)
         if subs and (subs[0][0] != a.x_begin or subs[-1][1] != a.x_end):
             raise DpError("carry subdivision must tile the area's x-span")
-        allowed = set(subs)
-        bound = self._proc_before[job]
-        for iv, v in carry:
-            if iv not in allowed:
-                raise DpError(f"carry interval {iv} outside the subdivision of the state")
-            if not 0 < v <= bound:
-                raise DpError(f"carry value {v} outside 0..{bound}")
-        # every group must lie wholly inside or wholly outside the area, and
-        # inside groups must belong to the cell or one of its descendants
+        has_rectangle = self._groups_inside(job, cell, a)
+        canonical = is_canonical(job, cell, k, self.cov)
+        fields: dict = {}
+        if has_rectangle:
+            if canonical:
+                fields = self._canonical_fields(job, cell, subs)
+            elif not cell.is_leaf:
+                fields = {"expand": self._expansion(subs, cell.children[k - 1])}
+            elif k >= cell.length:
+                # A non-canonical leaf state holding a rectangle always has the
+                # job released strictly right of the area's left edge, so k can
+                # advance.
+                raise DpError(f"cannot advance k={k} in leaf of length {cell.length}")
+        return TripleTable(
+            area=a,
+            subs=frozenset(subs),
+            has_rectangle=has_rectangle,
+            canonical=canonical,
+            **fields,
+        )
+
+    def _canonical_fields(self, job: int, cell: GridCell, subs: tuple[Interval, ...]) -> dict:
+        group = self.cov.group(job, cell)
+        assert group is not None
+        rect_by_sub = {r.x_interval: r for r in group.rectangles}
+        for sub in subs:
+            if sub not in rect_by_sub:
+                raise DpError(f"canonical state lacks a rectangle over {sub}")
+        pos_of = {r.rid: i for i, r in enumerate(group.rectangles)}
+
+        # Rays ending at t are settled at this row when no deeper rectangle
+        # crosses t: only the prefix choice can still cover them.  The rays
+        # of one subcell share its carry and its rectangle, so the largest
+        # demand among them stands for all.
+        r_job = self.cov.release_of(job)
+        settled = []
+        for sub in subs:
+            demands = [
+                self.cov.demand(r_job, t)
+                for t in range(max(sub[0], r_job), min(sub[1], self.cov.horizon + 1))
+                if self.cov.rects_crossing(t)[-1].job <= job
+            ]
+            if demands:
+                rect = rect_by_sub[sub]
+                settled.append((max(demands), sub, rect.capacity, pos_of[rect.rid]))
+        return {
+            "group": group,
+            "rect_by_sub": rect_by_sub,
+            "settled": tuple(settled),
+            "gap": self.cov.release_of(job + 1) - r_job,
+        }
+
+    def _expansion(
+        self, subs: tuple[Interval, ...], child_cell: GridCell
+    ) -> dict[Interval, tuple[Interval, ...]]:
+        """Each subcell of the area -> the child state's subcells inside it."""
+        begins = [sub[0] for sub in subs]
+        parts: dict[Interval, list[Interval]] = {sub: [] for sub in subs}
+        for sub in subcells(child_cell, 1, self.grid):
+            parts[subs[_containing(begins, subs, sub)]].append(sub)
+        return {sub: tuple(inner) for sub, inner in parts.items()}
+
+    def _groups_inside(self, job: int, cell: GridCell, a: Area) -> bool:
+        """Whether a group of row ``job`` or deeper lies inside the area.
+
+        Every such group must lie wholly inside or wholly outside the area,
+        and inside groups must belong to the cell or one of its descendants;
+        DpError otherwise.
+        """
+        inside = False
         for g in self.cov.groups:
             if g.job < job:
                 continue
@@ -361,6 +418,20 @@ class DpSolver:
                 )
             if not g.cell.is_descendant_or_self(cell):
                 raise DpError("group inside the area but not under the state's cell")
+            inside = True
+        return inside
+
+
+def _carry_from(carry: CarryItems, x: int) -> CarryItems:
+    """The carry entries on subcells at or right of x; they stay sorted."""
+    return tuple(item for item in carry if item[0][0] >= x)
+
+
+def _containing(begins: list[int], subs: tuple[Interval, ...], target: Interval) -> int:
+    idx = bisect_right(begins, target[0]) - 1
+    if idx < 0 or not (subs[idx][0] <= target[0] and target[1] <= subs[idx][1]):
+        raise DpError(f"{target} not inside any carry interval")
+    return idx
 
 
 def solve(cov: CoveringInstance) -> DpResult:

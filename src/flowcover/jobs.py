@@ -116,9 +116,8 @@ def total_horizon(instance: JobInstance) -> int:
 
 
 def max_processing(instance: JobInstance) -> int:
-    if not instance.jobs:
-        raise ValueError("max_processing is undefined for an empty instance")
-    return max(j.processing for j in instance.jobs)
+    """Largest processing time P; 0 for an empty instance."""
+    return max((j.processing for j in instance.jobs), default=0)
 
 
 @dataclass(frozen=True)

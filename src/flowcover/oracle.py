@@ -268,7 +268,7 @@ def verify_pair(
         epsilon=str(work.epsilon),
         shift=cov.grid.shift,
         n=work.n,
-        P=max_processing(work) if work.jobs else 0,
+        P=max_processing(work),
         T=cov.horizon,
     )
 

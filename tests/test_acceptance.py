@@ -22,6 +22,7 @@ from flowcover.jobs import (
     perturb_release_times,
     total_horizon,
 )
+from flowcover.oracle import reduce_instance
 
 CAMPAIGN = CampaignConfig(
     seed=20_000, trials=200, K=2, n_max=4, p_max=4, w_max=4, horizon_max=64
@@ -65,12 +66,16 @@ def draw_preprocessed(rng, n_max=4):
 
 def rebuild_covering(report):
     cfg = CAMPAIGN
-    instance = campaign_instance(report.seed, cfg)
-    work = perturb_release_times(instance, cfg.epsilon)
-    grid = build_grid(
-        total_horizon(work) + 1, cfg.K, shift=report.shift, leaf_len=cfg.leaf_len
+    cov = reduce_instance(
+        campaign_instance(report.seed, cfg),
+        cfg.K,
+        report.seed,
+        cfg.epsilon,
+        cfg.leaf_len,
+        cfg.cost_model,
     )
-    return build_covering(work, grid, cost_model=cfg.cost_model)
+    assert cov.grid.shift == report.shift
+    return cov
 
 
 def test_dp_oracle_equivalence(campaign):

@@ -223,6 +223,36 @@ def test_prefix_violation_reported():
     )
 
 
+def naive_scan(cov, sel):
+    """Demand violations from one ``cov.demand``/``anchor_job`` pair per ray."""
+    violations = []
+    for t in range(cov.horizon + 1):
+        for s in range(t + 1):
+            need = cov.demand(s, t)
+            if need <= 0:
+                continue
+            assert cov.anchor_job(s) is not None
+            got = sum(r.capacity for r in ray_rectangles(cov, s, t) if r.rid in sel.chosen)
+            if got < need:
+                violations.append((s, t, need, got))
+    return violations
+
+
+def test_check_feasible_matches_naive_scan():
+    rng = Random(2024)
+    infeasible = 0
+    for trial in range(60):
+        cov = random_cov(rng, n_max=5, K=2 if trial % 2 else 3)
+        # each rectangle kept with probability q: mostly infeasible, some not
+        q = rng.choice([0.0, 0.3, 0.6, 0.9, 1.0])
+        sel = Selection.of(r.rid for r in cov.rectangles if rng.random() < q)
+        report = check_feasible(cov, sel)
+        got = [(v.s, v.t, v.required, v.covered) for v in report.demand_violations]
+        assert got == naive_scan(cov, sel)
+        infeasible += bool(got)
+    assert 20 <= infeasible < 60
+
+
 def test_selection_cost_examples():
     inst = make_instance([(0, 2, 3)])
     grid = build_grid(T=2, K=2, leaf_len=2)

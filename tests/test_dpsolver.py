@@ -15,7 +15,7 @@ from flowcover.dpsolver import (
 )
 from flowcover.grid import build_grid, cell_at, root_length
 from flowcover.jobs import make_instance, perturb_release_times, total_horizon
-from flowcover.oracle import brute_force_covering
+from flowcover.oracle import brute_force_covering, reduction_grid
 
 
 def cov_for(triples, K=2, shift=0, leaf_len=1, T=None):
@@ -235,3 +235,31 @@ def test_carry_outside_subdivision_rejected():
     solver = DpSolver(cov)
     with pytest.raises(DpError, match="outside the subdivision"):
         solver.solve_cell(1, cov.grid.root, 1, {(17, 18): 1})
+
+
+def test_carry_outside_subdivision_rejected_on_tabled_triple():
+    # the carry check runs for every state, not once per (job, cell, k)
+    cov = cov_for([(0, 4, 1)])
+    solver = DpSolver(cov)
+    assert solver.solve_cell(1, cov.grid.root, 1, {}) is not None
+    with pytest.raises(DpError, match="outside the subdivision"):
+        solver.solve_cell(1, cov.grid.root, 1, {(17, 18): 1})
+    # (0, 1) is in the subdivision, but no row above job 1 can owe anything
+    with pytest.raises(DpError, match="outside 0..0"):
+        solver.solve_cell(1, cov.grid.root, 1, {(0, 1): 1})
+
+
+def test_baseline_row_k2_n8_seed3():
+    # the K=2, n=8 row of the seed-3 baseline in ROADMAP.md
+    rng = Random(3)
+    triples = [(rng.randint(0, 4), rng.randint(1, 4), rng.randint(1, 4)) for _ in range(8)]
+    work = perturb_release_times(make_instance(triples), 1)
+    cov = build_covering(work, reduction_grid(total_horizon(work), 2, 3))
+    result = DpSolver(cov).solve()
+    stats = result.stats
+    assert (stats.states, stats.triples, stats.carry_vectors) == (1864, 139, 1482)
+    assert result.cost == 1163
+    assert result.selection.sorted_ids() == (
+        *range(0, 7), *range(8, 14), *range(21, 32), *range(35, 41), 42,
+        *range(46, 52), *range(56, 62), *range(63, 69), *range(77, 88),
+    )

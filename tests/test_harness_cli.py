@@ -145,6 +145,20 @@ def test_check_rejects_shift_not_matching_seed(tmp_path, capsys):
     assert "FAIL" in out and f"recorded shift {record['shift']}" in out
 
 
+def test_check_rejects_pipeline_record(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    rec = tmp_path / "rec.json"
+    main(["gen", "--seed", "6", "--out", str(inst)])
+    assert main(["pipeline", "--instance", str(inst), "--seed", "6", "--out", str(rec)]) == 0
+    capsys.readouterr()
+    assert main(["check", "--instance", str(inst), "--solution", str(rec)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        f"check: FAIL {rec} is not a solve record (missing: seed, leaf_len, cost)\n"
+    )
+    assert captured.err == ""
+
+
 def test_solve_oracle_agrees_with_dp(tmp_path):
     inst = tmp_path / "inst.json"
     dp_out = tmp_path / "dp.json"

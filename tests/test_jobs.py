@@ -15,6 +15,7 @@ from flowcover.jobs import (
     instance_from_json,
     instance_to_json,
     make_instance,
+    max_processing,
     perturb_release_times,
     total_horizon,
 )
@@ -177,6 +178,11 @@ def test_horizon_examples():
 def test_horizon_empty_rejected():
     with pytest.raises(ValueError):
         total_horizon(JobInstance(jobs=()))
+
+
+def test_max_processing_of_empty_instance_is_zero():
+    assert max_processing(JobInstance(jobs=())) == 0
+    assert max_processing(make_instance([(0, 3, 1), (2, 5, 1)])) == 5
 
 
 # -- model validation and serialization ---------------------------------------
