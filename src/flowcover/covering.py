@@ -16,7 +16,8 @@ the amount of work released in the window that cannot have finished by t.  A
 selection is feasible when every ray's demand is covered by the total
 capacity of selected rectangles the ray passes through.  Rays are never
 materialized: demands and crossing sets are computed from sorted release
-times and a per-unit crossing index.
+times and a per-unit crossing index over [0, T], the only columns a ray can
+sit in.
 
 Costs are pluggable.  The default charges weight * segment length, the
 weighted duration the job stays alive across that segment; unit costs and
@@ -143,6 +144,7 @@ class CoveringInstance:
             r for g in self.groups for r in g.rectangles
         )
         assert [r.rid for r in self.rectangles] == list(range(len(self.rectangles)))
+        assert all(a.job <= b.job for a, b in zip(self.rectangles, self.rectangles[1:]))
         self._group_by_key: dict[tuple[int, int, int], PrefixGroup] = {
             (g.job, g.cell.level, g.cell.begin): g for g in self.groups
         }
@@ -150,13 +152,14 @@ class CoveringInstance:
         self._proc_prefix = [0]
         for j in instance.jobs:
             self._proc_prefix.append(self._proc_prefix[-1] + j.processing)
-        # crossing[t - root.begin] lists rectangles through x = t + 1/2, by row
-        width = grid.root.length
-        crossing: list[list[Rectangle]] = [[] for _ in range(width)]
+        # crossing[t] lists the rectangles through x = t + 1/2 for t in 0..T;
+        # rectangles come job by job (asserted above), so each list is already
+        # in row order
+        crossing: list[list[Rectangle]] = [[] for _ in range(self.horizon + 1)]
         for rect in self.rectangles:
-            for t in range(rect.x_begin, rect.x_end):
-                crossing[t - grid.root.begin].append(rect)
-        self._crossing = [tuple(sorted(row, key=lambda r: r.job)) for row in crossing]
+            for t in range(rect.x_begin, min(rect.x_end, self.horizon + 1)):
+                crossing[t].append(rect)
+        self._crossing = [tuple(row) for row in crossing]
 
     # -- lookups ----------------------------------------------------------
 
@@ -164,11 +167,14 @@ class CoveringInstance:
         return self._group_by_key.get((job, cell.level, cell.begin))
 
     def rects_crossing(self, t: int) -> tuple[Rectangle, ...]:
-        """Rectangles whose x-interval contains t + 1/2, sorted by row."""
-        idx = t - self.grid.root.begin
-        if not 0 <= idx < len(self._crossing):
+        """Rectangles whose x-interval contains t + 1/2, sorted by row.
+
+        Indexed for 0 <= t <= horizon only, where every ray lies; ``()``
+        for any other t.
+        """
+        if not 0 <= t < len(self._crossing):
             return ()
-        return self._crossing[idx]
+        return self._crossing[t]
 
     def anchor_job(self, s: int) -> int | None:
         """1-based id of the earliest released job with release >= s."""
@@ -270,32 +276,38 @@ def check_feasible(cov: CoveringInstance, sel: Selection) -> FeasibilityReport:
             )
 
     # d(s, t) = (work released by t, minus t) - (work released before s,
-    # minus s); ``lo[s]`` counts the jobs released before s, so the ray of
-    # [s, t] is anchored at job lo[s] + 1.
+    # minus s).  The s with the same anchor, lo jobs released before s, form
+    # the block starts[lo]..ends[lo]; their rays share the anchor row lo + 1
+    # and so the covered capacity at t, while d(s, t) grows with s.  So the
+    # largest s <= t of a block decides whether any of its rays fails, and
+    # the failing s form a range ending there.  Every [s, t] is still judged.
     T = cov.horizon
     n = cov.instance.n
     prefix = cov._proc_prefix
-    lo = [bisect_left(cov._releases, s) for s in range(T + 1)]
-    before = [prefix[lo[s]] - s for s in range(T + 1)]
+    releases = cov._releases
+    starts = [0] + [r + 1 for r in releases]
+    ends = releases + [T]
     demand_viols: list[RayViolation] = []
     for t in range(0, T + 1):
-        by_t = prefix[bisect_right(cov._releases, t)] - t
+        by_t = prefix[bisect_right(releases, t)] - t
         crossing = cov.rects_crossing(t)
         rows = [r.job for r in crossing]
         suffix = [0] * (len(crossing) + 1)
         for i in range(len(crossing) - 1, -1, -1):
             cap = crossing[i].capacity if crossing[i].rid in sel.chosen else 0
             suffix[i] = suffix[i + 1] + cap
-        # covered[i]: selected capacity at t in rows at or below job i + 1
-        covered = [suffix[bisect_left(rows, i + 1)] for i in range(n + 1)]
-        for s in range(0, t + 1):
-            need = by_t - before[s]
-            if need <= 0:
+        for lo in range(n + 1):
+            if starts[lo] > t:
+                break
+            base = by_t - prefix[lo]  # d(s, t) = base + s inside the block
+            last = min(ends[lo], t)
+            if base + last <= 0:
                 continue
-            assert lo[s] < n, "positive demand implies a release in [s, t]"
-            got = covered[lo[s]]
-            if got < need:
-                demand_viols.append(RayViolation(s=s, t=t, required=need, covered=got))
+            assert lo < n, "positive demand implies a release in [s, t]"
+            # selected capacity at t in rows at or below the anchor job
+            got = suffix[bisect_left(rows, lo + 1)]
+            for s in range(max(starts[lo], got - base + 1), last + 1):
+                demand_viols.append(RayViolation(s=s, t=t, required=base + s, covered=got))
     return FeasibilityReport(
         prefix_violations=tuple(prefix_viols), demand_violations=tuple(demand_viols)
     )

@@ -89,7 +89,7 @@ def area(job: int, cell: GridCell, k: int, grid: Grid) -> Area:
             raise EmptyAreaError(f"k={k} exceeds leaf length {cell.length}")
         x1 = cell.begin + k - 1
     else:
-        x1 = cell.children[k - 1].begin
+        x1 = cell.begin + (k - 1) * (cell.length // grid.K)  # the k-th child's begin
     return Area(x_begin=x1, x_end=cell.end, row=job)
 
 
@@ -97,16 +97,16 @@ def subcells(cell: GridCell, k: int, grid: Grid) -> tuple[Interval, ...]:
     """The carry subdivision for (cell, k); it tiles the area's x-span.
 
     Grandchild cells under children k..K for shallow cells, unit intervals
-    at the two deepest levels.
+    at the two deepest levels.  Computed from the cell's bounds, so no
+    grandchild cell is built for it.
     """
     if cell.is_leaf:
         if k > cell.length:
             return ()
         return tuple((x, x + 1) for x in range(cell.begin + k - 1, cell.end))
-    tail = cell.children[k - 1 :]
-    if tail[0].is_leaf:
-        return tuple((x, x + 1) for x in range(tail[0].begin, cell.end))
-    return tuple((gc.begin, gc.end) for child in tail for gc in child.children)
+    step = cell.length // grid.K
+    width = 1 if step == grid.leaf_len else step // grid.K
+    return tuple((x, x + width) for x in range(cell.begin + (k - 1) * step, cell.end, width))
 
 
 def is_canonical(job: int, cell: GridCell, k: int, cov: CoveringInstance) -> bool:

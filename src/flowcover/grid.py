@@ -6,6 +6,12 @@ has exactly K equal children one level below.  A non-negative shift moves the
 whole grid left so that structural boundaries fall at randomized positions
 relative to the jobs while all coordinates stay integral.
 
+Cells are built on first access: ``build_grid`` makes only the root, and a
+cell creates its K children the first time ``children`` is read, then keeps
+them.  A solve therefore pays for the cells it touches, not for the whole
+tree over the horizon, and one grid still hands out exactly one object per
+cell.
+
 Each job j is assigned segments Seg(j) that partition [r_j, end(root)).  Take
 the chain of cells containing r_j, one per level.  Inside the deepest (leaf)
 cell the segments are the unit intervals from r_j to the cell's end.  Inside
@@ -32,29 +38,56 @@ Interval = tuple[int, int]
 class GridCell:
     """One grid cell: half-open interval [begin, end) at ``level``.
 
-    Cells compare by identity; two builds of the same grid yield distinct
-    cell objects on purpose, so structures from different grids cannot be
-    mixed silently.
+    ``children`` is built the first time it is read and kept, so one grid
+    has exactly one object per cell.  Cells compare by identity; two builds
+    of the same grid yield distinct cell objects on purpose, so structures
+    from different grids cannot be mixed silently.
     """
 
     level: int
     begin: int
     end: int
-    children: tuple["GridCell", ...] = field(default=())
+    K: int = field(repr=False)
+    leaf_len: int = field(repr=False)
+    # a plain attribute, not a property: the DP reads it in every state
+    is_leaf: bool = field(init=False, repr=False)
+    _children: tuple["GridCell", ...] | None = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "is_leaf", self.end - self.begin == self.leaf_len)
+        object.__setattr__(self, "_children", None)
 
     def __hash__(self) -> int:  # stable across runs, unlike id()
         return hash((self.level, self.begin, self.end))
 
     @property
+    def children(self) -> tuple["GridCell", ...]:
+        """The K equal cells one level below, built on first read; empty for a leaf."""
+        # Kept in a field rather than through functools.cached_property, which
+        # writes the instance __dict__ directly and so slows every later
+        # attribute read on the cell.
+        kids = self._children
+        if kids is None:
+            kids = ()
+            if not self.is_leaf:
+                step = self.length // self.K
+                kids = tuple(
+                    GridCell(self.level + 1, x, x + step, self.K, self.leaf_len)
+                    for x in range(self.begin, self.end, step)
+                )
+            object.__setattr__(self, "_children", kids)
+        return kids
+
+    @property
     def length(self) -> int:
         return self.end - self.begin
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
     def contains_point(self, x: int) -> bool:
         return self.begin <= x < self.end
+
+    def child_at(self, x: int) -> "GridCell":
+        """The child containing x; x must lie in this internal cell."""
+        return self.children[(x - self.begin) * self.K // self.length]
 
     def is_descendant_or_self(self, ancestor: "GridCell") -> bool:
         """Whether this cell lies in ``ancestor``'s subtree (or is it)."""
@@ -66,35 +99,37 @@ class GridCell:
 
 
 class Grid:
-    """Immutable K-ary cell tree; ``levels[l]`` lists level-l cells in order."""
+    """K-ary cell tree over [root.begin, root.end), built lazily from the root.
+
+    ``lmax`` is the leaf level.  ``levels[l]`` lists the level-l cells in
+    order; reading it walks, and so builds, the whole tree.
+    """
 
     def __init__(self, root: GridCell, K: int, shift: int, leaf_len: int):
         self.root = root
         self.K = K
         self.shift = shift
         self.leaf_len = leaf_len
-        levels: list[list[GridCell]] = []
-        frontier = [root]
-        while frontier:
-            levels.append(frontier)
-            frontier = [child for cell in frontier for child in cell.children]
-        self.levels = levels
-        self._parent: dict[GridCell, GridCell] = {}
-        for row in levels:
-            for cell in row:
-                for child in cell.children:
-                    self._parent[child] = cell
+        lmax, length = 0, root.length
+        while length > leaf_len:
+            lmax, length = lmax + 1, length // K
+        self.lmax = lmax
 
     @property
-    def lmax(self) -> int:
-        return len(self.levels) - 1
-
-    @property
-    def level_count(self) -> int:
-        return len(self.levels)
+    def levels(self) -> list[list[GridCell]]:
+        levels = [[self.root]]
+        while not levels[-1][0].is_leaf:
+            levels.append([child for cell in levels[-1] for child in cell.children])
+        return levels
 
     def parent(self, cell: GridCell) -> GridCell | None:
-        return self._parent.get(cell)
+        """The cell's parent in this grid; None for the root or a foreign cell."""
+        if not self.root.contains_point(cell.begin):
+            return None
+        cur = self.root
+        while cur.level < cell.level - 1 and not cur.is_leaf:
+            cur = cur.child_at(cell.begin)
+        return cur if any(child is cell for child in cur.children) else None
 
 
 def root_length(T: int, K: int, leaf_len: int = 1, shift: int = 0) -> int:
@@ -114,21 +149,15 @@ def root_length(T: int, K: int, leaf_len: int = 1, shift: int = 0) -> int:
 
 
 def build_grid(T: int, K: int, shift: int = 0, leaf_len: int = 1) -> Grid:
-    """Build the grid whose root [-shift, -shift + leaf_len*K**m) covers [0, T).
+    """The grid whose root [-shift, -shift + leaf_len*K**m) covers [0, T).
 
     m is the least exponent making the root long enough; cells are subdivided
-    into K equal children until their length equals ``leaf_len``.
+    into K equal children until their length equals ``leaf_len``.  Only the
+    root is built here; the other cells are built when first reached.
     """
     length = root_length(T, K, leaf_len, shift)
-
-    def make(level: int, begin: int, span: int) -> GridCell:
-        if span == leaf_len:
-            return GridCell(level=level, begin=begin, end=begin + span)
-        step = span // K
-        children = tuple(make(level + 1, begin + i * step, step) for i in range(K))
-        return GridCell(level=level, begin=begin, end=begin + span, children=children)
-
-    return Grid(root=make(0, -shift, length), K=K, shift=shift, leaf_len=leaf_len)
+    root = GridCell(0, -shift, -shift + length, K, leaf_len)
+    return Grid(root=root, K=K, shift=shift, leaf_len=leaf_len)
 
 
 def cell_at(grid: Grid, level: int, x: int) -> GridCell:
@@ -137,14 +166,18 @@ def cell_at(grid: Grid, level: int, x: int) -> GridCell:
         raise ValueError(f"level must be in 0..{grid.lmax}, got {level}")
     if not grid.root.contains_point(x):
         raise ValueError(f"x={x} outside root interval [{grid.root.begin}, {grid.root.end})")
-    row = grid.levels[level]
-    width = row[0].length
-    return row[(x - grid.root.begin) // width]
+    cell = grid.root
+    while cell.level < level:
+        cell = cell.child_at(x)
+    return cell
 
 
 def cell_chain(grid: Grid, x: int) -> list[GridCell]:
     """Cells containing x, one per level, root first."""
-    return [cell_at(grid, level, x) for level in range(grid.level_count)]
+    chain = [cell_at(grid, 0, x)]
+    while not chain[-1].is_leaf:
+        chain.append(chain[-1].child_at(x))
+    return chain
 
 
 @dataclass(frozen=True)
@@ -189,7 +222,7 @@ def build_segments(job: Job, grid: Grid) -> list[SegmentGroup]:
         if level > grid.lmax - 2:
             width = 1
         else:
-            width = grid.levels[level + 2][0].length
+            width = grid.root.length // grid.K ** (level + 2)
         groups.append(SegmentGroup(job=job.id, cell=cell, segments=_chunk(lo, cell.end, width)))
     return groups
 
@@ -244,7 +277,7 @@ def cell_path(grid: Grid, cell: GridCell) -> str:
 
 def _cell_payload(cell: GridCell) -> dict:
     payload: dict = {"level": cell.level, "begin": cell.begin, "end": cell.end}
-    if cell.children:
+    if not cell.is_leaf:
         payload["children"] = [_cell_payload(c) for c in cell.children]
     return payload
 

@@ -280,15 +280,25 @@ def instance_to_json(instance: JobInstance) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+_JOB_FIELDS = ("id", "release", "processing", "weight")
+
+
 def instance_from_json(text: str) -> JobInstance:
+    """Parse ``instance_to_json`` output; ValueError names what is malformed."""
     payload = json.loads(text)
-    jobs = tuple(
-        Job(
-            id=rec["id"],
-            release=rec["release"],
-            processing=rec["processing"],
-            weight=rec["weight"],
-        )
-        for rec in payload["jobs"]
-    )
-    return JobInstance(jobs=jobs, epsilon=Fraction(payload.get("epsilon", "1")))
+    if not isinstance(payload, dict) or not isinstance(payload.get("jobs"), list):
+        raise ValueError("expected a JSON object with a `jobs` list")
+    jobs = []
+    for i, rec in enumerate(payload["jobs"]):
+        if not isinstance(rec, dict):
+            raise ValueError(f"jobs[{i}]: expected an object, got {type(rec).__name__}")
+        for key in _JOB_FIELDS:
+            if key not in rec:
+                raise ValueError(f"jobs[{i}]: missing key {key!r}")
+            if type(rec[key]) is not int:
+                raise ValueError(f"jobs[{i}]: field {key!r} must be an integer, got {rec[key]!r}")
+        jobs.append(Job(**{key: rec[key] for key in _JOB_FIELDS}))
+    epsilon = payload.get("epsilon", "1")
+    if type(epsilon) not in (str, int):
+        raise ValueError(f"field 'epsilon' must be a string or an integer, got {epsilon!r}")
+    return JobInstance(jobs=tuple(jobs), epsilon=Fraction(epsilon))

@@ -23,14 +23,14 @@ def cov_for(triples, K=2, shift=0, leaf_len=1, cost_model="weighted_length"):
     return build_covering(inst, grid, cost_model=cost_model)
 
 
-def random_cov(rng, n_max=4, K=2):
+def random_cov(rng, n_max=4, K=2, epsilon=1):
     inst = make_instance(
         [
             (rng.randint(0, 4), rng.randint(1, 4), rng.randint(1, 4))
             for _ in range(rng.randint(1, n_max))
         ]
     )
-    work = perturb_release_times(inst, 1)
+    work = perturb_release_times(inst, epsilon)
     T = total_horizon(work)
     shift = rng.randrange(root_length(T + 1, K))
     grid = build_grid(T + 1, K, shift=shift)
@@ -251,6 +251,35 @@ def test_check_feasible_matches_naive_scan():
         assert got == naive_scan(cov, sel)
         infeasible += bool(got)
     assert 20 <= infeasible < 60
+
+
+def test_check_feasible_matches_naive_scan_one_rectangle_short():
+    # The full selection minus one rectangle fails in one or two anchor
+    # blocks, at their edges: s at a release, s just past the previous
+    # release, and s = t must all show up.
+    rng = Random(77)
+    releases_hit = after_release_hit = at_t_hit = 0
+    covs = []
+    while len(covs) < 2:
+        cov = random_cov(rng, n_max=5, K=2, epsilon="1/2")
+        if cov.horizon > 100:
+            covs.append(cov)
+    covs += [random_cov(rng, n_max=5, K=3) for _ in range(6)]
+    for cov in covs:
+        releases = [j.release for j in cov.instance.jobs]
+        full = full_selection(cov).chosen
+        for rect in cov.rectangles:
+            if rect.x_begin > cov.horizon:
+                continue  # crossed by no ray: the selection stays feasible
+            sel = Selection.of(full - {rect.rid})
+            report = check_feasible(cov, sel)
+            got = [(v.s, v.t, v.required, v.covered) for v in report.demand_violations]
+            assert got == naive_scan(cov, sel)
+            for s, t, _, _ in got:
+                releases_hit += s in releases
+                after_release_hit += any(s == r + 1 for r in releases)
+                at_t_hit += s == t
+    assert releases_hit and after_release_hit and at_t_hit
 
 
 def test_selection_cost_examples():

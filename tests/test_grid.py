@@ -7,6 +7,7 @@ from flowcover.grid import (
     build_grid,
     build_segments,
     cell_at,
+    cell_chain,
     cell_path,
     check_nesting,
     grid_to_json,
@@ -100,6 +101,56 @@ def test_cell_at_bounds():
         cell_at(grid, 3, 0)
     with pytest.raises(ValueError):
         cell_at(grid, 1, 8)
+
+
+# -- lazy cells ---------------------------------------------------------------
+
+
+def test_huge_horizon_builds_only_what_is_reached():
+    grid = build_grid(T=2**40, K=2)
+    assert grid.lmax == 40 and grid.root.length == 2**40
+    leaf = cell_at(grid, grid.lmax, 2**39 + 5)
+    assert (leaf.begin, leaf.end) == (2**39 + 5, 2**39 + 6) and leaf.is_leaf
+    assert len(cell_chain(grid, 2**39 + 5)) == 41
+
+
+def test_cells_are_built_once_per_grid():
+    for K, T, shift in ((2, 13, 3), (3, 20, 5)):
+        grid = build_grid(T, K, shift=shift)
+        for x in range(grid.root.begin, grid.root.end):
+            chain = cell_chain(grid, x)
+            for level in range(grid.lmax + 1):
+                assert cell_at(grid, level, x) is cell_at(grid, level, x)
+                assert chain[level] is cell_at(grid, level, x)
+
+
+def test_cell_path_round_trips_through_parent():
+    for K, T, shift in ((2, 13, 3), (3, 20, 5)):
+        grid = build_grid(T, K, shift=shift)
+        assert grid.parent(grid.root) is None and cell_path(grid, grid.root) == ""
+        for row in grid.levels[1:]:
+            for cell in row:
+                parent = grid.parent(cell)
+                path = cell_path(grid, cell).split("/")
+                assert "/".join(path[:-1]) == cell_path(grid, parent)
+                assert parent.children[int(path[-1])] is cell
+                walked = grid.root
+                for i in path:
+                    walked = walked.children[int(i)]
+                assert walked is cell
+        # a cell of another build of the same grid has no parent here
+        other = build_grid(T, K, shift=shift)
+        assert grid.parent(cell_at(other, 1, 0)) is None
+
+
+def test_levels_match_independent_recount_after_lazy_access():
+    # touch one leaf first: the rest of the tree is still built on demand
+    grid = build_grid(T=5, K=2, shift=1, leaf_len=1)
+    cell_at(grid, 3, 4)
+    for level in range(4):
+        width = 8 // (2**level)
+        expect = [(-1 + i * width, -1 + (i + 1) * width) for i in range(2**level)]
+        assert [(c.begin, c.end) for c in grid.levels[level]] == expect
 
 
 # -- build_segments -----------------------------------------------------------

@@ -382,3 +382,51 @@ def test_cli_error_exit_code(tmp_path, capsys):
     rc = main(["solve", "--instance", str(tmp_path / "missing.json")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _instance_commands(inst):
+    """Every subcommand that reads ``--instance``."""
+    return [
+        ["reduce", "--instance", str(inst)],
+        ["solve", "--instance", str(inst)],
+        ["pipeline", "--instance", str(inst)],
+        ["check", "--instance", str(inst), "--solution", str(inst)],
+    ]
+
+
+def _assert_one_line_error(argvs, capsys, message):
+    for argv in argvs:
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n", argv
+
+
+def test_instance_missing_field_names_job_and_key(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    main(["gen", "--seed", "3", "--out", str(inst)])
+    payload = json.loads(inst.read_text())
+    del payload["jobs"][1]["weight"]
+    inst.write_text(json.dumps(payload))
+    _assert_one_line_error(_instance_commands(inst), capsys, "jobs[1]: missing key 'weight'")
+
+
+def test_instance_string_release_names_job_and_field(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    main(["gen", "--seed", "3", "--out", str(inst)])
+    payload = json.loads(inst.read_text())
+    payload["jobs"][0]["release"] = "0"
+    inst.write_text(json.dumps(payload))
+    _assert_one_line_error(
+        _instance_commands(inst),
+        capsys,
+        "jobs[0]: field 'release' must be an integer, got '0'",
+    )
+
+
+def test_instance_top_level_array_rejected(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    main(["gen", "--seed", "3", "--out", str(inst)])
+    inst.write_text(json.dumps(json.loads(inst.read_text())["jobs"]))
+    _assert_one_line_error(
+        _instance_commands(inst), capsys, "expected a JSON object with a `jobs` list"
+    )
