@@ -145,6 +145,28 @@ def cmd_solve(args: argparse.Namespace) -> int:
 _SOLVE_RECORD_KEYS = (
     "instance_hash", "K", "seed", "epsilon", "leaf_len", "shift", "selection", "cost"
 )
+_SOLVE_RECORD_INTS = ("K", "seed", "leaf_len", "shift", "cost")
+
+
+def _record_type_error(record: dict) -> str | None:
+    """What is wrong with the types of a solve record's fields, if anything.
+
+    ``type(v) is int`` rather than isinstance: JSON true/false load as bool,
+    a subclass of int.
+    """
+    for key in _SOLVE_RECORD_INTS:
+        if type(record[key]) is not int:
+            return f"field {key!r} must be an integer, got {record[key]!r}"
+    epsilon = record["epsilon"]
+    if type(epsilon) not in (str, int):
+        return f"field 'epsilon' must be a string or an integer, got {epsilon!r}"
+    selection = record["selection"]
+    if type(selection) is not list:
+        return f"field 'selection' must be a list of integers, got {selection!r}"
+    for i, rid in enumerate(selection):
+        if type(rid) is not int:
+            return f"field 'selection' must be a list of integers, got {rid!r} at index {i}"
+    return None
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -154,6 +176,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     if missing:
         listed = ", ".join(missing)
         print(f"check: FAIL {args.solution} is not a solve record (missing: {listed})")
+        return 1
+    problem = _record_type_error(record)
+    if problem is not None:
+        print(f"check: FAIL {args.solution} {problem}")
         return 1
     if record["instance_hash"] != _instance_hash(instance):
         print("check: FAIL instance hash mismatch")
@@ -172,6 +198,10 @@ def cmd_check(args: argparse.Namespace) -> int:
             f"{record['seed']}, which gives shift {cov.grid.shift}"
         )
         return 1
+    for rid in record["selection"]:
+        if not 0 <= rid < len(cov.rectangles):
+            print(f"check: FAIL selection names unknown rectangle id {rid}")
+            return 1
     selection = Selection.of(record["selection"])
     report = check_feasible(cov, selection)
     cost = selection_cost(cov, selection)

@@ -31,14 +31,28 @@ re-verified against the exhaustive interval scan before being returned.
 
 Work that does not depend on the carry is done once per (job, cell, k), the
 first time a state of that triple is reached, and kept in a
-``TripleTable``: the area, the carry subdivision as a set, whether the area
-holds a rectangle, whether the triple is canonical and, if so, its group and
-its settled rays reduced to the largest demand per subcell.  The structural
-checks (the subdivision tiles the area; every deeper group lies wholly
-inside or outside it, under the state's cell) run when the table is built.
-The carry checks (each interval belongs to the subdivision, each value lies
-in 0 < v <= the processing of the rows above) run for every state, so a
-state's own carry is never trusted because its triple was seen before.
+``TripleTable``: the carry subdivision as a set, whether the area holds a
+rectangle, whether the triple is canonical and, if so, its settled rays
+reduced to the largest demand per subcell and the cost and ids of every
+prefix of its group.  Tables and memo entries are keyed on plain integers,
+``(job, cell.level, cell.begin, k)``, with the carry appended for the memo,
+so no cell object is hashed on the way.
+
+Settled rays need no per-t scan.  Every job's rectangles cover
+[r_j, end(root)), so the deepest row crossing t is the number of releases
+<= t, and a ray at t is settled at row ``job`` exactly when t < r_{job+1}.
+On [r_job, r_{job+1}) the demand d(r_job, t) = p_job - (t - r_job) falls
+with t, so a subcell's largest settled demand is the one at its first
+settled t.  In the selection of a canonical state, the group's ids are
+consecutive and every deeper row's ids are larger, so a prefix's ids
+followed by the next row's sorted ids are already sorted.
+
+The structural checks (the subdivision tiles the area; every deeper group
+lies wholly inside or outside it, under the state's cell; the group's ids
+are consecutive) run when the table is built.  The carry checks (each
+interval belongs to the subdivision, each value lies in 0 < v <= the
+processing of the rows above) run for every state, so a state's own carry
+is never trusted because its triple was seen before.
 """
 
 from __future__ import annotations
@@ -47,11 +61,11 @@ import sys
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .covering import (
     CoveringInstance,
     PrefixGroup,
-    Rectangle,
     Selection,
     check_feasible,
     selection_cost,
@@ -59,7 +73,8 @@ from .covering import (
 from .grid import Grid, GridCell, Interval
 
 CarryItems = tuple[tuple[Interval, int], ...]
-StateKey = tuple[int, GridCell, int, CarryItems]
+TableKey = tuple[int, int, int, int]  # (job, cell.level, cell.begin, k)
+StateKey = tuple[TableKey, CarryItems]
 _UNSOLVED = object()  # memo default; a stored None means infeasible
 
 
@@ -80,17 +95,20 @@ class Area:
     row: int
 
 
-def area(job: int, cell: GridCell, k: int, grid: Grid) -> Area:
-    """Area of state (job, cell, k); raises EmptyAreaError when undefined."""
-    if not 1 <= k <= grid.K:
-        raise ValueError(f"k must be in 1..{grid.K}, got {k}")
+def area_begin(cell: GridCell, k: int, K: int) -> int:
+    """Left edge x1 of the area of (cell, k); raises EmptyAreaError when undefined."""
+    if not 1 <= k <= K:
+        raise ValueError(f"k must be in 1..{K}, got {k}")
     if cell.is_leaf:
         if k > cell.length:
             raise EmptyAreaError(f"k={k} exceeds leaf length {cell.length}")
-        x1 = cell.begin + k - 1
-    else:
-        x1 = cell.begin + (k - 1) * (cell.length // grid.K)  # the k-th child's begin
-    return Area(x_begin=x1, x_end=cell.end, row=job)
+        return cell.begin + k - 1
+    return cell.begin + (k - 1) * (cell.length // K)  # the k-th child's begin
+
+
+def area(job: int, cell: GridCell, k: int, grid: Grid) -> Area:
+    """Area of state (job, cell, k); raises EmptyAreaError when undefined."""
+    return Area(x_begin=area_begin(cell, k, grid.K), x_end=cell.end, row=job)
 
 
 def subcells(cell: GridCell, k: int, grid: Grid) -> tuple[Interval, ...]:
@@ -110,19 +128,18 @@ def subcells(cell: GridCell, k: int, grid: Grid) -> tuple[Interval, ...]:
 
 
 def is_canonical(job: int, cell: GridCell, k: int, cov: CoveringInstance) -> bool:
-    """Whether the job's own rectangles in ``cell`` exactly span the area.
+    """Whether the job's own rectangles in ``cell`` exactly span the area."""
+    return _spans_area(cov.group(job, cell), area_begin(cell, k, cov.grid.K), cell.end)
 
-    Three conditions: the group is non-empty, lies inside the area, and its
-    leftmost edge matches the area's left edge.  (Group spans always end at
-    the cell's right edge, so the right edges then match too.)
-    """
-    group = cov.group(job, cell)
+
+def _spans_area(group: PrefixGroup | None, x_begin: int, x_end: int) -> bool:
+    """Three conditions: the group is non-empty, lies inside [x_begin, x_end),
+    and its leftmost edge is x_begin.  (Group spans always end at the cell's
+    right edge, so the right edges then match too.)"""
     if group is None or not group.rectangles:
         return False
-    a = area(job, cell, k, cov.grid)
-    first = group.rectangles[0]
-    last = group.rectangles[-1]
-    return first.x_begin == a.x_begin and last.x_end <= a.x_end
+    rects = group.rectangles
+    return rects[0].x_begin == x_begin and rects[-1].x_end <= x_end
 
 
 def carry_items(carry: dict[Interval, int]) -> CarryItems:
@@ -136,27 +153,47 @@ def next_carry(carry_value: int, processing: int, release_gap: int, paid_capacit
     return max(0, carry_value + processing - release_gap - paid_capacity)
 
 
-@dataclass(frozen=True)
 class TripleTable:
     """Carry-independent facts of one (job, cell, k), shared by all its states.
 
-    ``group``, ``rect_by_sub``, ``settled`` and ``gap`` are filled for
-    canonical triples only: ``settled`` holds one entry (largest demand,
-    subcell, own capacity, prefix position) per subcell with a settled ray.
+    ``subs`` is the carry subdivision as a set.  Canonical triples fill the
+    rest but ``expand``:
+
+    - ``settled``: one entry (largest demand, subcell, own capacity, prefix
+      position) per subcell with a settled ray;
+    - ``rect_caps``: (subcell, capacity) of the group's rectangles, left to
+      right; they are exactly the subdivision;
+    - ``gap``: the release gap to the next row;
+    - ``prefix_cost`` and ``prefix_ids``: the cost and the ids of the first
+      ``take`` rectangles, for take = 0..len(group).
+
     ``expand`` is filled for internal triples that split: it maps each
     subcell of the area to the subcells of the k-th child's subdivision
     inside it.
     """
 
-    area: Area
-    subs: frozenset[Interval]
-    has_rectangle: bool
-    canonical: bool
-    group: PrefixGroup | None = None
-    rect_by_sub: dict[Interval, Rectangle] | None = None
-    settled: tuple[tuple[int, Interval, int, int], ...] = ()
-    gap: int = 0
-    expand: dict[Interval, tuple[Interval, ...]] | None = None
+    __slots__ = (
+        "subs",
+        "has_rectangle",
+        "canonical",
+        "settled",
+        "rect_caps",
+        "gap",
+        "prefix_cost",
+        "prefix_ids",
+        "expand",
+    )
+
+    def __init__(self, subs: frozenset[Interval], has_rectangle: bool, canonical: bool):
+        self.subs = subs
+        self.has_rectangle = has_rectangle
+        self.canonical = canonical
+        self.settled: tuple[tuple[int, Interval, int, int], ...] = ()
+        self.rect_caps: tuple[tuple[Interval, int], ...] = ()
+        self.gap = 0
+        self.prefix_cost: tuple[int, ...] = ()
+        self.prefix_ids: tuple[tuple[int, ...], ...] = ()
+        self.expand: dict[Interval, tuple[Interval, ...]] | None = None
 
 
 @dataclass
@@ -177,13 +214,18 @@ class DpResult:
 
 
 class DpSolver:
-    """Memoized recursion over covering states; see the module docstring."""
+    """Memoized recursion over covering states; see the module docstring.
+
+    ``memo`` holds one entry per state, keyed ``((job, cell.level,
+    cell.begin, k), carry)``; the entry is (cost, sorted ids), or None when
+    the state is infeasible.
+    """
 
     def __init__(self, cov: CoveringInstance):
         self.cov = cov
         self.grid = cov.grid
         self.memo: dict[StateKey, tuple[int, tuple[int, ...]] | None] = {}
-        self._tables: dict[tuple[int, int, int, int], TripleTable] = {}
+        self._tables: dict[TableKey, TripleTable] = {}
         self._carries: set[CarryItems] = set()
         self._max_carry = 0
         self._max_depth = 0
@@ -194,6 +236,16 @@ class DpSolver:
             self._proc[j.id] = j.processing
         for j in range(1, n + 2):
             self._proc_before[j] = self._proc_before[j - 1] + self._proc[j - 1]
+        # _spans_from[job]: (job, x_begin, x_end, cell) of every group in row
+        # job or deeper, so a table build scans only the rows it can reach
+        spans = [
+            (g.job, g.rectangles[0].x_begin, g.rectangles[-1].x_end, g.cell)
+            for g in cov.groups
+            if g.rectangles
+        ]
+        self._spans_from = [
+            tuple(span for span in spans if span[0] >= job) for job in range(n + 2)
+        ]
 
     # -- public entry points ------------------------------------------------
 
@@ -234,14 +286,18 @@ class DpSolver:
     def _cell(
         self, job: int, cell: GridCell, k: int, carry: CarryItems, depth: int
     ) -> tuple[int, tuple[int, ...]] | None:
-        key: StateKey = (job, cell, k, carry)
+        tkey = (job, cell.level, cell.begin, k)
+        key = (tkey, carry)
         entry = self.memo.get(key, _UNSOLVED)
         if entry is not _UNSOLVED:
             return entry
-        self._max_depth = max(self._max_depth, depth)
+        if depth > self._max_depth:
+            self._max_depth = depth
         self._carries.add(carry)
 
-        tab = self._table(job, cell, k)
+        tab = self._tables.get(tkey)
+        if tab is None:
+            tab = self._tables[tkey] = self._build_table(job, cell, k)
         bound = self._proc_before[job]
         for iv, v in carry:
             if iv not in tab.subs:
@@ -282,27 +338,28 @@ class DpSolver:
                 continue
             if need > capacity:
                 return None  # no prefix can pay this ray
-            min_take = max(min_take, pos + 1)
+            if pos >= min_take:
+                min_take = pos + 1
 
-        rects = tab.group.rectangles
+        # The next row's carry on each subcell, if its rectangle is taken
+        # (paid) or not (unpaid); a prefix of `take` pays the first `take`.
+        # (Capacities are >= 0, so paying after the clamp to 0 is the same.)
         processing = self._proc[job]
+        gap = tab.gap
+        paid: list[tuple[Interval, int] | None] = []
+        unpaid: list[tuple[Interval, int] | None] = []
+        for sub, capacity in tab.rect_caps:
+            v = next_carry(owed.get(sub, 0), processing, gap, 0)
+            paid.append((sub, v - capacity) if v > capacity else None)
+            unpaid.append((sub, v) if v > 0 else None)
+
         best: tuple[int, tuple[int, ...]] | None = None
-        prefix_cost = sum(r.cost for r in rects[:min_take])
-        chosen: set[int] = {r.rid for r in rects[:min_take]}
-        for take in range(min_take, len(rects) + 1):
-            if take > min_take:
-                prefix_cost += rects[take - 1].cost
-                chosen.add(rects[take - 1].rid)
-            child_carry: list[tuple[Interval, int]] = []
-            for sub, rect in tab.rect_by_sub.items():
-                paid = rect.capacity if rect.rid in chosen else 0
-                nxt = next_carry(owed.get(sub, 0), processing, tab.gap, paid)
-                if nxt > 0:
-                    child_carry.append((sub, nxt))
-            child = self._cell(job + 1, cell, k, tuple(child_carry), depth + 1)
+        for take in range(min_take, len(unpaid) + 1):
+            child_carry = tuple(filter(None, paid[:take] + unpaid[take:]))
+            child = self._cell(job + 1, cell, k, child_carry, depth + 1)
             if child is None:
                 continue
-            cand = (prefix_cost + child[0], tuple(sorted(chosen | set(child[1]))))
+            cand = (tab.prefix_cost[take] + child[0], tab.prefix_ids[take] + child[1])
             if best is None or cand < best:
                 best = cand
         return best
@@ -323,69 +380,62 @@ class DpSolver:
 
     # -- per-triple tables ---------------------------------------------------
 
-    def _table(self, job: int, cell: GridCell, k: int) -> TripleTable:
-        key = (job, cell.level, cell.begin, k)
-        tab = self._tables.get(key)
-        if tab is None:
-            tab = self._tables[key] = self._build_table(job, cell, k)
-        return tab
-
     def _build_table(self, job: int, cell: GridCell, k: int) -> TripleTable:
-        a = area(job, cell, k, self.grid)
+        x_begin = area_begin(cell, k, self.grid.K)
         subs = subcells(cell, k, self.grid)
-        if subs and (subs[0][0] != a.x_begin or subs[-1][1] != a.x_end):
+        if subs and (subs[0][0] != x_begin or subs[-1][1] != cell.end):
             raise DpError("carry subdivision must tile the area's x-span")
-        has_rectangle = self._groups_inside(job, cell, a)
-        canonical = is_canonical(job, cell, k, self.cov)
-        fields: dict = {}
-        if has_rectangle:
-            if canonical:
-                fields = self._canonical_fields(job, cell, subs)
+        group = self.cov.group(job, cell)
+        tab = TripleTable(
+            subs=frozenset(subs),
+            has_rectangle=self._groups_inside(job, cell, x_begin),
+            canonical=_spans_area(group, x_begin, cell.end),
+        )
+        if tab.has_rectangle:
+            if tab.canonical:
+                self._fill_canonical(tab, job, group, subs)
             elif not cell.is_leaf:
-                fields = {"expand": self._expansion(subs, cell.children[k - 1])}
+                tab.expand = self._expansion(subs, cell.children[k - 1])
             elif k >= cell.length:
                 # A non-canonical leaf state holding a rectangle always has the
                 # job released strictly right of the area's left edge, so k can
                 # advance.
                 raise DpError(f"cannot advance k={k} in leaf of length {cell.length}")
-        return TripleTable(
-            area=a,
-            subs=frozenset(subs),
-            has_rectangle=has_rectangle,
-            canonical=canonical,
-            **fields,
-        )
+        return tab
 
-    def _canonical_fields(self, job: int, cell: GridCell, subs: tuple[Interval, ...]) -> dict:
-        group = self.cov.group(job, cell)
-        assert group is not None
-        rect_by_sub = {r.x_interval: r for r in group.rectangles}
+    def _fill_canonical(
+        self, tab: TripleTable, job: int, group: PrefixGroup, subs: tuple[Interval, ...]
+    ) -> None:
+        # The group lies inside the area, so once every subcell is one of its
+        # rectangles, its rectangles are the subdivision, in the same order.
+        rects = group.rectangles
+        intervals = {r.x_interval for r in rects}
         for sub in subs:
-            if sub not in rect_by_sub:
+            if sub not in intervals:
                 raise DpError(f"canonical state lacks a rectangle over {sub}")
-        pos_of = {r.rid: i for i, r in enumerate(group.rectangles)}
+        rid0 = rects[0].rid
+        if [r.rid for r in rects] != list(range(rid0, rid0 + len(rects))):
+            raise DpError(f"group (job={job}) ids are not consecutive")
 
-        # Rays ending at t are settled at this row when no deeper rectangle
-        # crosses t: only the prefix choice can still cover them.  The rays
-        # of one subcell share its carry and its rectangle, so the largest
-        # demand among them stands for all.
+        # A ray at t is settled at this row when no deeper rectangle crosses
+        # t, which holds exactly for t < r_{job+1} (module docstring); only
+        # the prefix choice can still cover it.  The rays of one subcell
+        # share its carry and its rectangle, and d(r_job, t) falls with t on
+        # the settled range, so the first settled t stands for all.
         r_job = self.cov.release_of(job)
+        r_next = self.cov.release_of(job + 1)
         settled = []
-        for sub in subs:
-            demands = [
-                self.cov.demand(r_job, t)
-                for t in range(max(sub[0], r_job), min(sub[1], self.cov.horizon + 1))
-                if self.cov.rects_crossing(t)[-1].job <= job
-            ]
-            if demands:
-                rect = rect_by_sub[sub]
-                settled.append((max(demands), sub, rect.capacity, pos_of[rect.rid]))
-        return {
-            "group": group,
-            "rect_by_sub": rect_by_sub,
-            "settled": tuple(settled),
-            "gap": self.cov.release_of(job + 1) - r_job,
-        }
+        for pos, rect in enumerate(rects):
+            t = max(rect.x_begin, r_job)
+            if t >= r_next:
+                break  # subcells run left to right: none further is settled
+            if t < rect.x_end:
+                settled.append((self.cov.demand(r_job, t), rect.x_interval, rect.capacity, pos))
+        tab.settled = tuple(settled)
+        tab.rect_caps = tuple((r.x_interval, r.capacity) for r in rects)
+        tab.gap = r_next - r_job
+        tab.prefix_cost = tuple(accumulate((r.cost for r in rects), initial=0))
+        tab.prefix_ids = tuple(tuple(range(rid0, rid0 + take)) for take in range(len(rects) + 1))
 
     def _expansion(
         self, subs: tuple[Interval, ...], child_cell: GridCell
@@ -397,26 +447,24 @@ class DpSolver:
             parts[subs[_containing(begins, subs, sub)]].append(sub)
         return {sub: tuple(inner) for sub, inner in parts.items()}
 
-    def _groups_inside(self, job: int, cell: GridCell, a: Area) -> bool:
-        """Whether a group of row ``job`` or deeper lies inside the area.
+    def _groups_inside(self, job: int, cell: GridCell, x_begin: int) -> bool:
+        """Whether a group of row ``job`` or deeper lies inside the area
+        [x_begin, end(cell)).
 
         Every such group must lie wholly inside or wholly outside the area,
         and inside groups must belong to the cell or one of its descendants;
         DpError otherwise.
         """
+        x_end = cell.end
         inside = False
-        for g in self.cov.groups:
-            if g.job < job:
+        for g_job, lo, hi, g_cell in self._spans_from[job]:
+            if hi <= x_begin or lo >= x_end:
                 continue
-            lo = g.rectangles[0].x_begin
-            hi = g.rectangles[-1].x_end
-            if hi <= a.x_begin or lo >= a.x_end:
-                continue
-            if not (a.x_begin <= lo and hi <= a.x_end):
+            if not (x_begin <= lo and hi <= x_end):
                 raise DpError(
-                    f"group (job={g.job}, cell=[{g.cell.begin},{g.cell.end})) straddles the area"
+                    f"group (job={g_job}, cell=[{g_cell.begin},{g_cell.end})) straddles the area"
                 )
-            if not g.cell.is_descendant_or_self(cell):
+            if not g_cell.is_descendant_or_self(cell):
                 raise DpError("group inside the area but not under the state's cell")
             inside = True
         return inside

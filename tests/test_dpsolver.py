@@ -1,8 +1,16 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
 
-from flowcover.covering import build_covering, check_feasible, selection_cost
+from flowcover.covering import (
+    CoveringInstance,
+    PrefixGroup,
+    Rectangle,
+    build_covering,
+    check_feasible,
+    selection_cost,
+)
 from flowcover.dpsolver import (
     DpError,
     DpSolver,
@@ -15,7 +23,7 @@ from flowcover.dpsolver import (
 )
 from flowcover.grid import build_grid, cell_at, root_length
 from flowcover.jobs import make_instance, perturb_release_times, total_horizon
-from flowcover.oracle import brute_force_covering, reduction_grid
+from flowcover.oracle import brute_force_covering, reduce_instance, reduction_grid
 
 
 def cov_for(triples, K=2, shift=0, leaf_len=1, T=None):
@@ -124,13 +132,66 @@ def test_canonical_states_span_both_edges():
         solver = DpSolver(cov)
         solver.solve()
         seen = 0
-        for job, cell, k, _carry in solver.memo:
+        for (job, level, begin, k), _carry in solver.memo:
+            cell = cell_at(cov.grid, level, begin)
             if is_canonical(job, cell, k, cov):
                 group = cov.group(job, cell)
                 a = area(job, cell, k, cov.grid)
                 assert group.rectangles[-1].x_end == a.x_end
                 seen += 1
         assert seen > 0
+
+
+def test_settled_rays_match_per_t_reference():
+    # the closed form (a ray at t is settled at row job iff t < r_{job+1},
+    # and the first settled t of a subcell has its largest demand) against
+    # the per-t definition: the largest d(r_job, t) over the t of the
+    # subcell whose deepest crossing rectangle lies in row job or above
+    rng = Random(515)
+    tables = 0
+    for trial in range(48):
+        K = 2 if trial % 2 else 3
+        leaf_len = rng.randint(1, K)
+        epsilon = Fraction(1, 2) if trial % 4 < 2 else 1
+        inst = make_instance(
+            [(rng.randint(0, 4), rng.randint(1, 4), rng.randint(1, 4))
+             for _ in range(rng.randint(1, 4 if K == 2 else 3))],
+            epsilon,
+        )
+        cov = reduce_instance(inst, K, trial, leaf_len=leaf_len)
+        solver = DpSolver(cov)
+        solver.solve()
+        for (job, level, begin, k), tab in solver._tables.items():
+            if not tab.canonical:
+                continue
+            cell = cell_at(cov.grid, level, begin)
+            r_job = cov.release_of(job)
+            expected = []
+            for pos, sub in enumerate(subcells(cell, k, cov.grid)):
+                demands = [
+                    cov.demand(r_job, t)
+                    for t in range(max(sub[0], r_job), min(sub[1], cov.horizon + 1))
+                    if cov.rects_crossing(t)[-1].job <= job
+                ]
+                if demands:
+                    capacity = cov.group(job, cell).rectangles[pos].capacity
+                    expected.append((max(demands), sub, capacity, pos))
+            assert tab.settled == tuple(expected)
+            tables += 1
+    assert tables > 300
+
+
+def test_memo_holds_one_integer_keyed_entry_per_state():
+    rng = Random(616)
+    for trial in range(8):
+        cov = random_cov(rng, K=2 if trial % 2 else 3, n_max=3)
+        solver = DpSolver(cov)
+        result = solver.solve()
+        assert len(solver.memo) == result.stats.states
+        for (tkey, carry) in solver.memo:
+            assert len(tkey) == 4 and all(type(x) is int for x in tkey)
+            assert tkey in solver._tables
+            assert carry == tuple(sorted(carry))
 
 
 def test_next_carry_arithmetic():
@@ -230,6 +291,29 @@ def test_undefined_state_rejected():
         solver.solve_cell(1, right, 1, {})
 
 
+def test_group_straddling_the_kth_child_boundary_rejected():
+    # row 2's group spans [2, 6), across the boundary x = 4 where the area of
+    # (job 1, root, k=2) begins; the reduction never builds such a group
+    inst = make_instance([(0, 2, 1), (1, 1, 1)])
+    grid = build_grid(T=8, K=2)
+    rects = [
+        Rectangle(rid=0, job=1, cell=grid.root, x_begin=0, x_end=2, cost=1, capacity=2),
+        Rectangle(rid=1, job=2, cell=grid.root, x_begin=2, x_end=4, cost=1, capacity=1),
+        Rectangle(rid=2, job=2, cell=grid.root, x_begin=4, x_end=6, cost=1, capacity=1),
+    ]
+    cov = CoveringInstance(
+        inst,
+        grid,
+        [
+            PrefixGroup(job=1, cell=grid.root, rectangles=tuple(rects[:1])),
+            PrefixGroup(job=2, cell=grid.root, rectangles=tuple(rects[1:])),
+        ],
+    )
+    solver = DpSolver(cov)
+    with pytest.raises(DpError, match=r"group \(job=2, cell=\[0,8\)\) straddles the area"):
+        solver.solve_cell(1, grid.root, 2, {})
+
+
 def test_carry_outside_subdivision_rejected():
     cov = cov_for([(0, 4, 1)])
     solver = DpSolver(cov)
@@ -255,9 +339,13 @@ def test_baseline_row_k2_n8_seed3():
     triples = [(rng.randint(0, 4), rng.randint(1, 4), rng.randint(1, 4)) for _ in range(8)]
     work = perturb_release_times(make_instance(triples), 1)
     cov = build_covering(work, reduction_grid(total_horizon(work), 2, 3))
-    result = DpSolver(cov).solve()
+    solver = DpSolver(cov)
+    result = solver.solve()
     stats = result.stats
     assert (stats.states, stats.triples, stats.carry_vectors) == (1864, 139, 1482)
+    entries = list(solver.memo.values())
+    assert sum(1 for e in entries if e == (0, ())) == 641
+    assert sum(1 for e in entries if e is None) == 660
     assert result.cost == 1163
     assert result.selection.sorted_ids() == (
         *range(0, 7), *range(8, 14), *range(21, 32), *range(35, 41), 42,

@@ -159,6 +159,78 @@ def test_check_rejects_pipeline_record(tmp_path, capsys):
     assert captured.err == ""
 
 
+def _solve_record(tmp_path):
+    inst = tmp_path / "inst.json"
+    sol = tmp_path / "sol.json"
+    main(["gen", "--seed", "6", "--out", str(inst)])
+    main(["solve", "--instance", str(inst), "--seed", "6", "--out", str(sol)])
+    return inst, sol, json.loads(sol.read_text())
+
+
+@pytest.mark.parametrize(
+    "key, value, shown",
+    [
+        ("K", "2", "'2'"),
+        ("seed", 6.0, "6.0"),
+        ("leaf_len", True, "True"),
+        ("shift", None, "None"),
+        ("cost", "12", "'12'"),
+    ],
+)
+def test_check_rejects_mistyped_integer_field(tmp_path, capsys, key, value, shown):
+    inst, sol, record = _solve_record(tmp_path)
+    record[key] = value
+    sol.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["check", "--instance", str(inst), "--solution", str(sol)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"check: FAIL {sol} field {key!r} must be an integer, got {shown}\n"
+    assert captured.err == ""
+
+
+def test_check_rejects_mistyped_epsilon(tmp_path, capsys):
+    inst, sol, record = _solve_record(tmp_path)
+    record["epsilon"] = [1, 2]
+    sol.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["check", "--instance", str(inst), "--solution", str(sol)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        f"check: FAIL {sol} field 'epsilon' must be a string or an integer, got [1, 2]\n"
+    )
+    assert captured.err == ""
+
+
+def test_check_rejects_mistyped_selection(tmp_path, capsys):
+    inst, sol, record = _solve_record(tmp_path)
+    for selection, shown in (
+        ("0,1", "'0,1'"),
+        ([0, "1"], "'1' at index 1"),
+        ([0, False], "False at index 1"),
+    ):
+        record["selection"] = selection
+        sol.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert main(["check", "--instance", str(inst), "--solution", str(sol)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == (
+            f"check: FAIL {sol} field 'selection' must be a list of integers, got {shown}\n"
+        )
+        assert captured.err == ""
+
+
+@pytest.mark.parametrize("rid", [1000000, -1])
+def test_check_rejects_unknown_rectangle_id(tmp_path, capsys, rid):
+    inst, sol, record = _solve_record(tmp_path)
+    record["selection"] = record["selection"] + [rid]
+    sol.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["check", "--instance", str(inst), "--solution", str(sol)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"check: FAIL selection names unknown rectangle id {rid}\n"
+    assert captured.err == ""
+
+
 def test_solve_oracle_agrees_with_dp(tmp_path):
     inst = tmp_path / "inst.json"
     dp_out = tmp_path / "dp.json"
