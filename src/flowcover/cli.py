@@ -198,10 +198,16 @@ def cmd_check(args: argparse.Namespace) -> int:
             f"{record['seed']}, which gives shift {cov.grid.shift}"
         )
         return 1
+    seen: set[int] = set()
     for rid in record["selection"]:
         if not 0 <= rid < len(cov.rectangles):
             print(f"check: FAIL selection names unknown rectangle id {rid}")
             return 1
+        # Selection.of folds the list into a set, which would hide a repeat
+        if rid in seen:
+            print(f"check: FAIL selection repeats rectangle id {rid}")
+            return 1
+        seen.add(rid)
     selection = Selection.of(record["selection"])
     report = check_feasible(cov, selection)
     cost = selection_cost(cov, selection)

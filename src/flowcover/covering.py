@@ -71,7 +71,6 @@ class Rectangle:
 
     rid: int
     job: int
-    cell: GridCell
     x_begin: int
     x_end: int
     cost: int
@@ -219,7 +218,6 @@ def build_covering(
                     Rectangle(
                         rid=rid,
                         job=job.id,
-                        cell=seg_group.cell,
                         x_begin=x_begin,
                         x_end=x_end,
                         cost=cost_fn(job, x_begin, x_end),

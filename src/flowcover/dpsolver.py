@@ -6,12 +6,12 @@ The solver walks states (job, cell, k, carry) top-down with memoization:
 - ``cell`` and ``k`` select the area A = [x1, end(cell)) x [job, oo), where
   x1 is the start of the cell's k-th child (or the cell's (k-1)-th unit for
   leaf cells).  Only rectangles wholly inside A may still be chosen.
-- ``carry`` maps each member of a fixed subdivision of A's x-span (the
-  grandchild cells under children k..K, or unit intervals at the two deepest
-  levels) to an extra demand.  A carried value remembers, for rays that
-  start at rows above ``job`` but reach down into A, how much capacity they
-  are still owed: the state must cover d([r_job, t]) plus the carry of the
-  subdivision interval containing t.
+- ``carry`` maps each member of a fixed subdivision of A's x-span, the
+  cell's pieces from x1 on (``GridCell.piece_width``), to an extra demand.
+  A carried value remembers, for rays that start at rows above ``job`` but
+  reach down into A, how much capacity they are still owed: the state must
+  cover d([r_job, t]) plus the carry of the subdivision interval containing
+  t.
 
 A state where A holds no rectangle stores the empty selection: rays met
 entirely inside such an area can have no positive demand, and no carried
@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import sys
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -70,7 +69,7 @@ from .covering import (
     check_feasible,
     selection_cost,
 )
-from .grid import Grid, GridCell, Interval
+from .grid import Grid, GridCell, Interval, chunk
 
 CarryItems = tuple[tuple[Interval, int], ...]
 TableKey = tuple[int, int, int, int]  # (job, cell.level, cell.begin, k)
@@ -86,15 +85,6 @@ class EmptyAreaError(ValueError):
     """The requested (job, cell, k) has an empty area; no such state exists."""
 
 
-@dataclass(frozen=True)
-class Area:
-    """Half-open region [x_begin, x_end) x [row, oo)."""
-
-    x_begin: int
-    x_end: int
-    row: int
-
-
 def area_begin(cell: GridCell, k: int, K: int) -> int:
     """Left edge x1 of the area of (cell, k); raises EmptyAreaError when undefined."""
     if not 1 <= k <= K:
@@ -106,25 +96,14 @@ def area_begin(cell: GridCell, k: int, K: int) -> int:
     return cell.begin + (k - 1) * (cell.length // K)  # the k-th child's begin
 
 
-def area(job: int, cell: GridCell, k: int, grid: Grid) -> Area:
-    """Area of state (job, cell, k); raises EmptyAreaError when undefined."""
-    return Area(x_begin=area_begin(cell, k, grid.K), x_end=cell.end, row=job)
-
-
 def subcells(cell: GridCell, k: int, grid: Grid) -> tuple[Interval, ...]:
-    """The carry subdivision for (cell, k); it tiles the area's x-span.
-
-    Grandchild cells under children k..K for shallow cells, unit intervals
-    at the two deepest levels.  Computed from the cell's bounds, so no
-    grandchild cell is built for it.
+    """The carry subdivision for (cell, k): the cell's pieces across the
+    area's x-span; ``()`` when the area is empty.  Computed from the cell's
+    bounds, so no grandchild cell is built for it.
     """
-    if cell.is_leaf:
-        if k > cell.length:
-            return ()
-        return tuple((x, x + 1) for x in range(cell.begin + k - 1, cell.end))
-    step = cell.length // grid.K
-    width = 1 if step == grid.leaf_len else step // grid.K
-    return tuple((x, x + width) for x in range(cell.begin + (k - 1) * step, cell.end, width))
+    if cell.is_leaf and k > cell.length:
+        return ()
+    return chunk(area_begin(cell, k, grid.K), cell.end, cell.piece_width)
 
 
 def is_canonical(job: int, cell: GridCell, k: int, cov: CoveringInstance) -> bool:
@@ -140,11 +119,6 @@ def _spans_area(group: PrefixGroup | None, x_begin: int, x_end: int) -> bool:
         return False
     rects = group.rectangles
     return rects[0].x_begin == x_begin and rects[-1].x_end <= x_end
-
-
-def carry_items(carry: dict[Interval, int]) -> CarryItems:
-    """Canonical sparse form: sorted, zero entries dropped."""
-    return tuple(sorted((iv, v) for iv, v in carry.items() if v > 0))
 
 
 def next_carry(carry_value: int, processing: int, release_gap: int, paid_capacity: int) -> int:
@@ -168,8 +142,8 @@ class TripleTable:
       ``take`` rectangles, for take = 0..len(group).
 
     ``expand`` is filled for internal triples that split: it maps each
-    subcell of the area to the subcells of the k-th child's subdivision
-    inside it.
+    subcell of the area to the k-th child's pieces inside it, which are
+    that child's state's subcells.
     """
 
     __slots__ = (
@@ -277,9 +251,13 @@ class DpSolver:
     def solve_cell(
         self, job: int, cell: GridCell, k: int, carry: dict[Interval, int] | CarryItems = ()
     ) -> tuple[int, tuple[int, ...]] | None:
-        """Solve one state directly (used by tests); None means infeasible."""
-        items = carry_items(dict(carry)) if not isinstance(carry, tuple) else carry
-        return self._cell(job, cell, k, items, depth=0)
+        """Solve one state directly (used by tests); None means infeasible.
+
+        A dict carry is put in the memo's form: sorted, zero entries dropped.
+        """
+        if not isinstance(carry, tuple):
+            carry = tuple(sorted((iv, v) for iv, v in carry.items() if v > 0))
+        return self._cell(job, cell, k, carry, depth=0)
 
     # -- recursion ------------------------------------------------------------
 
@@ -314,7 +292,8 @@ class DpSolver:
         elif not cell.is_leaf:
             entry = self._split(job, cell, k, tab, carry, depth)
         else:
-            entry = self._cell(job, cell, k + 1, _carry_from(carry, cell.begin + k), depth + 1)
+            kept = _carry_from(carry, area_begin(cell, k + 1, self.grid.K))
+            entry = self._cell(job, cell, k + 1, kept, depth + 1)
 
         self.memo[key] = entry
         return entry
@@ -372,7 +351,7 @@ class DpSolver:
         left = self._cell(job, child_cell, 1, inherited, depth + 1)
         if left is None or k == self.grid.K:
             return left
-        kept = _carry_from(carry, cell.children[k].begin)
+        kept = _carry_from(carry, area_begin(cell, k + 1, self.grid.K))
         right = self._cell(job, cell, k + 1, kept, depth + 1)
         if right is None:
             return None
@@ -395,7 +374,7 @@ class DpSolver:
             if tab.canonical:
                 self._fill_canonical(tab, job, group, subs)
             elif not cell.is_leaf:
-                tab.expand = self._expansion(subs, cell.children[k - 1])
+                tab.expand = _expansion(subs, cell.children[k - 1])
             elif k >= cell.length:
                 # A non-canonical leaf state holding a rectangle always has the
                 # job released strictly right of the area's left edge, so k can
@@ -437,16 +416,6 @@ class DpSolver:
         tab.prefix_cost = tuple(accumulate((r.cost for r in rects), initial=0))
         tab.prefix_ids = tuple(tuple(range(rid0, rid0 + take)) for take in range(len(rects) + 1))
 
-    def _expansion(
-        self, subs: tuple[Interval, ...], child_cell: GridCell
-    ) -> dict[Interval, tuple[Interval, ...]]:
-        """Each subcell of the area -> the child state's subcells inside it."""
-        begins = [sub[0] for sub in subs]
-        parts: dict[Interval, list[Interval]] = {sub: [] for sub in subs}
-        for sub in subcells(child_cell, 1, self.grid):
-            parts[subs[_containing(begins, subs, sub)]].append(sub)
-        return {sub: tuple(inner) for sub, inner in parts.items()}
-
     def _groups_inside(self, job: int, cell: GridCell, x_begin: int) -> bool:
         """Whether a group of row ``job`` or deeper lies inside the area
         [x_begin, end(cell)).
@@ -475,11 +444,14 @@ def _carry_from(carry: CarryItems, x: int) -> CarryItems:
     return tuple(item for item in carry if item[0][0] >= x)
 
 
-def _containing(begins: list[int], subs: tuple[Interval, ...], target: Interval) -> int:
-    idx = bisect_right(begins, target[0]) - 1
-    if idx < 0 or not (subs[idx][0] <= target[0] and target[1] <= subs[idx][1]):
-        raise DpError(f"{target} not inside any carry interval")
-    return idx
+def _expansion(subs: tuple[Interval, ...], child: GridCell) -> dict[Interval, tuple[Interval, ...]]:
+    """Each subcell of the area -> the child's pieces inside it.
+
+    The child's pieces inside a subcell are that subcell cut at the child's
+    piece width; subcells right of the child hold none of them.
+    """
+    width = child.piece_width
+    return {sub: chunk(*sub, width) if sub[1] <= child.end else () for sub in subs}
 
 
 def solve(cov: CoveringInstance) -> DpResult:

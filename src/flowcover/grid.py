@@ -12,12 +12,16 @@ them.  A solve therefore pays for the cells it touches, not for the whole
 tree over the horizon, and one grid still hands out exactly one object per
 cell.
 
+A cell's *pieces* cut it into equal intervals: unit intervals in a leaf or
+a parent of leaves, its grandchild cells in any other cell.
+``GridCell.piece_width`` is this one layout rule; a job's segments and the
+dynamic program's carry intervals are both runs of pieces.
+
 Each job j is assigned segments Seg(j) that partition [r_j, end(root)).  Take
 the chain of cells containing r_j, one per level.  Inside the deepest (leaf)
-cell the segments are the unit intervals from r_j to the cell's end.  Inside
-each ancestor at level l the segments cover the gap between the next-deeper
-chain cell's end and the ancestor's end: unit intervals at the two deepest
-levels, level-(l+2) cells otherwise.  Left to right the segment lengths are
+cell the segments are the unit pieces from r_j to the cell's end.  Inside
+each ancestor the segments are its pieces between the next-deeper chain
+cell's end and the ancestor's end.  Left to right the segment lengths are
 non-decreasing, each group's span ends at its cell's end and starts at a
 child boundary, and groups of different jobs never partially overlap (the
 later-released job's group span lies inside some group span of the earlier
@@ -26,7 +30,6 @@ job whose cell is an ancestor-or-self of the later group's cell).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .jobs import Job
@@ -81,6 +84,12 @@ class GridCell:
     @property
     def length(self) -> int:
         return self.end - self.begin
+
+    @property
+    def piece_width(self) -> int:
+        """Width of the cell's pieces: 1 for a leaf or a parent of leaves,
+        the grandchild length otherwise."""
+        return 1 if self.length <= self.K * self.leaf_len else self.length // self.K**2
 
     def contains_point(self, x: int) -> bool:
         return self.begin <= x < self.end
@@ -195,7 +204,8 @@ class SegmentGroup:
         return (self.segments[0][0], self.segments[-1][1])
 
 
-def _chunk(begin: int, end: int, width: int) -> tuple[Interval, ...]:
+def chunk(begin: int, end: int, width: int) -> tuple[Interval, ...]:
+    """[begin, end) cut left to right into intervals of ``width``."""
     return tuple((x, x + width) for x in range(begin, end, width))
 
 
@@ -212,18 +222,12 @@ def build_segments(job: Job, grid: Grid) -> list[SegmentGroup]:
         raise ValueError(
             f"release {r} outside root interval [{grid.root.begin}, {grid.root.end})"
         )
-    chain = cell_chain(grid, r)
     groups: list[SegmentGroup] = []
-    leaf = chain[grid.lmax]
-    groups.append(SegmentGroup(job=job.id, cell=leaf, segments=_chunk(r, leaf.end, 1)))
-    for level in range(grid.lmax - 1, -1, -1):
-        cell = chain[level]
-        lo = chain[level + 1].end
-        if level > grid.lmax - 2:
-            width = 1
-        else:
-            width = grid.root.length // grid.K ** (level + 2)
-        groups.append(SegmentGroup(job=job.id, cell=cell, segments=_chunk(lo, cell.end, width)))
+    lo = r  # the leaf's group starts at r, each ancestor's where the last ended
+    for cell in reversed(cell_chain(grid, r)):
+        segments = chunk(lo, cell.end, cell.piece_width)
+        groups.append(SegmentGroup(job=job.id, cell=cell, segments=segments))
+        lo = cell.end
     return groups
 
 
@@ -273,31 +277,3 @@ def cell_path(grid: Grid, cell: GridCell) -> str:
         cur = parent
         parent = grid.parent(cur)
     return "/".join(str(i) for i in reversed(parts))
-
-
-def _cell_payload(cell: GridCell) -> dict:
-    payload: dict = {"level": cell.level, "begin": cell.begin, "end": cell.end}
-    if not cell.is_leaf:
-        payload["children"] = [_cell_payload(c) for c in cell.children]
-    return payload
-
-
-def grid_to_json(grid: Grid, segment_groups: list[SegmentGroup] | None = None) -> str:
-    """Debug dump of the cell tree and, optionally, segment groups."""
-    payload: dict = {
-        "K": grid.K,
-        "shift": grid.shift,
-        "leaf_len": grid.leaf_len,
-        "lmax": grid.lmax,
-        "root": _cell_payload(grid.root),
-    }
-    if segment_groups is not None:
-        payload["segments"] = [
-            {
-                "job": g.job,
-                "cell_path": cell_path(grid, g.cell),
-                "segments": [list(seg) for seg in g.segments],
-            }
-            for g in segment_groups
-        ]
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

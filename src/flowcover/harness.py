@@ -25,6 +25,7 @@ from .jobs import JobInstance, make_instance, perturb_release_times, total_horiz
 from .oracle import OracleBudget, VerifyReport, verify_pair
 
 CSV_HEADER = "seed,n,P,K,shift,T,dp_cost,oracle_cost,states,ms"
+MAX_DRAW_ATTEMPTS = 1000
 
 
 @dataclass(frozen=True)
@@ -61,16 +62,16 @@ def random_instance(rng: Random, n_max: int, p_max: int, w_max: int) -> JobInsta
     return make_instance(triples)
 
 
-def campaign_instance(seed: int, cfg: CampaignConfig, max_attempts: int = 1000) -> JobInstance:
+def campaign_instance(seed: int, cfg: CampaignConfig) -> JobInstance:
     """Seeded draw, redrawn until the preprocessed horizon fits the cap."""
     rng = Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(MAX_DRAW_ATTEMPTS):
         inst = random_instance(rng, cfg.n_max, cfg.p_max, cfg.w_max)
         work = perturb_release_times(inst, cfg.epsilon)
         if total_horizon(work) <= cfg.horizon_max:
             return inst
     raise RuntimeError(
-        f"no instance under horizon cap {cfg.horizon_max} in {max_attempts} draws; "
+        f"no instance under horizon cap {cfg.horizon_max} in {MAX_DRAW_ATTEMPTS} draws; "
         "loosen the caps"
     )
 
@@ -106,12 +107,11 @@ class CampaignResult:
     def failures(self) -> tuple[VerifyReport, ...]:
         return tuple(r for r in self.reports if not r.ok and not r.skipped)
 
-    def summary_dict(self, include_timing: bool = False) -> dict:
-        """Campaign summary; timing is excluded by default so the output is
+    def summary_dict(self) -> dict:
+        """Campaign summary; it holds no timing, so the output is
         byte-identical across repeated runs and worker counts."""
-        rows = []
-        for trial, r in enumerate(self.reports):
-            row = {
+        rows = [
+            {
                 "trial": trial,
                 "seed": r.seed,
                 "status": r.status,
@@ -125,9 +125,8 @@ class CampaignResult:
                 "oracle_selection": list(r.oracle_selection or ()),
                 "states": r.dp_states,
             }
-            if include_timing:
-                row["ms"] = round(r.dp_ms + (r.oracle_ms or 0.0), 3)
-            rows.append(row)
+            for trial, r in enumerate(self.reports)
+        ]
         return {
             "K": self.config.K,
             "epsilon": str(self.config.epsilon),
@@ -139,8 +138,8 @@ class CampaignResult:
             "results": rows,
         }
 
-    def summary_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.summary_dict(include_timing), sort_keys=True, indent=2) + "\n"
+    def summary_json(self) -> str:
+        return json.dumps(self.summary_dict(), sort_keys=True, indent=2) + "\n"
 
     def csv_lines(self) -> list[str]:
         lines = [CSV_HEADER]

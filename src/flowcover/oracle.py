@@ -48,16 +48,10 @@ class OracleBudgetExceeded(RuntimeError):
     """The exhaustive search hit its node or time budget."""
 
 
-def _env_budget_ms() -> int | None:
-    raw = os.environ.get("FLOWCOVER_BUDGET_MS")
-    if raw is None:
-        return None
-    return int(raw)
-
-
 def _default_time_limit_ms() -> int:
-    env = _env_budget_ms()
-    return 600_000 if env is None else env
+    """FLOWCOVER_BUDGET_MS when set, else ten minutes."""
+    raw = os.environ.get("FLOWCOVER_BUDGET_MS")
+    return 600_000 if raw is None else int(raw)
 
 
 @dataclass(frozen=True)

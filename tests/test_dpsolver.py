@@ -15,14 +15,14 @@ from flowcover.dpsolver import (
     DpError,
     DpSolver,
     EmptyAreaError,
-    area,
+    area_begin,
     is_canonical,
     next_carry,
     solve,
     subcells,
 )
-from flowcover.grid import build_grid, cell_at, root_length
-from flowcover.jobs import make_instance, perturb_release_times, total_horizon
+from flowcover.grid import build_grid, build_segments, cell_at, root_length
+from flowcover.jobs import Job, make_instance, perturb_release_times, total_horizon
 from flowcover.oracle import brute_force_covering, reduce_instance, reduction_grid
 
 
@@ -52,22 +52,20 @@ def random_cov(rng, K, n_max=4, p_max=4):
 
 def test_area_internal_cell():
     grid = build_grid(T=8, K=2, leaf_len=2)
-    a = area(3, grid.root, 2, grid)
-    assert (a.x_begin, a.x_end, a.row) == (4, 8, 3)
+    assert (area_begin(grid.root, 2, grid.K), grid.root.end) == (4, 8)
 
 
 def test_area_leaf_cell():
     grid = build_grid(T=8, K=2, leaf_len=2)
     leaf = cell_at(grid, grid.lmax, 4)  # [4, 6)
-    a = area(1, leaf, 2, grid)
-    assert (a.x_begin, a.x_end, a.row) == (5, 6, 1)
+    assert (area_begin(leaf, 2, grid.K), leaf.end) == (5, 6)
 
 
 def test_area_empty_for_oversized_k():
     grid = build_grid(T=8, K=3, leaf_len=2)
     leaf = cell_at(grid, grid.lmax, 4)
     with pytest.raises(EmptyAreaError):
-        area(1, leaf, 3, grid)
+        area_begin(leaf, 3, grid.K)
 
 
 # -- subcells -------------------------------------------------------------------
@@ -93,9 +91,39 @@ def test_subcells_leaf_tiles_the_area_span():
     leaf = cell_at(grid, grid.lmax, 4)  # [4, 6)
     assert subcells(leaf, 1, grid) == ((4, 5), (5, 6))
     assert subcells(leaf, 2, grid) == ((5, 6),)
-    a = area(1, leaf, 1, grid)
     subs = subcells(leaf, 1, grid)
-    assert subs[0][0] == a.x_begin and subs[-1][1] == a.x_end
+    assert subs[0][0] == area_begin(leaf, 1, grid.K) and subs[-1][1] == leaf.end
+
+
+def test_piece_layout_matches_independent_recount():
+    # the carry subdivision and the segments share one width rule; recount
+    # both from the cell tree: grandchildren under children k..K, units when
+    # the children are leaves, units from begin + k - 1 inside a leaf
+    for K in (2, 3, 4):
+        for leaf_len in range(1, K + 1):
+            for T, shift in ((0, 0), (5, 0), (13, 2), (40, 7), (100, 31)):
+                grid = build_grid(T, K, shift=shift, leaf_len=leaf_len)
+                for level in grid.levels:
+                    for cell in level:
+                        for k in range(1, K + 1):
+                            if cell.is_leaf:
+                                lo = cell.begin + k - 1
+                                expect = tuple((x, x + 1) for x in range(lo, cell.end))
+                            elif cell.children[0].is_leaf:
+                                lo = cell.children[k - 1].begin
+                                expect = tuple((x, x + 1) for x in range(lo, cell.end))
+                            else:
+                                expect = tuple(
+                                    (g.begin, g.end)
+                                    for child in cell.children[k - 1 :]
+                                    for g in child.children
+                                )
+                            assert subcells(cell, k, grid) == expect
+                for r in range(max(grid.root.begin, 0), grid.root.end):
+                    for group in build_segments(Job(1, r, 1, 1), grid):
+                        if group.segments:
+                            widths = {b - a for a, b in group.segments}
+                            assert widths == {group.cell.piece_width}
 
 
 def test_subcells_count_bounded_by_k_squared():
@@ -136,8 +164,7 @@ def test_canonical_states_span_both_edges():
             cell = cell_at(cov.grid, level, begin)
             if is_canonical(job, cell, k, cov):
                 group = cov.group(job, cell)
-                a = area(job, cell, k, cov.grid)
-                assert group.rectangles[-1].x_end == a.x_end
+                assert group.rectangles[-1].x_end == cell.end
                 seen += 1
         assert seen > 0
 
@@ -297,9 +324,9 @@ def test_group_straddling_the_kth_child_boundary_rejected():
     inst = make_instance([(0, 2, 1), (1, 1, 1)])
     grid = build_grid(T=8, K=2)
     rects = [
-        Rectangle(rid=0, job=1, cell=grid.root, x_begin=0, x_end=2, cost=1, capacity=2),
-        Rectangle(rid=1, job=2, cell=grid.root, x_begin=2, x_end=4, cost=1, capacity=1),
-        Rectangle(rid=2, job=2, cell=grid.root, x_begin=4, x_end=6, cost=1, capacity=1),
+        Rectangle(rid=0, job=1, x_begin=0, x_end=2, cost=1, capacity=2),
+        Rectangle(rid=1, job=2, x_begin=2, x_end=4, cost=1, capacity=1),
+        Rectangle(rid=2, job=2, x_begin=4, x_end=6, cost=1, capacity=1),
     ]
     cov = CoveringInstance(
         inst,

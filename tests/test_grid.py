@@ -1,4 +1,3 @@
-import json
 from random import Random
 
 import pytest
@@ -10,7 +9,6 @@ from flowcover.grid import (
     cell_chain,
     cell_path,
     check_nesting,
-    grid_to_json,
     root_length,
     segments_flat,
     spans_nest,
@@ -251,18 +249,3 @@ def test_nesting_requires_release_order():
     grid = build_grid(T=6, K=2)
     with pytest.raises(ValueError):
         check_nesting(Job(2, 4, 1, 1), Job(1, 1, 1, 1), grid)
-
-
-# -- serialization --------------------------------------------------------------
-
-
-def test_grid_json_dump():
-    grid = build_grid(T=4, K=2)
-    groups = build_segments(Job(1, 1, 2, 1), grid)
-    payload = json.loads(grid_to_json(grid, groups))
-    assert payload["K"] == 2 and payload["lmax"] == grid.lmax
-    assert payload["root"]["begin"] == 0
-    paths = {entry["cell_path"] for entry in payload["segments"]}
-    assert "" in paths  # root group is present, possibly empty
-    leaf = cell_at(grid, grid.lmax, 1)
-    assert cell_path(grid, leaf) in paths

@@ -231,6 +231,19 @@ def test_check_rejects_unknown_rectangle_id(tmp_path, capsys, rid):
     assert captured.err == ""
 
 
+def test_check_rejects_repeated_rectangle_id(tmp_path, capsys):
+    # the set of ids is still the solver's feasible selection at its cost
+    inst, sol, record = _solve_record(tmp_path)
+    rid = record["selection"][0]
+    record["selection"] = record["selection"] + [rid]
+    sol.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["check", "--instance", str(inst), "--solution", str(sol)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"check: FAIL selection repeats rectangle id {rid}\n"
+    assert captured.err == ""
+
+
 def test_solve_oracle_agrees_with_dp(tmp_path):
     inst = tmp_path / "inst.json"
     dp_out = tmp_path / "dp.json"
