@@ -18,6 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .covering import (
+    COST_MODELS,
     CoveringInstance,
     Selection,
     check_feasible,
@@ -166,6 +167,9 @@ def _record_type_error(record: dict) -> str | None:
     for i, rid in enumerate(selection):
         if type(rid) is not int:
             return f"field 'selection' must be a list of integers, got {rid!r} at index {i}"
+    cost_model = record.get("cost_model", "weighted_length")
+    if type(cost_model) is not str or cost_model not in COST_MODELS:
+        return f"field 'cost_model' must be one of {sorted(COST_MODELS)}, got {cost_model!r}"
     return None
 
 
@@ -333,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--cost-model",
                 default="weighted_length",
                 dest="cost_model",
-                choices=["weighted_length", "unit"],
+                choices=list(COST_MODELS),
             )
 
     p = sub.add_parser("gen", help="generate a random instance file")

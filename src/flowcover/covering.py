@@ -7,17 +7,23 @@ cost and a capacity equal to the job's processing time.  Within one group
 rectangles.
 
 For every integer interval [s, t] with 0 <= s <= t <= T there is a downward
-ray at x = t + 1/2 starting just below row j(I), where j(I) is the earliest
-released job with r_j >= s.  Its demand is
+ray at x = t + 1/2 starting just below row j, the earliest released job with
+r_j >= s.  Its demand is
 
     d([s, t]) = sum of p_j over jobs with s <= r_j <= t,  minus (t - s),
 
 the amount of work released in the window that cannot have finished by t.  A
 selection is feasible when every ray's demand is covered by the total
-capacity of selected rectangles the ray passes through.  Rays are never
-materialized: demands and crossing sets are computed from sorted release
-times and a per-unit crossing index over [0, T], the only columns a ray can
-sit in.
+capacity of selected rectangles the ray passes through.
+
+Only rays that start at a release can bind.  If r_j <= t, no job is released
+in [s, r_j), so the ray of [s, t] crosses the same rectangles as that of
+[r_j, t] (rows j and deeper at t) and d(s, t) = d(r_j, t) - (r_j - s).  Any
+other ray has no release in [s, t], so d(s, t) = -(t - s) <= 0.  The
+feasibility scan, the oracle and the DP's settled rays rest on this rule.
+Rays are never materialized: demands and crossing sets are computed from
+sorted release times and a per-unit crossing index over [0, T], the only
+columns a ray can sit in.
 
 Costs are pluggable.  The default charges weight * segment length, the
 weighted duration the job stays alive across that segment; unit costs and
@@ -32,6 +38,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from .grid import Grid, GridCell, Interval, build_segments, cell_path
@@ -48,7 +55,7 @@ def unit_cost(job: Job, x_begin: int, x_end: int) -> int:
     return 1
 
 
-_COST_MODELS: dict[str, CostFn] = {
+COST_MODELS: dict[str, CostFn] = {
     "weighted_length": weighted_length_cost,
     "unit": unit_cost,
 }
@@ -58,10 +65,10 @@ def resolve_cost_model(model: str | CostFn) -> CostFn:
     if callable(model):
         return model
     try:
-        return _COST_MODELS[model]
+        return COST_MODELS[model]
     except KeyError:
         raise ValueError(
-            f"unknown cost model {model!r}; built-ins: {sorted(_COST_MODELS)}"
+            f"unknown cost model {model!r}; built-ins: {sorted(COST_MODELS)}"
         ) from None
 
 
@@ -132,7 +139,11 @@ class FeasibilityReport:
 
 
 class CoveringInstance:
-    """Rectangles, groups, and ray machinery built from jobs plus a grid."""
+    """Rectangles, groups, and ray machinery built from jobs plus a grid.
+
+    ``proc_prefix[j]`` is p_1 + ... + p_j, the processing of the first j
+    jobs in release order, for j = 0..n.
+    """
 
     def __init__(self, instance: JobInstance, grid: Grid, groups: Sequence[PrefixGroup]):
         self.instance = instance
@@ -148,9 +159,7 @@ class CoveringInstance:
             (g.job, g.cell.level, g.cell.begin): g for g in self.groups
         }
         self._releases = [j.release for j in instance.jobs]
-        self._proc_prefix = [0]
-        for j in instance.jobs:
-            self._proc_prefix.append(self._proc_prefix[-1] + j.processing)
+        self.proc_prefix = list(accumulate((j.processing for j in instance.jobs), initial=0))
         # crossing[t] lists the rectangles through x = t + 1/2 for t in 0..T;
         # rectangles come job by job (asserted above), so each list is already
         # in row order
@@ -192,7 +201,7 @@ class CoveringInstance:
             raise ValueError(f"interval [{s}, {t}] outside 0..{self.horizon}")
         lo = bisect_left(self._releases, s)
         hi = bisect_right(self._releases, t)
-        return self._proc_prefix[hi] - self._proc_prefix[lo] - (t - s)
+        return self.proc_prefix[hi] - self.proc_prefix[lo] - (t - s)
 
 
 def build_covering(
@@ -256,7 +265,10 @@ def selection_cost(cov: CoveringInstance, sel: Selection) -> int:
 def check_feasible(cov: CoveringInstance, sel: Selection) -> FeasibilityReport:
     """Scan every prefix constraint and every interval [s, t] within the horizon.
 
-    Violations are returned as data, not raised.
+    Violations are returned as data, not raised, in (t, s) order.  By the
+    binding-ray rule (module docstring), the rays [s, t] with r_{j-1} < s <= r_j
+    share the covered capacity of [r_j, t] and their demand grows with s, so
+    the failing s form a range ending at r_j.  Every [s, t] is still judged.
     """
     prefix_viols: list[PrefixViolation] = []
     for group in cov.groups:
@@ -273,39 +285,24 @@ def check_feasible(cov: CoveringInstance, sel: Selection) -> FeasibilityReport:
                 )
             )
 
-    # d(s, t) = (work released by t, minus t) - (work released before s,
-    # minus s).  The s with the same anchor, lo jobs released before s, form
-    # the block starts[lo]..ends[lo]; their rays share the anchor row lo + 1
-    # and so the covered capacity at t, while d(s, t) grows with s.  So the
-    # largest s <= t of a block decides whether any of its rays fails, and
-    # the failing s form a range ending there.  Every [s, t] is still judged.
-    T = cov.horizon
-    n = cov.instance.n
-    prefix = cov._proc_prefix
+    prefix = cov.proc_prefix
     releases = cov._releases
-    starts = [0] + [r + 1 for r in releases]
-    ends = releases + [T]
     demand_viols: list[RayViolation] = []
-    for t in range(0, T + 1):
-        by_t = prefix[bisect_right(releases, t)] - t
-        crossing = cov.rects_crossing(t)
-        rows = [r.job for r in crossing]
-        suffix = [0] * (len(crossing) + 1)
-        for i in range(len(crossing) - 1, -1, -1):
-            cap = crossing[i].capacity if crossing[i].rid in sel.chosen else 0
-            suffix[i] = suffix[i + 1] + cap
-        for lo in range(n + 1):
-            if starts[lo] > t:
-                break
-            base = by_t - prefix[lo]  # d(s, t) = base + s inside the block
-            last = min(ends[lo], t)
-            if base + last <= 0:
-                continue
-            assert lo < n, "positive demand implies a release in [s, t]"
-            # selected capacity at t in rows at or below the anchor job
-            got = suffix[bisect_left(rows, lo + 1)]
-            for s in range(max(starts[lo], got - base + 1), last + 1):
-                demand_viols.append(RayViolation(s=s, t=t, required=base + s, covered=got))
+    for t in range(0, cov.horizon + 1):
+        picked = [0] * (cov.instance.n + 1)  # selected capacity at t, per row
+        for r in cov.rects_crossing(t):
+            if r.rid in sel.chosen:
+                picked[r.job] += r.capacity
+        got = sum(picked)  # in rows j and deeper, for j = 1, 2, ...
+        released = bisect_right(releases, t)
+        first_s = 0  # the rays of job j start at s in first_s..r_j
+        for j in range(1, released + 1):
+            r_j = releases[j - 1]
+            need = prefix[released] - prefix[j - 1] - (t - r_j)  # d(r_j, t)
+            for s in range(max(first_s, r_j - need + got + 1), r_j + 1):
+                demand_viols.append(RayViolation(s=s, t=t, required=need - (r_j - s), covered=got))
+            first_s = r_j + 1
+            got -= picked[j]
     return FeasibilityReport(
         prefix_violations=tuple(prefix_viols), demand_violations=tuple(demand_viols)
     )

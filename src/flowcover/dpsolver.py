@@ -38,11 +38,10 @@ prefix of its group.  Tables and memo entries are keyed on plain integers,
 ``(job, cell.level, cell.begin, k)``, with the carry appended for the memo,
 so no cell object is hashed on the way.
 
-Settled rays need no per-t scan.  Every job's rectangles cover
-[r_j, end(root)), so the deepest row crossing t is the number of releases
-<= t, and a ray at t is settled at row ``job`` exactly when t < r_{job+1}.
-On [r_job, r_{job+1}) the demand d(r_job, t) = p_job - (t - r_job) falls
-with t, so a subcell's largest settled demand is the one at its first
+Settled rays need no per-t scan.  Only the rays [r_job, t] can bind (the
+rule in ``covering``); one is settled at row ``job``, crossing no deeper row,
+exactly when t < r_{job+1}, and there d(r_job, t) = p_job - (t - r_job)
+falls with t, so a subcell's largest settled demand is the one at its first
 settled t.  In the selection of a canonical state, the group's ids are
 consecutive and every deeper row's ids are larger, so a prefix's ids
 followed by the next row's sorted ids are already sorted.
@@ -203,13 +202,6 @@ class DpSolver:
         self._carries: set[CarryItems] = set()
         self._max_carry = 0
         self._max_depth = 0
-        n = cov.instance.n
-        self._proc = [0] * (n + 1)
-        self._proc_before = [0] * (n + 2)
-        for j in cov.instance.jobs:
-            self._proc[j.id] = j.processing
-        for j in range(1, n + 2):
-            self._proc_before[j] = self._proc_before[j - 1] + self._proc[j - 1]
         # _spans_from[job]: (job, x_begin, x_end, cell) of every group in row
         # job or deeper, so a table build scans only the rows it can reach
         spans = [
@@ -218,7 +210,7 @@ class DpSolver:
             if g.rectangles
         ]
         self._spans_from = [
-            tuple(span for span in spans if span[0] >= job) for job in range(n + 2)
+            tuple(span for span in spans if span[0] >= job) for job in range(cov.instance.n + 2)
         ]
 
     # -- public entry points ------------------------------------------------
@@ -276,7 +268,7 @@ class DpSolver:
         tab = self._tables.get(tkey)
         if tab is None:
             tab = self._tables[tkey] = self._build_table(job, cell, k)
-        bound = self._proc_before[job]
+        bound = self.cov.proc_prefix[job - 1]  # processing of the rows above
         for iv, v in carry:
             if iv not in tab.subs:
                 raise DpError(f"carry interval {iv} outside the subdivision of the state")
@@ -323,7 +315,7 @@ class DpSolver:
         # The next row's carry on each subcell, if its rectangle is taken
         # (paid) or not (unpaid); a prefix of `take` pays the first `take`.
         # (Capacities are >= 0, so paying after the clamp to 0 is the same.)
-        processing = self._proc[job]
+        processing = self.cov.proc_prefix[job] - self.cov.proc_prefix[job - 1]
         gap = tab.gap
         paid: list[tuple[Interval, int] | None] = []
         unpaid: list[tuple[Interval, int] | None] = []
@@ -396,11 +388,9 @@ class DpSolver:
         if [r.rid for r in rects] != list(range(rid0, rid0 + len(rects))):
             raise DpError(f"group (job={job}) ids are not consecutive")
 
-        # A ray at t is settled at this row when no deeper rectangle crosses
-        # t, which holds exactly for t < r_{job+1} (module docstring); only
-        # the prefix choice can still cover it.  The rays of one subcell
-        # share its carry and its rectangle, and d(r_job, t) falls with t on
-        # the settled range, so the first settled t stands for all.
+        # Settled rays [r_job, t], t < r_{job+1} (module docstring): only the
+        # prefix choice can still cover them.  The rays of one subcell share
+        # its carry and its rectangle, so the first settled t stands for all.
         r_job = self.cov.release_of(job)
         r_next = self.cov.release_of(job + 1)
         settled = []

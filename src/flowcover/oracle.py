@@ -3,8 +3,9 @@
 ``brute_force_covering`` enumerates, per prefix group, every prefix length,
 i.e. the complete space of prefix-valid selections.  Groups are fixed in the
 order they appear in the covering instance (job by job, deepest cell first,
-which is left to right); as soon as every group that can contribute to some
-ray has been fixed, that ray's demand is checked and the branch pruned on
+which is left to right).  Only the rays [r_j, t] with positive demand can
+bind (the rule in ``covering``); as soon as every group that can contribute
+to one has been fixed, its demand is checked and the branch pruned on
 failure.  A running cost bound prunes branches that already cost more than
 the best complete solution.  Both prunings are exact: the search still visits
 every potentially optimal selection, so the result is a true minimum.
@@ -22,6 +23,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from random import Random
 
 from .covering import (
@@ -31,6 +33,7 @@ from .covering import (
     build_covering,
     check_feasible,
     full_selection,
+    ray_rectangles,
 )
 from .dpsolver import DpError
 from .dpsolver import solve as dp_solve
@@ -50,8 +53,10 @@ class OracleBudgetExceeded(RuntimeError):
 
 def _default_time_limit_ms() -> int:
     """FLOWCOVER_BUDGET_MS when set, else ten minutes."""
-    raw = os.environ.get("FLOWCOVER_BUDGET_MS")
-    return 600_000 if raw is None else int(raw)
+    raw = os.environ.get("FLOWCOVER_BUDGET_MS", "600000")
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"FLOWCOVER_BUDGET_MS must be a non-negative integer (ms), got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -69,8 +74,10 @@ class OracleBudget:
     time_limit_ms: int = field(default_factory=_default_time_limit_ms)
 
     def __post_init__(self) -> None:
-        if self.max_groups <= 0 or self.max_combinations <= 0 or self.time_limit_ms < 0:
-            raise ValueError("budget fields must be positive")
+        for name, least in (("max_groups", 1), ("max_combinations", 1), ("time_limit_ms", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def brute_force_covering(
@@ -86,51 +93,32 @@ def brute_force_covering(
     if len(groups) > budget.max_groups:
         raise OracleBudgetExceeded(f"{len(groups)} groups exceed cap {budget.max_groups}")
 
-    # Per (job, t): which group covers t for that job, at which position.
-    slot_of: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for gi, group in enumerate(groups):
-        for pos, rect in enumerate(group.rectangles):
-            for t in range(rect.x_begin, min(rect.x_end, cov.horizon + 1)):
-                slot_of[(group.job, t)] = (gi, pos, rect.capacity)
+    # rid -> (group index, position in the group); ids run group by group
+    slot = [(gi, pos) for gi, g in enumerate(groups) for pos in range(len(g.rectangles))]
 
-    # Rays with positive demand, bucketed by the last group fixed among their
-    # contributors; checking a ray any earlier could reject selections that a
-    # later group would still fix.
+    # Rays [r_j, t] with positive demand, bucketed by the last group fixed
+    # among their contributors; checking a ray any earlier could reject
+    # selections that a later group would still fix.
     buckets: list[list[tuple[int, list[tuple[int, int, int]]]]] = [[] for _ in groups]
-    releases = [j.release for j in cov.instance.jobs]
     for t in range(0, cov.horizon + 1):
-        for s in range(0, t + 1):
-            need = cov.demand(s, t)
+        for job in cov.instance.jobs:
+            if job.release > t:
+                break
+            need = cov.demand(job.release, t)
             if need <= 0:
                 continue
             contributors = [
-                slot_of[(job_id, t)]
-                for job_id, r in enumerate(releases, start=1)
-                if s <= r <= t
+                (*slot[r.rid], r.capacity) for r in ray_rectangles(cov, job.release, t)
             ]
             trigger = max(gi for gi, _, _ in contributors)
             buckets[trigger].append((need, contributors))
 
-    prefix_costs: list[list[int]] = []
-    for group in groups:
-        acc = [0]
-        for rect in group.rectangles:
-            acc.append(acc[-1] + rect.cost)
-        prefix_costs.append(acc)
+    prefix_costs = [list(accumulate((r.cost for r in g.rectangles), initial=0)) for g in groups]
 
     lengths = [0] * len(groups)
     best: tuple[int, tuple[int, ...]] | None = None
     nodes = 0
     started = time.perf_counter()
-
-    def covered(need: int, contributors: list[tuple[int, int, int]]) -> bool:
-        got = 0
-        for gi, pos, cap in contributors:
-            if lengths[gi] > pos:
-                got += cap
-                if got >= need:
-                    return True
-        return False
 
     def walk(gi: int, cost: int) -> None:
         nonlocal best, nodes
@@ -158,7 +146,10 @@ def brute_force_covering(
             branch_cost = cost + prefix_costs[gi][take]
             if best is not None and branch_cost > best[0]:
                 continue
-            if all(covered(need, cs) for need, cs in buckets[gi]):
+            if all(
+                sum(cap for g, pos, cap in cs if lengths[g] > pos) >= need
+                for need, cs in buckets[gi]
+            ):
                 walk(gi + 1, branch_cost)
         lengths[gi] = 0
 

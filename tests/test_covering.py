@@ -223,6 +223,26 @@ def test_prefix_violation_reported():
     )
 
 
+def test_rays_starting_at_releases_dominate():
+    # the binding-ray rule of the covering module docstring, ray by ray
+    rng = Random(31)
+    dominated = nonpositive = 0
+    for trial in range(30):
+        cov = random_cov(rng, n_max=5, K=2 if trial % 2 else 3)
+        for t in range(cov.horizon + 1):
+            for s in range(t + 1):
+                j = cov.anchor_job(s)
+                r_j = cov.release_of(j) if j is not None else None
+                if r_j is not None and r_j <= t:
+                    assert ray_rectangles(cov, s, t) == ray_rectangles(cov, r_j, t)
+                    assert cov.demand(s, t) == cov.demand(r_j, t) - (r_j - s)
+                    dominated += s < r_j
+                else:
+                    assert cov.demand(s, t) <= 0
+                    nonpositive += 1
+    assert dominated and nonpositive
+
+
 def naive_scan(cov, sel):
     """Demand violations from one ``cov.demand``/``anchor_job`` pair per ray."""
     violations = []

@@ -6,6 +6,10 @@ The digests below are the sha256 of those two output files as the code
 wrote them before the grid was built lazily and before the anchor-block
 feasibility scan; any change to an answer, a rectangle id, a cost, a shift
 or the record layout shows up here.
+
+``verify --seed 0 --trials 200 --out`` (K=2, defaults) is pinned the same
+way: its summary carries the oracle's selection for every trial, so a change
+to the oracle's answers shows up there.
 """
 
 import hashlib
@@ -110,3 +114,12 @@ def test_reduce_and_solve_artifacts_match_golden_digests(K, tmp_path):
             assert main(argv + ["--out", str(out)]) == 0
             digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
         assert tuple(digests) == GOLDEN[(K, seed)], (K, seed)
+
+
+VERIFY_SEED0_TRIALS200 = "657dc9ec3fdfe799552f7136f44453b3c3306dda6faa515667b65d22d89ca5b6"
+
+
+def test_verify_summary_matches_golden_digest(tmp_path, capsys):
+    out = tmp_path / "summary.json"
+    assert main(["verify", "--seed", "0", "--trials", "200", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_SEED0_TRIALS200

@@ -244,6 +244,24 @@ def test_check_rejects_repeated_rectangle_id(tmp_path, capsys):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize(
+    "value, shown",
+    [("nope", "'nope'"), (5, "5"), (["unit"], "['unit']"), ({"a": 1}, "{'a': 1}")],
+)
+def test_check_rejects_unknown_cost_model(tmp_path, capsys, value, shown):
+    inst, sol, record = _solve_record(tmp_path)
+    record["cost_model"] = value
+    sol.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["check", "--instance", str(inst), "--solution", str(sol)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        f"check: FAIL {sol} field 'cost_model' must be one of ['unit', 'weighted_length'], "
+        f"got {shown}\n"
+    )
+    assert captured.err == ""
+
+
 def test_solve_oracle_agrees_with_dp(tmp_path):
     inst = tmp_path / "inst.json"
     dp_out = tmp_path / "dp.json"
@@ -402,6 +420,17 @@ def test_verify_env_budget_skips(tmp_path, monkeypatch, capsys):
     payload = json.loads(out.read_text())
     assert payload["skipped"] == 3
     assert "3 skipped" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1", "1.5", ""])
+def test_verify_rejects_malformed_env_budget(monkeypatch, capsys, raw):
+    monkeypatch.setenv("FLOWCOVER_BUDGET_MS", raw)
+    assert main(["verify", "--seed", "0", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: FLOWCOVER_BUDGET_MS must be a non-negative integer (ms), got {raw!r}\n"
+    )
+    assert captured.out == ""
 
 
 def test_verify_regression_capture(tmp_path, monkeypatch):

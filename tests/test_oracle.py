@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -71,6 +72,35 @@ def test_oracle_matches_feasibility_and_is_minimal():
             assert not check_feasible(cov, reduced).ok
 
 
+def test_oracle_matches_unpruned_enumeration():
+    # every prefix combination, judged by the feasibility scan alone: the
+    # oracle's pruning and its choice of rays must not change the minimum
+    rng = Random(8)
+    checked = 0
+    largest = 0
+    while checked < 40:
+        cov = random_cov(rng, K=2 + checked % 2)
+        choices = [range(len(g.rectangles) + 1) for g in cov.groups]
+        size = 1
+        for c in choices:
+            size *= len(c)
+        if size > 400:
+            continue
+        best = None
+        for takes in product(*choices):
+            sel = Selection.of(
+                r.rid for g, take in zip(cov.groups, takes) for r in g.rectangles[:take]
+            )
+            if check_feasible(cov, sel).ok:
+                cand = (selection_cost(cov, sel), sel.sorted_ids())
+                best = cand if best is None or cand < best else best
+        cost, sel = brute_force_covering(cov)
+        assert (cost, sel.sorted_ids()) == best
+        checked += 1
+        largest = max(largest, size)
+    assert largest > 100
+
+
 def test_oracle_deterministic():
     cov = cov_for([(0, 3, 2), (2, 1, 1)])
     first = brute_force_covering(cov)
@@ -102,6 +132,28 @@ def test_budget_env_default(monkeypatch):
     assert OracleBudget().time_limit_ms == 1234
     monkeypatch.delenv("FLOWCOVER_BUDGET_MS")
     assert OracleBudget().time_limit_ms == 600_000
+
+
+@pytest.mark.parametrize(
+    "name, value, least",
+    [("max_groups", 0, 1), ("max_combinations", -3, 1), ("time_limit_ms", -1, 0)],
+)
+def test_budget_names_the_bad_field(name, value, least):
+    with pytest.raises(ValueError) as exc:
+        OracleBudget(**{name: value})
+    assert str(exc.value) == f"{name} must be >= {least}, got {value}"
+
+
+def test_budget_env_must_be_a_non_negative_integer(monkeypatch):
+    for raw in ("abc", "-1", "1.5", " "):
+        monkeypatch.setenv("FLOWCOVER_BUDGET_MS", raw)
+        with pytest.raises(ValueError) as exc:
+            OracleBudget()
+        assert str(exc.value) == (
+            f"FLOWCOVER_BUDGET_MS must be a non-negative integer (ms), got {raw!r}"
+        )
+    monkeypatch.setenv("FLOWCOVER_BUDGET_MS", "0")
+    assert OracleBudget().time_limit_ms == 0
 
 
 def test_derive_shift_seeded_and_in_range():
