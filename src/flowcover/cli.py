@@ -26,7 +26,7 @@ from .covering import (
     selection_cost,
 )
 from .dpsolver import solve as dp_solve
-from .harness import CSV_HEADER, CampaignConfig, campaign_instance, run_campaign
+from .harness import CSV_HEADER, CampaignConfig, campaign_instance, csv_row, run_campaign
 from .jobs import JobInstance, instance_from_json, instance_to_json, max_processing
 from .oracle import OracleBudget, brute_force_covering, reduce_instance
 
@@ -44,13 +44,13 @@ def _emit(text: str, out: str | None) -> None:
         path.write_text(text)
 
 
-def _append_csv(path: str, line: str) -> None:
+def _append_csv(path: str, *cells: int | None) -> None:
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     if not target.exists():
         target.write_text(CSV_HEADER + "\n")
     with target.open("a") as fh:
-        fh.write(line + "\n")
+        fh.write(csv_row(*cells) + "\n")
 
 
 def _load_instance(path: str) -> JobInstance:
@@ -176,6 +176,10 @@ def _record_type_error(record: dict) -> str | None:
 def cmd_check(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
     record = json.loads(Path(args.solution).read_text())
+    if type(record) is not dict:
+        got = f"expected a JSON object, got {type(record).__name__}"
+        print(f"check: FAIL {args.solution} is not a solve record ({got})")
+        return 1
     missing = [key for key in _SOLVE_RECORD_KEYS if key not in record]
     if missing:
         listed = ", ".join(missing)
@@ -258,11 +262,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         _emit(text, args.out)
     sys.stdout.write(text)
     if args.csv:
-        _append_csv(
-            args.csv,
-            f"{args.seed},{record['n']},{record['P']},{args.K},{record['shift']},"
-            f"{record['T']},{result.cost},,{result.stats.states},{round(wall_ms)}",
-        )
+        _append_csv(args.csv, args.seed, record["n"], record["P"], args.K, record["shift"],
+                    record["T"], result.cost, None, result.stats.states, round(wall_ms))
     return 0
 
 

@@ -2,9 +2,9 @@
 
 Every segment of job j becomes an axis-parallel rectangle: the segment's
 x-interval at unit height in row j (y in [j, j+1)).  A rectangle carries a
-cost and a capacity equal to the job's processing time.  Within one group
-(one job, one cell) a valid selection must take a left prefix of the
-rectangles.
+cost and a capacity equal to the job's processing time (``CoveringInstance``
+checks it).  Within one group (one job, one cell) a valid selection must
+take a left prefix of the rectangles.
 
 For every integer interval [s, t] with 0 <= s <= t <= T there is a downward
 ray at x = t + 1/2 starting just below row j, the earliest released job with
@@ -142,7 +142,9 @@ class CoveringInstance:
     """Rectangles, groups, and ray machinery built from jobs plus a grid.
 
     ``proc_prefix[j]`` is p_1 + ... + p_j, the processing of the first j
-    jobs in release order, for j = 0..n.
+    jobs in release order, for j = 0..n.  Raises ValueError unless ids run
+    0..N-1 in group order, rows never decrease and every rectangle's
+    capacity is its job's processing.
     """
 
     def __init__(self, instance: JobInstance, grid: Grid, groups: Sequence[PrefixGroup]):
@@ -153,15 +155,24 @@ class CoveringInstance:
         self.rectangles: tuple[Rectangle, ...] = tuple(
             r for g in self.groups for r in g.rectangles
         )
-        assert [r.rid for r in self.rectangles] == list(range(len(self.rectangles)))
-        assert all(a.job <= b.job for a, b in zip(self.rectangles, self.rectangles[1:]))
+        for i, r in enumerate(self.rectangles):
+            prev = self.rectangles[i - 1].job if i else r.job
+            if r.rid != i:
+                problem = f"is number {i} in group order (ids must run 0..N-1)"
+            elif r.job < prev:
+                problem = f"in row {r.job} follows row {prev} (rows must not decrease)"
+            elif not 1 <= r.job <= instance.n or r.capacity != instance.jobs[r.job - 1].processing:
+                problem = f"in row {r.job} has capacity {r.capacity}, not its job's processing"
+            else:
+                continue
+            raise ValueError(f"rectangle {r.rid} {problem}")
         self._group_by_key: dict[tuple[int, int, int], PrefixGroup] = {
             (g.job, g.cell.level, g.cell.begin): g for g in self.groups
         }
         self._releases = [j.release for j in instance.jobs]
         self.proc_prefix = list(accumulate((j.processing for j in instance.jobs), initial=0))
         # crossing[t] lists the rectangles through x = t + 1/2 for t in 0..T;
-        # rectangles come job by job (asserted above), so each list is already
+        # rectangles come job by job (checked above), so each list is already
         # in row order
         crossing: list[list[Rectangle]] = [[] for _ in range(self.horizon + 1)]
         for rect in self.rectangles:

@@ -32,26 +32,28 @@ re-verified against the exhaustive interval scan before being returned.
 Work that does not depend on the carry is done once per (job, cell, k), the
 first time a state of that triple is reached, and kept in a
 ``TripleTable``: the carry subdivision as a set, whether the area holds a
-rectangle, whether the triple is canonical and, if so, its settled rays
-reduced to the largest demand per subcell and the cost and ids of every
-prefix of its group.  Tables and memo entries are keyed on plain integers,
-``(job, cell.level, cell.begin, k)``, with the carry appended for the memo,
-so no cell object is hashed on the way.
+rectangle, whether the triple is canonical and, if so, the group's pieces
+in order, the largest demand of each settled piece and the cost and ids of
+every prefix of the group.  Tables and memo entries are keyed on plain
+integers, ``(job, cell.level, cell.begin, k)``, with the carry appended for
+the memo, so no cell object is hashed on the way.
 
 Settled rays need no per-t scan.  Only the rays [r_job, t] can bind (the
 rule in ``covering``); one is settled at row ``job``, crossing no deeper row,
 exactly when t < r_{job+1}, and there d(r_job, t) = p_job - (t - r_job)
-falls with t, so a subcell's largest settled demand is the one at its first
-settled t.  In the selection of a canonical state, the group's ids are
-consecutive and every deeper row's ids are larger, so a prefix's ids
-followed by the next row's sorted ids are already sorted.
+falls with t.  A canonical group's pieces all start at some x >= r_job (the
+leaf group at r_job, an ancestor group at a deeper cell's end), so the
+settled pieces are the prefix with x < r_{job+1}, and d(r_job, x) is each
+one's largest settled demand.  Every capacity is p_job and ids run in group
+order (``CoveringInstance`` checks both), so a prefix's ids followed by the
+next row's sorted ids are already sorted.
 
 The structural checks (the subdivision tiles the area; every deeper group
-lies wholly inside or outside it, under the state's cell; the group's ids
-are consecutive) run when the table is built.  The carry checks (each
-interval belongs to the subdivision, each value lies in 0 < v <= the
-processing of the rows above) run for every state, so a state's own carry
-is never trusted because its triple was seen before.
+lies wholly inside or outside it, under the state's cell; a canonical group
+is the subdivision, from r_job on) run when the table is built.  The carry
+checks (each interval belongs to the subdivision, each value lies in
+0 < v <= the processing of the rows above) run for every state, so a
+state's own carry is never trusted because its triple was seen before.
 """
 
 from __future__ import annotations
@@ -132,10 +134,10 @@ class TripleTable:
     ``subs`` is the carry subdivision as a set.  Canonical triples fill the
     rest but ``expand``:
 
-    - ``settled``: one entry (largest demand, subcell, own capacity, prefix
-      position) per subcell with a settled ray;
-    - ``rect_caps``: (subcell, capacity) of the group's rectangles, left to
-      right; they are exactly the subdivision;
+    - ``pieces``: the carry subdivision in order, which is the group's
+      rectangles left to right;
+    - ``settled``: the largest settled demand of each piece in the settled
+      prefix of ``pieces``;
     - ``gap``: the release gap to the next row;
     - ``prefix_cost`` and ``prefix_ids``: the cost and the ids of the first
       ``take`` rectangles, for take = 0..len(group).
@@ -149,8 +151,8 @@ class TripleTable:
         "subs",
         "has_rectangle",
         "canonical",
+        "pieces",
         "settled",
-        "rect_caps",
         "gap",
         "prefix_cost",
         "prefix_ids",
@@ -161,8 +163,8 @@ class TripleTable:
         self.subs = subs
         self.has_rectangle = has_rectangle
         self.canonical = canonical
-        self.settled: tuple[tuple[int, Interval, int, int], ...] = ()
-        self.rect_caps: tuple[tuple[Interval, int], ...] = ()
+        self.pieces: tuple[Interval, ...] = ()
+        self.settled: tuple[int, ...] = ()
         self.gap = 0
         self.prefix_cost: tuple[int, ...] = ()
         self.prefix_ids: tuple[tuple[int, ...], ...] = ()
@@ -300,29 +302,25 @@ class DpSolver:
         depth: int,
     ) -> tuple[int, tuple[int, ...]] | None:
         # A settled ray must be paid by the row's own rectangle at its t, so
-        # that rectangle must be selected and its capacity must suffice.
+        # that rectangle must be selected and p_job must cover the need.
         owed = dict(carry)
+        p = self.cov.proc_prefix[job] - self.cov.proc_prefix[job - 1]
         min_take = 0
-        for dem, sub, capacity, pos in tab.settled:
-            need = dem + owed.get(sub, 0)
-            if need <= 0:
-                continue
-            if need > capacity:
+        for pos, dem in enumerate(tab.settled):
+            need = dem + owed.get(tab.pieces[pos], 0)
+            if need > p:
                 return None  # no prefix can pay this ray
-            if pos >= min_take:
+            if need > 0:
                 min_take = pos + 1
 
-        # The next row's carry on each subcell, if its rectangle is taken
+        # The next row's carry on each piece, if its rectangle is taken
         # (paid) or not (unpaid); a prefix of `take` pays the first `take`.
-        # (Capacities are >= 0, so paying after the clamp to 0 is the same.)
-        processing = self.cov.proc_prefix[job] - self.cov.proc_prefix[job - 1]
-        gap = tab.gap
-        paid: list[tuple[Interval, int] | None] = []
-        unpaid: list[tuple[Interval, int] | None] = []
-        for sub, capacity in tab.rect_caps:
-            v = next_carry(owed.get(sub, 0), processing, gap, 0)
-            paid.append((sub, v - capacity) if v > capacity else None)
-            unpaid.append((sub, v) if v > 0 else None)
+        paid, unpaid = [], []  # per piece: (piece, carry), or None for no carry
+        for sub in tab.pieces:
+            v = owed.get(sub, 0)
+            paid_v, unpaid_v = next_carry(v, p, tab.gap, p), next_carry(v, p, tab.gap, 0)
+            paid.append((sub, paid_v) if paid_v else None)
+            unpaid.append((sub, unpaid_v) if unpaid_v else None)
 
         best: tuple[int, tuple[int, ...]] | None = None
         for take in range(min_take, len(unpaid) + 1):
@@ -377,33 +375,23 @@ class DpSolver:
     def _fill_canonical(
         self, tab: TripleTable, job: int, group: PrefixGroup, subs: tuple[Interval, ...]
     ) -> None:
-        # The group lies inside the area, so once every subcell is one of its
-        # rectangles, its rectangles are the subdivision, in the same order.
+        # The group lies inside the area and spans it, so its rectangles must
+        # be the subdivision itself, in order.
         rects = group.rectangles
-        intervals = {r.x_interval for r in rects}
-        for sub in subs:
-            if sub not in intervals:
-                raise DpError(f"canonical state lacks a rectangle over {sub}")
-        rid0 = rects[0].rid
-        if [r.rid for r in rects] != list(range(rid0, rid0 + len(rects))):
-            raise DpError(f"group (job={job}) ids are not consecutive")
+        if tuple(r.x_interval for r in rects) != subs:
+            raise DpError(f"canonical group (job={job}) is not the carry subdivision {subs}")
 
-        # Settled rays [r_job, t], t < r_{job+1} (module docstring): only the
-        # prefix choice can still cover them.  The rays of one subcell share
-        # its carry and its rectangle, so the first settled t stands for all.
+        # Settled rays (module docstring): only the prefix choice can still
+        # cover them, and a piece's rays share its carry and its rectangle.
         r_job = self.cov.release_of(job)
         r_next = self.cov.release_of(job + 1)
-        settled = []
-        for pos, rect in enumerate(rects):
-            t = max(rect.x_begin, r_job)
-            if t >= r_next:
-                break  # subcells run left to right: none further is settled
-            if t < rect.x_end:
-                settled.append((self.cov.demand(r_job, t), rect.x_interval, rect.capacity, pos))
-        tab.settled = tuple(settled)
-        tab.rect_caps = tuple((r.x_interval, r.capacity) for r in rects)
+        if subs[0][0] < r_job:
+            raise DpError(f"canonical group (job={job}) starts left of its release {r_job}")
+        tab.pieces = subs
+        tab.settled = tuple(self.cov.demand(r_job, x) for x, _ in subs if x < r_next)
         tab.gap = r_next - r_job
         tab.prefix_cost = tuple(accumulate((r.cost for r in rects), initial=0))
+        rid0 = rects[0].rid
         tab.prefix_ids = tuple(tuple(range(rid0, rid0 + take)) for take in range(len(rects) + 1))
 
     def _groups_inside(self, job: int, cell: GridCell, x_begin: int) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
@@ -41,7 +41,7 @@ class CampaignConfig:
     leaf_len: int = 1
     cost_model: str = "weighted_length"
     workers: int = 1
-    budget: OracleBudget = field(default_factory=OracleBudget)
+    budget: OracleBudget | None = None  # None: the oracle's default, read when it runs
 
     def __post_init__(self) -> None:
         if self.K < 2:
@@ -50,6 +50,11 @@ class CampaignConfig:
             raise ValueError("trials must be >= 1")
         if min(self.n_max, self.p_max, self.w_max, self.horizon_max, self.workers) < 1:
             raise ValueError("size caps and workers must be >= 1")
+
+
+def csv_row(*cells: int | None) -> str:
+    """One row of the CSV_HEADER columns, in order; a cost not computed (None) is blank."""
+    return ",".join("" if c is None else str(c) for c in cells)
 
 
 def random_instance(rng: Random, n_max: int, p_max: int, w_max: int) -> JobInstance:
@@ -142,16 +147,11 @@ class CampaignResult:
         return json.dumps(self.summary_dict(), sort_keys=True, indent=2) + "\n"
 
     def csv_lines(self) -> list[str]:
-        lines = [CSV_HEADER]
-        for r in self.reports:
-            oracle_cost = "" if r.oracle_cost is None else str(r.oracle_cost)
-            dp_cost = "" if r.dp_cost is None else str(r.dp_cost)
-            ms = round(r.dp_ms + (r.oracle_ms or 0.0))
-            lines.append(
-                f"{r.seed},{r.n},{r.P},{r.K},{r.shift},{r.T},"
-                f"{dp_cost},{oracle_cost},{r.dp_states},{ms}"
-            )
-        return lines
+        return [CSV_HEADER] + [
+            csv_row(r.seed, r.n, r.P, r.K, r.shift, r.T, r.dp_cost, r.oracle_cost,
+                    r.dp_states, round(r.dp_ms + (r.oracle_ms or 0.0)))
+            for r in self.reports
+        ]
 
     def plot_lines(self) -> list[str]:
         """State count against n*P for verified trials, gnuplot/CSV friendly."""

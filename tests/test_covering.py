@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 from random import Random
 
 import pytest
 
 from flowcover.covering import (
+    CoveringInstance,
     Selection,
     build_covering,
     check_feasible,
@@ -64,6 +66,42 @@ def test_rows_follow_job_index():
     assert rows == {1, 2}
     for rect in cov.rectangles:
         assert rect.capacity == cov.instance.jobs[rect.job - 1].processing
+
+
+def _renumbered(groups):
+    """The groups with their rectangles' ids set to 0..N-1 in group order."""
+    out, rid = [], 0
+    for g in groups:
+        rects = tuple(replace(r, rid=rid + i) for i, r in enumerate(g.rectangles))
+        out.append(replace(g, rectangles=rects))
+        rid += len(rects)
+    return out
+
+
+def _with_rect(groups, target, **changes):
+    """The groups with the fields of rectangle ``target`` changed."""
+    return [
+        replace(g, rectangles=tuple(replace(r, **changes) if r.rid == target else r
+                                    for r in g.rectangles))
+        for g in groups
+    ]
+
+
+@pytest.mark.parametrize(
+    "malform, message",
+    [
+        (lambda gs: _with_rect(gs, 1, rid=7), "rectangle 7 is number 1 in group order"),
+        (lambda gs: _renumbered(gs[::-1]), "in row 1 follows row 2"),
+        (lambda gs: _with_rect(gs, 0, capacity=3), "rectangle 0 in row 1 has capacity 3, not"),
+        (lambda gs: _with_rect(gs, 6, job=3), "rectangle 6 in row 3 has capacity 1, not"),
+    ],
+    ids=["id-out-of-order", "row-decreases", "capacity-not-processing", "row-without-job"],
+)
+def test_malformed_covering_rejected(malform, message):
+    cov = cov_for([(0, 2, 1), (1, 1, 1)])
+    CoveringInstance(cov.instance, cov.grid, _renumbered(cov.groups))  # the valid base passes
+    with pytest.raises(ValueError, match=message):
+        CoveringInstance(cov.instance, cov.grid, malform(list(cov.groups)))
 
 
 def test_duplicate_releases_rejected():

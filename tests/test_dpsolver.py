@@ -170,10 +170,10 @@ def test_canonical_states_span_both_edges():
 
 
 def test_settled_rays_match_per_t_reference():
-    # the closed form (a ray at t is settled at row job iff t < r_{job+1},
-    # and the first settled t of a subcell has its largest demand) against
-    # the per-t definition: the largest d(r_job, t) over the t of the
-    # subcell whose deepest crossing rectangle lies in row job or above
+    # the closed form (a piece holds a settled ray iff its left edge x is
+    # < r_{job+1}, and d(r_job, x) is its largest settled demand) against the
+    # per-t definition: the largest d(r_job, t) over the t of the piece whose
+    # deepest crossing rectangle lies in row job or above
     rng = Random(515)
     tables = 0
     for trial in range(48):
@@ -193,17 +193,18 @@ def test_settled_rays_match_per_t_reference():
                 continue
             cell = cell_at(cov.grid, level, begin)
             r_job = cov.release_of(job)
-            expected = []
-            for pos, sub in enumerate(subcells(cell, k, cov.grid)):
+            assert tab.pieces == subcells(cell, k, cov.grid)
+            largest = []  # per piece: its largest settled demand, or None
+            for sub in tab.pieces:
                 demands = [
                     cov.demand(r_job, t)
                     for t in range(max(sub[0], r_job), min(sub[1], cov.horizon + 1))
                     if cov.rects_crossing(t)[-1].job <= job
                 ]
-                if demands:
-                    capacity = cov.group(job, cell).rectangles[pos].capacity
-                    expected.append((max(demands), sub, capacity, pos))
-            assert tab.settled == tuple(expected)
+                largest.append(max(demands) if demands else None)
+            settled = [dem for dem in largest if dem is not None]
+            assert largest == settled + [None] * (len(largest) - len(settled))  # a prefix
+            assert tab.settled == tuple(settled)
             tables += 1
     assert tables > 300
 
@@ -339,6 +340,29 @@ def test_group_straddling_the_kth_child_boundary_rejected():
     solver = DpSolver(cov)
     with pytest.raises(DpError, match=r"group \(job=2, cell=\[0,8\)\) straddles the area"):
         solver.solve_cell(1, grid.root, 2, {})
+
+
+def test_canonical_group_left_of_release_rejected():
+    # row 2's group spans the area [4, 8) of (job 2, root, k=2) but starts
+    # left of r_2 = 5; the reduction never builds such a group
+    inst = make_instance([(0, 2, 1), (5, 1, 1)])
+    grid = build_grid(T=8, K=2)
+    rects = [
+        Rectangle(rid=0, job=1, x_begin=0, x_end=2, cost=1, capacity=2),
+        Rectangle(rid=1, job=2, x_begin=4, x_end=6, cost=1, capacity=1),
+        Rectangle(rid=2, job=2, x_begin=6, x_end=8, cost=1, capacity=1),
+    ]
+    cov = CoveringInstance(
+        inst,
+        grid,
+        [
+            PrefixGroup(job=1, cell=grid.root, rectangles=tuple(rects[:1])),
+            PrefixGroup(job=2, cell=grid.root, rectangles=tuple(rects[1:])),
+        ],
+    )
+    solver = DpSolver(cov)
+    with pytest.raises(DpError, match=r"canonical group \(job=2\) starts left of its release 5"):
+        solver.solve_cell(2, grid.root, 2, {})
 
 
 def test_carry_outside_subdivision_rejected():

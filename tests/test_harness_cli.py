@@ -101,6 +101,15 @@ def test_gen_is_byte_identical(tmp_path):
     assert json.loads(a.read_text())["jobs"]
 
 
+def test_gen_ignores_the_oracle_budget_env(tmp_path, monkeypatch):
+    # gen runs no oracle, so a malformed FLOWCOVER_BUDGET_MS must not reach it
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["gen", "--seed", "1", "--out", str(a)]) == 0
+    monkeypatch.setenv("FLOWCOVER_BUDGET_MS", "abc")
+    assert main(["gen", "--seed", "1", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_gen_rejects_zero_jobs(tmp_path, capsys):
     rc = main(["gen", "--n", "0", "--out", str(tmp_path / "x.json")])
     assert rc == 2
@@ -165,6 +174,28 @@ def _solve_record(tmp_path):
     main(["gen", "--seed", "6", "--out", str(inst)])
     main(["solve", "--instance", str(inst), "--seed", "6", "--out", str(sol)])
     return inst, sol, json.loads(sol.read_text())
+
+
+@pytest.mark.parametrize(
+    "value, kind",
+    [
+        (5, "int"),
+        (None, "NoneType"),
+        ("instance_hash K seed epsilon leaf_len shift selection cost", "str"),
+        (["instance_hash", "K", "seed", "epsilon", "leaf_len", "shift", "selection", "cost"],
+         "list"),
+    ],
+)
+def test_check_rejects_record_that_is_not_an_object(tmp_path, capsys, value, kind):
+    inst, sol, _record = _solve_record(tmp_path)
+    sol.write_text(json.dumps(value))
+    capsys.readouterr()
+    assert main(["check", "--instance", str(inst), "--solution", str(sol)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        f"check: FAIL {sol} is not a solve record (expected a JSON object, got {kind})\n"
+    )
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize(
