@@ -6,12 +6,12 @@ The solver walks states (job, cell, k, carry) top-down with memoization:
 - ``cell`` and ``k`` select the area A = [x1, end(cell)) x [job, oo), where
   x1 is the start of the cell's k-th child (or the cell's (k-1)-th unit for
   leaf cells).  Only rectangles wholly inside A may still be chosen.
-- ``carry`` maps each member of a fixed subdivision of A's x-span, the
-  cell's pieces from x1 on (``GridCell.piece_width``), to an extra demand.
-  A carried value remembers, for rays that start at rows above ``job`` but
-  reach down into A, how much capacity they are still owed: the state must
-  cover d([r_job, t]) plus the carry of the subdivision interval containing
-  t.
+- ``carry`` holds one extra demand per piece of A's x-span, left to right:
+  the cell's pieces from x1 on (``GridCell.piece_width``, listed by
+  ``subcells``), zeros included.  A carried value remembers, for rays that
+  start at rows above ``job`` but reach down into A, how much capacity they
+  are still owed: the state must cover d([r_job, t]) plus the carry of the
+  piece containing t.
 
 A state where A holds no rectangle stores the empty selection: rays met
 entirely inside such an area can have no positive demand, and no carried
@@ -23,6 +23,14 @@ job's own processing and the gap to the next release shift it), and recurses
 with job+1.  Otherwise the area splits along the k-th child into two
 independent states, or, at leaf level, k simply advances.
 
+Every carry transition is a slice, because the pieces of the next state are
+a run of the current state's pieces, or of their cuts.  A leaf advance drops
+the first piece, ``carry[1:]``.  A split keeps the pieces right of the k-th
+child for the right part, ``carry[inside:]``, and hands the left part the
+first ``inside`` values, each repeated ``fan`` times, since each of those
+pieces holds ``fan`` of the child's pieces.  A canonical step keeps the
+pieces and maps each value through ``next_carry``.
+
 Costs, demands, and coordinates are integers throughout; ties between
 equal-cost solutions go to the lexicographically smallest sorted tuple of
 rectangle ids, so results are deterministic.  The root state covers the full
@@ -31,10 +39,10 @@ re-verified against the exhaustive interval scan before being returned.
 
 Work that does not depend on the carry is done once per (job, cell, k), the
 first time a state of that triple is reached, and kept in a
-``TripleTable``: the carry subdivision as a set, whether the area holds a
-rectangle, whether the triple is canonical and, if so, the group's pieces
-in order, the largest demand of each settled piece and the cost and ids of
-every prefix of the group.  Tables and memo entries are keyed on plain
+``TripleTable``: the number of pieces, whether the area holds a rectangle,
+whether the triple is canonical and, if so, the largest demand of each
+settled piece and the cost and ids of every prefix of the group, or, for a
+split, the two slice widths.  Tables and memo entries are keyed on plain
 integers, ``(job, cell.level, cell.begin, k)``, with the carry appended for
 the memo, so no cell object is hashed on the way.
 
@@ -48,12 +56,12 @@ one's largest settled demand.  Every capacity is p_job and ids run in group
 order (``CoveringInstance`` checks both), so a prefix's ids followed by the
 next row's sorted ids are already sorted.
 
-The structural checks (the subdivision tiles the area; every deeper group
-lies wholly inside or outside it, under the state's cell; a canonical group
-is the subdivision, from r_job on) run when the table is built.  The carry
-checks (each interval belongs to the subdivision, each value lies in
-0 < v <= the processing of the rows above) run for every state, so a
-state's own carry is never trusted because its triple was seen before.
+The structural checks (the pieces tile the area; every deeper group lies
+wholly inside or outside it, under the state's cell; a canonical group is
+the pieces, from r_job on) run when the table is built.  The carry checks
+(one value per piece, each in 0..the processing of the rows above) run for
+every state, so a state's own carry is never trusted because its triple was
+seen before.
 """
 
 from __future__ import annotations
@@ -72,9 +80,9 @@ from .covering import (
 )
 from .grid import Grid, GridCell, Interval, chunk
 
-CarryItems = tuple[tuple[Interval, int], ...]
+Carry = tuple[int, ...]  # one value per piece of the area, left to right
 TableKey = tuple[int, int, int, int]  # (job, cell.level, cell.begin, k)
-StateKey = tuple[TableKey, CarryItems]
+StateKey = tuple[TableKey, Carry]
 _UNSOLVED = object()  # memo default; a stored None means infeasible
 
 
@@ -98,8 +106,8 @@ def area_begin(cell: GridCell, k: int, K: int) -> int:
 
 
 def subcells(cell: GridCell, k: int, grid: Grid) -> tuple[Interval, ...]:
-    """The carry subdivision for (cell, k): the cell's pieces across the
-    area's x-span; ``()`` when the area is empty.  Computed from the cell's
+    """The pieces of (cell, k), one per carry value: the cell's pieces across
+    the area's x-span; ``()`` when the area is empty.  Computed from the cell's
     bounds, so no grandchild cell is built for it.
     """
     if cell.is_leaf and k > cell.length:
@@ -131,44 +139,42 @@ def next_carry(carry_value: int, processing: int, release_gap: int, paid_capacit
 class TripleTable:
     """Carry-independent facts of one (job, cell, k), shared by all its states.
 
-    ``subs`` is the carry subdivision as a set.  Canonical triples fill the
-    rest but ``expand``:
+    ``n_pieces`` is the number of pieces of the area, so the length of
+    every carry of the triple.  Canonical triples, whose group's rectangles
+    are the pieces, fill:
 
-    - ``pieces``: the carry subdivision in order, which is the group's
-      rectangles left to right;
     - ``settled``: the largest settled demand of each piece in the settled
-      prefix of ``pieces``;
+      prefix of the pieces;
     - ``gap``: the release gap to the next row;
     - ``prefix_cost`` and ``prefix_ids``: the cost and the ids of the first
       ``take`` rectangles, for take = 0..len(group).
 
-    ``expand`` is filled for internal triples that split: it maps each
-    subcell of the area to the k-th child's pieces inside it, which are
-    that child's state's subcells.
+    Internal triples that split fill ``inside``, the number of pieces in the
+    k-th child, and ``fan``, the number of the child's pieces in each.
     """
 
     __slots__ = (
-        "subs",
+        "n_pieces",
         "has_rectangle",
         "canonical",
-        "pieces",
         "settled",
         "gap",
         "prefix_cost",
         "prefix_ids",
-        "expand",
+        "inside",
+        "fan",
     )
 
-    def __init__(self, subs: frozenset[Interval], has_rectangle: bool, canonical: bool):
-        self.subs = subs
+    def __init__(self, n_pieces: int, has_rectangle: bool, canonical: bool):
+        self.n_pieces = n_pieces
         self.has_rectangle = has_rectangle
         self.canonical = canonical
-        self.pieces: tuple[Interval, ...] = ()
         self.settled: tuple[int, ...] = ()
         self.gap = 0
         self.prefix_cost: tuple[int, ...] = ()
         self.prefix_ids: tuple[tuple[int, ...], ...] = ()
-        self.expand: dict[Interval, tuple[Interval, ...]] | None = None
+        self.inside = 0
+        self.fan = 0
 
 
 @dataclass
@@ -201,7 +207,7 @@ class DpSolver:
         self.grid = cov.grid
         self.memo: dict[StateKey, tuple[int, tuple[int, ...]] | None] = {}
         self._tables: dict[TableKey, TripleTable] = {}
-        self._carries: set[CarryItems] = set()
+        self._carries: set[Carry] = set()
         self._max_carry = 0
         self._max_depth = 0
         # _spans_from[job]: (job, x_begin, x_end, cell) of every group in row
@@ -222,7 +228,7 @@ class DpSolver:
         depth_needed = (self.cov.instance.n + 2) * (self.grid.lmax + 1) * (self.grid.K + 2)
         if sys.getrecursionlimit() < depth_needed + 100:
             sys.setrecursionlimit(depth_needed + 1000)
-        entry = self._cell(1, self.grid.root, 1, (), depth=0)
+        entry = self.solve_cell(1, self.grid.root, 1)
         if entry is None:
             raise DpError("root state must be feasible: the full selection covers all demands")
         cost, ids = entry
@@ -243,20 +249,25 @@ class DpSolver:
         return DpResult(cost=cost, selection=selection, stats=stats)
 
     def solve_cell(
-        self, job: int, cell: GridCell, k: int, carry: dict[Interval, int] | CarryItems = ()
+        self, job: int, cell: GridCell, k: int, carry: dict[Interval, int] | None = None
     ) -> tuple[int, tuple[int, ...]] | None:
-        """Solve one state directly (used by tests); None means infeasible.
+        """Solve one state directly; None means infeasible.
 
-        A dict carry is put in the memo's form: sorted, zero entries dropped.
+        ``carry`` maps pieces of the area to their values; a piece it leaves
+        out carries 0.
         """
-        if not isinstance(carry, tuple):
-            carry = tuple(sorted((iv, v) for iv, v in carry.items() if v > 0))
-        return self._cell(job, cell, k, carry, depth=0)
+        pieces = subcells(cell, k, self.grid)
+        dense = dict.fromkeys(pieces, 0)
+        for iv, v in (carry or {}).items():
+            if iv not in dense:
+                raise DpError(f"carry interval {iv} outside the subdivision of the state")
+            dense[iv] = v
+        return self._cell(job, cell, k, tuple(dense.values()), depth=0)
 
     # -- recursion ------------------------------------------------------------
 
     def _cell(
-        self, job: int, cell: GridCell, k: int, carry: CarryItems, depth: int
+        self, job: int, cell: GridCell, k: int, carry: Carry, depth: int
     ) -> tuple[int, tuple[int, ...]] | None:
         tkey = (job, cell.level, cell.begin, k)
         key = (tkey, carry)
@@ -270,14 +281,15 @@ class DpSolver:
         tab = self._tables.get(tkey)
         if tab is None:
             tab = self._tables[tkey] = self._build_table(job, cell, k)
+        if len(carry) != tab.n_pieces:
+            raise DpError(f"carry of {len(carry)} values for a state of {tab.n_pieces} pieces")
         bound = self.cov.proc_prefix[job - 1]  # processing of the rows above
-        for iv, v in carry:
-            if iv not in tab.subs:
-                raise DpError(f"carry interval {iv} outside the subdivision of the state")
-            if not 0 < v <= bound:
-                raise DpError(f"carry value {v} outside 0..{bound}")
-            if v > self._max_carry:
-                self._max_carry = v
+        top = max(carry, default=0)
+        if top > bound or min(carry, default=0) < 0:
+            bad = next(v for v in carry if not 0 <= v <= bound)
+            raise DpError(f"carry value {bad} outside 0..{bound}")
+        if top > self._max_carry:
+            self._max_carry = top
 
         if not tab.has_rectangle:
             entry = (0, ())
@@ -286,8 +298,7 @@ class DpSolver:
         elif not cell.is_leaf:
             entry = self._split(job, cell, k, tab, carry, depth)
         else:
-            kept = _carry_from(carry, area_begin(cell, k + 1, self.grid.K))
-            entry = self._cell(job, cell, k + 1, kept, depth + 1)
+            entry = self._cell(job, cell, k + 1, carry[1:], depth + 1)
 
         self.memo[key] = entry
         return entry
@@ -298,16 +309,15 @@ class DpSolver:
         cell: GridCell,
         k: int,
         tab: TripleTable,
-        carry: CarryItems,
+        carry: Carry,
         depth: int,
     ) -> tuple[int, tuple[int, ...]] | None:
         # A settled ray must be paid by the row's own rectangle at its t, so
         # that rectangle must be selected and p_job must cover the need.
-        owed = dict(carry)
         p = self.cov.proc_prefix[job] - self.cov.proc_prefix[job - 1]
         min_take = 0
         for pos, dem in enumerate(tab.settled):
-            need = dem + owed.get(tab.pieces[pos], 0)
+            need = dem + carry[pos]
             if need > p:
                 return None  # no prefix can pay this ray
             if need > 0:
@@ -315,17 +325,13 @@ class DpSolver:
 
         # The next row's carry on each piece, if its rectangle is taken
         # (paid) or not (unpaid); a prefix of `take` pays the first `take`.
-        paid, unpaid = [], []  # per piece: (piece, carry), or None for no carry
-        for sub in tab.pieces:
-            v = owed.get(sub, 0)
-            paid_v, unpaid_v = next_carry(v, p, tab.gap, p), next_carry(v, p, tab.gap, 0)
-            paid.append((sub, paid_v) if paid_v else None)
-            unpaid.append((sub, unpaid_v) if unpaid_v else None)
+        gap = tab.gap
+        paid = tuple(next_carry(v, p, gap, p) for v in carry)
+        unpaid = tuple(next_carry(v, p, gap, 0) for v in carry)
 
         best: tuple[int, tuple[int, ...]] | None = None
-        for take in range(min_take, len(unpaid) + 1):
-            child_carry = tuple(filter(None, paid[:take] + unpaid[take:]))
-            child = self._cell(job + 1, cell, k, child_carry, depth + 1)
+        for take in range(min_take, len(carry) + 1):
+            child = self._cell(job + 1, cell, k, paid[:take] + unpaid[take:], depth + 1)
             if child is None:
                 continue
             cand = (tab.prefix_cost[take] + child[0], tab.prefix_ids[take] + child[1])
@@ -334,15 +340,14 @@ class DpSolver:
         return best
 
     def _split(
-        self, job: int, cell: GridCell, k: int, tab: TripleTable, carry: CarryItems, depth: int
+        self, job: int, cell: GridCell, k: int, tab: TripleTable, carry: Carry, depth: int
     ) -> tuple[int, tuple[int, ...]] | None:
-        child_cell = cell.children[k - 1]
-        inherited = tuple((sub, v) for iv, v in carry for sub in tab.expand[iv])
-        left = self._cell(job, child_cell, 1, inherited, depth + 1)
+        fan = tab.fan
+        inherited = tuple(v for v in carry[: tab.inside] for _ in range(fan))
+        left = self._cell(job, cell.children[k - 1], 1, inherited, depth + 1)
         if left is None or k == self.grid.K:
             return left
-        kept = _carry_from(carry, area_begin(cell, k + 1, self.grid.K))
-        right = self._cell(job, cell, k + 1, kept, depth + 1)
+        right = self._cell(job, cell, k + 1, carry[tab.inside :], depth + 1)
         if right is None:
             return None
         return (left[0] + right[0], tuple(sorted(left[1] + right[1])))
@@ -353,10 +358,10 @@ class DpSolver:
         x_begin = area_begin(cell, k, self.grid.K)
         subs = subcells(cell, k, self.grid)
         if subs and (subs[0][0] != x_begin or subs[-1][1] != cell.end):
-            raise DpError("carry subdivision must tile the area's x-span")
+            raise DpError("the pieces must tile the area's x-span")
         group = self.cov.group(job, cell)
         tab = TripleTable(
-            subs=frozenset(subs),
+            n_pieces=len(subs),
             has_rectangle=self._groups_inside(job, cell, x_begin),
             canonical=_spans_area(group, x_begin, cell.end),
         )
@@ -364,7 +369,9 @@ class DpSolver:
             if tab.canonical:
                 self._fill_canonical(tab, job, group, subs)
             elif not cell.is_leaf:
-                tab.expand = _expansion(subs, cell.children[k - 1])
+                child = cell.children[k - 1]
+                tab.inside = child.length // cell.piece_width
+                tab.fan = cell.piece_width // child.piece_width
             elif k >= cell.length:
                 # A non-canonical leaf state holding a rectangle always has the
                 # job released strictly right of the area's left edge, so k can
@@ -376,10 +383,10 @@ class DpSolver:
         self, tab: TripleTable, job: int, group: PrefixGroup, subs: tuple[Interval, ...]
     ) -> None:
         # The group lies inside the area and spans it, so its rectangles must
-        # be the subdivision itself, in order.
+        # be the pieces themselves, in order.
         rects = group.rectangles
         if tuple(r.x_interval for r in rects) != subs:
-            raise DpError(f"canonical group (job={job}) is not the carry subdivision {subs}")
+            raise DpError(f"canonical group (job={job}) does not match the pieces {subs}")
 
         # Settled rays (module docstring): only the prefix choice can still
         # cover them, and a piece's rays share its carry and its rectangle.
@@ -387,7 +394,6 @@ class DpSolver:
         r_next = self.cov.release_of(job + 1)
         if subs[0][0] < r_job:
             raise DpError(f"canonical group (job={job}) starts left of its release {r_job}")
-        tab.pieces = subs
         tab.settled = tuple(self.cov.demand(r_job, x) for x, _ in subs if x < r_next)
         tab.gap = r_next - r_job
         tab.prefix_cost = tuple(accumulate((r.cost for r in rects), initial=0))
@@ -415,21 +421,6 @@ class DpSolver:
                 raise DpError("group inside the area but not under the state's cell")
             inside = True
         return inside
-
-
-def _carry_from(carry: CarryItems, x: int) -> CarryItems:
-    """The carry entries on subcells at or right of x; they stay sorted."""
-    return tuple(item for item in carry if item[0][0] >= x)
-
-
-def _expansion(subs: tuple[Interval, ...], child: GridCell) -> dict[Interval, tuple[Interval, ...]]:
-    """Each subcell of the area -> the child's pieces inside it.
-
-    The child's pieces inside a subcell are that subcell cut at the child's
-    piece width; subcells right of the child hold none of them.
-    """
-    width = child.piece_width
-    return {sub: chunk(*sub, width) if sub[1] <= child.end else () for sub in subs}
 
 
 def solve(cov: CoveringInstance) -> DpResult:

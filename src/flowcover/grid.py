@@ -14,8 +14,8 @@ cell.
 
 A cell's *pieces* cut it into equal intervals: unit intervals in a leaf or
 a parent of leaves, its grandchild cells in any other cell.
-``GridCell.piece_width`` is this one layout rule; a job's segments and the
-dynamic program's carry intervals are both runs of pieces.
+``GridCell.piece_width`` is this one layout rule: a job's segments are runs
+of pieces, and the dynamic program's carry holds one value per piece.
 
 Each job j is assigned segments Seg(j) that partition [r_j, end(root)).  Take
 the chain of cells containing r_j, one per level.  Inside the deepest (leaf)

@@ -32,7 +32,6 @@ from .covering import (
     Selection,
     build_covering,
     check_feasible,
-    full_selection,
     ray_rectangles,
 )
 from .dpsolver import DpError
@@ -300,7 +299,4 @@ def verify_pair(
             instance_json=instance_to_json(instance),
             **base,
         )
-    # sanity: the trivially feasible selection can never beat the optimum
-    assert oracle_cost <= sum(r.cost for r in cov.rectangles)
-    assert check_feasible(cov, full_selection(cov)).ok
     return VerifyReport(status="ok", **base)

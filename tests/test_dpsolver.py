@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from random import Random
 
@@ -85,8 +86,8 @@ def test_subcells_units_above_leaves():
 
 
 def test_subcells_leaf_tiles_the_area_span():
-    # the carry subdivision of a leaf state covers the whole area, first
-    # unit included (see the decisions ledger for why this is load-bearing)
+    # the pieces of a leaf state cover the whole area, first unit included
+    # (see the decisions ledger for why this is load-bearing)
     grid = build_grid(T=8, K=2, leaf_len=2)
     leaf = cell_at(grid, grid.lmax, 4)  # [4, 6)
     assert subcells(leaf, 1, grid) == ((4, 5), (5, 6))
@@ -96,7 +97,7 @@ def test_subcells_leaf_tiles_the_area_span():
 
 
 def test_piece_layout_matches_independent_recount():
-    # the carry subdivision and the segments share one width rule; recount
+    # the carry pieces and the segments share one width rule; recount
     # both from the cell tree: grandchildren under children k..K, units when
     # the children are leaves, units from begin + k - 1 inside a leaf
     for K in (2, 3, 4):
@@ -193,9 +194,11 @@ def test_settled_rays_match_per_t_reference():
                 continue
             cell = cell_at(cov.grid, level, begin)
             r_job = cov.release_of(job)
-            assert tab.pieces == subcells(cell, k, cov.grid)
+            pieces = subcells(cell, k, cov.grid)
+            assert tab.n_pieces == len(pieces)
+            assert tuple(r.x_interval for r in cov.group(job, cell).rectangles) == pieces
             largest = []  # per piece: its largest settled demand, or None
-            for sub in tab.pieces:
+            for sub in pieces:
                 demands = [
                     cov.demand(r_job, t)
                     for t in range(max(sub[0], r_job), min(sub[1], cov.horizon + 1))
@@ -218,8 +221,21 @@ def test_memo_holds_one_integer_keyed_entry_per_state():
         assert len(solver.memo) == result.stats.states
         for (tkey, carry) in solver.memo:
             assert len(tkey) == 4 and all(type(x) is int for x in tkey)
-            assert tkey in solver._tables
-            assert carry == tuple(sorted(carry))
+            # the carry is dense: one int >= 0 per piece of the triple
+            assert len(carry) == solver._tables[tkey].n_pieces
+            assert all(type(v) is int and v >= 0 for v in carry)
+
+
+def test_carry_of_wrong_length_rejected():
+    cov = cov_for([(0, 2, 1), (1, 1, 1)])
+    solver = DpSolver(cov)
+    root = cov.grid.root
+    n_pieces = len(subcells(root, 1, cov.grid))
+    for carry in ((), (0,) * (n_pieces - 1), (0,) * (n_pieces + 1)):
+        expected = f"carry of {len(carry)} values for a state of {n_pieces} pieces"
+        with pytest.raises(DpError, match=expected):
+            solver._cell(1, root, 1, carry, depth=0)
+    assert solver._cell(1, root, 1, (0,) * n_pieces, depth=0) is not None
 
 
 def test_next_carry_arithmetic():
@@ -248,7 +264,7 @@ def test_empty_instance_costs_zero():
 
 def test_leaf_boundary_carry_regression():
     # two jobs straddling a leaf boundary with p_1 exceeding the release gap;
-    # a narrower leaf carry subdivision returns an infeasible cost-3 answer
+    # narrower leaf carry pieces return an infeasible cost-3 answer
     cov = cov_for([(0, 2, 1), (1, 1, 1)])
     oracle_cost, oracle_sel = brute_force_covering(cov)
     result = solve(cov)
@@ -393,7 +409,8 @@ def test_baseline_row_k2_n8_seed3():
     solver = DpSolver(cov)
     result = solver.solve()
     stats = result.stats
-    assert (stats.states, stats.triples, stats.carry_vectors) == (1864, 139, 1482)
+    # carry_vectors counts distinct dense carries (one int per piece)
+    assert (stats.states, stats.triples, stats.carry_vectors) == (1864, 139, 737)
     entries = list(solver.memo.values())
     assert sum(1 for e in entries if e == (0, ())) == 641
     assert sum(1 for e in entries if e is None) == 660
@@ -402,3 +419,28 @@ def test_baseline_row_k2_n8_seed3():
         *range(0, 7), *range(8, 14), *range(21, 32), *range(35, 41), 42,
         *range(46, 52), *range(56, 62), *range(63, 69), *range(77, 88),
     )
+
+
+def test_dp_counters_pinned_per_draw():
+    # per draw: cost, selection and the DP's structural counters, including
+    # the memo's empty-selection and infeasible entries
+    rng = Random(2021)
+    rows = []
+    for K, leaf_len, draws in ((2, 1, 300), (3, 1, 30), (3, 3, 30), (2, 2, 60)):
+        for seed in range(draws):
+            inst = make_instance(
+                [(rng.randint(0, 4), rng.randint(1, 4), rng.randint(1, 4))
+                 for _ in range(rng.randint(1, 5 if K == 2 else 3))]
+            )
+            solver = DpSolver(reduce_instance(inst, K, seed, leaf_len=leaf_len))
+            result = solver.solve()
+            st = result.stats
+            memo = list(solver.memo.values())
+            rows.append((
+                K, leaf_len, result.cost, result.selection.sorted_ids(),
+                st.states, st.triples, st.max_carry, st.max_depth,
+                memo.count((0, ())), memo.count(None),
+            ))
+    assert len(rows) == 420
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "df7c78e29d626fa9161502672cb95c39a411ac8eedc92da9635cd7fdc145f907"
