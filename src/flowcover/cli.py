@@ -14,7 +14,6 @@ import hashlib
 import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from .covering import (
@@ -27,7 +26,13 @@ from .covering import (
 )
 from .dpsolver import solve as dp_solve
 from .harness import CSV_HEADER, CampaignConfig, campaign_instance, csv_row, run_campaign
-from .jobs import JobInstance, instance_from_json, instance_to_json, max_processing
+from .jobs import (
+    JobInstance,
+    instance_from_json,
+    instance_to_json,
+    max_processing,
+    parse_epsilon,
+)
 from .oracle import OracleBudget, brute_force_covering, reduce_instance
 
 
@@ -78,7 +83,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     cfg = CampaignConfig(
         seed=args.seed,
         K=args.K,
-        epsilon=Fraction(args.epsilon or "1"),
+        epsilon=parse_epsilon(args.epsilon or "1"),
         n_max=args.n,
         p_max=args.pmax,
         w_max=args.wmax,
@@ -91,9 +96,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    cov = reduce_instance(
-        instance, args.K, args.seed, args.epsilon, args.leaf_len, args.cost_model
-    )
+    cov = reduce_instance(instance, args.K, args.seed, args.epsilon, args.cost_model)
     payload = json.loads(covering_to_json(cov))
     payload.update(_reduction_fields(instance, cov), seed=args.seed)
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
@@ -102,13 +105,10 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    cov = reduce_instance(
-        instance, args.K, args.seed, args.epsilon, args.leaf_len, args.cost_model
-    )
+    cov = reduce_instance(instance, args.K, args.seed, args.epsilon, args.cost_model)
     record = _reduction_fields(instance, cov)
-    record.update(
-        method=args.method, leaf_len=args.leaf_len, seed=args.seed, cost_model=args.cost_model
-    )
+    # leaves are unit cells; the record keeps the field
+    record.update(method=args.method, leaf_len=1, seed=args.seed, cost_model=args.cost_model)
     started = time.perf_counter()
     if args.method == "dp":
         # the DP scans its own answer and raises DpError when it is infeasible
@@ -158,9 +158,12 @@ def _record_type_error(record: dict) -> str | None:
     for key in _SOLVE_RECORD_INTS:
         if type(record[key]) is not int:
             return f"field {key!r} must be an integer, got {record[key]!r}"
-    epsilon = record["epsilon"]
-    if type(epsilon) not in (str, int):
-        return f"field 'epsilon' must be a string or an integer, got {epsilon!r}"
+    if record["leaf_len"] != 1:
+        return f"field 'leaf_len' must be 1 (leaves are unit cells), got {record['leaf_len']}"
+    try:
+        parse_epsilon(record["epsilon"], "field 'epsilon'")
+    except ValueError as exc:
+        return str(exc)
     selection = record["selection"]
     if type(selection) is not list:
         return f"field 'selection' must be a list of integers, got {selection!r}"
@@ -197,7 +200,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         record["K"],
         record["seed"],
         record["epsilon"],
-        record["leaf_len"],
         record.get("cost_model", "weighted_length"),
     )
     if cov.grid.shift != record["shift"]:
@@ -242,9 +244,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_pipeline(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
     started = time.perf_counter()
-    cov = reduce_instance(
-        instance, args.K, args.seed, args.epsilon, args.leaf_len, args.cost_model
-    )
+    cov = reduce_instance(instance, args.K, args.seed, args.epsilon, args.cost_model)
     # the DP scans its own answer and raises DpError when it is infeasible
     result = dp_solve(cov)
     wall_ms = round((time.perf_counter() - started) * 1000.0, 3)
@@ -272,12 +272,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         seed=args.seed,
         trials=args.trials,
         K=args.K,
-        epsilon=Fraction(args.epsilon or "1"),
+        epsilon=parse_epsilon(args.epsilon or "1"),
         n_max=args.n,
         p_max=args.pmax,
         w_max=args.wmax,
         horizon_max=args.horizon,
-        leaf_len=args.leaf_len,
         cost_model=args.cost_model,
         workers=args.workers,
         budget=OracleBudget(),
@@ -301,7 +300,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "seed": report.seed,
                 "K": report.K,
                 "epsilon": report.epsilon,
-                "leaf_len": report.leaf_len,
+                "leaf_len": 1,  # leaves are unit cells; the record keeps the field
                 "shift": report.shift,
                 "status": report.status,
                 "detail": report.detail,
@@ -333,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--K", type=int, default=2, help="grid branching factor (>= 2)")
         p.add_argument("--epsilon", type=str, default=None, help='accuracy, e.g. "1" or "1/2"')
         if reduction:
-            p.add_argument("--leaf-len", type=int, default=1, dest="leaf_len")
             p.add_argument(
                 "--cost-model",
                 default="weighted_length",

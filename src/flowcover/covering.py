@@ -25,12 +25,12 @@ Rays are never materialized: demands and crossing sets are computed from
 sorted release times and a per-unit crossing index over [0, T], the only
 columns a ray can sit in.
 
-Costs are pluggable.  The default charges weight * segment length, the
-weighted duration the job stays alive across that segment; unit costs and
-arbitrary callables are also supported.  The exact cost function of the full
-scheduling reduction is out of scope, so end-to-end flow-time optimality is
-not claimed for any built-in model; the solver is exact for whatever costs
-the instance carries.
+Costs come from a built-in model named in ``COST_MODELS``.  The default
+charges weight * segment length, the weighted duration the job stays alive
+across that segment; ``unit`` charges 1 per rectangle.  The exact cost
+function of the full scheduling reduction is out of scope, so end-to-end
+flow-time optimality is not claimed for either model; the solver is exact
+for whatever costs the instance carries.
 """
 
 from __future__ import annotations
@@ -61,9 +61,7 @@ COST_MODELS: dict[str, CostFn] = {
 }
 
 
-def resolve_cost_model(model: str | CostFn) -> CostFn:
-    if callable(model):
-        return model
+def resolve_cost_model(model: str) -> CostFn:
     try:
         return COST_MODELS[model]
     except KeyError:
@@ -141,10 +139,11 @@ class FeasibilityReport:
 class CoveringInstance:
     """Rectangles, groups, and ray machinery built from jobs plus a grid.
 
+    ``releases`` holds the jobs' release times in release order, and
     ``proc_prefix[j]`` is p_1 + ... + p_j, the processing of the first j
-    jobs in release order, for j = 0..n.  Raises ValueError unless ids run
-    0..N-1 in group order, rows never decrease and every rectangle's
-    capacity is its job's processing.
+    jobs, for j = 0..n.  Raises ValueError unless ids run 0..N-1 in group
+    order, rows never decrease and every rectangle's capacity is its job's
+    processing.
     """
 
     def __init__(self, instance: JobInstance, grid: Grid, groups: Sequence[PrefixGroup]):
@@ -169,7 +168,7 @@ class CoveringInstance:
         self._group_by_key: dict[tuple[int, int, int], PrefixGroup] = {
             (g.job, g.cell.level, g.cell.begin): g for g in self.groups
         }
-        self._releases = [j.release for j in instance.jobs]
+        self.releases = instance.releases()
         self.proc_prefix = list(accumulate((j.processing for j in instance.jobs), initial=0))
         # crossing[t] lists the rectangles through x = t + 1/2 for t in 0..T;
         # rectangles come job by job (checked above), so each list is already
@@ -197,8 +196,8 @@ class CoveringInstance:
 
     def anchor_job(self, s: int) -> int | None:
         """1-based id of the earliest released job with release >= s."""
-        idx = bisect_left(self._releases, s)
-        return idx + 1 if idx < len(self._releases) else None
+        idx = bisect_left(self.releases, s)
+        return idx + 1 if idx < len(self.releases) else None
 
     def release_of(self, job: int) -> int:
         """Release of ``job``; one past the horizon for the sentinel job n+1."""
@@ -210,13 +209,13 @@ class CoveringInstance:
         """d([s, t]) = total processing released within [s, t] minus (t - s)."""
         if not 0 <= s <= t <= self.horizon:
             raise ValueError(f"interval [{s}, {t}] outside 0..{self.horizon}")
-        lo = bisect_left(self._releases, s)
-        hi = bisect_right(self._releases, t)
+        lo = bisect_left(self.releases, s)
+        hi = bisect_right(self.releases, t)
         return self.proc_prefix[hi] - self.proc_prefix[lo] - (t - s)
 
 
 def build_covering(
-    instance: JobInstance, grid: Grid, cost_model: str | CostFn = "weighted_length"
+    instance: JobInstance, grid: Grid, cost_model: str = "weighted_length"
 ) -> CoveringInstance:
     """One rectangle per segment of every job; groups ordered left to right.
 
@@ -297,7 +296,7 @@ def check_feasible(cov: CoveringInstance, sel: Selection) -> FeasibilityReport:
             )
 
     prefix = cov.proc_prefix
-    releases = cov._releases
+    releases = cov.releases
     demand_viols: list[RayViolation] = []
     for t in range(0, cov.horizon + 1):
         picked = [0] * (cov.instance.n + 1)  # selected capacity at t, per row
@@ -325,7 +324,7 @@ def covering_to_json(cov: CoveringInstance, selection: Selection | None = None) 
         "T": cov.horizon,
         "K": cov.grid.K,
         "shift": cov.grid.shift,
-        "leaf_len": cov.grid.leaf_len,
+        "leaf_len": 1,  # leaves are unit cells; the record keeps the field
         "groups": [
             {
                 "job": g.job,

@@ -4,8 +4,9 @@ The solver walks states (job, cell, k, carry) top-down with memoization:
 
 - ``job`` is a row index in 1..n+1; rows above it are already decided.
 - ``cell`` and ``k`` select the area A = [x1, end(cell)) x [job, oo), where
-  x1 is the start of the cell's k-th child (or the cell's (k-1)-th unit for
-  leaf cells).  Only rectangles wholly inside A may still be chosen.
+  x1 is the start of the cell's k-th child; a leaf is a unit cell, whose one
+  area (k = 1) is the leaf itself.  Only rectangles wholly inside A may still
+  be chosen.
 - ``carry`` holds one extra demand per piece of A's x-span, left to right:
   the cell's pieces from x1 on (``GridCell.piece_width``, listed by
   ``subcells``), zeros included.  A carried value remembers, for rays that
@@ -21,15 +22,14 @@ prefix of that group, checks the rays that no deeper row can still affect,
 re-derives the carry for the next row (selected capacity pays the debt, the
 job's own processing and the gap to the next release shift it), and recurses
 with job+1.  Otherwise the area splits along the k-th child into two
-independent states, or, at leaf level, k simply advances.
+independent states.
 
 Every carry transition is a slice, because the pieces of the next state are
-a run of the current state's pieces, or of their cuts.  A leaf advance drops
-the first piece, ``carry[1:]``.  A split keeps the pieces right of the k-th
-child for the right part, ``carry[inside:]``, and hands the left part the
-first ``inside`` values, each repeated ``fan`` times, since each of those
-pieces holds ``fan`` of the child's pieces.  A canonical step keeps the
-pieces and maps each value through ``next_carry``.
+a run of the current state's pieces, or of their cuts.  A split keeps the
+pieces right of the k-th child for the right part, ``carry[inside:]``, and
+hands the left part the first ``inside`` values, each repeated ``fan``
+times, since each of those pieces holds ``fan`` of the child's pieces.  A
+canonical step keeps the pieces and maps each value through ``next_carry``.
 
 Costs, demands, and coordinates are integers throughout; ties between
 equal-cost solutions go to the lexicographically smallest sorted tuple of
@@ -90,28 +90,20 @@ class DpError(RuntimeError):
     """Internal contract of the dynamic program broken."""
 
 
-class EmptyAreaError(ValueError):
-    """The requested (job, cell, k) has an empty area; no such state exists."""
-
-
 def area_begin(cell: GridCell, k: int, K: int) -> int:
-    """Left edge x1 of the area of (cell, k); raises EmptyAreaError when undefined."""
-    if not 1 <= k <= K:
-        raise ValueError(f"k must be in 1..{K}, got {k}")
-    if cell.is_leaf:
-        if k > cell.length:
-            raise EmptyAreaError(f"k={k} exceeds leaf length {cell.length}")
-        return cell.begin + k - 1
-    return cell.begin + (k - 1) * (cell.length // K)  # the k-th child's begin
+    """Left edge x1 of the area of (cell, k): the k-th child's begin, or the
+    begin of a leaf, whose only area is k = 1."""
+    top = 1 if cell.is_leaf else K
+    if not 1 <= k <= top:
+        raise ValueError(f"k must be in 1..{top}, got {k}")
+    return cell.begin + (k - 1) * (cell.length // K)
 
 
 def subcells(cell: GridCell, k: int, grid: Grid) -> tuple[Interval, ...]:
     """The pieces of (cell, k), one per carry value: the cell's pieces across
-    the area's x-span; ``()`` when the area is empty.  Computed from the cell's
-    bounds, so no grandchild cell is built for it.
+    the area's x-span.  Computed from the cell's bounds, so no grandchild cell
+    is built for it.
     """
-    if cell.is_leaf and k > cell.length:
-        return ()
     return chunk(area_begin(cell, k, grid.K), cell.end, cell.piece_width)
 
 
@@ -295,10 +287,8 @@ class DpSolver:
             entry = (0, ())
         elif tab.canonical:
             entry = self._canonical(job, cell, k, tab, carry, depth)
-        elif not cell.is_leaf:
-            entry = self._split(job, cell, k, tab, carry, depth)
         else:
-            entry = self._cell(job, cell, k + 1, carry[1:], depth + 1)
+            entry = self._split(job, cell, k, tab, carry, depth)
 
         self.memo[key] = entry
         return entry
@@ -368,15 +358,20 @@ class DpSolver:
         if tab.has_rectangle:
             if tab.canonical:
                 self._fill_canonical(tab, job, group, subs)
-            elif not cell.is_leaf:
+            elif cell.is_leaf:
+                # The rectangle inside belongs to a deeper row released at the
+                # leaf, so row job, released earlier, has one over the leaf too.
+                # _groups_inside passed, so that one is row job's own leaf
+                # group and the state is canonical: only a covering whose rows
+                # do not tile [r_j, end(root)) gets here.
+                raise DpError(
+                    f"non-canonical leaf state (job={job}, leaf [{cell.begin},{cell.end})) "
+                    "holds a rectangle"
+                )
+            else:
                 child = cell.children[k - 1]
                 tab.inside = child.length // cell.piece_width
                 tab.fan = cell.piece_width // child.piece_width
-            elif k >= cell.length:
-                # A non-canonical leaf state holding a rectangle always has the
-                # job released strictly right of the area's left edge, so k can
-                # advance.
-                raise DpError(f"cannot advance k={k} in leaf of length {cell.length}")
         return tab
 
     def _fill_canonical(

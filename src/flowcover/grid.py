@@ -1,10 +1,11 @@
 """K-ary hierarchical grid over the time horizon and per-job segment structure.
 
 The time axis is recursively subdivided: level 0 is a single root cell whose
-half-open interval contains [0, T); every cell longer than the leaf length
-has exactly K equal children one level below.  A non-negative shift moves the
-whole grid left so that structural boundaries fall at randomized positions
-relative to the jobs while all coordinates stay integral.
+half-open interval contains [0, T); every cell longer than one unit has
+exactly K equal children one level below, so the leaves are unit cells.  A
+non-negative shift moves the whole grid left so that structural boundaries
+fall at randomized positions relative to the jobs while all coordinates stay
+integral.
 
 Cells are built on first access: ``build_grid`` makes only the root, and a
 cell creates its K children the first time ``children`` is read, then keeps
@@ -12,20 +13,20 @@ them.  A solve therefore pays for the cells it touches, not for the whole
 tree over the horizon, and one grid still hands out exactly one object per
 cell.
 
-A cell's *pieces* cut it into equal intervals: unit intervals in a leaf or
-a parent of leaves, its grandchild cells in any other cell.
+A cell's *pieces* cut it into equal intervals: units in a cell of length K
+or less (a leaf or a parent of leaves), its grandchild cells in any other.
 ``GridCell.piece_width`` is this one layout rule: a job's segments are runs
 of pieces, and the dynamic program's carry holds one value per piece.
 
 Each job j is assigned segments Seg(j) that partition [r_j, end(root)).  Take
-the chain of cells containing r_j, one per level.  Inside the deepest (leaf)
-cell the segments are the unit pieces from r_j to the cell's end.  Inside
-each ancestor the segments are its pieces between the next-deeper chain
-cell's end and the ancestor's end.  Left to right the segment lengths are
-non-decreasing, each group's span ends at its cell's end and starts at a
-child boundary, and groups of different jobs never partially overlap (the
-later-released job's group span lies inside some group span of the earlier
-job whose cell is an ancestor-or-self of the later group's cell).
+the chain of cells containing r_j, one per level.  The deepest (leaf) cell is
+the unit [r_j, r_j + 1), the first segment.  Inside each ancestor the
+segments are its pieces between the next-deeper chain cell's end and the
+ancestor's end.  Left to right the segment lengths are non-decreasing, each
+group's span ends at its cell's end and starts at a child boundary, and
+groups of different jobs never partially overlap (the later-released job's
+group span lies inside some group span of the earlier job whose cell is an
+ancestor-or-self of the later group's cell).
 """
 
 from __future__ import annotations
@@ -51,13 +52,12 @@ class GridCell:
     begin: int
     end: int
     K: int = field(repr=False)
-    leaf_len: int = field(repr=False)
     # a plain attribute, not a property: the DP reads it in every state
     is_leaf: bool = field(init=False, repr=False)
     _children: tuple["GridCell", ...] | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "is_leaf", self.end - self.begin == self.leaf_len)
+        object.__setattr__(self, "is_leaf", self.end - self.begin == 1)
         object.__setattr__(self, "_children", None)
 
     def __hash__(self) -> int:  # stable across runs, unlike id()
@@ -75,7 +75,7 @@ class GridCell:
             if not self.is_leaf:
                 step = self.length // self.K
                 kids = tuple(
-                    GridCell(self.level + 1, x, x + step, self.K, self.leaf_len)
+                    GridCell(self.level + 1, x, x + step, self.K)
                     for x in range(self.begin, self.end, step)
                 )
             object.__setattr__(self, "_children", kids)
@@ -89,7 +89,7 @@ class GridCell:
     def piece_width(self) -> int:
         """Width of the cell's pieces: 1 for a leaf or a parent of leaves,
         the grandchild length otherwise."""
-        return 1 if self.length <= self.K * self.leaf_len else self.length // self.K**2
+        return 1 if self.length <= self.K else self.length // self.K**2
 
     def contains_point(self, x: int) -> bool:
         return self.begin <= x < self.end
@@ -114,13 +114,12 @@ class Grid:
     order; reading it walks, and so builds, the whole tree.
     """
 
-    def __init__(self, root: GridCell, K: int, shift: int, leaf_len: int):
+    def __init__(self, root: GridCell, K: int, shift: int):
         self.root = root
         self.K = K
         self.shift = shift
-        self.leaf_len = leaf_len
         lmax, length = 0, root.length
-        while length > leaf_len:
+        while length > 1:
             lmax, length = lmax + 1, length // K
         self.lmax = lmax
 
@@ -141,32 +140,30 @@ class Grid:
         return cur if any(child is cell for child in cur.children) else None
 
 
-def root_length(T: int, K: int, leaf_len: int = 1, shift: int = 0) -> int:
-    """Smallest leaf_len * K**m covering T + shift; the root's length."""
+def root_length(T: int, K: int, shift: int = 0) -> int:
+    """Smallest K**m covering T + shift; the root's length."""
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
-    if not 1 <= leaf_len <= K:
-        raise ValueError(f"leaf_len must be in 1..K, got {leaf_len}")
     if shift < 0:
         raise ValueError(f"shift must be >= 0, got {shift}")
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
-    length = leaf_len
+    length = 1
     while length < T + shift:
         length *= K
     return length
 
 
-def build_grid(T: int, K: int, shift: int = 0, leaf_len: int = 1) -> Grid:
-    """The grid whose root [-shift, -shift + leaf_len*K**m) covers [0, T).
+def build_grid(T: int, K: int, shift: int = 0) -> Grid:
+    """The grid whose root [-shift, -shift + K**m) covers [0, T).
 
     m is the least exponent making the root long enough; cells are subdivided
-    into K equal children until their length equals ``leaf_len``.  Only the
-    root is built here; the other cells are built when first reached.
+    into K equal children down to unit leaves.  Only the root is built here;
+    the other cells are built when first reached.
     """
-    length = root_length(T, K, leaf_len, shift)
-    root = GridCell(0, -shift, -shift + length, K, leaf_len)
-    return Grid(root=root, K=K, shift=shift, leaf_len=leaf_len)
+    length = root_length(T, K, shift)
+    root = GridCell(0, -shift, -shift + length, K)
+    return Grid(root=root, K=K, shift=shift)
 
 
 def cell_at(grid: Grid, level: int, x: int) -> GridCell:

@@ -38,7 +38,6 @@ class CampaignConfig:
     p_max: int = 4
     w_max: int = 4
     horizon_max: int = 64
-    leaf_len: int = 1
     cost_model: str = "weighted_length"
     workers: int = 1
     budget: OracleBudget | None = None  # None: the oracle's default, read when it runs
@@ -89,7 +88,6 @@ def run_trial(cfg: CampaignConfig, trial: int) -> VerifyReport:
         K=cfg.K,
         seed=seed,
         epsilon=cfg.epsilon,
-        leaf_len=cfg.leaf_len,
         cost_model=cfg.cost_model,
         budget=cfg.budget,
     )

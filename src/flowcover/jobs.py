@@ -92,6 +92,20 @@ class JobInstance:
         return len(set(rel)) == len(rel)
 
 
+def parse_epsilon(value: Fraction | int | str, name: str = "epsilon") -> Fraction:
+    """``value`` (a Fraction, an int or a string such as "1/2") as a positive
+    Fraction; ValueError naming ``name`` and the value otherwise."""
+    if type(value) not in (Fraction, int, str):
+        raise ValueError(f"{name} must be a string or an integer, got {value!r}")
+    try:
+        eps = Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        eps = None
+    if eps is None or eps <= 0:
+        raise ValueError(f"{name} must be a positive fraction such as 1 or 1/2, got {value!r}")
+    return eps
+
+
 def make_instance(
     triples: Iterable[tuple[int, int, int]], epsilon: Fraction | int | str = 1
 ) -> JobInstance:
@@ -105,7 +119,7 @@ def make_instance(
         Job(id=i, release=r, processing=p, weight=w)
         for i, (r, p, w) in enumerate(ordered, start=1)
     )
-    return JobInstance(jobs=jobs, epsilon=Fraction(epsilon))
+    return JobInstance(jobs=jobs, epsilon=parse_epsilon(epsilon))
 
 
 def total_horizon(instance: JobInstance) -> int:
@@ -247,9 +261,7 @@ def perturb_release_times(
     optimum of the rescaled instance is at most (n/eps)*(1+eps) times the
     original optimum.
     """
-    eps = Fraction(instance.epsilon if epsilon is None else epsilon)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
+    eps = instance.epsilon if epsilon is None else parse_epsilon(epsilon)
     if not instance.jobs:
         return JobInstance(jobs=(), epsilon=eps)
     scale_frac = Fraction(instance.n) / eps
@@ -298,7 +310,5 @@ def instance_from_json(text: str) -> JobInstance:
             if type(rec[key]) is not int:
                 raise ValueError(f"jobs[{i}]: field {key!r} must be an integer, got {rec[key]!r}")
         jobs.append(Job(**{key: rec[key] for key in _JOB_FIELDS}))
-    epsilon = payload.get("epsilon", "1")
-    if type(epsilon) not in (str, int):
-        raise ValueError(f"field 'epsilon' must be a string or an integer, got {epsilon!r}")
-    return JobInstance(jobs=tuple(jobs), epsilon=Fraction(epsilon))
+    epsilon = parse_epsilon(payload.get("epsilon", "1"), "field 'epsilon'")
+    return JobInstance(jobs=tuple(jobs), epsilon=epsilon)

@@ -27,7 +27,6 @@ from itertools import accumulate
 from random import Random
 
 from .covering import (
-    CostFn,
     CoveringInstance,
     Selection,
     build_covering,
@@ -163,7 +162,6 @@ class VerifyReport:
 
     seed: int
     K: int
-    leaf_len: int
     epsilon: str
     shift: int
     n: int
@@ -190,12 +188,12 @@ class VerifyReport:
         return self.status == "skipped_budget"
 
 
-def derive_shift(T: int, K: int, leaf_len: int, seed: int) -> int:
+def derive_shift(T: int, K: int, seed: int) -> int:
     """Seeded uniform draw from {0, ..., unshifted root length - 1}."""
-    return Random(seed).randrange(root_length(T, K, leaf_len))
+    return Random(seed).randrange(root_length(T, K))
 
 
-def reduction_grid(T: int, K: int, seed: int, leaf_len: int = 1) -> Grid:
+def reduction_grid(T: int, K: int, seed: int) -> Grid:
     """Seeded-shift grid for the covering reduction.
 
     Sized over T + 1 so the root strictly contains [0, T]: every ray position
@@ -203,8 +201,7 @@ def reduction_grid(T: int, K: int, seed: int, leaf_len: int = 1) -> Grid:
     rectangles tile, which the empty-ray property relies on.
     """
     span = T + 1
-    shift = derive_shift(span, K, leaf_len, seed)
-    return build_grid(span, K, shift=shift, leaf_len=leaf_len)
+    return build_grid(span, K, shift=derive_shift(span, K, seed))
 
 
 def reduce_instance(
@@ -212,8 +209,7 @@ def reduce_instance(
     K: int,
     seed: int,
     epsilon: Fraction | int | str | None = None,
-    leaf_len: int = 1,
-    cost_model: str | CostFn = "weighted_length",
+    cost_model: str = "weighted_length",
 ) -> CoveringInstance:
     """The reduction pipeline: perturb releases, lay the seeded grid, lift.
 
@@ -222,7 +218,7 @@ def reduce_instance(
     ``epsilon``), the horizon ``T`` and the grid with its shift.
     """
     work = perturb_release_times(instance, epsilon)
-    grid = reduction_grid(total_horizon(work) if work.jobs else 0, K, seed, leaf_len)
+    grid = reduction_grid(total_horizon(work) if work.jobs else 0, K, seed)
     return build_covering(work, grid, cost_model=cost_model)
 
 
@@ -231,8 +227,7 @@ def verify_pair(
     K: int,
     seed: int,
     epsilon: Fraction | int | str | None = None,
-    leaf_len: int = 1,
-    cost_model: str | CostFn = "weighted_length",
+    cost_model: str = "weighted_length",
     budget: OracleBudget | None = None,
 ) -> VerifyReport:
     """Reduce ``instance`` and solve it with both solvers.
@@ -243,12 +238,11 @@ def verify_pair(
     here.  Any disagreement comes back as a failed report carrying the
     serialized instance so it can be replayed.
     """
-    cov = reduce_instance(instance, K, seed, epsilon, leaf_len, cost_model)
+    cov = reduce_instance(instance, K, seed, epsilon, cost_model)
     work = cov.instance
     base = dict(
         seed=seed,
         K=K,
-        leaf_len=leaf_len,
         epsilon=str(work.epsilon),
         shift=cov.grid.shift,
         n=work.n,

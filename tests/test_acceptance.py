@@ -71,7 +71,6 @@ def rebuild_covering(report):
         cfg.K,
         report.seed,
         cfg.epsilon,
-        cfg.leaf_len,
         cfg.cost_model,
     )
     assert cov.grid.shift == report.shift

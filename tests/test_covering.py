@@ -13,15 +13,16 @@ from flowcover.covering import (
     full_selection,
     ray_rectangles,
     selection_cost,
+    unit_cost,
 )
 from flowcover.grid import build_grid, root_length
 from flowcover.jobs import make_instance, perturb_release_times, total_horizon
 
 
-def cov_for(triples, K=2, shift=0, leaf_len=1, cost_model="weighted_length"):
+def cov_for(triples, K=2, shift=0, cost_model="weighted_length"):
     inst = make_instance(triples)
     T = total_horizon(inst)
-    grid = build_grid(T, K, shift=shift, leaf_len=leaf_len)
+    grid = build_grid(T, K, shift=shift)
     return build_covering(inst, grid, cost_model=cost_model)
 
 
@@ -46,7 +47,7 @@ def test_one_job_rectangle_count_matches_segments():
     cov = cov_for([(0, 1, 1)])  # grid T=1 would be trivial; use T=4 via processing
     # instead build explicitly on the documented example grid
     inst = make_instance([(0, 4, 1)])
-    grid = build_grid(T=4, K=2, shift=0, leaf_len=1)
+    grid = build_grid(T=4, K=2, shift=0)
     cov = build_covering(inst, grid)
     assert len(cov.rectangles) == 4
     assert [r.x_interval for r in cov.rectangles] == [(0, 1), (1, 2), (2, 3), (3, 4)]
@@ -113,15 +114,15 @@ def test_duplicate_releases_rejected():
 
 def test_cost_models():
     inst = make_instance([(0, 2, 3)])
-    grid = build_grid(T=2, K=2, leaf_len=2)
+    grid = build_grid(T=8, K=2)
     weighted = build_covering(inst, grid)
+    assert [r.cost for r in weighted.rectangles] == [3, 3, 3, 3, 6, 6]
     assert all(r.cost == 3 * (r.x_end - r.x_begin) for r in weighted.rectangles)
     unit = build_covering(inst, grid, cost_model="unit")
-    assert all(r.cost == 1 for r in unit.rectangles)
-    custom = build_covering(inst, grid, cost_model=lambda job, a, b: 7)
-    assert all(r.cost == 7 for r in custom.rectangles)
-    with pytest.raises(ValueError, match="unknown cost model"):
-        build_covering(inst, grid, cost_model="nope")
+    assert [r.cost for r in unit.rectangles] == [1] * 6
+    for model in ("nope", unit_cost):
+        with pytest.raises(ValueError, match="unknown cost model"):
+            build_covering(inst, grid, cost_model=model)
 
 
 # -- demand ---------------------------------------------------------------------
@@ -342,10 +343,11 @@ def test_check_feasible_matches_naive_scan_one_rectangle_short():
 
 def test_selection_cost_examples():
     inst = make_instance([(0, 2, 3)])
-    grid = build_grid(T=2, K=2, leaf_len=2)
-    cov = build_covering(inst, grid, cost_model=lambda job, a, b: 7)
+    grid = build_grid(T=2, K=2)
+    cov = build_covering(inst, grid, cost_model="unit")
     assert selection_cost(cov, Selection.of([])) == 0
-    assert selection_cost(cov, Selection.of([0])) == 7
+    assert selection_cost(cov, Selection.of([0])) == 1
+    assert selection_cost(cov, full_selection(cov)) == 2
     total = selection_cost(cov, full_selection(cov))
     parts = sum(selection_cost(cov, Selection.of([r.rid])) for r in cov.rectangles)
     assert total == parts

@@ -15,7 +15,6 @@ from flowcover.covering import (
 from flowcover.dpsolver import (
     DpError,
     DpSolver,
-    EmptyAreaError,
     area_begin,
     is_canonical,
     next_carry,
@@ -27,10 +26,10 @@ from flowcover.jobs import Job, make_instance, perturb_release_times, total_hori
 from flowcover.oracle import brute_force_covering, reduce_instance, reduction_grid
 
 
-def cov_for(triples, K=2, shift=0, leaf_len=1, T=None):
+def cov_for(triples, K=2, shift=0, T=None):
     inst = make_instance(triples)
     horizon = T if T is not None else total_horizon(inst)
-    grid = build_grid(horizon, K, shift=shift, leaf_len=leaf_len)
+    grid = build_grid(horizon, K, shift=shift)
     return build_covering(inst, grid)
 
 
@@ -52,79 +51,84 @@ def random_cov(rng, K, n_max=4, p_max=4):
 
 
 def test_area_internal_cell():
-    grid = build_grid(T=8, K=2, leaf_len=2)
+    grid = build_grid(T=8, K=2)
     assert (area_begin(grid.root, 2, grid.K), grid.root.end) == (4, 8)
 
 
 def test_area_leaf_cell():
-    grid = build_grid(T=8, K=2, leaf_len=2)
-    leaf = cell_at(grid, grid.lmax, 4)  # [4, 6)
-    assert (area_begin(leaf, 2, grid.K), leaf.end) == (5, 6)
+    grid = build_grid(T=8, K=2)
+    leaf = cell_at(grid, grid.lmax, 4)  # [4, 5)
+    assert (area_begin(leaf, 1, grid.K), leaf.end) == (4, 5)
 
 
 def test_area_empty_for_oversized_k():
-    grid = build_grid(T=8, K=3, leaf_len=2)
+    # a unit leaf has one area, k = 1; an internal cell has K
+    grid = build_grid(T=9, K=3)
     leaf = cell_at(grid, grid.lmax, 4)
-    with pytest.raises(EmptyAreaError):
-        area_begin(leaf, 3, grid.K)
+    for k in (0, 2, 3):
+        with pytest.raises(ValueError, match=r"k must be in 1\.\.1, got"):
+            area_begin(leaf, k, grid.K)
+        with pytest.raises(ValueError, match=r"k must be in 1\.\.1, got"):
+            subcells(leaf, k, grid)
+    with pytest.raises(ValueError, match=r"k must be in 1\.\.3, got 4"):
+        area_begin(grid.root, 4, grid.K)
 
 
 # -- subcells -------------------------------------------------------------------
 
 
 def test_subcells_grandchildren():
-    grid = build_grid(T=8, K=2, leaf_len=2)
+    grid = build_grid(T=8, K=2)
     assert subcells(grid.root, 1, grid) == ((0, 2), (2, 4), (4, 6), (6, 8))
     assert subcells(grid.root, 2, grid) == ((4, 6), (6, 8))
 
 
 def test_subcells_units_above_leaves():
-    grid = build_grid(T=8, K=2, leaf_len=2)
-    mid = cell_at(grid, 1, 0)  # [0, 4), children are leaves
-    assert subcells(mid, 1, grid) == ((0, 1), (1, 2), (2, 3), (3, 4))
-    assert subcells(mid, 2, grid) == ((2, 3), (3, 4))
+    grid = build_grid(T=9, K=3)
+    mid = cell_at(grid, 1, 3)  # [3, 6), children are leaves
+    assert subcells(mid, 1, grid) == ((3, 4), (4, 5), (5, 6))
+    assert subcells(mid, 2, grid) == ((4, 5), (5, 6))
+    assert subcells(mid, 3, grid) == ((5, 6),)
 
 
 def test_subcells_leaf_tiles_the_area_span():
-    # the pieces of a leaf state cover the whole area, first unit included
-    # (see the decisions ledger for why this is load-bearing)
-    grid = build_grid(T=8, K=2, leaf_len=2)
-    leaf = cell_at(grid, grid.lmax, 4)  # [4, 6)
-    assert subcells(leaf, 1, grid) == ((4, 5), (5, 6))
-    assert subcells(leaf, 2, grid) == ((5, 6),)
+    # the one piece of a leaf state is the leaf itself
+    grid = build_grid(T=8, K=2)
+    leaf = cell_at(grid, grid.lmax, 4)  # [4, 5)
     subs = subcells(leaf, 1, grid)
+    assert subs == ((4, 5),)
     assert subs[0][0] == area_begin(leaf, 1, grid.K) and subs[-1][1] == leaf.end
 
 
 def test_piece_layout_matches_independent_recount():
     # the carry pieces and the segments share one width rule; recount
     # both from the cell tree: grandchildren under children k..K, units when
-    # the children are leaves, units from begin + k - 1 inside a leaf
+    # the children are leaves, the leaf itself for a leaf (k = 1 only)
     for K in (2, 3, 4):
-        for leaf_len in range(1, K + 1):
-            for T, shift in ((0, 0), (5, 0), (13, 2), (40, 7), (100, 31)):
-                grid = build_grid(T, K, shift=shift, leaf_len=leaf_len)
-                for level in grid.levels:
-                    for cell in level:
-                        for k in range(1, K + 1):
-                            if cell.is_leaf:
-                                lo = cell.begin + k - 1
-                                expect = tuple((x, x + 1) for x in range(lo, cell.end))
-                            elif cell.children[0].is_leaf:
-                                lo = cell.children[k - 1].begin
-                                expect = tuple((x, x + 1) for x in range(lo, cell.end))
-                            else:
-                                expect = tuple(
-                                    (g.begin, g.end)
-                                    for child in cell.children[k - 1 :]
-                                    for g in child.children
-                                )
-                            assert subcells(cell, k, grid) == expect
-                for r in range(max(grid.root.begin, 0), grid.root.end):
-                    for group in build_segments(Job(1, r, 1, 1), grid):
-                        if group.segments:
-                            widths = {b - a for a, b in group.segments}
-                            assert widths == {group.cell.piece_width}
+        for T, shift in ((0, 0), (5, 0), (13, 2), (40, 7), (100, 31)):
+            grid = build_grid(T, K, shift=shift)
+            for level in grid.levels:
+                for cell in level:
+                    if cell.is_leaf:
+                        assert cell.length == 1
+                        assert subcells(cell, 1, grid) == ((cell.begin, cell.end),)
+                        continue
+                    for k in range(1, K + 1):
+                        if cell.children[0].is_leaf:
+                            lo = cell.children[k - 1].begin
+                            expect = tuple((x, x + 1) for x in range(lo, cell.end))
+                        else:
+                            expect = tuple(
+                                (g.begin, g.end)
+                                for child in cell.children[k - 1 :]
+                                for g in child.children
+                            )
+                        assert subcells(cell, k, grid) == expect
+            for r in range(max(grid.root.begin, 0), grid.root.end):
+                for group in build_segments(Job(1, r, 1, 1), grid):
+                    if group.segments:
+                        widths = {b - a for a, b in group.segments}
+                        assert widths == {group.cell.piece_width}
 
 
 def test_subcells_count_bounded_by_k_squared():
@@ -179,14 +183,13 @@ def test_settled_rays_match_per_t_reference():
     tables = 0
     for trial in range(48):
         K = 2 if trial % 2 else 3
-        leaf_len = rng.randint(1, K)
         epsilon = Fraction(1, 2) if trial % 4 < 2 else 1
         inst = make_instance(
             [(rng.randint(0, 4), rng.randint(1, 4), rng.randint(1, 4))
              for _ in range(rng.randint(1, 4 if K == 2 else 3))],
             epsilon,
         )
-        cov = reduce_instance(inst, K, trial, leaf_len=leaf_len)
+        cov = reduce_instance(inst, K, trial)
         solver = DpSolver(cov)
         solver.solve()
         for (job, level, begin, k), tab in solver._tables.items():
@@ -381,6 +384,26 @@ def test_canonical_group_left_of_release_rejected():
         solver.solve_cell(2, grid.root, 2, {})
 
 
+def test_non_canonical_leaf_state_with_a_rectangle_rejected():
+    # row 2's leaf group lies in the area of (job 1, leaf [1, 2), k=1), but
+    # row 1 has no rectangle over that leaf; the reduction never builds this
+    inst = make_instance([(0, 2, 1), (1, 1, 1)])
+    grid = build_grid(T=4, K=2)
+    cov = CoveringInstance(
+        inst,
+        grid,
+        [
+            PrefixGroup(job=1, cell=cell_at(grid, grid.lmax, 0), rectangles=(
+                Rectangle(rid=0, job=1, x_begin=0, x_end=1, cost=1, capacity=2),)),
+            PrefixGroup(job=2, cell=cell_at(grid, grid.lmax, 1), rectangles=(
+                Rectangle(rid=1, job=2, x_begin=1, x_end=2, cost=1, capacity=1),)),
+        ],
+    )
+    solver = DpSolver(cov)
+    with pytest.raises(DpError, match=r"non-canonical leaf state \(job=1, leaf \[1,2\)\)"):
+        solver.solve_cell(1, cell_at(grid, grid.lmax, 1), 1, {})
+
+
 def test_carry_outside_subdivision_rejected():
     cov = cov_for([(0, 4, 1)])
     solver = DpSolver(cov)
@@ -426,21 +449,21 @@ def test_dp_counters_pinned_per_draw():
     # the memo's empty-selection and infeasible entries
     rng = Random(2021)
     rows = []
-    for K, leaf_len, draws in ((2, 1, 300), (3, 1, 30), (3, 3, 30), (2, 2, 60)):
+    for K, draws in ((2, 300), (3, 60), (4, 60)):
         for seed in range(draws):
             inst = make_instance(
                 [(rng.randint(0, 4), rng.randint(1, 4), rng.randint(1, 4))
                  for _ in range(rng.randint(1, 5 if K == 2 else 3))]
             )
-            solver = DpSolver(reduce_instance(inst, K, seed, leaf_len=leaf_len))
+            solver = DpSolver(reduce_instance(inst, K, seed))
             result = solver.solve()
             st = result.stats
             memo = list(solver.memo.values())
             rows.append((
-                K, leaf_len, result.cost, result.selection.sorted_ids(),
-                st.states, st.triples, st.max_carry, st.max_depth,
+                K, result.cost, result.selection.sorted_ids(),
+                st.states, st.triples, st.carry_vectors, st.max_carry, st.max_depth,
                 memo.count((0, ())), memo.count(None),
             ))
     assert len(rows) == 420
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == "df7c78e29d626fa9161502672cb95c39a411ac8eedc92da9635cd7fdc145f907"
+    assert digest == "1e3b1d1b4e16f0146ad5b6ef830815ba3c5856acfc55ccddaf39fdc99e42882d"

@@ -35,23 +35,25 @@ def random_jobs(rng, n, spread):
 # -- build_grid ---------------------------------------------------------------
 
 
-def test_build_grid_k2_leaf2():
-    grid = build_grid(T=8, K=2, shift=0, leaf_len=2)
-    assert grid.lmax == 2
+def test_build_grid_k2_unit_leaves():
+    grid = build_grid(T=8, K=2, shift=0)
+    assert grid.lmax == 3
     assert [(c.begin, c.end) for c in grid.levels[0]] == [(0, 8)]
     assert [(c.begin, c.end) for c in grid.levels[1]] == [(0, 4), (4, 8)]
     assert [(c.begin, c.end) for c in grid.levels[2]] == [(0, 2), (2, 4), (4, 6), (6, 8)]
+    assert [(c.begin, c.end) for c in grid.levels[3]] == [(x, x + 1) for x in range(8)]
+    assert all(c.is_leaf for c in grid.levels[3]) and not grid.levels[2][0].is_leaf
 
 
 def test_build_grid_k3_unit_leaves():
-    grid = build_grid(T=3, K=3, shift=0, leaf_len=1)
+    grid = build_grid(T=3, K=3, shift=0)
     assert grid.lmax == 1
     assert (grid.root.begin, grid.root.end) == (0, 3)
     assert [(c.begin, c.end) for c in grid.levels[1]] == [(0, 1), (1, 2), (2, 3)]
 
 
 def test_build_grid_shifted_independent_recount():
-    grid = build_grid(T=5, K=2, shift=1, leaf_len=1)
+    grid = build_grid(T=5, K=2, shift=1)
     assert (grid.root.begin, grid.root.end) == (-1, 7)
     assert grid.lmax == 3
     # recompute the subdivision independently: level l has 2**l cells of
@@ -67,8 +69,6 @@ def test_build_grid_parameter_bounds():
     with pytest.raises(ValueError):
         build_grid(T=4, K=1)
     with pytest.raises(ValueError):
-        build_grid(T=4, K=2, leaf_len=3)
-    with pytest.raises(ValueError):
         build_grid(T=4, K=2, shift=-1)
     with pytest.raises(ValueError):
         build_grid(T=-1, K=2)
@@ -80,23 +80,23 @@ def test_root_length_bound_when_horizon_within_np():
         for K in (2, 3):
             base = root_length(T, K)
             for shift in (0, base // 2, base - 1):
-                assert root_length(T, K, 1, shift) < K * K * max(T, 1)
+                assert root_length(T, K, shift) < K * K * max(T, 1)
 
 
 # -- cell_at ------------------------------------------------------------------
 
 
 def test_cell_at_examples():
-    grid = build_grid(T=8, K=2, shift=0, leaf_len=2)
+    grid = build_grid(T=8, K=2, shift=0)
     assert (cell_at(grid, 2, 5).begin, cell_at(grid, 2, 5).end) == (4, 6)
     assert cell_at(grid, 0, 3) is grid.root
     assert (cell_at(grid, 1, 7).begin, cell_at(grid, 1, 7).end) == (4, 8)
 
 
 def test_cell_at_bounds():
-    grid = build_grid(T=8, K=2, shift=0, leaf_len=2)
+    grid = build_grid(T=8, K=2, shift=0)
     with pytest.raises(ValueError):
-        cell_at(grid, 3, 0)
+        cell_at(grid, 4, 0)
     with pytest.raises(ValueError):
         cell_at(grid, 1, 8)
 
@@ -143,7 +143,7 @@ def test_cell_path_round_trips_through_parent():
 
 def test_levels_match_independent_recount_after_lazy_access():
     # touch one leaf first: the rest of the tree is still built on demand
-    grid = build_grid(T=5, K=2, shift=1, leaf_len=1)
+    grid = build_grid(T=5, K=2, shift=1)
     cell_at(grid, 3, 4)
     for level in range(4):
         width = 8 // (2**level)
@@ -155,23 +155,24 @@ def test_levels_match_independent_recount_after_lazy_access():
 
 
 def test_segments_example_r5():
-    grid = build_grid(T=8, K=2, shift=0, leaf_len=2)
+    grid = build_grid(T=8, K=2, shift=0)
     groups = build_segments(Job(1, 5, 1, 1), grid)
     by_cell = {(g.cell.begin, g.cell.end): g.segments for g in groups}
-    assert by_cell[(4, 6)] == ((5, 6),)
+    assert by_cell[(5, 6)] == ((5, 6),)
+    assert by_cell[(4, 6)] == ()
     assert by_cell[(4, 8)] == ((6, 7), (7, 8))
     assert by_cell[(0, 8)] == ()
     assert intervals_partition(segments_flat(groups), 5, 8)
 
 
 def test_segments_full_span_from_root_begin():
-    grid = build_grid(T=8, K=2, shift=0, leaf_len=2)
+    grid = build_grid(T=8, K=2, shift=0)
     groups = build_segments(Job(1, 0, 1, 1), grid)
     assert intervals_partition(segments_flat(groups), 0, 8)
 
 
 def test_segments_last_slot_only():
-    grid = build_grid(T=8, K=2, shift=0, leaf_len=2)
+    grid = build_grid(T=8, K=2, shift=0)
     groups = build_segments(Job(1, 7, 1, 1), grid)
     assert segments_flat(groups) == [(7, 8)]
 
@@ -186,11 +187,10 @@ def test_segment_structure_invariants_random():
     rng = Random(123)
     for trial in range(60):
         K = rng.choice([2, 3])
-        leaf_len = rng.randint(1, K)
         inst = random_jobs(rng, rng.randint(1, 4), spread=8)
         T = max(j.release for j in inst.jobs) + sum(j.processing for j in inst.jobs)
-        shift = rng.randrange(root_length(T, K, leaf_len))
-        grid = build_grid(T, K, shift=shift, leaf_len=leaf_len)
+        shift = rng.randrange(root_length(T, K))
+        grid = build_grid(T, K, shift=shift)
         for job in inst.jobs:
             groups = build_segments(job, grid)
             flat = segments_flat(groups)

@@ -232,6 +232,35 @@ def test_check_rejects_mistyped_epsilon(tmp_path, capsys):
     assert captured.err == ""
 
 
+def test_check_rejects_zero_denominator_epsilon(tmp_path, capsys):
+    inst, sol, record = _solve_record(tmp_path)
+    record["epsilon"] = "1/0"
+    sol.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["check", "--instance", str(inst), "--solution", str(sol)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        f"check: FAIL {sol} field 'epsilon' must be a positive fraction such as 1 or 1/2, "
+        "got '1/0'\n"
+    )
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("leaf_len", [2, 0])
+def test_check_rejects_leaf_len_other_than_one(tmp_path, capsys, leaf_len):
+    inst, sol, record = _solve_record(tmp_path)
+    assert record["leaf_len"] == 1
+    record["leaf_len"] = leaf_len
+    sol.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["check", "--instance", str(inst), "--solution", str(sol)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        f"check: FAIL {sol} field 'leaf_len' must be 1 (leaves are unit cells), got {leaf_len}\n"
+    )
+    assert captured.err == ""
+
+
 def test_check_rejects_mistyped_selection(tmp_path, capsys):
     inst, sol, record = _solve_record(tmp_path)
     for selection, shown in (
@@ -472,7 +501,6 @@ def test_verify_regression_capture(tmp_path, monkeypatch):
         return VerifyReport(
             seed=cfg.seed + trial,
             K=cfg.K,
-            leaf_len=1,
             epsilon="1",
             shift=0,
             n=1,
@@ -503,6 +531,7 @@ def test_verify_regression_capture(tmp_path, monkeypatch):
     assert len(saved) == 1
     meta = json.loads(saved[0].read_text())
     assert meta["status"] == "mismatch" and meta["seed"] == 80
+    assert meta["leaf_len"] == 1
 
 
 def test_verify_saves_instance_when_dp_raises(tmp_path, monkeypatch, capsys):
@@ -521,6 +550,47 @@ def test_verify_saves_instance_when_dp_raises(tmp_path, monkeypatch, capsys):
     assert [p.name for p in saved] == ["regression_seed3.json", "regression_seed4.json"]
     meta = json.loads(saved[0].read_text())
     assert meta["status"] == "dp_infeasible" and meta["instance"]["jobs"]
+
+
+@pytest.mark.parametrize("command", ["reduce", "solve", "pipeline", "verify"])
+def test_leaf_len_flag_removed(tmp_path, capsys, command):
+    inst = tmp_path / "inst.json"
+    main(["gen", "--seed", "3", "--out", str(inst)])
+    argv = [command, "--leaf-len", "1"]
+    if command != "verify":
+        argv += ["--instance", str(inst)]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --leaf-len 1" in capsys.readouterr().err
+
+
+def test_epsilon_flag_with_zero_denominator_rejected(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    main(["gen", "--seed", "3", "--out", str(inst)])
+    _assert_one_line_error(
+        [
+            ["gen", "--epsilon", "1/0"],
+            ["verify", "--epsilon", "1/0"],
+            *(argv + ["--epsilon", "1/0"] for argv in _instance_commands(inst)[:3]),
+        ],
+        capsys,
+        "epsilon must be a positive fraction such as 1 or 1/2, got '1/0'",
+    )
+
+
+def test_instance_zero_denominator_epsilon_rejected(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    main(["gen", "--seed", "3", "--out", str(inst)])
+    payload = json.loads(inst.read_text())
+    payload["epsilon"] = "1/0"
+    inst.write_text(json.dumps(payload))
+    _assert_one_line_error(
+        _instance_commands(inst),
+        capsys,
+        "field 'epsilon' must be a positive fraction such as 1 or 1/2, got '1/0'",
+    )
 
 
 def test_cli_error_exit_code(tmp_path, capsys):

@@ -18,9 +18,9 @@ from flowcover.oracle import (
 )
 
 
-def cov_for(triples, K=2, shift=0, leaf_len=1):
+def cov_for(triples, K=2, shift=0):
     inst = make_instance(triples)
-    grid = build_grid(total_horizon(inst), K, shift=shift, leaf_len=leaf_len)
+    grid = build_grid(total_horizon(inst), K, shift=shift)
     return build_covering(inst, grid)
 
 
@@ -44,10 +44,12 @@ def test_empty_instance_yields_empty_minimum():
 
 
 def test_single_group_prefix_enumeration():
-    # one job whose segments all land in the root leaf: one group of three
-    # rectangles, four prefixes; the cheapest feasible one keeps two
-    cov = cov_for([(0, 2, 1)], K=3, leaf_len=3)
-    assert len(cov.groups) == 1 and len(cov.groups[0].rectangles) == 3
+    # one job on the root [0, 3) over three unit leaves: a group of one
+    # rectangle in its leaf, a group of two in the root; the rays [0, 0] and
+    # [0, 1] need the first rectangle of each group, [0, 2] needs nothing
+    cov = cov_for([(0, 2, 1)], K=3)
+    assert [len(g.rectangles) for g in cov.groups] == [1, 2]
+    assert [r.x_interval for r in cov.rectangles] == [(0, 1), (1, 2), (2, 3)]
     cost, sel = brute_force_covering(cov)
     assert sel.sorted_ids() == (0, 1)
     assert cost == 2
@@ -157,9 +159,9 @@ def test_budget_env_must_be_a_non_negative_integer(monkeypatch):
 
 
 def test_derive_shift_seeded_and_in_range():
-    assert derive_shift(10, 2, 1, seed=3) == derive_shift(10, 2, 1, seed=3)
+    assert derive_shift(10, 2, seed=3) == derive_shift(10, 2, seed=3)
     for seed in range(40):
-        assert 0 <= derive_shift(10, 2, 1, seed) < root_length(10, 2)
+        assert 0 <= derive_shift(10, 2, seed) < root_length(10, 2)
 
 
 # -- verify_pair -----------------------------------------------------------------
