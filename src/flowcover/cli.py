@@ -116,10 +116,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         record.update(
             cost=result.cost,
             selection=list(result.selection.sorted_ids()),
-            states=result.stats.states,
-            max_depth=result.stats.max_depth,
             feasible=True,
         )
+        # counters describe the search, not the answer: stats only
         stats = {
             "states": result.stats.states,
             "max_depth": result.stats.max_depth,
@@ -158,6 +157,8 @@ def _record_type_error(record: dict) -> str | None:
     for key in _SOLVE_RECORD_INTS:
         if type(record[key]) is not int:
             return f"field {key!r} must be an integer, got {record[key]!r}"
+    if record["K"] < 2:
+        return f"field 'K' must be >= 2, got {record['K']}"
     if record["leaf_len"] != 1:
         return f"field 'leaf_len' must be 1 (leaves are unit cells), got {record['leaf_len']}"
     try:

@@ -56,22 +56,25 @@ def csv_row(*cells: int | None) -> str:
     return ",".join("" if c is None else str(c) for c in cells)
 
 
-def random_instance(rng: Random, n_max: int, p_max: int, w_max: int) -> JobInstance:
-    """Uniform draw within the caps; releases land in [0, p_max]."""
+def random_instance(
+    rng: Random, n_max: int, p_max: int, w_max: int, epsilon: Fraction = Fraction(1)
+) -> JobInstance:
+    """Uniform draw within the caps; releases land in [0, p_max].  The
+    instance carries ``epsilon``, so a later solve without one uses it."""
     n = rng.randint(1, n_max)
     triples = [
         (rng.randint(0, p_max), rng.randint(1, p_max), rng.randint(1, w_max))
         for _ in range(n)
     ]
-    return make_instance(triples)
+    return make_instance(triples, epsilon)
 
 
 def campaign_instance(seed: int, cfg: CampaignConfig) -> JobInstance:
     """Seeded draw, redrawn until the preprocessed horizon fits the cap."""
     rng = Random(seed)
     for _ in range(MAX_DRAW_ATTEMPTS):
-        inst = random_instance(rng, cfg.n_max, cfg.p_max, cfg.w_max)
-        work = perturb_release_times(inst, cfg.epsilon)
+        inst = random_instance(rng, cfg.n_max, cfg.p_max, cfg.w_max, cfg.epsilon)
+        work = perturb_release_times(inst)
         if total_horizon(work) <= cfg.horizon_max:
             return inst
     raise RuntimeError(
@@ -111,8 +114,9 @@ class CampaignResult:
         return tuple(r for r in self.reports if not r.ok and not r.skipped)
 
     def summary_dict(self) -> dict:
-        """Campaign summary; it holds no timing, so the output is
-        byte-identical across repeated runs and worker counts."""
+        """Campaign summary; it holds answers only, no timing and no search
+        counters, so the output is byte-identical across repeated runs and
+        worker counts, and a change to the search alone leaves it unchanged."""
         rows = [
             {
                 "trial": trial,
@@ -126,7 +130,6 @@ class CampaignResult:
                 "oracle_cost": r.oracle_cost,
                 "dp_selection": list(r.dp_selection or ()),
                 "oracle_selection": list(r.oracle_selection or ()),
-                "states": r.dp_states,
             }
             for trial, r in enumerate(self.reports)
         ]

@@ -1,4 +1,5 @@
 import hashlib
+from functools import cache
 from fractions import Fraction
 from random import Random
 
@@ -423,20 +424,19 @@ def test_carry_outside_subdivision_rejected_on_tabled_triple():
         solver.solve_cell(1, cov.grid.root, 1, {(0, 1): 1})
 
 
-def test_baseline_row_k2_n8_seed3():
+def _baseline_row_k2_n8_seed3():
     # the K=2, n=8 row of the seed-3 baseline in ROADMAP.md
     rng = Random(3)
     triples = [(rng.randint(0, 4), rng.randint(1, 4), rng.randint(1, 4)) for _ in range(8)]
     work = perturb_release_times(make_instance(triples), 1)
     cov = build_covering(work, reduction_grid(total_horizon(work), 2, 3))
     solver = DpSolver(cov)
-    result = solver.solve()
-    stats = result.stats
-    # carry_vectors counts distinct dense carries (one int per piece)
-    assert (stats.states, stats.triples, stats.carry_vectors) == (1864, 139, 737)
-    entries = list(solver.memo.values())
-    assert sum(1 for e in entries if e == (0, ())) == 641
-    assert sum(1 for e in entries if e is None) == 660
+    return solver, solver.solve()
+
+
+def test_baseline_row_k2_n8_seed3():
+    # answers only; the search's counters are pinned separately below
+    _, result = _baseline_row_k2_n8_seed3()
     assert result.cost == 1163
     assert result.selection.sorted_ids() == (
         *range(0, 7), *range(8, 14), *range(21, 32), *range(35, 41), 42,
@@ -444,9 +444,21 @@ def test_baseline_row_k2_n8_seed3():
     )
 
 
-def test_dp_counters_pinned_per_draw():
-    # per draw: cost, selection and the DP's structural counters, including
-    # the memo's empty-selection and infeasible entries
+def test_baseline_row_k2_n8_seed3_counters():
+    solver, result = _baseline_row_k2_n8_seed3()
+    stats = result.stats
+    # carry_vectors counts distinct dense carries (one int per piece)
+    assert (stats.states, stats.triples, stats.carry_vectors) == (1864, 139, 737)
+    entries = list(solver.memo.values())
+    assert sum(1 for e in entries if e == (0, ())) == 641
+    assert sum(1 for e in entries if e is None) == 660
+
+
+@cache
+def _per_draw_rows():
+    """(answers, counters) per draw: cost and selection, then the DP's
+    structural counters, including the memo's empty-selection and
+    infeasible entries."""
     rng = Random(2021)
     rows = []
     for K, draws in ((2, 300), (3, 60), (4, 60)):
@@ -460,10 +472,23 @@ def test_dp_counters_pinned_per_draw():
             st = result.stats
             memo = list(solver.memo.values())
             rows.append((
-                K, result.cost, result.selection.sorted_ids(),
-                st.states, st.triples, st.carry_vectors, st.max_carry, st.max_depth,
-                memo.count((0, ())), memo.count(None),
+                (K, result.cost, result.selection.sorted_ids()),
+                (st.states, st.triples, st.carry_vectors, st.max_carry, st.max_depth,
+                 memo.count((0, ())), memo.count(None)),
             ))
     assert len(rows) == 420
-    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == "1e3b1d1b4e16f0146ad5b6ef830815ba3c5856acfc55ccddaf39fdc99e42882d"
+    return rows
+
+
+def test_dp_answers_pinned_per_draw():
+    # a change to how the DP searches must leave this digest as it is
+    answers = [row[0] for row in _per_draw_rows()]
+    digest = hashlib.sha256(repr(answers).encode()).hexdigest()
+    assert digest == "bd4c0cff27bafd313638ee8f05cf092142bee8afd47c4d68d100e18e03e494fa"
+
+
+def test_dp_counters_pinned_per_draw():
+    # re-pinned only by a change that means to change the search
+    counters = [row[1] for row in _per_draw_rows()]
+    digest = hashlib.sha256(repr(counters).encode()).hexdigest()
+    assert digest == "ee49f2e0db45ec302a9cab9b748b910202e1688092cf4ebe0aa0de169b1204b9"

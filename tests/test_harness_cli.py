@@ -110,6 +110,19 @@ def test_gen_ignores_the_oracle_budget_env(tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_gen_instance_carries_its_epsilon(tmp_path):
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--seed", "1", "--n", "3", "--epsilon", "1/3", "--out", str(inst)]) == 0
+    assert json.loads(inst.read_text())["epsilon"] == "1/3"
+    # a solve without --epsilon reduces with the instance's own 1/3
+    plain, explicit = tmp_path / "plain.json", tmp_path / "explicit.json"
+    argv = ["solve", "--instance", str(inst), "--seed", "1"]
+    assert main(argv + ["--out", str(plain)]) == 0
+    assert main(argv + ["--epsilon", "1/3", "--out", str(explicit)]) == 0
+    assert json.loads(plain.read_text())["epsilon"] == "1/3"
+    assert plain.read_bytes() == explicit.read_bytes()
+
+
 def test_gen_rejects_zero_jobs(tmp_path, capsys):
     rc = main(["gen", "--n", "0", "--out", str(tmp_path / "x.json")])
     assert rc == 2
@@ -216,6 +229,18 @@ def test_check_rejects_mistyped_integer_field(tmp_path, capsys, key, value, show
     assert main(["check", "--instance", str(inst), "--solution", str(sol)]) == 1
     captured = capsys.readouterr()
     assert captured.out == f"check: FAIL {sol} field {key!r} must be an integer, got {shown}\n"
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("K", [1, 0, -3])
+def test_check_rejects_K_below_two(tmp_path, capsys, K):
+    inst, sol, record = _solve_record(tmp_path)
+    record["K"] = K
+    sol.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["check", "--instance", str(inst), "--solution", str(sol)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"check: FAIL {sol} field 'K' must be >= 2, got {K}\n"
     assert captured.err == ""
 
 
