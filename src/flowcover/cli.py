@@ -119,11 +119,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
             feasible=True,
         )
         # counters describe the search, not the answer: stats only
+        st = result.stats
         stats = {
-            "states": result.stats.states,
-            "max_depth": result.stats.max_depth,
-            "carry_vectors": result.stats.carry_vectors,
-            "wall_ms": round(result.stats.wall_ms, 3),
+            "states": st.states,
+            "canonical_states": st.canonical_states,
+            "split_states": st.split_states,
+            "theta_decided": st.theta_decided,
+            "phi_decided": st.phi_decided,
+            "clamped": st.clamped,
+            "max_depth": st.max_depth,
+            "carry_vectors": st.carry_vectors,
+            "wall_ms": round(st.wall_ms, 3),
         }
     else:
         cost, selection = brute_force_covering(cov)

@@ -142,8 +142,9 @@ class CoveringInstance:
     ``releases`` holds the jobs' release times in release order, and
     ``proc_prefix[j]`` is p_1 + ... + p_j, the processing of the first j
     jobs, for j = 0..n.  Raises ValueError unless ids run 0..N-1 in group
-    order, rows never decrease and every rectangle's capacity is its job's
-    processing.
+    order, rows never decrease, every rectangle's capacity is its job's
+    processing and every rectangle costs at least 1 (the DP's threshold
+    bounds rely on it).
     """
 
     def __init__(self, instance: JobInstance, grid: Grid, groups: Sequence[PrefixGroup]):
@@ -162,6 +163,8 @@ class CoveringInstance:
                 problem = f"in row {r.job} follows row {prev} (rows must not decrease)"
             elif not 1 <= r.job <= instance.n or r.capacity != instance.jobs[r.job - 1].processing:
                 problem = f"in row {r.job} has capacity {r.capacity}, not its job's processing"
+            elif r.cost < 1:
+                problem = f"costs {r.cost}; every rectangle must cost at least 1"
             else:
                 continue
             raise ValueError(f"rectangle {r.rid} {problem}")

@@ -14,15 +14,14 @@ The solver walks states (job, cell, k, carry) top-down with memoization:
   are still owed: the state must cover d([r_job, t]) plus the carry of the
   piece containing t.
 
-A state where A holds no rectangle stores the empty selection: rays met
-entirely inside such an area can have no positive demand, and no carried
-obligation can reference them.  A state is *canonical* when the job's own
-rectangles in the cell exactly span A's x-range; the solver then tries every
-prefix of that group, checks the rays that no deeper row can still affect,
-re-derives the carry for the next row (selected capacity pays the debt, the
-job's own processing and the gap to the next release shift it), and recurses
-with job+1.  Otherwise the area splits along the k-th child into two
-independent states.
+A state is *canonical* when the job's own rectangles in the cell exactly
+span A's x-range; the solver then tries every prefix of that group, checks
+the rays that no deeper row can still affect, re-derives the carry for the
+next row (selected capacity pays the debt, the job's own processing and the
+gap to the next release shift it), and recurses with job+1.  Otherwise the
+area *splits* along the k-th child into two independent states.  These are
+the two kinds of state the solver searches; an area that holds no rectangle
+is never searched (below).
 
 Every carry transition is a slice, because the pieces of the next state are
 a run of the current state's pieces, or of their cuts.  A split keeps the
@@ -31,20 +30,49 @@ hands the left part the first ``inside`` values, each repeated ``fan``
 times, since each of those pieces holds ``fan`` of the child's pieces.  A
 canonical step keeps the pieces and maps each value through ``next_carry``.
 
+Threshold bounds decide most states without a search.  Fix a prefix-valid
+selection S of the area.  A carried value reaches only the rays inside its
+own piece, and raises their demand one for one, so S covers the state
+exactly when v_i <= tau_i(S) on every piece i, for some per-piece threshold
+tau_i(S).  Selecting more never lowers a threshold: paid <= unpaid in
+``next_carry``.  Every prefix-valid S lies between the empty selection and
+the full one, so with theta = tau(empty) and phi = tau(full):
+
+- some v_i > phi_i: no selection covers the state, which is infeasible;
+- v <= theta: the empty selection covers it.  Every rectangle costs at
+  least 1 (``CoveringInstance`` checks it), so the answer is (0, ());
+- otherwise a value with v_i <= theta_i is met by every selection, and is
+  set to 0: the feasible selections, hence the cost and the tie-break, stay
+  the same, and states that differ only there share one memo entry.
+
+theta and phi are filled once per (job, cell, k), bottom-up through the
+same recurrences as the states.  An area without rectangles bounds nothing.
+A canonical triple with gap g and p = p_job reads its child (job+1, cell,
+k): theta_i = theta'_i - p + g and phi_i = phi'_i + g, or -1 where the
+child's value is negative; on a settled piece with largest demand dem_i
+they are also capped at -dem_i and p - dem_i.  A split takes, for each
+piece of the k-th child, the minimum over its ``fan`` child pieces, then the
+right part's values.  Values are clipped to -1..B, where B is the processing
+of the rows above, the largest value a carry of the row may hold, so B
+means "no bound"; and trailing B values are dropped, so a vector is only as
+long as its last real bound.  Callers decide a state from its bounds before
+they recurse; the memo stores only searched states, so ``states`` counts
+the states a solve actually searched.
+
 Costs, demands, and coordinates are integers throughout; ties between
 equal-cost solutions go to the lexicographically smallest sorted tuple of
 rectangle ids, so results are deterministic.  The root state covers the full
 plane with zero carry, which is exactly the covering problem; its solution is
 re-verified against the exhaustive interval scan before being returned.
 
-Work that does not depend on the carry is done once per (job, cell, k), the
-first time a state of that triple is reached, and kept in a
-``TripleTable``: the number of pieces, whether the area holds a rectangle,
+Work that does not depend on the carry is done once per (job, cell, k) and
+kept in a ``TripleTable``: the number of pieces, the two bound vectors,
 whether the triple is canonical and, if so, the largest demand of each
 settled piece and the cost and ids of every prefix of the group, or, for a
-split, the two slice widths.  Tables and memo entries are keyed on plain
-integers, ``(job, cell.level, cell.begin, k)``, with the carry appended for
-the memo, so no cell object is hashed on the way.
+split, the two slice widths.  Each table links the tables of its child
+triples, so a search step looks up no table.  Tables and memo entries are
+keyed on plain integers, ``(job, cell.level, cell.begin, k)``, with the
+carry appended for the memo, so no cell object is hashed on the way.
 
 Settled rays need no per-t scan.  Only the rays [r_job, t] can bind (the
 rule in ``covering``); one is settled at row ``job``, crossing no deeper row,
@@ -60,8 +88,9 @@ The structural checks (the pieces tile the area; every deeper group lies
 wholly inside or outside it, under the state's cell; a canonical group is
 the pieces, from r_job on) run when the table is built.  The carry checks
 (one value per piece, each in 0..the processing of the rows above) run for
-every state, so a state's own carry is never trusted because its triple was
-seen before.
+every carry handed in from outside, before its bounds decide it, and for
+every state that is searched, so a carry is never trusted because its
+triple was seen before.
 """
 
 from __future__ import annotations
@@ -70,6 +99,7 @@ import sys
 import time
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import gt, le
 
 from .covering import (
     CoveringInstance,
@@ -81,9 +111,12 @@ from .covering import (
 from .grid import Grid, GridCell, Interval, chunk
 
 Carry = tuple[int, ...]  # one value per piece of the area, left to right
+Bounds = tuple[int, ...]  # one value per piece, up to the last real bound
+Entry = tuple[int, tuple[int, ...]]  # (cost, sorted ids)
 TableKey = tuple[int, int, int, int]  # (job, cell.level, cell.begin, k)
 StateKey = tuple[TableKey, Carry]
-_UNSOLVED = object()  # memo default; a stored None means infeasible
+ZERO: Entry = (0, ())  # the empty selection
+_UNSOLVED = object()  # memo default
 
 
 class DpError(RuntimeError):
@@ -128,55 +161,168 @@ def next_carry(carry_value: int, processing: int, release_gap: int, paid_capacit
     return max(0, carry_value + processing - release_gap - paid_capacity)
 
 
+def _trimmed(lo: int, theta: list[int], phi: list[int], top: int) -> tuple[int, Bounds, Bounds]:
+    """The bounds from piece ``lo`` on, without the leading and trailing
+    pieces where theta is ``top``: no bound.  theta <= phi <= top, so phi is
+    ``top`` there too."""
+    a, b = 0, len(theta)
+    while a < b and theta[a] == top:
+        a += 1
+    while b > a and theta[b - 1] == top:
+        b -= 1
+    return lo + a, tuple(theta[a:b]), tuple(phi[a:b])
+
+
+def _canonical_bounds(
+    child: TripleTable, settled: tuple[int, ...], p: int, gap: int, top: int
+) -> tuple[int, Bounds, Bounds]:
+    """(lo, theta, phi) of a canonical triple from its child's: the child's
+    value minus p plus gap for theta, plus gap for phi, -1 where it is
+    negative; on a settled piece capped at -dem and p - dem; clipped to
+    -1..``top``.  Outside the child's window the child has no bound."""
+    clo, c_theta, c_phi = child.lo, child.theta, child.phi
+    chi = clo + len(c_theta)
+    lo = 0 if settled else clo
+    theta, phi = [], []
+    for i in range(lo, max(len(settled), chi)):
+        if clo <= i < chi:
+            t, f = c_theta[i - clo], c_phi[i - clo]
+        else:
+            t = f = child.top
+        t = t - p + gap if t >= 0 else -1
+        f = f + gap if f >= 0 else -1
+        if i < len(settled):
+            t = min(t, -settled[i])
+            f = min(f, p - settled[i])
+        theta.append(-1 if t < 0 else min(t, top))
+        phi.append(-1 if f < 0 else min(f, top))
+    return _trimmed(lo, theta, phi, top)
+
+
+def _split_bounds(
+    left: TripleTable, right: TripleTable | None, fan: int, inside: int, top: int
+) -> tuple[int, Bounds, Bounds]:
+    """(lo, theta, phi) of a split triple: for each piece of the k-th child,
+    the minimum over its ``fan`` pieces in the left part, then the right
+    part's values.  Both parts belong to one row, so they share ``top``."""
+    theta: list[int] = []
+    phi: list[int] = []
+    lo = hi = 0
+    if left.theta:
+        # the pieces of the k-th child that hold the left part's window
+        lo = left.lo // fan
+        hi = (left.lo + len(left.theta) - 1) // fan + 1
+        pad_lo = [top] * (left.lo - lo * fan)
+        pad_hi = [top] * (hi * fan - left.lo - len(left.theta))
+        for src, out in ((left.theta, theta), (left.phi, phi)):
+            run = pad_lo + list(src) + pad_hi
+            out.extend(run if fan == 1 else (min(run[j : j + fan]) for j in range(0, len(run), fan)))
+    if right is not None and right.theta:
+        r_lo = inside + right.lo
+        if not theta:
+            return r_lo, right.theta, right.phi
+        gap = [top] * (r_lo - hi)
+        theta += gap + list(right.theta)
+        phi += gap + list(right.phi)
+    return lo, tuple(theta), tuple(phi)
+
+
+def _clamp(carry: Carry, lo: int, theta: Bounds) -> tuple[Carry, int]:
+    """``carry`` with 0 on every piece where it is at most theta, pieces
+    outside the window included, and the number of positive values that
+    zeroed; ``carry`` itself when it zeroed none."""
+    kept = [0] * lo + [v if v > t else 0 for v, t in zip(carry[lo:], theta)]
+    kept += [0] * (len(carry) - len(kept))
+    zeroed = kept.count(0) - carry.count(0)
+    return (tuple(kept) if zeroed else carry), zeroed
+
+
 class TripleTable:
     """Carry-independent facts of one (job, cell, k), shared by all its states.
 
-    ``n_pieces`` is the number of pieces of the area, so the length of
-    every carry of the triple.  Canonical triples, whose group's rectangles
-    are the pieces, fill:
+    ``key`` is the triple's integer key, ``n_pieces`` the number of pieces
+    of the area, so the length of every carry of the triple, and ``top``
+    the processing of the rows above, the largest value a carry may hold.
+    ``theta`` and ``phi`` are the bound vectors of the module docstring
+    (``top`` meaning no bound) on the window of pieces from ``lo`` to the
+    last real bound of theta; a piece outside the window has no bound.  An
+    area without a rectangle has both empty.
+
+    Canonical triples, whose group's rectangles are the pieces, fill:
 
     - ``settled``: the largest settled demand of each piece in the settled
       prefix of the pieces;
-    - ``gap``: the release gap to the next row;
+    - ``p`` and ``gap``: the job's processing and the release gap to the
+      next row;
     - ``prefix_cost`` and ``prefix_ids``: the cost and the ids of the first
-      ``take`` rectangles, for take = 0..len(group).
+      ``take`` rectangles, for take = 0..len(group);
+    - ``child``: the table of (job+1, cell, k).
 
     Internal triples that split fill ``inside``, the number of pieces in the
-    k-th child, and ``fan``, the number of the child's pieces in each.
+    k-th child, ``fan``, the number of the child's pieces in each, ``left``,
+    the table of (job, k-th child, 1), and ``right``, that of (job, cell,
+    k+1), or None when k = K.
     """
 
     __slots__ = (
+        "key",
         "n_pieces",
-        "has_rectangle",
+        "top",
+        "lo",
+        "theta",
+        "phi",
         "canonical",
         "settled",
+        "p",
         "gap",
         "prefix_cost",
         "prefix_ids",
+        "child",
         "inside",
         "fan",
+        "left",
+        "right",
     )
 
-    def __init__(self, n_pieces: int, has_rectangle: bool, canonical: bool):
+    def __init__(self, key: TableKey, n_pieces: int, top: int, canonical: bool):
+        self.key = key
         self.n_pieces = n_pieces
-        self.has_rectangle = has_rectangle
+        self.top = top
         self.canonical = canonical
+        self.lo = 0
+        self.theta: Bounds = ()
+        self.phi: Bounds = ()
         self.settled: tuple[int, ...] = ()
+        self.p = 0
         self.gap = 0
         self.prefix_cost: tuple[int, ...] = ()
         self.prefix_ids: tuple[tuple[int, ...], ...] = ()
+        self.child: TripleTable | None = None
         self.inside = 0
         self.fan = 0
+        self.left: TripleTable | None = None
+        self.right: TripleTable | None = None
 
 
 @dataclass
 class SolveStats:
+    """Counters of one solve.  ``states`` counts stored memo entries, the
+    states that were searched; ``canonical_states`` and ``split_states``
+    divide them by kind.  ``theta_decided`` and ``phi_decided`` count the
+    carries that the bounds answered without a search, as (0, ()) and as
+    infeasible, and ``clamped`` the positive carry values set to 0."""
+
     states: int = 0
     max_depth: int = 0
     wall_ms: float = 0.0
     triples: int = 0
     carry_vectors: int = 0
     max_carry: int = 0
+    canonical_states: int = 0
+    split_states: int = 0
+    theta_decided: int = 0
+    phi_decided: int = 0
+    clamped: int = 0
 
 
 @dataclass(frozen=True)
@@ -189,29 +335,34 @@ class DpResult:
 class DpSolver:
     """Memoized recursion over covering states; see the module docstring.
 
-    ``memo`` holds one entry per state, keyed ``((job, cell.level,
-    cell.begin, k), carry)``; the entry is (cost, sorted ids), or None when
-    the state is infeasible.
+    ``memo`` holds one entry per searched state, keyed ``((job,
+    cell.level, cell.begin, k), carry)`` with the carry after clamping; the
+    entry is (cost, sorted ids).  States the bounds decide are not stored,
+    so no entry is None (infeasible) or (0, ()).
     """
 
     def __init__(self, cov: CoveringInstance):
         self.cov = cov
         self.grid = cov.grid
-        self.memo: dict[StateKey, tuple[int, tuple[int, ...]] | None] = {}
+        self.memo: dict[StateKey, Entry] = {}
         self._tables: dict[TableKey, TripleTable] = {}
         self._carries: set[Carry] = set()
         self._max_carry = 0
         self._max_depth = 0
+        self._theta_decided = 0
+        self._phi_decided = 0
+        self._clamped = 0
         # _spans_from[job]: (job, x_begin, x_end, cell) of every group in row
-        # job or deeper, so a table build scans only the rows it can reach
+        # job or deeper, so a table build scans only the rows it can reach;
+        # _spans_of[job]: those of row job alone
         spans = [
             (g.job, g.rectangles[0].x_begin, g.rectangles[-1].x_end, g.cell)
             for g in cov.groups
             if g.rectangles
         ]
-        self._spans_from = [
-            tuple(span for span in spans if span[0] >= job) for job in range(cov.instance.n + 2)
-        ]
+        rows = range(cov.instance.n + 2)
+        self._spans_from = [tuple([span for span in spans if span[0] >= job]) for job in rows]
+        self._spans_of = [tuple([span for span in spans if span[0] == job]) for job in rows]
 
     # -- public entry points ------------------------------------------------
 
@@ -230,6 +381,7 @@ class DpSolver:
         report = check_feasible(self.cov, selection)
         if not report.ok:
             raise DpError(f"solver returned an infeasible selection: {report}")
+        canonical = sum(1 for tkey, _ in self.memo if self._tables[tkey].canonical)
         stats = SolveStats(
             states=len(self.memo),
             max_depth=self._max_depth,
@@ -237,12 +389,17 @@ class DpSolver:
             triples=len(self._tables),
             carry_vectors=len(self._carries),
             max_carry=self._max_carry,
+            canonical_states=canonical,
+            split_states=len(self.memo) - canonical,
+            theta_decided=self._theta_decided,
+            phi_decided=self._phi_decided,
+            clamped=self._clamped,
         )
         return DpResult(cost=cost, selection=selection, stats=stats)
 
     def solve_cell(
         self, job: int, cell: GridCell, k: int, carry: dict[Interval, int] | None = None
-    ) -> tuple[int, tuple[int, ...]] | None:
+    ) -> Entry | None:
         """Solve one state directly; None means infeasible.
 
         ``carry`` maps pieces of the area to their values; a piece it leaves
@@ -258,129 +415,187 @@ class DpSolver:
 
     # -- recursion ------------------------------------------------------------
 
-    def _cell(
-        self, job: int, cell: GridCell, k: int, carry: Carry, depth: int
-    ) -> tuple[int, tuple[int, ...]] | None:
-        tkey = (job, cell.level, cell.begin, k)
-        key = (tkey, carry)
-        entry = self.memo.get(key, _UNSOLVED)
-        if entry is not _UNSOLVED:
-            return entry
-        if depth > self._max_depth:
-            self._max_depth = depth
-        self._carries.add(carry)
+    def _cell(self, job: int, cell: GridCell, k: int, carry: Carry, depth: int) -> Entry | None:
+        """A carry from outside the recursion: checked, then decided."""
+        tab = self._table(job, cell, k)
+        self._check_carry(tab, carry)
+        if any(map(gt, carry[tab.lo :], tab.phi)):
+            self._phi_decided += 1
+            return None
+        return self._decide(tab, cell, carry, depth)
 
-        tab = self._tables.get(tkey)
-        if tab is None:
-            tab = self._tables[tkey] = self._build_table(job, cell, k)
+    def _check_carry(self, tab: TripleTable, carry: Carry) -> None:
         if len(carry) != tab.n_pieces:
             raise DpError(f"carry of {len(carry)} values for a state of {tab.n_pieces} pieces")
-        bound = self.cov.proc_prefix[job - 1]  # processing of the rows above
         top = max(carry, default=0)
-        if top > bound or min(carry, default=0) < 0:
-            bad = next(v for v in carry if not 0 <= v <= bound)
-            raise DpError(f"carry value {bad} outside 0..{bound}")
+        if top > tab.top or min(carry, default=0) < 0:
+            bad = next(v for v in carry if not 0 <= v <= tab.top)
+            raise DpError(f"carry value {bad} outside 0..{tab.top}")
         if top > self._max_carry:
             self._max_carry = top
 
-        if not tab.has_rectangle:
-            entry = (0, ())
-        elif tab.canonical:
-            entry = self._canonical(job, cell, k, tab, carry, depth)
-        else:
-            entry = self._split(job, cell, k, tab, carry, depth)
+    def _decide(self, tab: TripleTable, cell: GridCell, carry: Carry, depth: int) -> Entry:
+        """Answer a carry that phi has passed: (0, ()) when theta covers it,
+        else the search of its clamped state."""
+        lo, theta = tab.lo, tab.theta
+        window = carry[lo : lo + len(theta)]
+        if all(map(le, window, theta)):
+            self._theta_decided += 1
+            return ZERO
+        carry, zeroed = _clamp(carry, lo, theta)
+        self._clamped += zeroed
+        return self._state(tab, cell, carry, depth)
 
+    def _state(self, tab: TripleTable, cell: GridCell, carry: Carry, depth: int) -> Entry:
+        """Search one clamped state that the bounds do not decide."""
+        key = (tab.key, carry)
+        entry = self.memo.get(key, _UNSOLVED)
+        if entry is not _UNSOLVED:
+            return entry
+        self._check_carry(tab, carry)
+        if depth > self._max_depth:
+            self._max_depth = depth
+        self._carries.add(carry)
+        if tab.canonical:
+            entry = self._canonical(tab, cell, carry, depth)
+        else:
+            entry = self._split(tab, cell, carry, depth)
         self.memo[key] = entry
         return entry
 
-    def _canonical(
-        self,
-        job: int,
-        cell: GridCell,
-        k: int,
-        tab: TripleTable,
-        carry: Carry,
-        depth: int,
-    ) -> tuple[int, tuple[int, ...]] | None:
+    def _canonical(self, tab: TripleTable, cell: GridCell, carry: Carry, depth: int) -> Entry:
         # A settled ray must be paid by the row's own rectangle at its t, so
-        # that rectangle must be selected and p_job must cover the need.
-        p = self.cov.proc_prefix[job] - self.cov.proc_prefix[job - 1]
+        # that rectangle must be selected.  (phi has already checked that
+        # p_job covers the need.)
         min_take = 0
         for pos, dem in enumerate(tab.settled):
-            need = dem + carry[pos]
-            if need > p:
-                return None  # no prefix can pay this ray
-            if need > 0:
+            if dem + carry[pos] > 0:
                 min_take = pos + 1
 
         # The next row's carry on each piece, if its rectangle is taken
         # (paid) or not (unpaid); a prefix of `take` pays the first `take`.
-        gap = tab.gap
-        paid = tuple(next_carry(v, p, gap, p) for v in carry)
-        unpaid = tuple(next_carry(v, p, gap, 0) for v in carry)
+        # paid <= unpaid, so the child's phi rules out exactly the takes
+        # that leave some unpaid value above it, and its theta answers
+        # (0, ()) exactly for the takes in zero_lo..zero_hi.  The cheapest
+        # of those is the smallest; a larger take costs more.
+        p, gap = tab.p, tab.gap
+        paid = [v - gap if v > gap else 0 for v in carry]
+        unpaid = [v + p - gap if v + p > gap else 0 for v in carry]
+        # Only the child's window of pieces [lo, hi) holds bounds.
+        child = tab.child
+        lo, theta, phi = child.lo, child.theta, child.phi
+        hi = lo + len(theta)
+        over = list(map(gt, unpaid[lo:hi], phi))
+        if True in over:
+            least = hi - over[::-1].index(True)
+            self._phi_decided += max(0, least - min_take)
+            min_take = max(min_take, least)
+        over = list(map(gt, unpaid[lo:hi], theta))
+        zero_lo = hi - over[::-1].index(True) if True in over else 0
+        over = list(map(gt, paid[lo:hi], theta))
+        zero_hi = lo + over.index(True) if True in over else len(carry)
 
-        best: tuple[int, tuple[int, ...]] | None = None
-        for take in range(min_take, len(carry) + 1):
-            child = self._cell(job + 1, cell, k, paid[:take] + unpaid[take:], depth + 1)
-            if child is None:
-                continue
-            cand = (tab.prefix_cost[take] + child[0], tab.prefix_ids[take] + child[1])
-            if best is None or cand < best:
-                best = cand
+        zero_take = max(min_take, zero_lo)
+        if zero_take <= zero_hi:
+            self._theta_decided += 1
+            best = (tab.prefix_cost[zero_take], tab.prefix_ids[zero_take])
+            stop = zero_take
+        else:
+            best = None
+            stop = len(carry) + 1
+        if min_take < stop:
+            # every take here leaves the child a carry that neither bound
+            # decides; clamp both candidate values once
+            pad_lo, pad_hi = [0] * lo, [0] * (len(carry) - hi)
+            kept_paid = pad_lo + [v if v > t else 0 for v, t in zip(paid[lo:hi], theta)] + pad_hi
+            kept_unpaid = (
+                pad_lo + [v if v > t else 0 for v, t in zip(unpaid[lo:hi], theta)] + pad_hi
+            )
+            self._clamped += (
+                kept_paid.count(0) - paid.count(0) + kept_unpaid.count(0) - unpaid.count(0)
+            )
+            for take in range(min_take, stop):
+                sub = self._state(
+                    child, cell, tuple(kept_paid[:take] + kept_unpaid[take:]), depth + 1
+                )
+                cand = (tab.prefix_cost[take] + sub[0], tab.prefix_ids[take] + sub[1])
+                if best is None or cand < best:
+                    best = cand
         return best
 
-    def _split(
-        self, job: int, cell: GridCell, k: int, tab: TripleTable, carry: Carry, depth: int
-    ) -> tuple[int, tuple[int, ...]] | None:
+    def _split(self, tab: TripleTable, cell: GridCell, carry: Carry, depth: int) -> Entry:
+        # The state's phi is the minimum of its parts', so it has passed both.
         fan = tab.fan
-        inherited = tuple(v for v in carry[: tab.inside] for _ in range(fan))
-        left = self._cell(job, cell.children[k - 1], 1, inherited, depth + 1)
-        if left is None or k == self.grid.K:
+        head = carry[: tab.inside]
+        inherited = head if fan == 1 else tuple([v for v in head for _ in range(fan)])
+        left = self._decide(tab.left, cell.children[tab.key[3] - 1], inherited, depth + 1)
+        if tab.right is None:
             return left
-        right = self._cell(job, cell, k + 1, carry[tab.inside :], depth + 1)
-        if right is None:
-            return None
+        right = self._decide(tab.right, cell, carry[tab.inside :], depth + 1)
+        if not right[1]:
+            return left
+        if not left[1]:
+            return right
         return (left[0] + right[0], tuple(sorted(left[1] + right[1])))
 
     # -- per-triple tables ---------------------------------------------------
 
-    def _build_table(self, job: int, cell: GridCell, k: int) -> TripleTable:
+    def _table(self, job: int, cell: GridCell, k: int) -> TripleTable:
+        key = (job, cell.level, cell.begin, k)
+        tab = self._tables.get(key)
+        if tab is None:
+            tab = self._tables[key] = self._build_table(key, job, cell, k)
+        return tab
+
+    def _build_table(self, key: TableKey, job: int, cell: GridCell, k: int) -> TripleTable:
         x_begin = area_begin(cell, k, self.grid.K)
-        subs = subcells(cell, k, self.grid)
-        if subs and (subs[0][0] != x_begin or subs[-1][1] != cell.end):
+        width = cell.piece_width
+        if (cell.end - x_begin) % width:
             raise DpError("the pieces must tile the area's x-span")
         group = self.cov.group(job, cell)
         tab = TripleTable(
-            n_pieces=len(subs),
-            has_rectangle=self._groups_inside(job, cell, x_begin),
+            key,
+            n_pieces=(cell.end - x_begin) // width,
+            top=self.cov.proc_prefix[job - 1],
             canonical=_spans_area(group, x_begin, cell.end),
         )
-        if tab.has_rectangle:
-            if tab.canonical:
-                self._fill_canonical(tab, job, group, subs)
-            elif cell.is_leaf:
-                # The rectangle inside belongs to a deeper row released at the
-                # leaf, so row job, released earlier, has one over the leaf too.
-                # _groups_inside passed, so that one is row job's own leaf
-                # group and the state is canonical: only a covering whose rows
-                # do not tile [r_j, end(root)) gets here.
-                raise DpError(
-                    f"non-canonical leaf state (job={job}, leaf [{cell.begin},{cell.end})) "
-                    "holds a rectangle"
-                )
-            else:
-                child = cell.children[k - 1]
-                tab.inside = child.length // cell.piece_width
-                tab.fan = cell.piece_width // child.piece_width
+        if tab.canonical:
+            # row job's own group fills the area, and the child (job+1, cell,
+            # k), over the same area, checks the rows below
+            self._groups_inside(cell, x_begin, self._spans_of[job])
+            self._fill_canonical(tab, job, cell, x_begin, group)
+        elif not self._groups_inside(cell, x_begin, self._spans_from[job]):
+            return tab  # no rectangle: no bound
+        elif cell.is_leaf:
+            # The rectangle inside belongs to a deeper row released at the
+            # leaf, so row job, released earlier, has one over the leaf too.
+            # _groups_inside passed, so that one is row job's own leaf
+            # group and the state is canonical: only a covering whose rows
+            # do not tile [r_j, end(root)) gets here.
+            raise DpError(
+                f"non-canonical leaf state (job={job}, leaf [{cell.begin},{cell.end})) "
+                "holds a rectangle"
+            )
+        else:
+            child = cell.children[k - 1]
+            tab.inside = child.length // width
+            tab.fan = width // child.piece_width
+            tab.left = self._table(job, child, 1)
+            if k < self.grid.K:
+                tab.right = self._table(job, cell, k + 1)
+            tab.lo, tab.theta, tab.phi = _split_bounds(
+                tab.left, tab.right, tab.fan, tab.inside, tab.top
+            )
         return tab
 
     def _fill_canonical(
-        self, tab: TripleTable, job: int, group: PrefixGroup, subs: tuple[Interval, ...]
+        self, tab: TripleTable, job: int, cell: GridCell, x_begin: int, group: PrefixGroup
     ) -> None:
         # The group lies inside the area and spans it, so its rectangles must
         # be the pieces themselves, in order.
+        subs = chunk(x_begin, cell.end, cell.piece_width)
         rects = group.rectangles
-        if tuple(r.x_interval for r in rects) != subs:
+        if tuple([r.x_interval for r in rects]) != subs:
             raise DpError(f"canonical group (job={job}) does not match the pieces {subs}")
 
         # Settled rays (module docstring): only the prefix choice can still
@@ -389,15 +604,19 @@ class DpSolver:
         r_next = self.cov.release_of(job + 1)
         if subs[0][0] < r_job:
             raise DpError(f"canonical group (job={job}) starts left of its release {r_job}")
-        tab.settled = tuple(self.cov.demand(r_job, x) for x, _ in subs if x < r_next)
-        tab.gap = r_next - r_job
-        tab.prefix_cost = tuple(accumulate((r.cost for r in rects), initial=0))
+        settled = tuple([self.cov.demand(r_job, x) for x, _ in subs if x < r_next])
+        tab.settled = settled
+        tab.p = p = self.cov.proc_prefix[job] - tab.top
+        tab.gap = gap = r_next - r_job
+        tab.prefix_cost = tuple(list(accumulate([r.cost for r in rects], initial=0)))
         rid0 = rects[0].rid
-        tab.prefix_ids = tuple(tuple(range(rid0, rid0 + take)) for take in range(len(rects) + 1))
+        tab.prefix_ids = tuple([tuple(range(rid0, rid0 + take)) for take in range(len(rects) + 1)])
+        tab.child = self._table(job + 1, cell, tab.key[3])
+        tab.lo, tab.theta, tab.phi = _canonical_bounds(tab.child, settled, p, gap, tab.top)
 
-    def _groups_inside(self, job: int, cell: GridCell, x_begin: int) -> bool:
-        """Whether a group of row ``job`` or deeper lies inside the area
-        [x_begin, end(cell)).
+    def _groups_inside(self, cell: GridCell, x_begin: int, spans: tuple) -> bool:
+        """Whether a group of ``spans`` lies inside the area [x_begin,
+        end(cell)).
 
         Every such group must lie wholly inside or wholly outside the area,
         and inside groups must belong to the cell or one of its descendants;
@@ -405,7 +624,7 @@ class DpSolver:
         """
         x_end = cell.end
         inside = False
-        for g_job, lo, hi, g_cell in self._spans_from[job]:
+        for g_job, lo, hi, g_cell in spans:
             if hi <= x_begin or lo >= x_end:
                 continue
             if not (x_begin <= lo and hi <= x_end):

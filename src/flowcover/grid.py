@@ -52,12 +52,21 @@ class GridCell:
     begin: int
     end: int
     K: int = field(repr=False)
-    # a plain attribute, not a property: the DP reads it in every state
+    # plain attributes, not properties: the DP reads them in every table
+    # and state.  piece_width is the width of the cell's pieces: 1 for a leaf
+    # or a parent of leaves, the grandchild length otherwise.
+    length: int = field(init=False, repr=False)
     is_leaf: bool = field(init=False, repr=False)
+    piece_width: int = field(init=False, repr=False)
     _children: tuple["GridCell", ...] | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "is_leaf", self.end - self.begin == 1)
+        length = self.end - self.begin
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "is_leaf", length == 1)
+        object.__setattr__(
+            self, "piece_width", 1 if length <= self.K else length // self.K**2
+        )
         object.__setattr__(self, "_children", None)
 
     def __hash__(self) -> int:  # stable across runs, unlike id()
@@ -80,16 +89,6 @@ class GridCell:
                 )
             object.__setattr__(self, "_children", kids)
         return kids
-
-    @property
-    def length(self) -> int:
-        return self.end - self.begin
-
-    @property
-    def piece_width(self) -> int:
-        """Width of the cell's pieces: 1 for a leaf or a parent of leaves,
-        the grandchild length otherwise."""
-        return 1 if self.length <= self.K else self.length // self.K**2
 
     def contains_point(self, x: int) -> bool:
         return self.begin <= x < self.end
@@ -203,7 +202,7 @@ class SegmentGroup:
 
 def chunk(begin: int, end: int, width: int) -> tuple[Interval, ...]:
     """[begin, end) cut left to right into intervals of ``width``."""
-    return tuple((x, x + width) for x in range(begin, end, width))
+    return tuple([(x, x + width) for x in range(begin, end, width)])
 
 
 def build_segments(job: Job, grid: Grid) -> list[SegmentGroup]:

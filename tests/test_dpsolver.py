@@ -424,6 +424,102 @@ def test_carry_outside_subdivision_rejected_on_tabled_triple():
         solver.solve_cell(1, cov.grid.root, 1, {(0, 1): 1})
 
 
+# -- threshold bounds -----------------------------------------------------------
+
+
+def _two_job_cov():
+    # jobs (r, p, w) = (0, 2, 1) and (1, 1, 1), horizon T = 4, grid over
+    # [0, 8) at K=2, unshifted.  Row 1's rectangles: [0,1) [1,2) [2,3) [3,4)
+    # [4,6) [6,8) (ids 0-5); row 2's: [1,2) [2,3) [3,4) [4,6) [6,8) (ids
+    # 6-10).  Demands: d(0, t) = 2, 2, 1, 0, -1 and d(1, t) = 1, 0, -1, -2
+    # for t = 0..4 and 1..4.  A carry at row 1 is 0 (nothing above it); at
+    # row 2 it is at most p_1 = 2, the "no bound" value of row 2.
+    inst = make_instance([(0, 2, 1), (1, 1, 1)])
+    return build_covering(inst, build_grid(5, 2, shift=0))
+
+
+def test_theta_phi_by_hand_on_two_jobs():
+    cov = _two_job_cov()
+    solver = DpSolver(cov)
+    quarter = cell_at(cov.grid, 1, 0)  # [0, 4), whose pieces are units
+    leaf = cell_at(cov.grid, cov.grid.lmax, 1)  # [1, 2)
+
+    # (2, [0,4), k=2): area [2,4), canonical in row 2, p = 1, next release
+    # is the sentinel's T + 1 = 5, so gap = 4, and both pieces are settled,
+    # with dem = d(1, 2) = 0 and d(1, 3) = -1.  Row 3 bounds nothing, so
+    # theta = -dem = (0, 1) and phi = p - dem = (1, 2).
+    tab = solver._table(2, quarter, 2)
+    assert (tab.canonical, tab.top, tab.settled) == (True, 2, (0, -1))
+    assert (tab.lo, tab.theta, tab.phi) == (0, (0, 1), (1, 2))
+
+    # (1, [0,4), k=2): same area, row 1, p = 2, gap = r_2 - r_1 = 1, no
+    # settled piece (both start at x >= r_2).  theta = child - p + g =
+    # (-1, 0) and phi = child + g = (2, 3), clipped to row 1's top 0: the
+    # second piece has no bound, so only the first is kept.
+    tab = solver._table(1, quarter, 2)
+    assert (tab.canonical, tab.top, tab.settled) == (True, 0, ())
+    assert (tab.lo, tab.theta, tab.phi) == (0, (-1,), (0,))
+
+    # (2, leaf [1,2), 1): canonical, settled with dem = d(1, 1) = 1:
+    # theta = -1 (the empty selection leaves ray [1, 1] short) and
+    # phi = p - dem = 0.
+    tab = solver._table(2, leaf, 1)
+    assert (tab.lo, tab.theta, tab.phi) == (0, (-1,), (0,))
+
+    # (2, [0,4), k=1): a split with fan 1.  Its left part (2, [0,2), 1) has
+    # no rectangle over [0,1) and the leaf's bounds over [1,2); its right
+    # part is (2, [0,4), 2).  So piece [0,1) has no bound and the window
+    # starts at piece 1: theta = (-1, 0, 1), phi = (0, 1, 2).
+    tab = solver._table(2, quarter, 1)
+    assert (tab.canonical, tab.inside, tab.fan) == (False, 2, 1)
+    assert (tab.lo, tab.theta, tab.phi) == (1, (-1, 0, 1), (0, 1, 2))
+
+    # the bounds decide the states of (2, [0,4), k=2) without a search
+    assert solver.solve_cell(2, quarter, 2, {(3, 4): 1}) == (0, ())  # v <= theta
+    assert solver.solve_cell(2, quarter, 2, {(2, 3): 2}) is None  # v_0 > phi_0
+    assert solver.memo == {}
+    # theta_0 < 1 <= phi_0: searched, row 2 must take its rectangle [2,3)
+    assert solver.solve_cell(2, quarter, 2, {(2, 3): 1}) == (1, (7,))
+    assert list(solver.memo) == [((2, 1, 0, 2), (1, 0))]
+
+
+def test_bounds_decide_no_carry_before_it_is_checked():
+    cov = _two_job_cov()
+    solver = DpSolver(cov)
+    quarter = cell_at(cov.grid, 1, 0)
+    # theta = (0, 1) would answer (0, ()) for this carry, but -1 is no carry
+    with pytest.raises(DpError, match=r"carry value -1 outside 0\.\.2"):
+        solver.solve_cell(2, quarter, 2, {(3, 4): -1})
+    # above the processing of the rows above: phi would call it infeasible
+    with pytest.raises(DpError, match=r"carry value 3 outside 0\.\.2"):
+        solver.solve_cell(2, quarter, 2, {(3, 4): 3})
+    # row 3 holds no rectangle, so its bounds decide every carry as (0, ());
+    # the length is still checked
+    with pytest.raises(DpError, match="carry of 1 values for a state of 2 pieces"):
+        solver._cell(3, quarter, 2, (0,), depth=0)
+    assert solver._cell(3, quarter, 2, (2, 3), depth=0) == (0, ())
+    assert solver.memo == {}
+
+
+def test_memo_holds_only_searched_states():
+    # no stored entry is one the bounds decide: never infeasible, never the
+    # empty selection; every stored carry is clamped
+    rng = Random(717)
+    for trial in range(30):
+        cov = random_cov(rng, K=(2, 3, 4)[trial % 3], n_max=3)
+        solver = DpSolver(cov)
+        result = solver.solve()
+        st = result.stats
+        assert st.states == len(solver.memo) == st.canonical_states + st.split_states
+        for (tkey, carry), entry in solver.memo.items():
+            assert entry is not None and entry[1] != ()
+            tab = solver._tables[tkey]
+            window = carry[tab.lo : tab.lo + len(tab.theta)]
+            assert not any(v > f for v, f in zip(window, tab.phi))
+            assert all(v == 0 or v > t for v, t in zip(window, tab.theta))
+            assert not any(carry[: tab.lo]) and not any(carry[tab.lo + len(tab.theta) :])
+
+
 def _baseline_row_k2_n8_seed3():
     # the K=2, n=8 row of the seed-3 baseline in ROADMAP.md
     rng = Random(3)
@@ -447,18 +543,22 @@ def test_baseline_row_k2_n8_seed3():
 def test_baseline_row_k2_n8_seed3_counters():
     solver, result = _baseline_row_k2_n8_seed3()
     stats = result.stats
-    # carry_vectors counts distinct dense carries (one int per piece)
-    assert (stats.states, stats.triples, stats.carry_vectors) == (1864, 139, 737)
+    # carry_vectors counts distinct dense carries (one int per piece); the
+    # threshold bounds cut the stored states from 1,864 (641 of them (0, ())
+    # and 660 infeasible) to 423, none of either sort, over the same tables
+    assert (stats.states, stats.triples, stats.carry_vectors) == (423, 139, 239)
+    assert (stats.canonical_states, stats.split_states) == (363, 60)
+    assert (stats.theta_decided, stats.phi_decided, stats.clamped) == (178, 147, 75)
     entries = list(solver.memo.values())
-    assert sum(1 for e in entries if e == (0, ())) == 641
-    assert sum(1 for e in entries if e is None) == 660
+    assert sum(1 for e in entries if e == (0, ())) == 0
+    assert sum(1 for e in entries if e is None) == 0
 
 
 @cache
 def _per_draw_rows():
     """(answers, counters) per draw: cost and selection, then the DP's
     structural counters, including the memo's empty-selection and
-    infeasible entries."""
+    infeasible entries and the threshold decisions."""
     rng = Random(2021)
     rows = []
     for K, draws in ((2, 300), (3, 60), (4, 60)):
@@ -474,7 +574,8 @@ def _per_draw_rows():
             rows.append((
                 (K, result.cost, result.selection.sorted_ids()),
                 (st.states, st.triples, st.carry_vectors, st.max_carry, st.max_depth,
-                 memo.count((0, ())), memo.count(None)),
+                 memo.count((0, ())), memo.count(None), st.canonical_states,
+                 st.split_states, st.theta_decided, st.phi_decided, st.clamped),
             ))
     assert len(rows) == 420
     return rows
@@ -491,4 +592,4 @@ def test_dp_counters_pinned_per_draw():
     # re-pinned only by a change that means to change the search
     counters = [row[1] for row in _per_draw_rows()]
     digest = hashlib.sha256(repr(counters).encode()).hexdigest()
-    assert digest == "ee49f2e0db45ec302a9cab9b748b910202e1688092cf4ebe0aa0de169b1204b9"
+    assert digest == "d75532a5f29742c45a424bfc30ef613b66abf6b013f724f1d3b87e498f7ca632"

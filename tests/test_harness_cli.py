@@ -129,6 +129,23 @@ def test_gen_rejects_zero_jobs(tmp_path, capsys):
     assert "at least 1" in capsys.readouterr().err
 
 
+def test_solve_counters_go_to_stats_not_to_the_record(tmp_path, capsys):
+    inst, sol, stats = tmp_path / "inst.json", tmp_path / "sol.json", tmp_path / "stats.json"
+    assert main(["gen", "--seed", "5", "--out", str(inst)]) == 0
+    argv = ["solve", "--instance", str(inst), "--seed", "5", "--out", str(sol)]
+    assert main(argv + ["--stats-out", str(stats)]) == 0
+    record = json.loads(sol.read_text())
+    assert "states" not in record and "max_depth" not in record
+    counters = json.loads(stats.read_text())
+    assert set(counters) == {
+        "states", "canonical_states", "split_states", "theta_decided", "phi_decided",
+        "clamped", "max_depth", "carry_vectors", "wall_ms",
+    }
+    # states counts stored memo entries, each of one of the two kinds
+    assert counters["states"] == counters["canonical_states"] + counters["split_states"]
+    assert counters["theta_decided"] > 0
+
+
 def test_solve_check_round_trip(tmp_path):
     inst = tmp_path / "inst.json"
     sol = tmp_path / "sol.json"
