@@ -91,6 +91,14 @@ the pieces, from r_job on) run when the table is built.  The carry checks
 every carry handed in from outside, before its bounds decide it, and for
 every state that is searched, so a carry is never trusted because its
 triple was seen before.
+
+The tuples a solve builds are made from lists, ``tuple([...])``, not from
+generators.  CPython grows a tuple built from a generator by resizing it,
+so it is never taken from the interpreter's free list of tuples of its
+size, but it is put on that list when it dies.  Only a full garbage
+collection empties the lists, and a solve that stores few states allocates
+too few tracked objects to set one off; over thousands of solves the lists
+filled and held megabytes of resident memory.
 """
 
 from __future__ import annotations
@@ -479,8 +487,8 @@ class DpSolver:
         # (0, ()) exactly for the takes in zero_lo..zero_hi.  The cheapest
         # of those is the smallest; a larger take costs more.
         p, gap = tab.p, tab.gap
-        paid = [v - gap if v > gap else 0 for v in carry]
-        unpaid = [v + p - gap if v + p > gap else 0 for v in carry]
+        paid = [next_carry(v, p, gap, p) for v in carry]
+        unpaid = [next_carry(v, p, gap, 0) for v in carry]
         # Only the child's window of pieces [lo, hi) holds bounds.
         child = tab.child
         lo, theta, phi = child.lo, child.theta, child.phi

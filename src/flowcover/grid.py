@@ -201,7 +201,8 @@ class SegmentGroup:
 
 
 def chunk(begin: int, end: int, width: int) -> tuple[Interval, ...]:
-    """[begin, end) cut left to right into intervals of ``width``."""
+    """[begin, end) cut left to right into intervals of ``width``.  Built
+    from a list, not a generator: see the ``dpsolver`` docstring on tuples."""
     return tuple([(x, x + width) for x in range(begin, end, width)])
 
 

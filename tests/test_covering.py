@@ -95,8 +95,12 @@ def _with_rect(groups, target, **changes):
         (lambda gs: _renumbered(gs[::-1]), "in row 1 follows row 2"),
         (lambda gs: _with_rect(gs, 0, capacity=3), "rectangle 0 in row 1 has capacity 3, not"),
         (lambda gs: _with_rect(gs, 6, job=3), "rectangle 6 in row 3 has capacity 1, not"),
+        (lambda gs: _with_rect(gs, 2, cost=0), "rectangle 2 costs 0; every rectangle must cost"),
     ],
-    ids=["id-out-of-order", "row-decreases", "capacity-not-processing", "row-without-job"],
+    ids=[
+        "id-out-of-order", "row-decreases", "capacity-not-processing", "row-without-job",
+        "cost-below-one",
+    ],
 )
 def test_malformed_covering_rejected(malform, message):
     cov = cov_for([(0, 2, 1), (1, 1, 1)])
