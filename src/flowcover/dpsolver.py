@@ -169,25 +169,15 @@ def next_carry(carry_value: int, processing: int, release_gap: int, paid_capacit
     return max(0, carry_value + processing - release_gap - paid_capacity)
 
 
-def _trimmed(lo: int, theta: list[int], phi: list[int], top: int) -> tuple[int, Bounds, Bounds]:
-    """The bounds from piece ``lo`` on, without the leading and trailing
-    pieces where theta is ``top``: no bound.  theta <= phi <= top, so phi is
-    ``top`` there too."""
-    a, b = 0, len(theta)
-    while a < b and theta[a] == top:
-        a += 1
-    while b > a and theta[b - 1] == top:
-        b -= 1
-    return lo + a, tuple(theta[a:b]), tuple(phi[a:b])
-
-
 def _canonical_bounds(
     child: TripleTable, settled: tuple[int, ...], p: int, gap: int, top: int
 ) -> tuple[int, Bounds, Bounds]:
     """(lo, theta, phi) of a canonical triple from its child's: the child's
     value minus p plus gap for theta, plus gap for phi, -1 where it is
     negative; on a settled piece capped at -dem and p - dem; clipped to
-    -1..``top``.  Outside the child's window the child has no bound."""
+    -1..``top``.  Outside the child's window the child has no bound, and
+    the window drops the pieces at either end where theta, hence phi
+    (theta <= phi <= top), holds none."""
     clo, c_theta, c_phi = child.lo, child.theta, child.phi
     chi = clo + len(c_theta)
     lo = 0 if settled else clo
@@ -204,7 +194,12 @@ def _canonical_bounds(
             f = min(f, p - settled[i])
         theta.append(-1 if t < 0 else min(t, top))
         phi.append(-1 if f < 0 else min(f, top))
-    return _trimmed(lo, theta, phi, top)
+    a, b = 0, len(theta)
+    while a < b and theta[a] == top:
+        a += 1
+    while b > a and theta[b - 1] == top:
+        b -= 1
+    return lo + a, tuple(theta[a:b]), tuple(phi[a:b])
 
 
 def _split_bounds(
