@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from .covering import (
@@ -119,18 +120,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
             feasible=True,
         )
         # counters describe the search, not the answer: stats only
-        st = result.stats
-        stats = {
-            "states": st.states,
-            "canonical_states": st.canonical_states,
-            "split_states": st.split_states,
-            "theta_decided": st.theta_decided,
-            "phi_decided": st.phi_decided,
-            "clamped": st.clamped,
-            "max_depth": st.max_depth,
-            "carry_vectors": st.carry_vectors,
-            "wall_ms": round(st.wall_ms, 3),
-        }
+        stats = asdict(result.stats)
+        stats["wall_ms"] = round(stats["wall_ms"], 3)
     else:
         cost, selection = brute_force_covering(cov)
         record.update(

@@ -54,10 +54,12 @@ they are also capped at -dem_i and p - dem_i.  A split takes, for each
 piece of the k-th child, the minimum over its ``fan`` child pieces, then the
 right part's values.  Values are clipped to -1..B, where B is the processing
 of the rows above, the largest value a carry of the row may hold, so B
-means "no bound"; and trailing B values are dropped, so a vector is only as
-long as its last real bound.  Callers decide a state from its bounds before
-they recurse; the memo stores only searched states, so ``states`` counts
-the states a solve actually searched.
+means "no bound".  A table keeps the vectors only on the window from the
+first to the last piece with a real bound, so at large K, where most pieces
+lie left of the first release or right of the horizon, a table stays small.
+Callers decide a state from its bounds before they recurse; the memo
+stores only searched states, so ``states`` counts the states a solve
+actually searched.
 
 Costs, demands, and coordinates are integers throughout; ties between
 equal-cost solutions go to the lexicographically smallest sorted tuple of
@@ -119,7 +121,7 @@ from .covering import (
 from .grid import Grid, GridCell, Interval, chunk
 
 Carry = tuple[int, ...]  # one value per piece of the area, left to right
-Bounds = tuple[int, ...]  # one value per piece, up to the last real bound
+Bounds = tuple[int, ...]  # one value per piece of a table's window of real bounds
 Entry = tuple[int, tuple[int, ...]]  # (cost, sorted ids)
 TableKey = tuple[int, int, int, int]  # (job, cell.level, cell.begin, k)
 StateKey = tuple[TableKey, Carry]
@@ -219,7 +221,9 @@ def _split_bounds(
         pad_hi = [top] * (hi * fan - left.lo - len(left.theta))
         for src, out in ((left.theta, theta), (left.phi, phi)):
             run = pad_lo + list(src) + pad_hi
-            out.extend(run if fan == 1 else (min(run[j : j + fan]) for j in range(0, len(run), fan)))
+            if fan > 1:
+                run = [min(run[j : j + fan]) for j in range(0, len(run), fan)]
+            out.extend(run)
     if right is not None and right.theta:
         r_lo = inside + right.lo
         if not theta:

@@ -474,6 +474,16 @@ def test_theta_phi_by_hand_on_two_jobs():
     assert (tab.canonical, tab.inside, tab.fan) == (False, 2, 1)
     assert (tab.lo, tab.theta, tab.phi) == (1, (-1, 0, 1), (0, 1, 2))
 
+    # (1, [0,8), k=1): a split with fan 2, pieces [0,2) [2,4) [4,6) [6,8).
+    # Its left part (1, [0,4), 1) has theta = -1 on the units [0,1) [1,2)
+    # [2,3), whose rays [0, t] have demand 2, 2, 1, and no bound on [3,4),
+    # where d(0, 3) = 0; phi is row 1's top, 0.  Each piece takes the
+    # minimum over its two units, and the right part (1, [0,8), 2) bounds
+    # nothing: theta = (-1, -1), phi = (0, 0).
+    tab = solver._table(1, cov.grid.root, 1)
+    assert (tab.canonical, tab.inside, tab.fan) == (False, 2, 2)
+    assert (tab.lo, tab.theta, tab.phi) == (0, (-1, -1), (0, 0))
+
     # the bounds decide the states of (2, [0,4), k=2) without a search
     assert solver.solve_cell(2, quarter, 2, {(3, 4): 1}) == (0, ())  # v <= theta
     assert solver.solve_cell(2, quarter, 2, {(2, 3): 2}) is None  # v_0 > phi_0

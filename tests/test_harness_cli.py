@@ -139,7 +139,7 @@ def test_solve_counters_go_to_stats_not_to_the_record(tmp_path, capsys):
     counters = json.loads(stats.read_text())
     assert set(counters) == {
         "states", "canonical_states", "split_states", "theta_decided", "phi_decided",
-        "clamped", "max_depth", "carry_vectors", "wall_ms",
+        "clamped", "max_depth", "carry_vectors", "max_carry", "triples", "wall_ms",
     }
     # states counts stored memo entries, each of one of the two kinds
     assert counters["states"] == counters["canonical_states"] + counters["split_states"]
