@@ -21,9 +21,12 @@ in [s, r_j), so the ray of [s, t] crosses the same rectangles as that of
 [r_j, t] (rows j and deeper at t) and d(s, t) = d(r_j, t) - (r_j - s).  Any
 other ray has no release in [s, t], so d(s, t) = -(t - s) <= 0.  The
 feasibility scan, the oracle and the DP's settled rays rest on this rule.
-Rays are never materialized: demands and crossing sets are computed from
-sorted release times and a per-unit crossing index over [0, T], the only
-columns a ray can sit in.
+Rays are never materialized.  Demands come from one per-column vector over
+[0, T], the only columns a ray can sit in: ``excess[t]`` is the processing
+released by t, minus t, so d(s, t) = excess[t] - (P_{<s} - s), where P_{<s}
+is the processing released before s.  The sets of rectangles a ray crosses
+come from a per-column crossing index, built on first use; only the oracle
+reads it.
 
 Costs come from a built-in model named in ``COST_MODELS``.  The default
 charges weight * segment length, the weighted duration the job stays alive
@@ -36,9 +39,11 @@ for whatever costs the instance carries.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
+from operator import sub
 from typing import Callable, Iterable, Sequence
 
 from .grid import Grid, GridCell, Interval, build_segments, cell_path
@@ -139,12 +144,14 @@ class FeasibilityReport:
 class CoveringInstance:
     """Rectangles, groups, and ray machinery built from jobs plus a grid.
 
-    ``releases`` holds the jobs' release times in release order, and
+    ``releases`` holds the jobs' release times in release order,
     ``proc_prefix[j]`` is p_1 + ... + p_j, the processing of the first j
-    jobs, for j = 0..n.  Raises ValueError unless ids run 0..N-1 in group
+    jobs, for j = 0..n, and ``excess[t]`` is the processing released by t,
+    minus t, for t = 0..T.  Raises ValueError unless ids run 0..N-1 in group
     order, rows never decrease, every rectangle's capacity is its job's
-    processing and every rectangle costs at least 1 (the DP's threshold
-    bounds rely on it).
+    processing, every x-interval is non-empty and starts at 0 or later (the
+    feasibility scan's column arrays rely on it) and every rectangle costs
+    at least 1 (the DP's threshold bounds rely on it).
     """
 
     def __init__(self, instance: JobInstance, grid: Grid, groups: Sequence[PrefixGroup]):
@@ -163,6 +170,8 @@ class CoveringInstance:
                 problem = f"in row {r.job} follows row {prev} (rows must not decrease)"
             elif not 1 <= r.job <= instance.n or r.capacity != instance.jobs[r.job - 1].processing:
                 problem = f"in row {r.job} has capacity {r.capacity}, not its job's processing"
+            elif not 0 <= r.x_begin < r.x_end:
+                problem = f"spans [{r.x_begin}, {r.x_end}), not a non-empty interval from 0 on"
             elif r.cost < 1:
                 problem = f"costs {r.cost}; every rectangle must cost at least 1"
             else:
@@ -173,14 +182,21 @@ class CoveringInstance:
         }
         self.releases = instance.releases()
         self.proc_prefix = list(accumulate((j.processing for j in instance.jobs), initial=0))
-        # crossing[t] lists the rectangles through x = t + 1/2 for t in 0..T;
-        # rectangles come job by job (checked above), so each list is already
-        # in row order
+        released = [0] * (self.horizon + 1)
+        for job in instance.jobs:
+            released[job.release] += job.processing
+        self.excess = list(map(sub, accumulate(released), range(self.horizon + 1)))
+
+    @cached_property
+    def _crossing(self) -> list[tuple[Rectangle, ...]]:
+        """crossing[t] lists the rectangles through x = t + 1/2 for t in
+        0..T; rectangles come job by job (``__init__`` checks it), so each
+        list is already in row order."""
         crossing: list[list[Rectangle]] = [[] for _ in range(self.horizon + 1)]
         for rect in self.rectangles:
             for t in range(rect.x_begin, min(rect.x_end, self.horizon + 1)):
                 crossing[t].append(rect)
-        self._crossing = [tuple(row) for row in crossing]
+        return [tuple(row) for row in crossing]
 
     # -- lookups ----------------------------------------------------------
 
@@ -191,7 +207,7 @@ class CoveringInstance:
         """Rectangles whose x-interval contains t + 1/2, sorted by row.
 
         Indexed for 0 <= t <= horizon only, where every ray lies; ``()``
-        for any other t.
+        for any other t.  The index is built on the first call.
         """
         if not 0 <= t < len(self._crossing):
             return ()
@@ -212,9 +228,7 @@ class CoveringInstance:
         """d([s, t]) = total processing released within [s, t] minus (t - s)."""
         if not 0 <= s <= t <= self.horizon:
             raise ValueError(f"interval [{s}, {t}] outside 0..{self.horizon}")
-        lo = bisect_left(self.releases, s)
-        hi = bisect_right(self.releases, t)
-        return self.proc_prefix[hi] - self.proc_prefix[lo] - (t - s)
+        return self.excess[t] - (self.proc_prefix[bisect_left(self.releases, s)] - s)
 
 
 def build_covering(
@@ -279,45 +293,69 @@ def check_feasible(cov: CoveringInstance, sel: Selection) -> FeasibilityReport:
     """Scan every prefix constraint and every interval [s, t] within the horizon.
 
     Violations are returned as data, not raised, in (t, s) order.  By the
-    binding-ray rule (module docstring), the rays [s, t] with r_{j-1} < s <= r_j
-    share the covered capacity of [r_j, t] and their demand grows with s, so
-    the failing s form a range ending at r_j.  Every [s, t] is still judged.
+    binding-ray rule (module docstring), the rays [s, t] with
+    r_{j-1} < s <= r_j <= t cross the same rectangles as [r_j, t], those in
+    rows j and deeper at t, whose selected capacity is got_j(t); their
+    demand d(r_j, t) - (r_j - s) grows with s, and every other ray's demand
+    is at most 0.  So one pass per row, deepest first, judges every [s, t]:
+    the row's selected rectangles are added to one difference array over
+    the columns, whose running sum is got_j, a suffix sum over rows, and
+    got_j(t) is compared with need_j(t) = excess[t] - (P_{j-1} - r_j) for
+    t >= r_j.  Where it falls short by m, the rays of the m largest s of
+    the row's range fail.
     """
+    chosen = sel.chosen
+    n, T = cov.instance.n, cov.horizon
+    rows: list[list[Rectangle]] = [[] for _ in range(n + 1)]
     prefix_viols: list[PrefixViolation] = []
     for group in cov.groups:
-        positions = tuple(
-            i for i, r in enumerate(group.rectangles) if r.rid in sel.chosen
-        )
-        if positions != tuple(range(len(positions))):
-            prefix_viols.append(
-                PrefixViolation(
-                    job=group.job,
-                    cell_begin=group.cell.begin,
-                    cell_end=group.cell.end,
-                    selected_positions=positions,
-                )
+        rects = group.rectangles
+        if not rects:
+            continue
+        first = rects[0].rid  # a group's ids run first, first + 1, ...
+        take = 0
+        while take < len(rects) and first + take in chosen:
+            take += 1
+        if chosen.isdisjoint(range(first + take + 1, first + len(rects))):
+            rows[group.job] += rects[:take]
+            continue
+        positions = tuple([i for i, r in enumerate(rects) if r.rid in chosen])
+        prefix_viols.append(
+            PrefixViolation(
+                job=group.job,
+                cell_begin=group.cell.begin,
+                cell_end=group.cell.end,
+                selected_positions=positions,
             )
+        )
+        rows[group.job] += [rects[i] for i in positions]
 
-    prefix = cov.proc_prefix
-    releases = cov.releases
-    demand_viols: list[RayViolation] = []
-    for t in range(0, cov.horizon + 1):
-        picked = [0] * (cov.instance.n + 1)  # selected capacity at t, per row
-        for r in cov.rects_crossing(t):
-            if r.rid in sel.chosen:
-                picked[r.job] += r.capacity
-        got = sum(picked)  # in rows j and deeper, for j = 1, 2, ...
-        released = bisect_right(releases, t)
-        first_s = 0  # the rays of job j start at s in first_s..r_j
-        for j in range(1, released + 1):
-            r_j = releases[j - 1]
-            need = prefix[released] - prefix[j - 1] - (t - r_j)  # d(r_j, t)
-            for s in range(max(first_s, r_j - need + got + 1), r_j + 1):
-                demand_viols.append(RayViolation(s=s, t=t, required=need - (r_j - s), covered=got))
-            first_s = r_j + 1
-            got -= picked[j]
+    releases, prefix, excess = cov.releases, cov.proc_prefix, cov.excess
+    diff = [0] * (T + 2)  # selected capacity in the rows passed, as differences
+    found: list[tuple[int, int, int, int]] = []  # (t, s, required, covered)
+    for j in range(n, 0, -1):
+        for r in rows[j]:
+            if r.x_begin <= T:
+                diff[r.x_begin] += r.capacity
+                diff[min(r.x_end, T + 1)] -= r.capacity
+        got = list(accumulate(diff))  # got_j(t)
+        r_j = releases[j - 1]
+        bar = prefix[j - 1] - r_j  # need_j(t) = excess[t] - bar
+        left = list(map(sub, excess[r_j:], got[r_j:]))  # excess[t] - got_j(t)
+        if max(left) <= bar:
+            continue
+        first_s = releases[j - 2] + 1 if j > 1 else 0  # the row's s run first_s..r_j
+        for t, x in enumerate(left, r_j):
+            if x > bar:
+                need = x - bar + got[t]
+                for s in range(max(first_s, r_j - x + bar + 1), r_j + 1):
+                    found.append((t, s, need - (r_j - s), got[t]))
+    found.sort()
     return FeasibilityReport(
-        prefix_violations=tuple(prefix_viols), demand_violations=tuple(demand_viols)
+        prefix_violations=tuple(prefix_viols),
+        demand_violations=tuple(
+            [RayViolation(s=s, t=t, required=q, covered=c) for t, s, q, c in found]
+        ),
     )
 
 

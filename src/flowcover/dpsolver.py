@@ -150,11 +150,6 @@ def subcells(cell: GridCell, k: int, grid: Grid) -> tuple[Interval, ...]:
     return chunk(area_begin(cell, k, grid.K), cell.end, cell.piece_width)
 
 
-def is_canonical(job: int, cell: GridCell, k: int, cov: CoveringInstance) -> bool:
-    """Whether the job's own rectangles in ``cell`` exactly span the area."""
-    return _spans_area(cov.group(job, cell), area_begin(cell, k, cov.grid.K), cell.end)
-
-
 def _spans_area(group: PrefixGroup | None, x_begin: int, x_end: int) -> bool:
     """Three conditions: the group is non-empty, lies inside [x_begin, x_end),
     and its leftmost edge is x_begin.  (Group spans always end at the cell's

@@ -83,9 +83,12 @@ class GridCell:
             kids = ()
             if not self.is_leaf:
                 step = self.length // self.K
+                # from a list: see the ``dpsolver`` docstring on tuples
                 kids = tuple(
-                    GridCell(self.level + 1, x, x + step, self.K)
-                    for x in range(self.begin, self.end, step)
+                    [
+                        GridCell(self.level + 1, x, x + step, self.K)
+                        for x in range(self.begin, self.end, step)
+                    ]
                 )
             object.__setattr__(self, "_children", kids)
         return kids
@@ -226,42 +229,6 @@ def build_segments(job: Job, grid: Grid) -> list[SegmentGroup]:
         groups.append(SegmentGroup(job=job.id, cell=cell, segments=segments))
         lo = cell.end
     return groups
-
-
-def segments_flat(groups: list[SegmentGroup]) -> list[Interval]:
-    """All segments of one job, left to right."""
-    return [seg for group in groups for seg in group.segments]
-
-
-def spans_nest(
-    outer_groups: list[SegmentGroup], inner_groups: list[SegmentGroup]
-) -> bool:
-    """Whether every non-empty inner group's span sits inside the span of some
-    outer group whose cell is an ancestor-or-self of the inner group's cell.
-
-    ``outer_groups`` must belong to the job released no later than the other;
-    segment groups built on different grids will generally fail this check.
-    """
-    for inner in inner_groups:
-        span = inner.span
-        if span is None:
-            continue
-        if not any(
-            (ospan := outer.span) is not None
-            and ospan[0] <= span[0]
-            and span[1] <= ospan[1]
-            and inner.cell.is_descendant_or_self(outer.cell)
-            for outer in outer_groups
-        ):
-            return False
-    return True
-
-
-def check_nesting(job: Job, job2: Job, grid: Grid) -> bool:
-    """Nesting property for a pair of jobs built on one shared grid."""
-    if job.release > job2.release:
-        raise ValueError("check_nesting expects job.release <= job2.release")
-    return spans_nest(build_segments(job, grid), build_segments(job2, grid))
 
 
 def cell_path(grid: Grid, cell: GridCell) -> str:

@@ -15,7 +15,9 @@ Besides the instance/schedule model this module provides:
   release times pairwise distinct while scaling the instance by an exact
   integer factor, a prerequisite of the covering reduction.
 
-All arithmetic is exact (ints and ``fractions.Fraction``).
+All arithmetic is exact (ints and ``fractions.Fraction``).  The tuples that
+every solve builds (jobs, releases) are made from lists, not generators: see
+the ``dpsolver`` docstring on tuples.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ class JobInstance:
         return len(self.jobs)
 
     def releases(self) -> tuple[int, ...]:
-        return tuple(j.release for j in self.jobs)
+        return tuple([j.release for j in self.jobs])
 
     def has_distinct_releases(self) -> bool:
         rel = self.releases()
@@ -116,8 +118,10 @@ def make_instance(
     """
     ordered = sorted(triples, key=lambda t: t[0])
     jobs = tuple(
-        Job(id=i, release=r, processing=p, weight=w)
-        for i, (r, p, w) in enumerate(ordered, start=1)
+        [
+            Job(id=i, release=r, processing=p, weight=w)
+            for i, (r, p, w) in enumerate(ordered, start=1)
+        ]
     )
     return JobInstance(jobs=jobs, epsilon=parse_epsilon(epsilon))
 
@@ -269,13 +273,15 @@ def perturb_release_times(
         raise ValueError(f"n/epsilon = {scale_frac} is not an integer; cannot scale exactly")
     scale = int(scale_frac)
     jobs = tuple(
-        Job(
-            id=j.id,
-            release=j.release * scale + j.id,
-            processing=j.processing * scale,
-            weight=j.weight,
-        )
-        for j in instance.jobs
+        [
+            Job(
+                id=j.id,
+                release=j.release * scale + j.id,
+                processing=j.processing * scale,
+                weight=j.weight,
+            )
+            for j in instance.jobs
+        ]
     )
     return JobInstance(jobs=jobs, epsilon=eps)
 

@@ -14,7 +14,7 @@ import pytest
 
 from flowcover.cli import main
 from flowcover.covering import Selection, build_covering, check_feasible, ray_rectangles
-from flowcover.grid import build_grid, build_segments, check_nesting, root_length, segments_flat
+from flowcover.grid import build_grid, build_segments, root_length
 from flowcover.harness import CampaignConfig, campaign_instance, run_campaign
 from flowcover.jobs import (
     exact_opt_tiny,
@@ -23,6 +23,7 @@ from flowcover.jobs import (
     total_horizon,
 )
 from flowcover.oracle import reduce_instance
+from helpers import check_nesting, segments_flat
 
 CAMPAIGN = CampaignConfig(
     seed=20_000, trials=200, K=2, n_max=4, p_max=4, w_max=4, horizon_max=64

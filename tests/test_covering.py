@@ -6,6 +6,8 @@ import pytest
 
 from flowcover.covering import (
     CoveringInstance,
+    PrefixGroup,
+    Rectangle,
     Selection,
     build_covering,
     check_feasible,
@@ -15,8 +17,10 @@ from flowcover.covering import (
     selection_cost,
     unit_cost,
 )
-from flowcover.grid import build_grid, root_length
+from flowcover.dpsolver import DpSolver
+from flowcover.grid import build_grid, cell_at, root_length
 from flowcover.jobs import make_instance, perturb_release_times, total_horizon
+from flowcover.oracle import reduce_instance
 
 
 def cov_for(triples, K=2, shift=0, cost_model="weighted_length"):
@@ -96,10 +100,12 @@ def _with_rect(groups, target, **changes):
         (lambda gs: _with_rect(gs, 0, capacity=3), "rectangle 0 in row 1 has capacity 3, not"),
         (lambda gs: _with_rect(gs, 6, job=3), "rectangle 6 in row 3 has capacity 1, not"),
         (lambda gs: _with_rect(gs, 2, cost=0), "rectangle 2 costs 0; every rectangle must cost"),
+        (lambda gs: _with_rect(gs, 1, x_begin=3, x_end=3), r"rectangle 1 spans \[3, 3\), not"),
+        (lambda gs: _with_rect(gs, 0, x_begin=-1), r"rectangle 0 spans \[-1, 1\), not"),
     ],
     ids=[
         "id-out-of-order", "row-decreases", "capacity-not-processing", "row-without-job",
-        "cost-below-one",
+        "cost-below-one", "empty-x-interval", "negative-x",
     ],
 )
 def test_malformed_covering_rejected(malform, message):
@@ -343,6 +349,108 @@ def test_check_feasible_matches_naive_scan_one_rectangle_short():
                 after_release_hit += any(s == r + 1 for r in releases)
                 at_t_hit += s == t
     assert releases_hit and after_release_hit and at_t_hit
+
+
+def naive_prefix(cov, sel):
+    """Prefix violations from each group's selected positions, group by group."""
+    violations = []
+    for g in cov.groups:
+        positions = tuple(i for i, r in enumerate(g.rectangles) if r.rid in sel.chosen)
+        if positions != tuple(range(len(positions))):
+            violations.append((g.job, g.cell.begin, g.cell.end, positions))
+    return violations
+
+
+def assert_report_matches_naive(cov, sel):
+    """The whole report equals the naive references, order included."""
+    report = check_feasible(cov, sel)
+    got_prefix = [
+        (v.job, v.cell_begin, v.cell_end, v.selected_positions) for v in report.prefix_violations
+    ]
+    got_demand = [(v.s, v.t, v.required, v.covered) for v in report.demand_violations]
+    assert got_prefix == naive_prefix(cov, sel)
+    assert got_demand == naive_scan(cov, sel)
+    return report
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+@pytest.mark.parametrize("cost_model", ["weighted_length", "unit"])
+@pytest.mark.parametrize("epsilon", ["1", "1/2"])
+def test_check_feasible_report_matches_naive_references(K, cost_model, epsilon):
+    # empty, full, random densities, the DP's selection and the DP's
+    # selection minus each id, on small reduced instances
+    rng = Random(f"{K}-{cost_model}-{epsilon}")
+    kinds = dict.fromkeys(["prefix", "demand", "ok"], 0)
+    for trial in range(2):
+        inst = make_instance(
+            [(rng.randint(0, 3), rng.randint(1, 3), rng.randint(1, 3))
+             for _ in range(rng.randint(1, 3))]
+        )
+        cov = reduce_instance(inst, K, trial, epsilon, cost_model)
+        ids = [r.rid for r in cov.rectangles]
+        dp = sorted(DpSolver(cov).solve().selection.chosen)
+        selections = [[], ids, dp] + [[x for x in dp if x != y] for y in dp]
+        selections += [[x for x in ids if rng.random() < q] for q in (0.2, 0.5, 0.8)]
+        for chosen in selections:
+            report = assert_report_matches_naive(cov, Selection.of(chosen))
+            kinds["prefix"] += bool(report.prefix_violations)
+            kinds["demand"] += bool(report.demand_violations)
+            kinds["ok"] += report.ok
+    assert all(kinds.values())
+
+
+def test_check_feasible_at_the_horizon_edge():
+    # One job, released at 5 with p = 3, so T = 8, with hand-made rectangles:
+    # [5, 6), [6, 8), then [8, 12), which starts at T and runs past the
+    # horizon, and [12, 16), wholly past it.  Every subset is judged against
+    # the naive references.
+    inst = make_instance([(5, 3, 1)])
+    T = total_horizon(inst)
+    assert T == 8
+    grid = build_grid(16, 2)
+    cells = [cell_at(grid, grid.lmax, 5), cell_at(grid, grid.lmax - 1, 6), cell_at(grid, 0, 0)]
+    spans = [[(5, 6)], [(6, 8)], [(8, 12), (12, 16)]]
+    groups, rid = [], 0
+    for cell, group_spans in zip(cells, spans):
+        rects = []
+        for a, b in group_spans:
+            rects.append(Rectangle(rid=rid, job=1, x_begin=a, x_end=b, cost=1, capacity=3))
+            rid += 1
+        groups.append(PrefixGroup(job=1, cell=cell, rectangles=tuple(rects)))
+    cov = CoveringInstance(inst, grid, groups)
+    outcomes = {}
+    for mask in range(1 << rid):
+        chosen = [i for i in range(rid) if mask >> i & 1]
+        report = assert_report_matches_naive(cov, Selection.of(chosen))
+        outcomes[tuple(chosen)] = [(v.s, v.t) for v in report.demand_violations]
+    # d(5, t) = 3 - (t - 5) binds at t = 5, 6, 7, and d(s, t) = d(5, t) - (5 - s)
+    short_5 = [(3, 5), (4, 5), (5, 5)]
+    short_6_7 = [(4, 6), (5, 6), (5, 7)]
+    assert outcomes[()] == short_5 + short_6_7
+    assert outcomes[(0,)] == short_6_7
+    assert outcomes[(0, 1)] == outcomes[(0, 1, 2, 3)] == []
+    assert outcomes[(1, 2, 3)] == short_5
+    assert check_feasible(cov, Selection.of([0, 1, 3])).prefix_violations[0].selected_positions == (1,)
+
+
+def test_rects_crossing_built_on_first_use():
+    # the index matches the rectangles through t + 1/2, in row order, and a
+    # DP solve or a feasibility scan never builds it
+    rng = Random(404)
+    for trial in range(20):
+        cov = random_cov(rng, n_max=5, K=2 + trial % 3)
+        assert "_crossing" not in vars(cov)
+        result = DpSolver(cov).solve()
+        check_feasible(cov, result.selection)
+        check_feasible(cov, full_selection(cov))
+        assert "_crossing" not in vars(cov)
+        for t in range(-2, cov.horizon + 3):
+            through = tuple(
+                r for r in cov.rectangles if r.x_begin <= t < r.x_end and 0 <= t <= cov.horizon
+            )
+            assert cov.rects_crossing(t) == through
+            assert [r.job for r in through] == sorted(r.job for r in through)
+        assert "_crossing" in vars(cov)
 
 
 def test_selection_cost_examples():

@@ -17,7 +17,6 @@ from flowcover.dpsolver import (
     DpError,
     DpSolver,
     area_begin,
-    is_canonical,
     next_carry,
     solve,
     subcells,
@@ -25,6 +24,7 @@ from flowcover.dpsolver import (
 from flowcover.grid import build_grid, build_segments, cell_at, root_length
 from flowcover.jobs import Job, make_instance, perturb_release_times, total_horizon
 from flowcover.oracle import brute_force_covering, reduce_instance, reduction_grid
+from helpers import is_canonical
 
 
 def cov_for(triples, K=2, shift=0, T=None):

@@ -8,12 +8,10 @@ from flowcover.grid import (
     cell_at,
     cell_chain,
     cell_path,
-    check_nesting,
     root_length,
-    segments_flat,
-    spans_nest,
 )
 from flowcover.jobs import Job, make_instance
+from helpers import check_nesting, segments_flat, spans_nest
 
 
 def intervals_partition(segments, lo, hi):
