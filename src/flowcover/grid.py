@@ -196,12 +196,6 @@ class SegmentGroup:
     cell: GridCell
     segments: tuple[Interval, ...]
 
-    @property
-    def span(self) -> Interval | None:
-        if not self.segments:
-            return None
-        return (self.segments[0][0], self.segments[-1][1])
-
 
 def chunk(begin: int, end: int, width: int) -> tuple[Interval, ...]:
     """[begin, end) cut left to right into intervals of ``width``.  Built

@@ -248,7 +248,8 @@ def exact_opt_tiny(instance: JobInstance) -> tuple[int, Schedule]:
     start = tuple(j.processing for j in instance.jobs)
     answer = best(0, start)
     best.cache_clear()
-    assert answer is not None, "horizon always admits a complete schedule"
+    if answer is None:
+        raise RuntimeError("no complete schedule within the horizon; the horizon always admits one")
     cost, assignment = answer
     slots = {t: job_id for t, job_id in enumerate(assignment) if job_id != idle}
     return cost, Schedule.from_mapping(slots)

@@ -4,23 +4,36 @@
 i.e. the complete space of prefix-valid selections.  Groups are fixed in the
 order they appear in the covering instance (job by job, deepest cell first,
 which is left to right).  Only the rays [r_j, t] with positive demand can
-bind (the rule in ``covering``); as soon as every group that can contribute
-to one has been fixed, its demand is checked and the branch pruned on
-failure.  A running cost bound prunes branches that already cost more than
-the best complete solution.  Both prunings are exact: the search still visits
-every potentially optimal selection, so the result is a true minimum.
+bind (the rule in ``covering``).  Each is checked at its trigger, the last
+group among those it crosses, and rays crossing the same rectangles are one
+constraint with the largest need.  A search node fixes its group's take by
+the least-take rule.  For each ray triggered there, the selected capacity of
+the earlier groups leaves a shortfall; the ray's own capacity over the
+group's takes is a prefix sum that never falls, so the takes meeting it are
+exactly those from the first whose prefix reaches the shortfall on.  A ray
+crossing no earlier group has a fixed bound, computed once.  The node tries
+takes from the largest bound up (none when it exceeds the group) and stops
+at the first take that costs more than the best complete solution: every
+cost is >= 1 and the best only falls, so every larger take would cost more
+too.  The search thus visits exactly the nodes, in the same order, that
+testing every take against every ray would, so node budgets, ties and
+results do not depend on how a node finds its takes.  Both prunings are
+exact: every potentially optimal selection is still visited, so the result
+is a true minimum.
 
 ``reduce_instance`` is the reduction pipeline (release perturbation, seeded
 shifted grid, covering) that every solve, check and verification runs.
 ``verify_pair`` reduces one instance, solves it both with the dynamic program
-and with this oracle, and reports whether the costs agree and both solutions
-pass the independent feasibility scan.
+and with this oracle, and reports whether the costs and the selections agree
+(both break cost ties towards the smallest sorted id tuple) and both
+solutions pass the independent feasibility scan.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -94,10 +107,10 @@ def brute_force_covering(
     # rid -> (group index, position in the group); ids run group by group
     slot = [(gi, pos) for gi, g in enumerate(groups) for pos in range(len(g.rectangles))]
 
-    # Rays [r_j, t] with positive demand, bucketed by the last group fixed
-    # among their contributors; checking a ray any earlier could reject
-    # selections that a later group would still fix.
-    buckets: list[list[tuple[int, list[tuple[int, int, int]]]]] = [[] for _ in groups]
+    # Rays [r_j, t] with positive demand, keyed by the (group, position,
+    # capacity) of the rectangles they cross: rays crossing the same
+    # rectangles are one constraint with the largest need.
+    needs: dict[tuple[tuple[int, int, int], ...], int] = {}
     for t in range(0, cov.horizon + 1):
         for job in cov.instance.jobs:
             if job.release > t:
@@ -105,15 +118,37 @@ def brute_force_covering(
             need = cov.demand(job.release, t)
             if need <= 0:
                 continue
-            contributors = [
-                (*slot[r.rid], r.capacity) for r in ray_rectangles(cov, job.release, t)
-            ]
-            trigger = max(gi for gi, _, _ in contributors)
-            buckets[trigger].append((need, contributors))
+            crossed = ray_rectangles(cov, job.release, t)
+            key = tuple(sorted((*slot[r.rid], r.capacity) for r in crossed))
+            needs[key] = max(need, needs.get(key, 0))
+
+    # Each ray is checked at its trigger, the last group it crosses; checking
+    # it any earlier could reject selections that a later group would still
+    # fix.  Per trigger: the least take that the rays crossing no earlier
+    # group ask for, and for the other rays their need, their earlier
+    # contributors and their own capacity prefix over the group's takes.
+    floors = [0] * len(groups)
+    buckets: list[list[tuple[int, tuple[tuple[int, int, int], ...], list[int]]]] = [
+        [] for _ in groups
+    ]
+    for key, need in needs.items():
+        trigger = key[-1][0] if key else 0  # a ray crossing nothing fails at the root
+        own = [0] * (len(groups[trigger].rectangles) + 1)
+        for g, pos, cap in key:
+            if g == trigger:
+                own[pos + 1] += cap
+        own = list(accumulate(own))
+        earlier = tuple(c for c in key if c[0] < trigger)
+        if earlier:
+            buckets[trigger].append((need, earlier, own))
+        else:
+            floors[trigger] = max(floors[trigger], bisect_left(own, need))
 
     prefix_costs = [list(accumulate((r.cost for r in g.rectangles), initial=0)) for g in groups]
 
-    lengths = [0] * len(groups)
+    last = len(groups)
+    max_nodes, limit_ms = budget.max_combinations, budget.time_limit_ms
+    lengths = [0] * last
     best: tuple[int, tuple[int, ...]] | None = None
     nodes = 0
     started = time.perf_counter()
@@ -121,13 +156,13 @@ def brute_force_covering(
     def walk(gi: int, cost: int) -> None:
         nonlocal best, nodes
         nodes += 1
-        if nodes > budget.max_combinations:
-            raise OracleBudgetExceeded(f"visited more than {budget.max_combinations} nodes")
-        if nodes % 4096 == 0 or budget.time_limit_ms == 0:
+        if nodes > max_nodes:
+            raise OracleBudgetExceeded(f"visited more than {max_nodes} nodes")
+        if nodes % 4096 == 0 or limit_ms == 0:
             elapsed_ms = (time.perf_counter() - started) * 1000.0
-            if elapsed_ms >= budget.time_limit_ms:
-                raise OracleBudgetExceeded(f"time limit {budget.time_limit_ms} ms hit")
-        if gi == len(groups):
+            if elapsed_ms >= limit_ms:
+                raise OracleBudgetExceeded(f"time limit {limit_ms} ms hit")
+        if gi == last:
             ids = tuple(
                 sorted(
                     rect.rid
@@ -139,20 +174,29 @@ def brute_force_covering(
             if best is None or cand < best:
                 best = cand
             return
-        for take in range(len(groups[gi].rectangles) + 1):
-            lengths[gi] = take
-            branch_cost = cost + prefix_costs[gi][take]
+        # the least take that meets every ray of this bucket; own prefixes
+        # never fall, so exactly the takes from there on meet them all
+        lo = floors[gi]
+        for short, earlier, own in buckets[gi]:
+            for g, pos, cap in earlier:
+                if lengths[g] > pos:
+                    short -= cap
+            if short > 0:
+                least = bisect_left(own, short)
+                if least > lo:
+                    lo = least
+        costs = prefix_costs[gi]
+        for take in range(lo, len(costs)):
+            branch_cost = cost + costs[take]
+            # costs are >= 1 and best only falls: every larger take costs more
             if best is not None and branch_cost > best[0]:
-                continue
-            if all(
-                sum(cap for g, pos, cap in cs if lengths[g] > pos) >= need
-                for need, cs in buckets[gi]
-            ):
-                walk(gi + 1, branch_cost)
-        lengths[gi] = 0
+                break
+            lengths[gi] = take
+            walk(gi + 1, branch_cost)
 
     walk(0, 0)
-    assert best is not None, "the full selection is always feasible"
+    if best is None:
+        raise RuntimeError("the oracle found no feasible selection; the full selection always is")
     return best[0], Selection.of(best[1])
 
 
@@ -235,8 +279,9 @@ def verify_pair(
     The release perturbation runs first (so duplicate release times are
     fine) and the grid shift is drawn from ``seed``.  The DP checks its own
     answer with the exhaustive interval scan; the oracle's answer is scanned
-    here.  Any disagreement comes back as a failed report carrying the
-    serialized instance so it can be replayed.
+    here.  Any disagreement, in cost or in the selection of a tied cost,
+    comes back as a failed report carrying the serialized instance so it can
+    be replayed.
     """
     cov = reduce_instance(instance, K, seed, epsilon, cost_model)
     work = cov.instance
@@ -287,10 +332,12 @@ def verify_pair(
             status="oracle_infeasible", instance_json=instance_to_json(instance), **base
         )
     if dp.cost != oracle_cost:
-        return VerifyReport(
-            status="mismatch",
-            detail=f"dp_cost={dp.cost} oracle_cost={oracle_cost}",
-            instance_json=instance_to_json(instance),
-            **base,
-        )
-    return VerifyReport(status="ok", **base)
+        detail = f"dp_cost={dp.cost} oracle_cost={oracle_cost}"
+    elif base["dp_selection"] != base["oracle_selection"]:
+        # both solvers break cost ties towards the smallest sorted id tuple
+        detail = f"tie broken apart at cost {dp.cost}"
+    else:
+        return VerifyReport(status="ok", **base)
+    return VerifyReport(
+        status="mismatch", detail=detail, instance_json=instance_to_json(instance), **base
+    )

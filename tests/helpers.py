@@ -1,8 +1,9 @@
 """Checks the tests share that the package itself never runs.
 
-``segments_flat``, ``spans_nest`` and ``check_nesting`` state the segment
-structure of the ``grid`` module docstring; ``is_canonical`` is the state
-kind that ``DpSolver`` decides in its table build, computed here on its own.
+``segments_flat``, ``group_span``, ``spans_nest`` and ``check_nesting``
+state the segment structure of the ``grid`` module docstring;
+``is_canonical`` is the state kind that ``DpSolver`` decides in its table
+build, computed here on its own.
 """
 
 from __future__ import annotations
@@ -18,6 +19,13 @@ def segments_flat(groups: list[SegmentGroup]) -> list[Interval]:
     return [seg for group in groups for seg in group.segments]
 
 
+def group_span(group: SegmentGroup) -> Interval | None:
+    """[first segment's begin, last segment's end) of a group; None when empty."""
+    if not group.segments:
+        return None
+    return (group.segments[0][0], group.segments[-1][1])
+
+
 def spans_nest(outer_groups: list[SegmentGroup], inner_groups: list[SegmentGroup]) -> bool:
     """Whether every non-empty inner group's span sits inside the span of some
     outer group whose cell is an ancestor-or-self of the inner group's cell.
@@ -26,11 +34,11 @@ def spans_nest(outer_groups: list[SegmentGroup], inner_groups: list[SegmentGroup
     segment groups built on different grids will generally fail this check.
     """
     for inner in inner_groups:
-        span = inner.span
+        span = group_span(inner)
         if span is None:
             continue
         if not any(
-            (ospan := outer.span) is not None
+            (ospan := group_span(outer)) is not None
             and ospan[0] <= span[0]
             and span[1] <= ospan[1]
             and inner.cell.is_descendant_or_self(outer.cell)

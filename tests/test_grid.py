@@ -11,7 +11,7 @@ from flowcover.grid import (
     root_length,
 )
 from flowcover.jobs import Job, make_instance
-from helpers import check_nesting, segments_flat, spans_nest
+from helpers import check_nesting, group_span, segments_flat, spans_nest
 
 
 def intervals_partition(segments, lo, hi):
@@ -200,7 +200,7 @@ def test_segment_structure_invariants_random():
                     continue
                 widths = {b - a for a, b in g.segments}
                 assert len(widths) == 1
-                span = g.span
+                span = group_span(g)
                 assert g.cell.begin <= span[0] and span[1] == g.cell.end
                 if g.cell.level <= grid.lmax - 2:
                     count = len(g.segments)

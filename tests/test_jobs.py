@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+import flowcover.jobs as jobs_mod
 from flowcover.jobs import (
     Job,
     JobInstance,
@@ -87,6 +88,14 @@ def test_tiny_guard():
         exact_opt_tiny(make_instance([(0, 33, 1)]))
     with pytest.raises(SizeGuardExceeded):
         exact_opt_tiny(make_instance([(0, 1, 1)] * 6))
+
+
+def test_tiny_short_horizon_raises_not_asserts(monkeypatch):
+    # a horizon too short for the work breaks the invariant; under python -O
+    # too, it must be an error naming it, not a failure further on
+    monkeypatch.setattr(jobs_mod, "total_horizon", lambda instance: 1)
+    with pytest.raises(RuntimeError, match="no complete schedule within the horizon"):
+        exact_opt_tiny(make_instance([(0, 2, 1)]))
 
 
 def test_tiny_cost_invariant_under_input_permutation():

@@ -5,15 +5,24 @@ from random import Random
 import pytest
 
 import flowcover.oracle as oracle_mod
-from flowcover.covering import Selection, build_covering, check_feasible, selection_cost
+from flowcover.covering import (
+    CoveringInstance,
+    Selection,
+    build_covering,
+    check_feasible,
+    ray_rectangles,
+    selection_cost,
+)
 from flowcover.dpsolver import DpError
 from flowcover.grid import build_grid, root_length
+from flowcover.harness import CampaignConfig, campaign_instance
 from flowcover.jobs import make_instance, perturb_release_times, total_horizon
 from flowcover.oracle import (
     OracleBudget,
     OracleBudgetExceeded,
     brute_force_covering,
     derive_shift,
+    reduce_instance,
     verify_pair,
 )
 
@@ -101,6 +110,53 @@ def test_oracle_matches_unpruned_enumeration():
         checked += 1
         largest = max(largest, size)
     assert largest > 100
+
+
+# Search nodes of the campaign draws with seeds 0..9 (n <= 3), per (K, cost
+# model): the least max_combinations that does not raise.  A change to how a
+# node decides its takes must leave every count as it is.
+SEARCH_NODES = {
+    (2, "weighted_length"): (8, 3, 3, 5, 3, 149, 191, 11, 4, 69),
+    (2, "unit"): (12, 3, 3, 5, 3, 504, 309, 19, 4, 44),
+    (3, "weighted_length"): (65, 3, 3, 3, 3, 248, 136, 20, 4, 41),
+    (3, "unit"): (78, 3, 3, 3, 3, 26300, 315, 54, 4, 30),
+}
+
+
+@pytest.mark.parametrize("K, cost_model", sorted(SEARCH_NODES))
+def test_search_visits_the_pinned_nodes(K, cost_model):
+    cfg = CampaignConfig(K=K, n_max=3, cost_model=cost_model)
+    for seed, nodes in enumerate(SEARCH_NODES[K, cost_model]):
+        cov = reduce_instance(campaign_instance(seed, cfg), K, seed, cost_model=cost_model)
+        brute_force_covering(cov, OracleBudget(max_combinations=nodes))
+        with pytest.raises(OracleBudgetExceeded, match="nodes"):
+            brute_force_covering(cov, OracleBudget(max_combinations=nodes - 1))
+
+
+def test_no_feasible_selection_raises_not_asserts(monkeypatch):
+    # demands past every capacity break the invariant that the full selection
+    # is feasible; under python -O too, the oracle must say so
+    cov = reduce_instance(make_instance([(0, 2, 1), (1, 1, 1)]), K=2, seed=0)
+    monkeypatch.setattr(CoveringInstance, "demand", lambda self, s, t: 100)
+    with pytest.raises(RuntimeError, match="no feasible selection"):
+        brute_force_covering(cov)
+
+
+def test_rays_on_one_rectangle_set_keep_the_larger_need():
+    # perturbed, job 1 is (r=1, p=4) and job 2 is (r=2, p=6); the rays [1, 4]
+    # to [1, 10] all cross rectangle 3 (row 1, capacity 4) and rectangle 7
+    # (row 2, capacity 6) with needs 7 down to 1; need 6 and below are met by
+    # rectangle 7, which the ray [2, 4] needs anyway, and only need 7 asks
+    # for rectangle 3 (cost 8) on top
+    cov = reduce_instance(make_instance([(0, 2, 1), (0, 3, 2)]), K=2, seed=0)
+    assert [j.release for j in cov.instance.jobs] == [1, 2]
+    rays = [(cov.demand(1, t), ray_rectangles(cov, 1, t)) for t in range(4, 11)]
+    assert {tuple(r.rid for r in rects) for _, rects in rays} == {(3, 7)}
+    assert [need for need, _ in rays] == [7, 6, 5, 4, 3, 2, 1]
+    cost, sel = brute_force_covering(cov)
+    assert (cost, sel.sorted_ids()) == (31, (0, 1, 2, 3, 5, 6, 7))
+    assert check_feasible(cov, sel).ok
+    assert not check_feasible(cov, Selection.of(sel.chosen - {3})).ok
 
 
 def test_oracle_deterministic():
@@ -220,6 +276,23 @@ def test_verify_pair_mismatch_report(monkeypatch):
     assert report.instance_json is not None and '"jobs"' in report.instance_json
     assert report.dp_selection is not None and report.oracle_selection is not None
     assert not report.ok
+
+
+def test_verify_pair_reports_a_tie_broken_apart(monkeypatch):
+    # under unit costs (0, 1, 2, 3, 6, 7) and (0, 1, 2, 6, 7, 8) both cost 6;
+    # the lexicographically smaller one is the answer of both solvers
+    inst = make_instance([(0, 2, 1), (1, 1, 1)])
+    report = verify_pair(inst, K=2, seed=2, cost_model="unit")
+    assert report.ok and report.dp_selection == (0, 1, 2, 3, 6, 7)
+
+    def other_tie(cov, budget=None):
+        return 6, Selection.of([0, 1, 2, 6, 7, 8])
+
+    monkeypatch.setattr(oracle_mod, "brute_force_covering", other_tie)
+    report = verify_pair(inst, K=2, seed=2, cost_model="unit")
+    assert report.status == "mismatch" and report.detail == "tie broken apart at cost 6"
+    assert report.oracle_selection == (0, 1, 2, 6, 7, 8)
+    assert report.instance_json is not None
 
 
 def test_verify_pair_reports_dp_error_as_dp_infeasible(monkeypatch):
