@@ -28,6 +28,12 @@ is the processing released before s.  The sets of rectangles a ray crosses
 come from a per-column crossing index, built on first use; only the oracle
 reads it.
 
+A build makes one ``Rectangle`` per segment and one ``PrefixGroup`` per
+non-empty segment group, dozens per small instance, so both are
+``typing.NamedTuple``s: immutable, equal and hashed by value, and about
+half the cost of a frozen dataclass to build, which assigns each field
+through ``object.__setattr__``.
+
 Costs come from a built-in model named in ``COST_MODELS``.  The default
 charges weight * segment length, the weighted duration the job stays alive
 across that segment; ``unit`` charges 1 per rectangle.  The exact cost
@@ -44,7 +50,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from operator import sub
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .grid import Grid, GridCell, Interval, build_segments, cell_path
 from .jobs import Job, JobInstance, total_horizon
@@ -75,8 +81,7 @@ def resolve_cost_model(model: str) -> CostFn:
         ) from None
 
 
-@dataclass(frozen=True)
-class Rectangle:
+class Rectangle(NamedTuple):
     """Segment [x_begin, x_end) of job ``job`` lifted to row [job, job+1)."""
 
     rid: int
@@ -91,8 +96,7 @@ class Rectangle:
         return (self.x_begin, self.x_end)
 
 
-@dataclass(frozen=True)
-class PrefixGroup:
+class PrefixGroup(NamedTuple):
     """Rectangles of one job in one cell, left to right; selections must take
     a (possibly empty) prefix of this order."""
 
@@ -160,7 +164,7 @@ class CoveringInstance:
         self.groups = tuple(groups)
         self.horizon = total_horizon(instance) if instance.jobs else 0
         self.rectangles: tuple[Rectangle, ...] = tuple(
-            r for g in self.groups for r in g.rectangles
+            [r for g in self.groups for r in g.rectangles]
         )
         for i, r in enumerate(self.rectangles):
             prev = self.rectangles[i - 1].job if i else r.job
@@ -219,10 +223,14 @@ class CoveringInstance:
         return idx + 1 if idx < len(self.releases) else None
 
     def release_of(self, job: int) -> int:
-        """Release of ``job``; one past the horizon for the sentinel job n+1."""
-        if job == self.instance.n + 1:
+        """Release of ``job``; one past the horizon for the sentinel job n+1.
+        ValueError for any job outside 1..n+1."""
+        n = self.instance.n
+        if not 1 <= job <= n + 1:
+            raise ValueError(f"job {job} outside 1..{n + 1}")
+        if job == n + 1:
             return self.horizon + 1
-        return self.instance.jobs[job - 1].release
+        return self.releases[job - 1]
 
     def demand(self, s: int, t: int) -> int:
         """d([s, t]) = total processing released within [s, t] minus (t - s)."""
@@ -277,7 +285,7 @@ def ray_rectangles(cov: CoveringInstance, s: int, t: int) -> tuple[Rectangle, ..
     anchor = cov.anchor_job(s)
     if anchor is None:
         return ()
-    return tuple(r for r in cov.rects_crossing(t) if r.job >= anchor)
+    return tuple([r for r in cov.rects_crossing(t) if r.job >= anchor])
 
 
 def selection_cost(cov: CoveringInstance, sel: Selection) -> int:

@@ -28,7 +28,9 @@ a run of the current state's pieces, or of their cuts.  A split keeps the
 pieces right of the k-th child for the right part, ``carry[inside:]``, and
 hands the left part the first ``inside`` values, each repeated ``fan``
 times, since each of those pieces holds ``fan`` of the child's pieces.  A
-canonical step keeps the pieces and maps each value through ``next_carry``.
+canonical step keeps the pieces and maps the whole carry through
+``next_carry``, once as if the row's rectangles were all taken and once as
+if none were.
 
 Threshold bounds decide most states without a search.  Fix a prefix-valid
 selection S of the area.  A carried value reaches only the rays inside its
@@ -160,10 +162,13 @@ def _spans_area(group: PrefixGroup | None, x_begin: int, x_end: int) -> bool:
     return rects[0].x_begin == x_begin and rects[-1].x_end <= x_end
 
 
-def next_carry(carry_value: int, processing: int, release_gap: int, paid_capacity: int) -> int:
-    """Carried demand for the next row: the old debt plus the current job's
-    processing, minus the release gap and whatever selected capacity paid."""
-    return max(0, carry_value + processing - release_gap - paid_capacity)
+def next_carry(carry: Carry, processing: int, release_gap: int, paid_capacity: int) -> list[int]:
+    """Carried demand for the next row, piece by piece: each old debt plus
+    the current job's processing, minus the release gap and whatever
+    selected capacity paid, and at least 0.  One call maps a whole carry,
+    since every piece shares the shift; a canonical state makes two."""
+    cleared = release_gap + paid_capacity - processing  # a debt this small clears
+    return [v - cleared if v > cleared else 0 for v in carry]
 
 
 def _canonical_bounds(
@@ -429,8 +434,9 @@ class DpSolver:
     def _check_carry(self, tab: TripleTable, carry: Carry) -> None:
         if len(carry) != tab.n_pieces:
             raise DpError(f"carry of {len(carry)} values for a state of {tab.n_pieces} pieces")
-        top = max(carry, default=0)
-        if top > tab.top or min(carry, default=0) < 0:
+        # an area holds at least one piece, so the carry is not empty here
+        top = max(carry)
+        if top > tab.top or min(carry) < 0:
             bad = next(v for v in carry if not 0 <= v <= tab.top)
             raise DpError(f"carry value {bad} outside 0..{tab.top}")
         if top > self._max_carry:
@@ -481,8 +487,8 @@ class DpSolver:
         # (0, ()) exactly for the takes in zero_lo..zero_hi.  The cheapest
         # of those is the smallest; a larger take costs more.
         p, gap = tab.p, tab.gap
-        paid = [next_carry(v, p, gap, p) for v in carry]
-        unpaid = [next_carry(v, p, gap, 0) for v in carry]
+        paid = next_carry(carry, p, gap, p)
+        unpaid = next_carry(carry, p, gap, 0)
         # Only the child's window of pieces [lo, hi) holds bounds.
         child = tab.child
         lo, theta, phi = child.lo, child.theta, child.phi

@@ -11,7 +11,10 @@ Cells are built on first access: ``build_grid`` makes only the root, and a
 cell creates its K children the first time ``children`` is read, then keeps
 them.  A solve therefore pays for the cells it touches, not for the whole
 tree over the horizon, and one grid still hands out exactly one object per
-cell.
+cell.  Cells compare by identity, so structures built on two grids never
+mix.  ``GridCell`` is a slotted class, not a frozen dataclass, because a
+solve builds dozens of cells and the frozen form costs several times as
+much per cell (its docstring has the detail).
 
 A cell's *pieces* cut it into equal intervals: units in a cell of length K
 or less (a leaf or a parent of leaves), its grandchild cells in any other.
@@ -31,53 +34,53 @@ ancestor-or-self of the later group's cell).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .jobs import Job
 
 Interval = tuple[int, int]
 
 
-@dataclass(frozen=True, eq=False)
 class GridCell:
     """One grid cell: half-open interval [begin, end) at ``level``.
 
     ``children`` is built the first time it is read and kept, so one grid
     has exactly one object per cell.  Cells compare by identity; two builds
     of the same grid yield distinct cell objects on purpose, so structures
-    from different grids cannot be mixed silently.
+    from different grids cannot be mixed silently.  The hash is on (level,
+    begin, end), stable across runs, unlike ``id()``.
+
+    A plain slotted class with its own ``__init__``, not a frozen dataclass:
+    a solve builds dozens of cells, and a frozen dataclass pays an
+    ``object.__setattr__`` call per field, several times the cost of the
+    cell's plain assignments.  Nothing assigns to a cell after ``__init__``
+    except its children cache.
     """
 
-    level: int
-    begin: int
-    end: int
-    K: int = field(repr=False)
-    # plain attributes, not properties: the DP reads them in every table
-    # and state.  piece_width is the width of the cell's pieces: 1 for a leaf
-    # or a parent of leaves, the grandchild length otherwise.
-    length: int = field(init=False, repr=False)
-    is_leaf: bool = field(init=False, repr=False)
-    piece_width: int = field(init=False, repr=False)
-    _children: tuple["GridCell", ...] | None = field(init=False, repr=False)
+    __slots__ = ("level", "begin", "end", "K", "length", "is_leaf", "piece_width", "_children")
 
-    def __post_init__(self) -> None:
-        length = self.end - self.begin
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "is_leaf", length == 1)
-        object.__setattr__(
-            self, "piece_width", 1 if length <= self.K else length // self.K**2
-        )
-        object.__setattr__(self, "_children", None)
+    def __init__(self, level: int, begin: int, end: int, K: int):
+        self.level = level
+        self.begin = begin
+        self.end = end
+        self.K = K
+        # plain attributes, not properties: the DP reads them in every table
+        # and state.  piece_width is the width of the cell's pieces: 1 for a
+        # leaf or a parent of leaves, the grandchild length otherwise.
+        self.length = length = end - begin
+        self.is_leaf = length == 1
+        self.piece_width = 1 if length <= K else length // K**2
+        self._children: tuple[GridCell, ...] | None = None
 
-    def __hash__(self) -> int:  # stable across runs, unlike id()
+    def __repr__(self) -> str:
+        return f"GridCell(level={self.level}, begin={self.begin}, end={self.end})"
+
+    def __hash__(self) -> int:
         return hash((self.level, self.begin, self.end))
 
     @property
     def children(self) -> tuple["GridCell", ...]:
         """The K equal cells one level below, built on first read; empty for a leaf."""
-        # Kept in a field rather than through functools.cached_property, which
-        # writes the instance __dict__ directly and so slows every later
-        # attribute read on the cell.
         kids = self._children
         if kids is None:
             kids = ()
@@ -90,7 +93,7 @@ class GridCell:
                         for x in range(self.begin, self.end, step)
                     ]
                 )
-            object.__setattr__(self, "_children", kids)
+            self._children = kids
         return kids
 
     def contains_point(self, x: int) -> bool:
@@ -188,9 +191,10 @@ def cell_chain(grid: Grid, x: int) -> list[GridCell]:
     return chain
 
 
-@dataclass(frozen=True)
-class SegmentGroup:
-    """The segments of one job inside one cell, ordered left to right."""
+class SegmentGroup(NamedTuple):
+    """The segments of one job inside one cell, ordered left to right.  A
+    NamedTuple, like the ``covering`` records: immutable, and cheaper to
+    build than a frozen dataclass."""
 
     job: int
     cell: GridCell

@@ -138,7 +138,7 @@ def brute_force_covering(
             if g == trigger:
                 own[pos + 1] += cap
         own = list(accumulate(own))
-        earlier = tuple(c for c in key if c[0] < trigger)
+        earlier = tuple([c for c in key if c[0] < trigger])
         if earlier:
             buckets[trigger].append((need, earlier, own))
         else:

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from random import Random
 
 import pytest
@@ -18,7 +17,7 @@ from flowcover.covering import (
     unit_cost,
 )
 from flowcover.dpsolver import DpSolver
-from flowcover.grid import build_grid, cell_at, root_length
+from flowcover.grid import build_grid, build_segments, cell_at, root_length
 from flowcover.jobs import make_instance, perturb_release_times, total_horizon
 from flowcover.oracle import reduce_instance
 
@@ -73,12 +72,35 @@ def test_rows_follow_job_index():
         assert rect.capacity == cov.instance.jobs[rect.job - 1].processing
 
 
+def test_records_are_immutable():
+    cov = cov_for([(0, 2, 1), (1, 1, 1)])
+    rect, group = cov.rectangles[0], cov.groups[0]
+    seg_group = build_segments(cov.instance.jobs[0], cov.grid)[0]
+    for record, name in ((rect, "cost"), (group, "job"), (seg_group, "segments")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    assert rect.x_interval == (rect.x_begin, rect.x_end)
+    with pytest.raises(AttributeError):
+        rect.x_interval = (0, 1)
+
+
+def test_rectangles_of_two_builds_equal_and_hash_alike():
+    first = cov_for([(0, 2, 1), (3, 1, 2), (4, 3, 1)])
+    second = cov_for([(0, 2, 1), (3, 1, 2), (4, 3, 1)])
+    assert first.rectangles == second.rectangles
+    assert [hash(r) for r in first.rectangles] == [hash(r) for r in second.rectangles]
+    assert len(set(first.rectangles) | set(second.rectangles)) == len(first.rectangles)
+    # groups hold their build's own cells, which compare by identity
+    assert first.groups[0].cell is not second.groups[0].cell
+    assert first.groups[0] != second.groups[0]
+
+
 def _renumbered(groups):
     """The groups with their rectangles' ids set to 0..N-1 in group order."""
     out, rid = [], 0
     for g in groups:
-        rects = tuple(replace(r, rid=rid + i) for i, r in enumerate(g.rectangles))
-        out.append(replace(g, rectangles=rects))
+        rects = tuple(r._replace(rid=rid + i) for i, r in enumerate(g.rectangles))
+        out.append(g._replace(rectangles=rects))
         rid += len(rects)
     return out
 
@@ -86,7 +108,7 @@ def _renumbered(groups):
 def _with_rect(groups, target, **changes):
     """The groups with the fields of rectangle ``target`` changed."""
     return [
-        replace(g, rectangles=tuple(replace(r, **changes) if r.rid == target else r
+        g._replace(rectangles=tuple(r._replace(**changes) if r.rid == target else r
                                     for r in g.rectangles))
         for g in groups
     ]
@@ -159,6 +181,15 @@ def test_demand_bounds():
         cov.demand(0, 7)
     with pytest.raises(ValueError):
         cov.demand(-1, 2)
+
+
+def test_release_of_checks_its_range():
+    cov = cov_for([(0, 2, 1), (3, 1, 1)])
+    assert [cov.release_of(j) for j in (1, 2)] == [0, 3]
+    assert cov.release_of(3) == cov.horizon + 1  # the sentinel row n+1
+    for job in (0, -1, 4):
+        with pytest.raises(ValueError, match=rf"job {job} outside 1\.\.3"):
+            cov.release_of(job)
 
 
 def test_demand_matches_instance_method():

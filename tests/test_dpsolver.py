@@ -243,9 +243,19 @@ def test_carry_of_wrong_length_rejected():
 
 
 def test_next_carry_arithmetic():
-    assert next_carry(2, 3, 1, 3) == 1
-    assert next_carry(2, 3, 1, 0) == 4
-    assert next_carry(0, 1, 5, 0) == 0
+    assert next_carry((2,), 3, 1, 3) == [1]
+    assert next_carry((2,), 3, 1, 0) == [4]
+    assert next_carry((0,), 1, 5, 0) == [0]
+
+
+def test_next_carry_maps_a_whole_carry():
+    carries = [(), (0,), (3, 0, 1), (0, 5, 2, 7), (1,) * 6]
+    for carry in carries:
+        for p in range(4):
+            for g in range(5):
+                for paid in (0, p):
+                    expected = [max(0, v + p - g - paid) for v in carry]
+                    assert next_carry(carry, p, g, paid) == expected
 
 
 # -- solve ------------------------------------------------------------------------

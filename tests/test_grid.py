@@ -120,6 +120,25 @@ def test_cells_are_built_once_per_grid():
                 assert chain[level] is cell_at(grid, level, x)
 
 
+def test_children_reads_return_the_same_cells():
+    grid = build_grid(T=13, K=3, shift=2)
+    root = grid.root
+    kids = root.children
+    assert root.children is kids
+    assert all(a is b for a, b in zip(kids, root.children))
+    assert all(kid.children is kid.children for kid in kids)
+    assert repr(kids[1]) == f"GridCell(level=1, begin={kids[1].begin}, end={kids[1].end})"
+
+
+def test_two_builds_give_distinct_cells_with_equal_hashes():
+    first, second = build_grid(T=13, K=2, shift=3), build_grid(T=13, K=2, shift=3)
+    for x in range(first.root.begin, first.root.end):
+        for a, b in zip(cell_chain(first, x), cell_chain(second, x)):
+            assert a is not b and a != b
+            assert hash(a) == hash(b)
+            assert (a.level, a.begin, a.end) == (b.level, b.begin, b.end)
+
+
 def test_cell_path_round_trips_through_parent():
     for K, T, shift in ((2, 13, 3), (3, 20, 5)):
         grid = build_grid(T, K, shift=shift)
