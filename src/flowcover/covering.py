@@ -152,10 +152,16 @@ class CoveringInstance:
     ``proc_prefix[j]`` is p_1 + ... + p_j, the processing of the first j
     jobs, for j = 0..n, and ``excess[t]`` is the processing released by t,
     minus t, for t = 0..T.  Raises ValueError unless ids run 0..N-1 in group
-    order, rows never decrease, every rectangle's capacity is its job's
-    processing, every x-interval is non-empty and starts at 0 or later (the
-    feasibility scan's column arrays rely on it) and every rectangle costs
-    at least 1 (the DP's threshold bounds rely on it).
+    order, every rectangle's capacity is its job's processing, every
+    rectangle costs at least 1 (the DP's threshold bounds rely on it), and
+    the non-empty groups are, in order, the non-empty groups of
+    ``build_segments`` for each job: same row, same cell object, and the
+    segments as the rectangles' x-intervals.  The last check carries the
+    structure of the ``grid`` docstring: each row tiles [r_j, end(root)),
+    groups nest and none straddles a cell.  The DP classifies each (job,
+    cell, k) table by it in O(1), and the feasibility scan's column arrays
+    rely on what it implies: every x-interval is non-empty and starts at or
+    after r_j >= 0.
     """
 
     def __init__(self, instance: JobInstance, grid: Grid, groups: Sequence[PrefixGroup]):
@@ -167,22 +173,18 @@ class CoveringInstance:
             [r for g in self.groups for r in g.rectangles]
         )
         for i, r in enumerate(self.rectangles):
-            prev = self.rectangles[i - 1].job if i else r.job
             if r.rid != i:
                 problem = f"is number {i} in group order (ids must run 0..N-1)"
-            elif r.job < prev:
-                problem = f"in row {r.job} follows row {prev} (rows must not decrease)"
             elif not 1 <= r.job <= instance.n or r.capacity != instance.jobs[r.job - 1].processing:
                 problem = f"in row {r.job} has capacity {r.capacity}, not its job's processing"
-            elif not 0 <= r.x_begin < r.x_end:
-                problem = f"spans [{r.x_begin}, {r.x_end}), not a non-empty interval from 0 on"
             elif r.cost < 1:
                 problem = f"costs {r.cost}; every rectangle must cost at least 1"
             else:
                 continue
             raise ValueError(f"rectangle {r.rid} {problem}")
+        self._check_segments()
         self._group_by_key: dict[tuple[int, int, int], PrefixGroup] = {
-            (g.job, g.cell.level, g.cell.begin): g for g in self.groups
+            (g.job, g.cell.level, g.cell.begin): g for g in self.groups if g.rectangles
         }
         self.releases = instance.releases()
         self.proc_prefix = list(accumulate((j.processing for j in instance.jobs), initial=0))
@@ -190,6 +192,43 @@ class CoveringInstance:
         for job in instance.jobs:
             released[job.release] += job.processing
         self.excess = list(map(sub, accumulate(released), range(self.horizon + 1)))
+
+    def _check_segments(self) -> None:
+        """ValueError unless the non-empty groups are the grid's segment
+        groups, job by job, in order (class docstring)."""
+        given = [(i, g) for i, g in enumerate(self.groups) if g.rectangles]
+        wanted = [
+            seg
+            for job in self.instance.jobs
+            for seg in build_segments(job, self.grid)
+            if seg.segments
+        ]
+        for (i, g), seg in zip(given, wanted):
+            rects = g.rectangles
+            if (
+                g.cell is not seg.cell
+                or g.job != seg.job
+                or any([r.job != seg.job for r in rects])
+                or tuple([(r.x_begin, r.x_end) for r in rects]) != seg.segments
+            ):
+                first, last = seg.segments[0], seg.segments[-1]
+                raise ValueError(
+                    f"group {i} (row {g.job}, cell {_span(g.cell)}) is not the grid's "
+                    f"segment group of row {seg.job} in cell {_span(seg.cell)}, "
+                    f"segments of width {first[1] - first[0]} over [{first[0]},{last[1]})"
+                )
+        if len(given) > len(wanted):
+            i, g = given[len(wanted)]
+            raise ValueError(
+                f"group {i} (row {g.job}, cell {_span(g.cell)}) is past "
+                "the grid's last segment group"
+            )
+        if len(given) < len(wanted):
+            seg = wanted[len(given)]
+            raise ValueError(
+                f"group {len(self.groups)} missing: the groups end before "
+                f"the grid's segment group of row {seg.job} in cell {_span(seg.cell)}"
+            )
 
     @cached_property
     def _crossing(self) -> list[tuple[Rectangle, ...]]:
@@ -237,6 +276,10 @@ class CoveringInstance:
         if not 0 <= s <= t <= self.horizon:
             raise ValueError(f"interval [{s}, {t}] outside 0..{self.horizon}")
         return self.excess[t] - (self.proc_prefix[bisect_left(self.releases, s)] - s)
+
+
+def _span(cell: GridCell) -> str:
+    return f"[{cell.begin},{cell.end})"
 
 
 def build_covering(

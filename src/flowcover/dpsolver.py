@@ -8,20 +8,19 @@ The solver walks states (job, cell, k, carry) top-down with memoization:
   area (k = 1) is the leaf itself.  Only rectangles wholly inside A may still
   be chosen.
 - ``carry`` holds one extra demand per piece of A's x-span, left to right:
-  the cell's pieces from x1 on (``GridCell.piece_width``, listed by
-  ``subcells``), zeros included.  A carried value remembers, for rays that
-  start at rows above ``job`` but reach down into A, how much capacity they
-  are still owed: the state must cover d([r_job, t]) plus the carry of the
-  piece containing t.
+  the cell's pieces from x1 on (``GridCell.piece_width``), zeros included.
+  A carried value remembers, for rays that start at rows above ``job`` but
+  reach down into A, how much capacity they are still owed: the state must
+  cover d([r_job, t]) plus the carry of the piece containing t.
 
 A state is *canonical* when the job's own rectangles in the cell exactly
-span A's x-range; the solver then tries every prefix of that group, checks
-the rays that no deeper row can still affect, re-derives the carry for the
-next row (selected capacity pays the debt, the job's own processing and the
-gap to the next release shift it), and recurses with job+1.  Otherwise the
-area *splits* along the k-th child into two independent states.  These are
-the two kinds of state the solver searches; an area that holds no rectangle
-is never searched (below).
+span A's x-range, so they are A's pieces; the solver then tries every
+prefix of that group, checks the rays that no deeper row can still affect,
+re-derives the carry for the next row (selected capacity pays the debt, the
+job's own processing and the gap to the next release shift it), and
+recurses with job+1.  Otherwise the area *splits* along the k-th child into
+two independent states.  These are the two kinds of state the solver
+searches; an area that holds no rectangle is never searched (below).
 
 Every carry transition is a slice, because the pieces of the next state are
 a run of the current state's pieces, or of their cuts.  A split keeps the
@@ -88,13 +87,18 @@ one's largest settled demand.  Every capacity is p_job and ids run in group
 order (``CoveringInstance`` checks both), so a prefix's ids followed by the
 next row's sorted ids are already sorted.
 
-The structural checks (the pieces tile the area; every deeper group lies
-wholly inside or outside it, under the state's cell; a canonical group is
-the pieces, from r_job on) run when the table is built.  The carry checks
-(one value per piece, each in 0..the processing of the rows above) run for
-every carry handed in from outside, before its bounds decide it, and for
-every state that is searched, so a carry is never trusted because its
-triple was seen before.
+Two O(1) facts classify a table, because ``CoveringInstance`` checks once
+that every row's groups are the grid's segments: rows tile [r_j,
+end(root)), releases strictly increase, and groups of different rows nest
+(``grid`` docstring), so no group straddles an area the recursion reaches.
+So (job, cell, k) is canonical exactly when row job has a group in the
+cell whose first rectangle begins at x1, and its rectangles are then the
+pieces, from r_job on.  Otherwise A holds a rectangle exactly when job <= n
+and r_job < end(cell); the cell is then internal and the area splits.  The
+carry checks (one value per piece, each in 0..the processing of the
+rows above) run for every carry handed to ``_cell``, before its bounds
+decide it, and for every state that is searched, so a carry is never
+trusted because its triple was seen before.
 
 The tuples a solve builds are made from lists, ``tuple([...])``, not from
 generators.  CPython grows a tuple built from a generator by resizing it,
@@ -120,7 +124,7 @@ from .covering import (
     check_feasible,
     selection_cost,
 )
-from .grid import Grid, GridCell, Interval, chunk
+from .grid import GridCell
 
 Carry = tuple[int, ...]  # one value per piece of the area, left to right
 Bounds = tuple[int, ...]  # one value per piece of a table's window of real bounds
@@ -142,24 +146,6 @@ def area_begin(cell: GridCell, k: int, K: int) -> int:
     if not 1 <= k <= top:
         raise ValueError(f"k must be in 1..{top}, got {k}")
     return cell.begin + (k - 1) * (cell.length // K)
-
-
-def subcells(cell: GridCell, k: int, grid: Grid) -> tuple[Interval, ...]:
-    """The pieces of (cell, k), one per carry value: the cell's pieces across
-    the area's x-span.  Computed from the cell's bounds, so no grandchild cell
-    is built for it.
-    """
-    return chunk(area_begin(cell, k, grid.K), cell.end, cell.piece_width)
-
-
-def _spans_area(group: PrefixGroup | None, x_begin: int, x_end: int) -> bool:
-    """Three conditions: the group is non-empty, lies inside [x_begin, x_end),
-    and its leftmost edge is x_begin.  (Group spans always end at the cell's
-    right edge, so the right edges then match too.)"""
-    if group is None or not group.rectangles:
-        return False
-    rects = group.rectangles
-    return rects[0].x_begin == x_begin and rects[-1].x_end <= x_end
 
 
 def next_carry(carry: Carry, processing: int, release_gap: int, paid_capacity: int) -> list[int]:
@@ -359,17 +345,6 @@ class DpSolver:
         self._theta_decided = 0
         self._phi_decided = 0
         self._clamped = 0
-        # _spans_from[job]: (job, x_begin, x_end, cell) of every group in row
-        # job or deeper, so a table build scans only the rows it can reach;
-        # _spans_of[job]: those of row job alone
-        spans = [
-            (g.job, g.rectangles[0].x_begin, g.rectangles[-1].x_end, g.cell)
-            for g in cov.groups
-            if g.rectangles
-        ]
-        rows = range(cov.instance.n + 2)
-        self._spans_from = [tuple([span for span in spans if span[0] >= job]) for job in rows]
-        self._spans_of = [tuple([span for span in spans if span[0] == job]) for job in rows]
 
     # -- public entry points ------------------------------------------------
 
@@ -378,7 +353,8 @@ class DpSolver:
         depth_needed = (self.cov.instance.n + 2) * (self.grid.lmax + 1) * (self.grid.K + 2)
         if sys.getrecursionlimit() < depth_needed + 100:
             sys.setrecursionlimit(depth_needed + 1000)
-        entry = self.solve_cell(1, self.grid.root, 1)
+        root = self.grid.root
+        entry = self._cell(1, root, 1, (0,) * (root.length // root.piece_width), 0)
         if entry is None:
             raise DpError("root state must be feasible: the full selection covers all demands")
         cost, ids = entry
@@ -403,22 +379,6 @@ class DpSolver:
             clamped=self._clamped,
         )
         return DpResult(cost=cost, selection=selection, stats=stats)
-
-    def solve_cell(
-        self, job: int, cell: GridCell, k: int, carry: dict[Interval, int] | None = None
-    ) -> Entry | None:
-        """Solve one state directly; None means infeasible.
-
-        ``carry`` maps pieces of the area to their values; a piece it leaves
-        out carries 0.
-        """
-        pieces = subcells(cell, k, self.grid)
-        dense = dict.fromkeys(pieces, 0)
-        for iv, v in (carry or {}).items():
-            if iv not in dense:
-                raise DpError(f"carry interval {iv} outside the subdivision of the state")
-            dense[iv] = v
-        return self._cell(job, cell, k, tuple(dense.values()), depth=0)
 
     # -- recursion ------------------------------------------------------------
 
@@ -556,34 +516,21 @@ class DpSolver:
         return tab
 
     def _build_table(self, key: TableKey, job: int, cell: GridCell, k: int) -> TripleTable:
+        # the two O(1) facts of the module docstring
+        cov = self.cov
         x_begin = area_begin(cell, k, self.grid.K)
         width = cell.piece_width
-        if (cell.end - x_begin) % width:
-            raise DpError("the pieces must tile the area's x-span")
-        group = self.cov.group(job, cell)
+        group = cov.group(job, cell)
         tab = TripleTable(
             key,
             n_pieces=(cell.end - x_begin) // width,
-            top=self.cov.proc_prefix[job - 1],
-            canonical=_spans_area(group, x_begin, cell.end),
+            top=cov.proc_prefix[job - 1],
+            canonical=group is not None and group.rectangles[0].x_begin == x_begin,
         )
         if tab.canonical:
-            # row job's own group fills the area, and the child (job+1, cell,
-            # k), over the same area, checks the rows below
-            self._groups_inside(cell, x_begin, self._spans_of[job])
-            self._fill_canonical(tab, job, cell, x_begin, group)
-        elif not self._groups_inside(cell, x_begin, self._spans_from[job]):
+            self._fill_canonical(tab, job, cell, group)
+        elif job > cov.instance.n or cov.release_of(job) >= cell.end:
             return tab  # no rectangle: no bound
-        elif cell.is_leaf:
-            # The rectangle inside belongs to a deeper row released at the
-            # leaf, so row job, released earlier, has one over the leaf too.
-            # _groups_inside passed, so that one is row job's own leaf
-            # group and the state is canonical: only a covering whose rows
-            # do not tile [r_j, end(root)) gets here.
-            raise DpError(
-                f"non-canonical leaf state (job={job}, leaf [{cell.begin},{cell.end})) "
-                "holds a rectangle"
-            )
         else:
             child = cell.children[k - 1]
             tab.inside = child.length // width
@@ -597,22 +544,15 @@ class DpSolver:
         return tab
 
     def _fill_canonical(
-        self, tab: TripleTable, job: int, cell: GridCell, x_begin: int, group: PrefixGroup
+        self, tab: TripleTable, job: int, cell: GridCell, group: PrefixGroup
     ) -> None:
-        # The group lies inside the area and spans it, so its rectangles must
-        # be the pieces themselves, in order.
-        subs = chunk(x_begin, cell.end, cell.piece_width)
-        rects = group.rectangles
-        if tuple([r.x_interval for r in rects]) != subs:
-            raise DpError(f"canonical group (job={job}) does not match the pieces {subs}")
-
         # Settled rays (module docstring): only the prefix choice can still
-        # cover them, and a piece's rays share its carry and its rectangle.
+        # cover them, and a piece's rays share its carry and its rectangle,
+        # which is the piece itself.
+        rects = group.rectangles
         r_job = self.cov.release_of(job)
         r_next = self.cov.release_of(job + 1)
-        if subs[0][0] < r_job:
-            raise DpError(f"canonical group (job={job}) starts left of its release {r_job}")
-        settled = tuple([self.cov.demand(r_job, x) for x, _ in subs if x < r_next])
+        settled = tuple([self.cov.demand(r_job, r.x_begin) for r in rects if r.x_begin < r_next])
         tab.settled = settled
         tab.p = p = self.cov.proc_prefix[job] - tab.top
         tab.gap = gap = r_next - r_job
@@ -621,28 +561,6 @@ class DpSolver:
         tab.prefix_ids = tuple([tuple(range(rid0, rid0 + take)) for take in range(len(rects) + 1)])
         tab.child = self._table(job + 1, cell, tab.key[3])
         tab.lo, tab.theta, tab.phi = _canonical_bounds(tab.child, settled, p, gap, tab.top)
-
-    def _groups_inside(self, cell: GridCell, x_begin: int, spans: tuple) -> bool:
-        """Whether a group of ``spans`` lies inside the area [x_begin,
-        end(cell)).
-
-        Every such group must lie wholly inside or wholly outside the area,
-        and inside groups must belong to the cell or one of its descendants;
-        DpError otherwise.
-        """
-        x_end = cell.end
-        inside = False
-        for g_job, lo, hi, g_cell in spans:
-            if hi <= x_begin or lo >= x_end:
-                continue
-            if not (x_begin <= lo and hi <= x_end):
-                raise DpError(
-                    f"group (job={g_job}, cell=[{g_cell.begin},{g_cell.end})) straddles the area"
-                )
-            if not g_cell.is_descendant_or_self(cell):
-                raise DpError("group inside the area but not under the state's cell")
-            inside = True
-        return inside
 
 
 def solve(cov: CoveringInstance) -> DpResult:

@@ -103,14 +103,6 @@ class GridCell:
         """The child containing x; x must lie in this internal cell."""
         return self.children[(x - self.begin) * self.K // self.length]
 
-    def is_descendant_or_self(self, ancestor: "GridCell") -> bool:
-        """Whether this cell lies in ``ancestor``'s subtree (or is it)."""
-        return (
-            self.level >= ancestor.level
-            and ancestor.begin <= self.begin
-            and self.end <= ancestor.end
-        )
-
 
 class Grid:
     """K-ary cell tree over [root.begin, root.end), built lazily from the root.

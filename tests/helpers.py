@@ -1,16 +1,18 @@
 """Checks the tests share that the package itself never runs.
 
-``segments_flat``, ``group_span``, ``spans_nest`` and ``check_nesting``
-state the segment structure of the ``grid`` module docstring;
-``is_canonical`` is the state kind that ``DpSolver`` decides in its table
-build, computed here on its own.
+``segments_flat``, ``group_span``, ``is_descendant_or_self``,
+``spans_nest`` and ``check_nesting`` state the segment structure of the
+``grid`` module docstring; ``is_canonical`` and ``area_holds_rectangle``
+are the two facts ``DpSolver`` classifies a table by, computed here on
+their own by scanning the covering.  ``subcells`` and ``dense_carry`` lay
+out a state's carry by its pieces.
 """
 
 from __future__ import annotations
 
 from flowcover.covering import CoveringInstance
-from flowcover.dpsolver import area_begin
-from flowcover.grid import Grid, GridCell, Interval, SegmentGroup, build_segments
+from flowcover.dpsolver import Carry, area_begin
+from flowcover.grid import Grid, GridCell, Interval, SegmentGroup, build_segments, chunk
 from flowcover.jobs import Job
 
 
@@ -24,6 +26,15 @@ def group_span(group: SegmentGroup) -> Interval | None:
     if not group.segments:
         return None
     return (group.segments[0][0], group.segments[-1][1])
+
+
+def is_descendant_or_self(cell: GridCell, ancestor: GridCell) -> bool:
+    """Whether ``cell`` lies in ``ancestor``'s subtree (or is it)."""
+    return (
+        cell.level >= ancestor.level
+        and ancestor.begin <= cell.begin
+        and cell.end <= ancestor.end
+    )
 
 
 def spans_nest(outer_groups: list[SegmentGroup], inner_groups: list[SegmentGroup]) -> bool:
@@ -41,7 +52,7 @@ def spans_nest(outer_groups: list[SegmentGroup], inner_groups: list[SegmentGroup
             (ospan := group_span(outer)) is not None
             and ospan[0] <= span[0]
             and span[1] <= ospan[1]
-            and inner.cell.is_descendant_or_self(outer.cell)
+            and is_descendant_or_self(inner.cell, outer.cell)
             for outer in outer_groups
         ):
             return False
@@ -64,3 +75,31 @@ def is_canonical(job: int, cell: GridCell, k: int, cov: CoveringInstance) -> boo
         return False
     rects = group.rectangles
     return rects[0].x_begin == area_begin(cell, k, cov.grid.K) and rects[-1].x_end <= cell.end
+
+
+def area_holds_rectangle(job: int, cell: GridCell, k: int, cov: CoveringInstance) -> bool:
+    """Whether a rectangle of row ``job`` or deeper lies wholly inside the
+    area [area_begin, end(cell)) of (cell, k), by scanning every rectangle."""
+    x_begin = area_begin(cell, k, cov.grid.K)
+    return any(
+        r.job >= job and x_begin <= r.x_begin and r.x_end <= cell.end for r in cov.rectangles
+    )
+
+
+def subcells(cell: GridCell, k: int, grid: Grid) -> tuple[Interval, ...]:
+    """The pieces of (cell, k), one per carry value: the cell's pieces across
+    the area's x-span."""
+    return chunk(area_begin(cell, k, grid.K), cell.end, cell.piece_width)
+
+
+def dense_carry(
+    cell: GridCell, k: int, grid: Grid, values: dict[Interval, int] | None = None
+) -> Carry:
+    """The carry of (cell, k) with ``values`` on the pieces it names and 0
+    on the others; ValueError for an interval that is not a piece."""
+    values = values or {}
+    pieces = subcells(cell, k, grid)
+    unknown = set(values) - set(pieces)
+    if unknown:
+        raise ValueError(f"intervals {sorted(unknown)} are not pieces of the state")
+    return tuple(values.get(piece, 0) for piece in pieces)

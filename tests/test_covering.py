@@ -5,8 +5,6 @@ import pytest
 
 from flowcover.covering import (
     CoveringInstance,
-    PrefixGroup,
-    Rectangle,
     Selection,
     build_covering,
     check_feasible,
@@ -17,7 +15,7 @@ from flowcover.covering import (
     unit_cost,
 )
 from flowcover.dpsolver import DpSolver
-from flowcover.grid import build_grid, build_segments, cell_at, root_length
+from flowcover.grid import build_grid, build_segments, root_length
 from flowcover.jobs import make_instance, perturb_release_times, total_horizon
 from flowcover.oracle import reduce_instance
 
@@ -118,16 +116,45 @@ def _with_rect(groups, target, **changes):
     "malform, message",
     [
         (lambda gs: _with_rect(gs, 1, rid=7), "rectangle 7 is number 1 in group order"),
-        (lambda gs: _renumbered(gs[::-1]), "in row 1 follows row 2"),
+        (
+            lambda gs: _renumbered(gs[::-1]),
+            r"group 0 \(row 2, cell \[0,4\)\) is not the grid's segment group of row 1 in "
+            r"cell \[0,1\), segments of width 1 over \[0,1\)",
+        ),
         (lambda gs: _with_rect(gs, 0, capacity=3), "rectangle 0 in row 1 has capacity 3, not"),
         (lambda gs: _with_rect(gs, 6, job=3), "rectangle 6 in row 3 has capacity 1, not"),
         (lambda gs: _with_rect(gs, 2, cost=0), "rectangle 2 costs 0; every rectangle must cost"),
-        (lambda gs: _with_rect(gs, 1, x_begin=3, x_end=3), r"rectangle 1 spans \[3, 3\), not"),
-        (lambda gs: _with_rect(gs, 0, x_begin=-1), r"rectangle 0 spans \[-1, 1\), not"),
+        (
+            lambda gs: _with_rect(gs, 1, x_begin=3, x_end=3),
+            r"group 1 \(row 1, cell \[0,2\)\) is not the grid's segment group of row 1 in "
+            r"cell \[0,2\), segments of width 1 over \[1,2\)",
+        ),
+        (
+            lambda gs: _with_rect(gs, 0, x_begin=-1),
+            r"group 0 \(row 1, cell \[0,1\)\) is not the grid's segment group of row 1",
+        ),
+        (
+            lambda gs: _with_rect(gs, 1, job=2, capacity=1),
+            r"group 1 \(row 1, cell \[0,2\)\) is not the grid's segment group of row 1",
+        ),
+        (
+            lambda gs: gs[:-1],
+            r"group 4 missing: the groups end before the grid's segment group of row 2 in "
+            r"cell \[0,4\)",
+        ),
+        (
+            lambda gs: _renumbered(gs + gs[:1]),
+            r"group 5 \(row 1, cell \[0,1\)\) is past the grid's last segment group",
+        ),
+        (
+            lambda gs: _renumbered(cov_for([(0, 2, 1), (1, 1, 1)]).groups),
+            r"group 0 \(row 1, cell \[0,1\)\) is not the grid's segment group of row 1",
+        ),
     ],
     ids=[
         "id-out-of-order", "row-decreases", "capacity-not-processing", "row-without-job",
-        "cost-below-one", "empty-x-interval", "negative-x",
+        "cost-below-one", "empty-x-interval", "negative-x", "rectangle-in-another-row",
+        "group-missing", "group-past-the-last", "cells-of-another-grid",
     ],
 )
 def test_malformed_covering_rejected(malform, message):
@@ -431,37 +458,33 @@ def test_check_feasible_report_matches_naive_references(K, cost_model, epsilon):
 
 
 def test_check_feasible_at_the_horizon_edge():
-    # One job, released at 5 with p = 3, so T = 8, with hand-made rectangles:
-    # [5, 6), [6, 8), then [8, 12), which starts at T and runs past the
-    # horizon, and [12, 16), wholly past it.  Every subset is judged against
-    # the naive references.
+    # One job, released at 5 with p = 3, so T = 8, on the grid over [0, 16):
+    # rectangles [5, 6), then [6, 7) [7, 8), then [8, 12), which starts at T
+    # and runs past the horizon, and [12, 16), wholly past it.  Every subset
+    # is judged against the naive references.
     inst = make_instance([(5, 3, 1)])
-    T = total_horizon(inst)
-    assert T == 8
-    grid = build_grid(16, 2)
-    cells = [cell_at(grid, grid.lmax, 5), cell_at(grid, grid.lmax - 1, 6), cell_at(grid, 0, 0)]
-    spans = [[(5, 6)], [(6, 8)], [(8, 12), (12, 16)]]
-    groups, rid = [], 0
-    for cell, group_spans in zip(cells, spans):
-        rects = []
-        for a, b in group_spans:
-            rects.append(Rectangle(rid=rid, job=1, x_begin=a, x_end=b, cost=1, capacity=3))
-            rid += 1
-        groups.append(PrefixGroup(job=1, cell=cell, rectangles=tuple(rects)))
-    cov = CoveringInstance(inst, grid, groups)
+    assert total_horizon(inst) == 8
+    cov = build_covering(inst, build_grid(16, 2))
+    spans = [[r.x_interval for r in g.rectangles] for g in cov.groups]
+    assert spans == [[(5, 6)], [(6, 7), (7, 8)], [(8, 12), (12, 16)]]
+    n = len(cov.rectangles)
     outcomes = {}
-    for mask in range(1 << rid):
-        chosen = [i for i in range(rid) if mask >> i & 1]
+    for mask in range(1 << n):
+        chosen = [i for i in range(n) if mask >> i & 1]
         report = assert_report_matches_naive(cov, Selection.of(chosen))
         outcomes[tuple(chosen)] = [(v.s, v.t) for v in report.demand_violations]
     # d(5, t) = 3 - (t - 5) binds at t = 5, 6, 7, and d(s, t) = d(5, t) - (5 - s)
     short_5 = [(3, 5), (4, 5), (5, 5)]
-    short_6_7 = [(4, 6), (5, 6), (5, 7)]
-    assert outcomes[()] == short_5 + short_6_7
-    assert outcomes[(0,)] == short_6_7
-    assert outcomes[(0, 1)] == outcomes[(0, 1, 2, 3)] == []
-    assert outcomes[(1, 2, 3)] == short_5
-    assert check_feasible(cov, Selection.of([0, 1, 3])).prefix_violations[0].selected_positions == (1,)
+    short_6 = [(4, 6), (5, 6)]
+    short_7 = [(5, 7)]
+    assert outcomes[()] == short_5 + short_6 + short_7
+    assert outcomes[(0,)] == short_6 + short_7
+    assert outcomes[(0, 1)] == short_7
+    assert outcomes[(0, 1, 2)] == outcomes[(0, 1, 2, 3, 4)] == []
+    assert outcomes[(1, 2, 3, 4)] == short_5
+    assert outcomes[(0, 1, 2, 4)] == []  # [8, 12) crosses no ray that binds
+    prefix = check_feasible(cov, Selection.of([0, 1, 2, 4])).prefix_violations
+    assert [(v.cell_begin, v.cell_end, v.selected_positions) for v in prefix] == [(0, 16, (1,))]
 
 
 def test_rects_crossing_built_on_first_use():

@@ -13,18 +13,11 @@ from flowcover.covering import (
     check_feasible,
     selection_cost,
 )
-from flowcover.dpsolver import (
-    DpError,
-    DpSolver,
-    area_begin,
-    next_carry,
-    solve,
-    subcells,
-)
+from flowcover.dpsolver import DpError, DpSolver, area_begin, next_carry, solve
 from flowcover.grid import build_grid, build_segments, cell_at, root_length
 from flowcover.jobs import Job, make_instance, perturb_release_times, total_horizon
 from flowcover.oracle import brute_force_covering, reduce_instance, reduction_grid
-from helpers import is_canonical
+from helpers import area_holds_rectangle, dense_carry, is_canonical, subcells
 
 
 def cov_for(triples, K=2, shift=0, T=None):
@@ -265,7 +258,7 @@ def test_single_job_matches_oracle_from_root_state():
     cov = cov_for([(0, 4, 2)])
     oracle_cost, _ = brute_force_covering(cov)
     solver = DpSolver(cov)
-    entry = solver.solve_cell(1, cov.grid.root, 1, {})
+    entry = solver._cell(1, cov.grid.root, 1, dense_carry(cov.grid.root, 1, cov.grid), depth=0)
     assert entry is not None and entry[0] == oracle_cost
     assert solve(cov).cost == oracle_cost
 
@@ -340,13 +333,10 @@ def test_stats_shape():
     assert stats.max_depth >= 1 and stats.wall_ms >= 0.0
 
 
-def test_undefined_state_rejected():
-    cov = cov_for([(0, 4, 1)])
-    grid = cov.grid
-    right = cell_at(grid, 1, 2)  # [2, 4): the root group straddles into it
-    solver = DpSolver(cov)
-    with pytest.raises(DpError, match="not under the state's cell"):
-        solver.solve_cell(1, right, 1, {})
+def _first_row_groups(inst, grid):
+    """The grid's groups of row 1 and the next rectangle id."""
+    groups = [g for g in build_covering(inst, grid).groups if g.job == 1]
+    return groups, sum(len(g.rectangles) for g in groups)
 
 
 def test_group_straddling_the_kth_child_boundary_rejected():
@@ -354,22 +344,16 @@ def test_group_straddling_the_kth_child_boundary_rejected():
     # (job 1, root, k=2) begins; the reduction never builds such a group
     inst = make_instance([(0, 2, 1), (1, 1, 1)])
     grid = build_grid(T=8, K=2)
-    rects = [
-        Rectangle(rid=0, job=1, x_begin=0, x_end=2, cost=1, capacity=2),
-        Rectangle(rid=1, job=2, x_begin=2, x_end=4, cost=1, capacity=1),
-        Rectangle(rid=2, job=2, x_begin=4, x_end=6, cost=1, capacity=1),
-    ]
-    cov = CoveringInstance(
-        inst,
-        grid,
-        [
-            PrefixGroup(job=1, cell=grid.root, rectangles=tuple(rects[:1])),
-            PrefixGroup(job=2, cell=grid.root, rectangles=tuple(rects[1:])),
-        ],
-    )
-    solver = DpSolver(cov)
-    with pytest.raises(DpError, match=r"group \(job=2, cell=\[0,8\)\) straddles the area"):
-        solver.solve_cell(1, grid.root, 2, {})
+    groups, rid = _first_row_groups(inst, grid)
+    straddling = PrefixGroup(job=2, cell=grid.root, rectangles=(
+        Rectangle(rid=rid, job=2, x_begin=2, x_end=4, cost=1, capacity=1),
+        Rectangle(rid=rid + 1, job=2, x_begin=4, x_end=6, cost=1, capacity=1),
+    ))
+    with pytest.raises(ValueError, match=(
+        r"group 4 \(row 2, cell \[0,8\)\) is not the grid's segment group of row 2 in "
+        r"cell \[1,2\), segments of width 1 over \[1,2\)"
+    )):
+        CoveringInstance(inst, grid, groups + [straddling])
 
 
 def test_canonical_group_left_of_release_rejected():
@@ -377,61 +361,74 @@ def test_canonical_group_left_of_release_rejected():
     # left of r_2 = 5; the reduction never builds such a group
     inst = make_instance([(0, 2, 1), (5, 1, 1)])
     grid = build_grid(T=8, K=2)
-    rects = [
-        Rectangle(rid=0, job=1, x_begin=0, x_end=2, cost=1, capacity=2),
-        Rectangle(rid=1, job=2, x_begin=4, x_end=6, cost=1, capacity=1),
-        Rectangle(rid=2, job=2, x_begin=6, x_end=8, cost=1, capacity=1),
-    ]
-    cov = CoveringInstance(
-        inst,
-        grid,
-        [
-            PrefixGroup(job=1, cell=grid.root, rectangles=tuple(rects[:1])),
-            PrefixGroup(job=2, cell=grid.root, rectangles=tuple(rects[1:])),
-        ],
-    )
-    solver = DpSolver(cov)
-    with pytest.raises(DpError, match=r"canonical group \(job=2\) starts left of its release 5"):
-        solver.solve_cell(2, grid.root, 2, {})
+    groups, rid = _first_row_groups(inst, grid)
+    early = PrefixGroup(job=2, cell=grid.root, rectangles=(
+        Rectangle(rid=rid, job=2, x_begin=4, x_end=6, cost=1, capacity=1),
+        Rectangle(rid=rid + 1, job=2, x_begin=6, x_end=8, cost=1, capacity=1),
+    ))
+    with pytest.raises(ValueError, match=(
+        r"group 4 \(row 2, cell \[0,8\)\) is not the grid's segment group of row 2 in "
+        r"cell \[5,6\)"
+    )):
+        CoveringInstance(inst, grid, groups + [early])
 
 
 def test_non_canonical_leaf_state_with_a_rectangle_rejected():
     # row 2's leaf group lies in the area of (job 1, leaf [1, 2), k=1), but
-    # row 1 has no rectangle over that leaf; the reduction never builds this
+    # row 1 has no rectangle over that leaf: its rows do not tile [r_1, 4)
     inst = make_instance([(0, 2, 1), (1, 1, 1)])
     grid = build_grid(T=4, K=2)
-    cov = CoveringInstance(
-        inst,
-        grid,
-        [
-            PrefixGroup(job=1, cell=cell_at(grid, grid.lmax, 0), rectangles=(
-                Rectangle(rid=0, job=1, x_begin=0, x_end=1, cost=1, capacity=2),)),
-            PrefixGroup(job=2, cell=cell_at(grid, grid.lmax, 1), rectangles=(
-                Rectangle(rid=1, job=2, x_begin=1, x_end=2, cost=1, capacity=1),)),
-        ],
-    )
-    solver = DpSolver(cov)
-    with pytest.raises(DpError, match=r"non-canonical leaf state \(job=1, leaf \[1,2\)\)"):
-        solver.solve_cell(1, cell_at(grid, grid.lmax, 1), 1, {})
+    groups = [
+        PrefixGroup(job=1, cell=cell_at(grid, grid.lmax, 0), rectangles=(
+            Rectangle(rid=0, job=1, x_begin=0, x_end=1, cost=1, capacity=2),)),
+        PrefixGroup(job=2, cell=cell_at(grid, grid.lmax, 1), rectangles=(
+            Rectangle(rid=1, job=2, x_begin=1, x_end=2, cost=1, capacity=1),)),
+    ]
+    with pytest.raises(ValueError, match=(
+        r"group 1 \(row 2, cell \[1,2\)\) is not the grid's segment group of row 1 in "
+        r"cell \[0,2\)"
+    )):
+        CoveringInstance(inst, grid, groups)
 
 
-def test_carry_outside_subdivision_rejected():
-    cov = cov_for([(0, 4, 1)])
-    solver = DpSolver(cov)
-    with pytest.raises(DpError, match="outside the subdivision"):
-        solver.solve_cell(1, cov.grid.root, 1, {(17, 18): 1})
-
-
-def test_carry_outside_subdivision_rejected_on_tabled_triple():
+def test_carry_checked_on_tabled_triple():
     # the carry check runs for every state, not once per (job, cell, k)
     cov = cov_for([(0, 4, 1)])
     solver = DpSolver(cov)
-    assert solver.solve_cell(1, cov.grid.root, 1, {}) is not None
-    with pytest.raises(DpError, match="outside the subdivision"):
-        solver.solve_cell(1, cov.grid.root, 1, {(17, 18): 1})
-    # (0, 1) is in the subdivision, but no row above job 1 can owe anything
+    root = cov.grid.root
+    zero = dense_carry(root, 1, cov.grid)
+    assert solver._cell(1, root, 1, zero, depth=0) is not None
+    with pytest.raises(DpError, match=f"carry of {len(zero) + 1} values"):
+        solver._cell(1, root, 1, zero + (1,), depth=0)
+    # (0, 1) is a piece, but no row above job 1 can owe anything
     with pytest.raises(DpError, match="outside 0..0"):
-        solver.solve_cell(1, cov.grid.root, 1, {(0, 1): 1})
+        solver._cell(1, root, 1, dense_carry(root, 1, cov.grid, {(0, 1): 1}), depth=0)
+
+
+def test_table_kind_matches_a_scan_of_the_covering():
+    # the two O(1) facts a table is classified by, against a scan of every
+    # rectangle: canonical as ``is_canonical`` says, and a split or a
+    # canonical table exactly where a rectangle of row job or deeper lies
+    # wholly inside the area
+    rng = Random(1515)
+    kinds = dict.fromkeys(["canonical", "split", "empty"], 0)
+    for K in (2, 3, 4):
+        for seed in range(100):
+            inst = make_instance(
+                [(rng.randint(0, 4), rng.randint(1, 4), rng.randint(1, 4))
+                 for _ in range(rng.randint(1, 5 if K == 2 else 4))]
+            )
+            cov = reduce_instance(inst, K, seed)
+            solver = DpSolver(cov)
+            solver.solve()
+            for (job, level, begin, k), tab in solver._tables.items():
+                cell = cell_at(cov.grid, level, begin)
+                assert tab.canonical == is_canonical(job, cell, k, cov)
+                holds = tab.canonical or tab.left is not None
+                assert holds == area_holds_rectangle(job, cell, k, cov)
+                kind = "canonical" if tab.canonical else "split" if holds else "empty"
+                kinds[kind] += 1
+    assert min(kinds.values()) > 1000
 
 
 # -- threshold bounds -----------------------------------------------------------
@@ -495,11 +492,14 @@ def test_theta_phi_by_hand_on_two_jobs():
     assert (tab.lo, tab.theta, tab.phi) == (0, (-1, -1), (0, 0))
 
     # the bounds decide the states of (2, [0,4), k=2) without a search
-    assert solver.solve_cell(2, quarter, 2, {(3, 4): 1}) == (0, ())  # v <= theta
-    assert solver.solve_cell(2, quarter, 2, {(2, 3): 2}) is None  # v_0 > phi_0
+    def carry(values):
+        return dense_carry(quarter, 2, cov.grid, values)
+
+    assert solver._cell(2, quarter, 2, carry({(3, 4): 1}), depth=0) == (0, ())  # v <= theta
+    assert solver._cell(2, quarter, 2, carry({(2, 3): 2}), depth=0) is None  # v_0 > phi_0
     assert solver.memo == {}
     # theta_0 < 1 <= phi_0: searched, row 2 must take its rectangle [2,3)
-    assert solver.solve_cell(2, quarter, 2, {(2, 3): 1}) == (1, (7,))
+    assert solver._cell(2, quarter, 2, carry({(2, 3): 1}), depth=0) == (1, (7,))
     assert list(solver.memo) == [((2, 1, 0, 2), (1, 0))]
 
 
@@ -509,10 +509,10 @@ def test_bounds_decide_no_carry_before_it_is_checked():
     quarter = cell_at(cov.grid, 1, 0)
     # theta = (0, 1) would answer (0, ()) for this carry, but -1 is no carry
     with pytest.raises(DpError, match=r"carry value -1 outside 0\.\.2"):
-        solver.solve_cell(2, quarter, 2, {(3, 4): -1})
+        solver._cell(2, quarter, 2, dense_carry(quarter, 2, cov.grid, {(3, 4): -1}), depth=0)
     # above the processing of the rows above: phi would call it infeasible
     with pytest.raises(DpError, match=r"carry value 3 outside 0\.\.2"):
-        solver.solve_cell(2, quarter, 2, {(3, 4): 3})
+        solver._cell(2, quarter, 2, dense_carry(quarter, 2, cov.grid, {(3, 4): 3}), depth=0)
     # row 3 holds no rectangle, so its bounds decide every carry as (0, ());
     # the length is still checked
     with pytest.raises(DpError, match="carry of 1 values for a state of 2 pieces"):
