@@ -24,15 +24,20 @@ feasibility scan, the oracle and the DP's settled rays rest on this rule.
 Rays are never materialized.  Demands come from one per-column vector over
 [0, T], the only columns a ray can sit in: ``excess[t]`` is the processing
 released by t, minus t, so d(s, t) = excess[t] - (P_{<s} - s), where P_{<s}
-is the processing released before s.  The sets of rectangles a ray crosses
-come from a per-column crossing index, built on first use; only the oracle
-reads it.
+is the processing released before s.  For the rays that can bind, that
+offset is one number per row, ``CoveringInstance.row_offset[j - 1]`` =
+P_{j-1} - r_j, so d(r_j, t) = excess[t] - row_offset[j - 1]; the feasibility
+scan and the DP's settled rays both read it.  The sets of rectangles a ray
+crosses come from a per-column crossing index, built on first use; only
+the oracle reads it.
 
 A build makes one ``Rectangle`` per segment and one ``PrefixGroup`` per
 non-empty segment group, dozens per small instance, so both are
-``typing.NamedTuple``s: immutable, equal and hashed by value, and about
-half the cost of a frozen dataclass to build, which assigns each field
-through ``object.__setattr__``.
+``typing.NamedTuple``s, built positionally: immutable, equal and hashed by
+value, and about half the cost of a frozen dataclass to build, which
+assigns each field through ``object.__setattr__``.  A build walks each
+job's cell chain once: ``build_segments`` keeps the groups on the grid, and
+the structure check of ``CoveringInstance`` reads them back from there.
 
 Costs come from a built-in model named in ``COST_MODELS``.  The default
 charges weight * segment length, the weighted duration the job stays alive
@@ -150,18 +155,24 @@ class CoveringInstance:
 
     ``releases`` holds the jobs' release times in release order,
     ``proc_prefix[j]`` is p_1 + ... + p_j, the processing of the first j
-    jobs, for j = 0..n, and ``excess[t]`` is the processing released by t,
-    minus t, for t = 0..T.  Raises ValueError unless ids run 0..N-1 in group
-    order, every rectangle's capacity is its job's processing, every
-    rectangle costs at least 1 (the DP's threshold bounds rely on it), and
-    the non-empty groups are, in order, the non-empty groups of
-    ``build_segments`` for each job: same row, same cell object, and the
-    segments as the rectangles' x-intervals.  The last check carries the
-    structure of the ``grid`` docstring: each row tiles [r_j, end(root)),
-    groups nest and none straddles a cell.  The DP classifies each (job,
-    cell, k) table by it in O(1), and the feasibility scan's column arrays
-    rely on what it implies: every x-interval is non-empty and starts at or
-    after r_j >= 0.
+    jobs, for j = 0..n, ``excess[t]`` is the processing released by t,
+    minus t, for t = 0..T, and ``row_offset[j - 1]`` is P_{j-1} - r_j, so
+    that d(r_j, t) = excess[t] - row_offset[j - 1].
+
+    Raises ValueError unless ids run 0..N-1 in group order, every
+    rectangle's capacity is its job's processing, every rectangle costs at
+    least 1 (the DP's threshold bounds rely on it), and the non-empty
+    groups are, in order, the non-empty groups of ``build_segments`` for
+    each job: same row, same cell object, and the segments as the
+    rectangles' x-intervals.  The last check carries the structure of the
+    ``grid`` docstring: each row tiles [r_j, end(root)), groups nest and
+    none straddles a cell.  The DP classifies each (job, cell, k) table by
+    it in O(1), and the feasibility scan's column arrays rely on what it
+    implies: every x-interval is non-empty and starts at or after
+    r_j >= 0.  ``build_segments`` walks a job's cell chain only the first
+    time it is asked on a grid, so checking a covering that
+    ``build_covering`` made walks nothing again; every group's row, cell
+    and intervals are still compared.
     """
 
     def __init__(self, instance: JobInstance, grid: Grid, groups: Sequence[PrefixGroup]):
@@ -172,10 +183,12 @@ class CoveringInstance:
         self.rectangles: tuple[Rectangle, ...] = tuple(
             [r for g in self.groups for r in g.rectangles]
         )
+        procs = [0] + [job.processing for job in instance.jobs]  # procs[j] = p_j
+        n = instance.n
         for i, r in enumerate(self.rectangles):
             if r.rid != i:
                 problem = f"is number {i} in group order (ids must run 0..N-1)"
-            elif not 1 <= r.job <= instance.n or r.capacity != instance.jobs[r.job - 1].processing:
+            elif not 1 <= r.job <= n or r.capacity != procs[r.job]:
                 problem = f"in row {r.job} has capacity {r.capacity}, not its job's processing"
             elif r.cost < 1:
                 problem = f"costs {r.cost}; every rectangle must cost at least 1"
@@ -187,7 +200,8 @@ class CoveringInstance:
             (g.job, g.cell.level, g.cell.begin): g for g in self.groups if g.rectangles
         }
         self.releases = instance.releases()
-        self.proc_prefix = list(accumulate((j.processing for j in instance.jobs), initial=0))
+        self.proc_prefix = list(accumulate(procs))
+        self.row_offset = list(map(sub, self.proc_prefix, self.releases))
         released = [0] * (self.horizon + 1)
         for job in instance.jobs:
             released[job.release] += job.processing
@@ -296,23 +310,17 @@ def build_covering(
     groups: list[PrefixGroup] = []
     rid = 0
     for job in instance.jobs:
-        for seg_group in build_segments(job, grid):
-            if not seg_group.segments:
-                continue
-            rects = []
-            for x_begin, x_end in seg_group.segments:
-                rects.append(
-                    Rectangle(
-                        rid=rid,
-                        job=job.id,
-                        x_begin=x_begin,
-                        x_end=x_end,
-                        cost=cost_fn(job, x_begin, x_end),
-                        capacity=job.processing,
-                    )
+        jid, p = job.id, job.processing
+        for _, cell, segments in build_segments(job, grid):
+            if segments:
+                rects = tuple(
+                    [
+                        Rectangle(rid + i, jid, a, b, cost_fn(job, a, b), p)
+                        for i, (a, b) in enumerate(segments)
+                    ]
                 )
-                rid += 1
-            groups.append(PrefixGroup(job=job.id, cell=seg_group.cell, rectangles=tuple(rects)))
+                rid += len(rects)
+                groups.append(PrefixGroup(jid, cell, rects))
     return CoveringInstance(instance=instance, grid=grid, groups=groups)
 
 
@@ -351,7 +359,7 @@ def check_feasible(cov: CoveringInstance, sel: Selection) -> FeasibilityReport:
     is at most 0.  So one pass per row, deepest first, judges every [s, t]:
     the row's selected rectangles are added to one difference array over
     the columns, whose running sum is got_j, a suffix sum over rows, and
-    got_j(t) is compared with need_j(t) = excess[t] - (P_{j-1} - r_j) for
+    got_j(t) is compared with need_j(t) = excess[t] - row_offset[j - 1] for
     t >= r_j.  Where it falls short by m, the rays of the m largest s of
     the row's range fail.
     """
@@ -381,7 +389,7 @@ def check_feasible(cov: CoveringInstance, sel: Selection) -> FeasibilityReport:
         )
         rows[group.job] += [rects[i] for i in positions]
 
-    releases, prefix, excess = cov.releases, cov.proc_prefix, cov.excess
+    releases, row_offset, excess = cov.releases, cov.row_offset, cov.excess
     diff = [0] * (T + 2)  # selected capacity in the rows passed, as differences
     found: list[tuple[int, int, int, int]] = []  # (t, s, required, covered)
     for j in range(n, 0, -1):
@@ -391,7 +399,7 @@ def check_feasible(cov: CoveringInstance, sel: Selection) -> FeasibilityReport:
                 diff[min(r.x_end, T + 1)] -= r.capacity
         got = list(accumulate(diff))  # got_j(t)
         r_j = releases[j - 1]
-        bar = prefix[j - 1] - r_j  # need_j(t) = excess[t] - bar
+        bar = row_offset[j - 1]  # need_j(t) = excess[t] - bar
         left = list(map(sub, excess[r_j:], got[r_j:]))  # excess[t] - got_j(t)
         if max(left) <= bar:
             continue

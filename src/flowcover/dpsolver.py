@@ -71,21 +71,27 @@ re-verified against the exhaustive interval scan before being returned.
 Work that does not depend on the carry is done once per (job, cell, k) and
 kept in a ``TripleTable``: the number of pieces, the two bound vectors,
 whether the triple is canonical and, if so, the largest demand of each
-settled piece and the cost and ids of every prefix of the group, or, for a
-split, the two slice widths.  Each table links the tables of its child
-triples, so a search step looks up no table.  Tables and memo entries are
-keyed on plain integers, ``(job, cell.level, cell.begin, k)``, with the
-carry appended for the memo, so no cell object is hashed on the way.
+settled piece, the cost of every prefix of the group and the group's first
+id, or, for a split, the two slice widths.  A prefix's ids run from the
+first id on, so a canonical step builds a candidate's id tuple only when
+its cost can beat or tie the best so far.  Tables read the covering's
+per-row arrays and one per-solve list of releases, r_1..r_n followed by
+the sentinel T + 1 of row n + 1, with no range-checked lookup per table.
+Each table links the tables of its child triples, so a search step looks
+up no table.  Tables and memo entries are keyed on plain integers, ``(job,
+cell.level, cell.begin, k)``, with the carry appended for the memo, so no
+cell object is hashed on the way.
 
 Settled rays need no per-t scan.  Only the rays [r_job, t] can bind (the
 rule in ``covering``); one is settled at row ``job``, crossing no deeper row,
 exactly when t < r_{job+1}, and there d(r_job, t) = p_job - (t - r_job)
 falls with t.  A canonical group's pieces all start at some x >= r_job (the
 leaf group at r_job, an ancestor group at a deeper cell's end), so the
-settled pieces are the prefix with x < r_{job+1}, and d(r_job, x) is each
-one's largest settled demand.  Every capacity is p_job and ids run in group
-order (``CoveringInstance`` checks both), so a prefix's ids followed by the
-next row's sorted ids are already sorted.
+settled pieces are the prefix with x < r_{job+1}, and d(r_job, x) =
+excess[x] - row_offset[job - 1] (``covering``) is each one's largest
+settled demand.  Every capacity is p_job and ids run in group order
+(``CoveringInstance`` checks both), so a prefix's ids followed by the next
+row's sorted ids are already sorted.
 
 Two O(1) facts classify a table, because ``CoveringInstance`` checks once
 that every row's groups are the grid's segments: rows tile [r_j,
@@ -247,8 +253,10 @@ class TripleTable:
       prefix of the pieces;
     - ``p`` and ``gap``: the job's processing and the release gap to the
       next row;
-    - ``prefix_cost`` and ``prefix_ids``: the cost and the ids of the first
-      ``take`` rectangles, for take = 0..len(group);
+    - ``prefix_cost``: the cost of the first ``take`` rectangles, for
+      take = 0..len(group);
+    - ``first_rid``: the group's first id; the first ``take`` rectangles
+      have ids first_rid..first_rid + take - 1;
     - ``child``: the table of (job+1, cell, k).
 
     Internal triples that split fill ``inside``, the number of pieces in the
@@ -269,7 +277,7 @@ class TripleTable:
         "p",
         "gap",
         "prefix_cost",
-        "prefix_ids",
+        "first_rid",
         "child",
         "inside",
         "fan",
@@ -289,7 +297,7 @@ class TripleTable:
         self.p = 0
         self.gap = 0
         self.prefix_cost: tuple[int, ...] = ()
-        self.prefix_ids: tuple[tuple[int, ...], ...] = ()
+        self.first_rid = 0
         self.child: TripleTable | None = None
         self.inside = 0
         self.fan = 0
@@ -337,6 +345,9 @@ class DpSolver:
     def __init__(self, cov: CoveringInstance):
         self.cov = cov
         self.grid = cov.grid
+        # r_job for job = 1..n+1 at index job - 1; row n+1 is the sentinel
+        self._releases = [*cov.releases, cov.horizon + 1]
+        self._n = cov.instance.n
         self.memo: dict[StateKey, Entry] = {}
         self._tables: dict[TableKey, TripleTable] = {}
         self._carries: set[Carry] = set()
@@ -349,12 +360,20 @@ class DpSolver:
     # -- public entry points ------------------------------------------------
 
     def solve(self) -> DpResult:
+        """The optimum of the root state, checked.  The search recurses once
+        per state, so a deep grid raises the interpreter's recursion limit
+        while it runs; the caller's limit is back when this returns or
+        raises."""
         started = time.perf_counter()
         depth_needed = (self.cov.instance.n + 2) * (self.grid.lmax + 1) * (self.grid.K + 2)
-        if sys.getrecursionlimit() < depth_needed + 100:
+        limit = sys.getrecursionlimit()
+        if limit < depth_needed + 100:
             sys.setrecursionlimit(depth_needed + 1000)
         root = self.grid.root
-        entry = self._cell(1, root, 1, (0,) * (root.length // root.piece_width), 0)
+        try:
+            entry = self._cell(1, root, 1, (0,) * (root.length // root.piece_width), 0)
+        finally:
+            sys.setrecursionlimit(limit)  # the caller's limit, raised or not
         if entry is None:
             raise DpError("root state must be feasible: the full selection covers all demands")
         cost, ids = entry
@@ -464,9 +483,10 @@ class DpSolver:
         zero_hi = lo + over.index(True) if True in over else len(carry)
 
         zero_take = max(min_take, zero_lo)
+        prefix_cost, first = tab.prefix_cost, tab.first_rid
         if zero_take <= zero_hi:
             self._theta_decided += 1
-            best = (tab.prefix_cost[zero_take], tab.prefix_ids[zero_take])
+            best = (prefix_cost[zero_take], tuple(range(first, first + zero_take)))
             stop = zero_take
         else:
             best = None
@@ -486,9 +506,12 @@ class DpSolver:
                 sub = self._state(
                     child, cell, tuple(kept_paid[:take] + kept_unpaid[take:]), depth + 1
                 )
-                cand = (tab.prefix_cost[take] + sub[0], tab.prefix_ids[take] + sub[1])
-                if best is None or cand < best:
-                    best = cand
+                cost = prefix_cost[take] + sub[0]
+                # ids only for a candidate that can win; a tie goes to the smaller ids
+                if best is None or cost <= best[0]:
+                    ids = tuple(range(first, first + take)) + sub[1]
+                    if best is None or cost < best[0] or ids < best[1]:
+                        best = (cost, ids)
         return best
 
     def _split(self, tab: TripleTable, cell: GridCell, carry: Carry, depth: int) -> Entry:
@@ -511,27 +534,21 @@ class DpSolver:
     def _table(self, job: int, cell: GridCell, k: int) -> TripleTable:
         key = (job, cell.level, cell.begin, k)
         tab = self._tables.get(key)
-        if tab is None:
-            tab = self._tables[key] = self._build_table(key, job, cell, k)
-        return tab
-
-    def _build_table(self, key: TableKey, job: int, cell: GridCell, k: int) -> TripleTable:
+        if tab is not None:
+            return tab
         # the two O(1) facts of the module docstring
         cov = self.cov
         x_begin = area_begin(cell, k, self.grid.K)
         width = cell.piece_width
         group = cov.group(job, cell)
-        tab = TripleTable(
-            key,
-            n_pieces=(cell.end - x_begin) // width,
-            top=cov.proc_prefix[job - 1],
-            canonical=group is not None and group.rectangles[0].x_begin == x_begin,
+        canonical = group is not None and group.rectangles[0].x_begin == x_begin
+        tab = self._tables[key] = TripleTable(
+            key, (cell.end - x_begin) // width, cov.proc_prefix[job - 1], canonical
         )
-        if tab.canonical:
+        if canonical:
             self._fill_canonical(tab, job, cell, group)
-        elif job > cov.instance.n or cov.release_of(job) >= cell.end:
-            return tab  # no rectangle: no bound
-        else:
+        elif job <= self._n and self._releases[job - 1] < cell.end:
+            # the area holds a rectangle but is not canonical: it splits
             child = cell.children[k - 1]
             tab.inside = child.length // width
             tab.fan = width // child.piece_width
@@ -541,6 +558,7 @@ class DpSolver:
             tab.lo, tab.theta, tab.phi = _split_bounds(
                 tab.left, tab.right, tab.fan, tab.inside, tab.top
             )
+        # otherwise the area holds no rectangle and bounds nothing
         return tab
 
     def _fill_canonical(
@@ -549,16 +567,16 @@ class DpSolver:
         # Settled rays (module docstring): only the prefix choice can still
         # cover them, and a piece's rays share its carry and its rectangle,
         # which is the piece itself.
+        cov = self.cov
         rects = group.rectangles
-        r_job = self.cov.release_of(job)
-        r_next = self.cov.release_of(job + 1)
-        settled = tuple([self.cov.demand(r_job, r.x_begin) for r in rects if r.x_begin < r_next])
+        r_job, r_next = self._releases[job - 1], self._releases[job]
+        excess, offset = cov.excess, cov.row_offset[job - 1]
+        settled = tuple([excess[r.x_begin] - offset for r in rects if r.x_begin < r_next])
         tab.settled = settled
-        tab.p = p = self.cov.proc_prefix[job] - tab.top
+        tab.p = p = cov.proc_prefix[job] - tab.top
         tab.gap = gap = r_next - r_job
         tab.prefix_cost = tuple(list(accumulate([r.cost for r in rects], initial=0)))
-        rid0 = rects[0].rid
-        tab.prefix_ids = tuple([tuple(range(rid0, rid0 + take)) for take in range(len(rects) + 1)])
+        tab.first_rid = rects[0].rid
         tab.child = self._table(job + 1, cell, tab.key[3])
         tab.lo, tab.theta, tab.phi = _canonical_bounds(tab.child, settled, p, gap, tab.top)
 

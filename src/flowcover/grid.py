@@ -30,6 +30,11 @@ group's span ends at its cell's end and starts at a child boundary, and
 groups of different jobs never partially overlap (the later-released job's
 group span lies inside some group span of the earlier job whose cell is an
 ancestor-or-self of the later group's cell).
+
+A grid keeps each job's segment groups the first time ``build_segments``
+walks its cell chain, so building a covering and checking its structure
+share one walk per job.  The cache is sound because the groups hold the
+grid's own cells, which no other grid hands out.
 """
 
 from __future__ import annotations
@@ -108,7 +113,8 @@ class Grid:
     """K-ary cell tree over [root.begin, root.end), built lazily from the root.
 
     ``lmax`` is the leaf level.  ``levels[l]`` lists the level-l cells in
-    order; reading it walks, and so builds, the whole tree.
+    order; reading it walks, and so builds, the whole tree.  ``_segments``
+    caches ``build_segments`` per (job id, release).
     """
 
     def __init__(self, root: GridCell, K: int, shift: int):
@@ -119,6 +125,7 @@ class Grid:
         while length > 1:
             lmax, length = lmax + 1, length // K
         self.lmax = lmax
+        self._segments: dict[tuple[int, int], tuple[SegmentGroup, ...]] = {}
 
     @property
     def levels(self) -> list[list[GridCell]]:
@@ -199,25 +206,33 @@ def chunk(begin: int, end: int, width: int) -> tuple[Interval, ...]:
     return tuple([(x, x + width) for x in range(begin, end, width)])
 
 
-def build_segments(job: Job, grid: Grid) -> list[SegmentGroup]:
+def build_segments(job: Job, grid: Grid) -> tuple[SegmentGroup, ...]:
     """Segment groups of ``job``, deepest cell first.
 
     Concatenating the groups' segments left to right yields a partition of
     [r_j, end(root)) with non-decreasing segment lengths.  Groups may be
     empty (when the chain cell at the next level already touches the cell's
-    end); they are kept so callers see one group per level.
+    end); they are kept so callers see one group per level.  The first call
+    for a (job id, release) walks the cell chain; later calls on the same
+    grid return the same tuple.
     """
     r = job.release
+    key = (job.id, r)
+    groups = grid._segments.get(key)
+    if groups is not None:
+        return groups
     if not grid.root.contains_point(r):
         raise ValueError(
             f"release {r} outside root interval [{grid.root.begin}, {grid.root.end})"
         )
-    groups: list[SegmentGroup] = []
+    built: list[SegmentGroup] = []
     lo = r  # the leaf's group starts at r, each ancestor's where the last ended
     for cell in reversed(cell_chain(grid, r)):
-        segments = chunk(lo, cell.end, cell.piece_width)
-        groups.append(SegmentGroup(job=job.id, cell=cell, segments=segments))
-        lo = cell.end
+        end = cell.end
+        segments = chunk(lo, end, cell.piece_width) if lo < end else ()
+        built.append(SegmentGroup(job.id, cell, segments))
+        lo = end
+    groups = grid._segments[key] = tuple(built)
     return groups
 
 

@@ -44,7 +44,6 @@ from .covering import (
     Selection,
     build_covering,
     check_feasible,
-    ray_rectangles,
 )
 from .dpsolver import DpError
 from .dpsolver import solve as dp_solve
@@ -104,22 +103,30 @@ def brute_force_covering(
     if len(groups) > budget.max_groups:
         raise OracleBudgetExceeded(f"{len(groups)} groups exceed cap {budget.max_groups}")
 
-    # rid -> (group index, position in the group); ids run group by group
-    slot = [(gi, pos) for gi, g in enumerate(groups) for pos in range(len(g.rectangles))]
+    # rid -> (group index, position in the group, capacity); ids run group
+    # by group, so rid order is (group, position) order
+    slot = [
+        (gi, pos, r.capacity) for gi, g in enumerate(groups) for pos, r in enumerate(g.rectangles)
+    ]
 
     # Rays [r_j, t] with positive demand, keyed by the (group, position,
     # capacity) of the rectangles they cross: rays crossing the same
-    # rectangles are one constraint with the largest need.
+    # rectangles are one constraint with the largest need.  The rectangles
+    # crossing t come in rid order, so row by row, and the ray of [r_j, t]
+    # crosses rows j and deeper: a suffix, already sorted.
     needs: dict[tuple[tuple[int, int, int], ...], int] = {}
     for t in range(0, cov.horizon + 1):
+        crossing = cov.rects_crossing(t)
+        start = 0
         for job in cov.instance.jobs:
             if job.release > t:
                 break
             need = cov.demand(job.release, t)
             if need <= 0:
                 continue
-            crossed = ray_rectangles(cov, job.release, t)
-            key = tuple(sorted((*slot[r.rid], r.capacity) for r in crossed))
+            while start < len(crossing) and crossing[start].job < job.id:
+                start += 1
+            key = tuple([slot[r.rid] for r in crossing[start:]])
             needs[key] = max(need, needs.get(key, 0))
 
     # Each ray is checked at its trigger, the last group it crosses; checking

@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+import flowcover.grid as grid_mod
 from flowcover.covering import (
     CoveringInstance,
     Selection,
@@ -162,6 +163,48 @@ def test_malformed_covering_rejected(malform, message):
     CoveringInstance(cov.instance, cov.grid, _renumbered(cov.groups))  # the valid base passes
     with pytest.raises(ValueError, match=message):
         CoveringInstance(cov.instance, cov.grid, malform(list(cov.groups)))
+
+
+def test_structure_check_reads_the_kept_segments_and_still_rejects(monkeypatch):
+    # the build has walked every job's cell chain and kept its groups on the
+    # grid, so the check below must compare against those without walking
+    cov = cov_for([(0, 2, 1), (1, 1, 1)])
+    foreign = cov_for([(0, 2, 1), (1, 1, 1)]).groups[0]  # same values, another grid's cell
+    walks = []
+    walk = grid_mod.cell_chain
+    monkeypatch.setattr(grid_mod, "cell_chain", lambda grid, x: walks.append(x) or walk(grid, x))
+    groups = _renumbered(cov.groups)
+    CoveringInstance(cov.instance, cov.grid, groups)  # the valid base passes
+    shifted = groups[2]._replace(
+        rectangles=tuple(r._replace(x_begin=r.x_begin + 1, x_end=r.x_end + 1)
+                         for r in groups[2].rectangles)
+    )
+    wrong_row = groups[3]._replace(
+        job=1, rectangles=tuple(r._replace(job=1, capacity=2) for r in groups[3].rectangles)
+    )
+    for index, bad, message in (
+        (0, foreign, r"group 0 \(row 1, cell \[0,1\)\) is not the grid's segment group of row 1 "
+                     r"in cell \[0,1\), segments of width 1 over \[0,1\)"),
+        (2, shifted, r"group 2 \(row 1, cell \[0,4\)\) is not the grid's segment group of row 1 "
+                     r"in cell \[0,4\), segments of width 1 over \[2,4\)"),
+        (3, wrong_row, r"group 3 \(row 1, cell \[1,2\)\) is not the grid's segment group of row 2 "
+                       r"in cell \[1,2\), segments of width 1 over \[1,2\)"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            CoveringInstance(cov.instance, cov.grid, groups[:index] + [bad] + groups[index + 1:])
+    assert walks == []
+
+
+def test_build_covering_walks_each_cell_chain_once(monkeypatch):
+    work = perturb_release_times(make_instance([(0, 2, 1), (1, 3, 2), (1, 1, 1), (4, 2, 3)]), 1)
+    grid = build_grid(total_horizon(work) + 1, 3, shift=2)
+    walks = []
+    walk = grid_mod.cell_chain
+    monkeypatch.setattr(grid_mod, "cell_chain", lambda grid, x: walks.append(x) or walk(grid, x))
+    cov = build_covering(work, grid)
+    assert walks == list(cov.releases)  # one walk per job, none for the check
+    build_covering(work, grid, cost_model="unit")  # a second covering on the grid walks none
+    assert walks == list(cov.releases)
 
 
 def test_duplicate_releases_rejected():

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 from functools import cache
 from fractions import Fraction
 from random import Random
@@ -15,6 +16,7 @@ from flowcover.covering import (
 )
 from flowcover.dpsolver import DpError, DpSolver, area_begin, next_carry, solve
 from flowcover.grid import build_grid, build_segments, cell_at, root_length
+from flowcover.harness import CampaignConfig, campaign_instance
 from flowcover.jobs import Job, make_instance, perturb_release_times, total_horizon
 from flowcover.oracle import brute_force_covering, reduce_instance, reduction_grid
 from helpers import area_holds_rectangle, dense_carry, is_canonical, subcells
@@ -389,6 +391,32 @@ def test_non_canonical_leaf_state_with_a_rectangle_rejected():
         r"cell \[0,2\)"
     )):
         CoveringInstance(inst, grid, groups)
+
+
+def test_solve_leaves_the_recursion_limit_as_it_found_it(monkeypatch):
+    # `gen --seed 1` at K=1000 needs far more than 1000 frames, so the solve
+    # raises the limit while it runs; afterwards the caller's limit is back,
+    # also when the solve raises
+    cov = reduce_instance(campaign_instance(1, CampaignConfig(seed=1)), 1000, 0)
+    outer = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        limits = []
+        root_state = DpSolver._cell
+
+        def spy(self, *args):
+            limits.append(sys.getrecursionlimit())
+            return root_state(self, *args)
+
+        monkeypatch.setattr(DpSolver, "_cell", spy)
+        solve(cov)
+        assert limits[0] > 1000 and sys.getrecursionlimit() == 1000
+        monkeypatch.setattr(DpSolver, "_table", lambda *a: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            solve(cov)
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(outer)
 
 
 def test_carry_checked_on_tabled_triple():

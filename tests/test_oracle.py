@@ -15,7 +15,7 @@ from flowcover.covering import (
 )
 from flowcover.dpsolver import DpError
 from flowcover.grid import build_grid, root_length
-from flowcover.harness import CampaignConfig, campaign_instance
+from flowcover.harness import CampaignConfig, campaign_instance, run_campaign
 from flowcover.jobs import make_instance, perturb_release_times, total_horizon
 from flowcover.oracle import (
     OracleBudget,
@@ -131,6 +131,13 @@ def test_search_visits_the_pinned_nodes(K, cost_model):
         brute_force_covering(cov, OracleBudget(max_combinations=nodes))
         with pytest.raises(OracleBudgetExceeded, match="nodes"):
             brute_force_covering(cov, OracleBudget(max_combinations=nodes - 1))
+
+
+def test_unit_cost_campaign_breaks_ties_alike():
+    # unit costs make equal-cost selections common; verify_pair fails a trial
+    # whose DP and oracle return different selections of the same cost
+    result = run_campaign(CampaignConfig(seed=0, trials=60, K=2, n_max=3, cost_model="unit"))
+    assert [(r.seed, r.status) for r in result.reports] == [(seed, "ok") for seed in range(60)]
 
 
 def test_no_feasible_selection_raises_not_asserts(monkeypatch):
