@@ -2,9 +2,10 @@
 
 Artifact files (instances, reductions, solutions, verify summaries) carry no
 wall-clock data and are byte-identical for identical seeds and configs;
-timing goes to stdout, to optional stats files, and to the ms column of CSV
-reports.  The FLOWCOVER_BUDGET_MS environment variable caps the brute-force
-oracle's running time per instance.
+timing goes to stdout, to optional stats files, to the ms column of CSV
+reports and to the ``wall_ms`` field of ``pipeline`` records, which are run
+reports rather than artifacts.  The FLOWCOVER_BUDGET_MS environment variable
+caps the brute-force oracle's running time per instance.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ from .jobs import (
     JobInstance,
     instance_from_json,
     instance_to_json,
-    max_processing,
     parse_epsilon,
 )
-from .oracle import OracleBudget, brute_force_covering, reduce_instance
+from .oracle import OracleBudget, brute_force_covering, reduce_instance, reduction_fields
 
 
 def _instance_hash(instance: JobInstance) -> str:
@@ -65,16 +65,7 @@ def _load_instance(path: str) -> JobInstance:
 
 def _reduction_fields(instance: JobInstance, cov: CoveringInstance) -> dict:
     """Record fields shared by reduce, solve and pipeline outputs."""
-    work = cov.instance
-    return {
-        "instance_hash": _instance_hash(instance),
-        "epsilon": str(work.epsilon),
-        "K": cov.grid.K,
-        "shift": cov.grid.shift,
-        "n": work.n,
-        "P": max_processing(work),
-        "T": cov.horizon,
-    }
+    return {"instance_hash": _instance_hash(instance), **reduction_fields(cov)}
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

@@ -58,9 +58,11 @@ of the rows above, the largest value a carry of the row may hold, so B
 means "no bound".  A table keeps the vectors only on the window from the
 first to the last piece with a real bound, so at large K, where most pieces
 lie left of the first release or right of the horizon, a table stays small.
-Callers decide a state from its bounds before they recurse; the memo
-stores only searched states, so ``states`` counts the states a solve
-actually searched.
+Callers decide a state from its bounds before they recurse, and ``_clamp``
+is the one clamp to theta.  The memo stores only searched states and is
+the one record of them: ``states``, ``canonical_states``,
+``split_states``, ``carry_vectors`` and ``max_carry`` are read off its keys
+once, when the solve ends.
 
 Costs, demands, and coordinates are integers throughout; ties between
 equal-cost solutions go to the lexicographically smallest sorted tuple of
@@ -119,6 +121,7 @@ from __future__ import annotations
 
 import sys
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import gt, le
@@ -226,14 +229,13 @@ def _split_bounds(
     return lo, tuple(theta), tuple(phi)
 
 
-def _clamp(carry: Carry, lo: int, theta: Bounds) -> tuple[Carry, int]:
-    """``carry`` with 0 on every piece where it is at most theta, pieces
-    outside the window included, and the number of positive values that
-    zeroed; ``carry`` itself when it zeroed none."""
+def _clamp(carry: Sequence[int], lo: int, theta: Bounds) -> tuple[list[int], int]:
+    """The one theta clamp: ``carry`` as a list with 0 on every piece where
+    it is at most theta, pieces outside the window included, and the number
+    of positive values that zeroed."""
     kept = [0] * lo + [v if v > t else 0 for v, t in zip(carry[lo:], theta)]
     kept += [0] * (len(carry) - len(kept))
-    zeroed = kept.count(0) - carry.count(0)
-    return (tuple(kept) if zeroed else carry), zeroed
+    return kept, kept.count(0) - carry.count(0)
 
 
 class TripleTable:
@@ -309,9 +311,10 @@ class TripleTable:
 class SolveStats:
     """Counters of one solve.  ``states`` counts stored memo entries, the
     states that were searched; ``canonical_states`` and ``split_states``
-    divide them by kind.  ``theta_decided`` and ``phi_decided`` count the
+    divide them by kind.  These, ``carry_vectors`` and ``max_carry`` are read
+    off the memo once.  ``theta_decided`` and ``phi_decided`` count the
     carries that the bounds answered without a search, as (0, ()) and as
-    infeasible, and ``clamped`` the positive carry values set to 0."""
+    infeasible, and ``clamped`` the positive values each clamped vector set to 0."""
 
     states: int = 0
     max_depth: int = 0
@@ -339,7 +342,7 @@ class DpSolver:
     ``memo`` holds one entry per searched state, keyed ``((job,
     cell.level, cell.begin, k), carry)`` with the carry after clamping; the
     entry is (cost, sorted ids).  States the bounds decide are not stored,
-    so no entry is None (infeasible) or (0, ()).
+    so no entry is None (infeasible) or (0, ()); ``solve`` reads its counters off the memo.
     """
 
     def __init__(self, cov: CoveringInstance):
@@ -350,8 +353,6 @@ class DpSolver:
         self._n = cov.instance.n
         self.memo: dict[StateKey, Entry] = {}
         self._tables: dict[TableKey, TripleTable] = {}
-        self._carries: set[Carry] = set()
-        self._max_carry = 0
         self._max_depth = 0
         self._theta_decided = 0
         self._phi_decided = 0
@@ -383,14 +384,18 @@ class DpSolver:
         report = check_feasible(self.cov, selection)
         if not report.ok:
             raise DpError(f"solver returned an infeasible selection: {report}")
-        canonical = sum(1 for tkey, _ in self.memo if self._tables[tkey].canonical)
+        # the searched states' counters, read off the memo in one pass
+        tables, carries, canonical = self._tables, set(), 0
+        for tkey, carry in self.memo:
+            canonical += tables[tkey].canonical
+            carries.add(carry)
         stats = SolveStats(
             states=len(self.memo),
             max_depth=self._max_depth,
             wall_ms=(time.perf_counter() - started) * 1000.0,
             triples=len(self._tables),
-            carry_vectors=len(self._carries),
-            max_carry=self._max_carry,
+            carry_vectors=len(carries),
+            max_carry=max(map(max, carries), default=0),
             canonical_states=canonical,
             split_states=len(self.memo) - canonical,
             theta_decided=self._theta_decided,
@@ -414,12 +419,9 @@ class DpSolver:
         if len(carry) != tab.n_pieces:
             raise DpError(f"carry of {len(carry)} values for a state of {tab.n_pieces} pieces")
         # an area holds at least one piece, so the carry is not empty here
-        top = max(carry)
-        if top > tab.top or min(carry) < 0:
+        if max(carry) > tab.top or min(carry) < 0:
             bad = next(v for v in carry if not 0 <= v <= tab.top)
             raise DpError(f"carry value {bad} outside 0..{tab.top}")
-        if top > self._max_carry:
-            self._max_carry = top
 
     def _decide(self, tab: TripleTable, cell: GridCell, carry: Carry, depth: int) -> Entry:
         """Answer a carry that phi has passed: (0, ()) when theta covers it,
@@ -429,8 +431,13 @@ class DpSolver:
         if all(map(le, window, theta)):
             self._theta_decided += 1
             return ZERO
-        carry, zeroed = _clamp(carry, lo, theta)
-        self._clamped += zeroed
+        kept, zeroed = _clamp(carry, lo, theta)
+        if zeroed:
+            self._clamped += zeroed
+            carry = tuple(kept)
+        # drop the list before recursing: this frame outlives the search
+        # below, and at large K each of a chain of split states would hold one
+        del kept
         return self._state(tab, cell, carry, depth)
 
     def _state(self, tab: TripleTable, cell: GridCell, carry: Carry, depth: int) -> Entry:
@@ -442,7 +449,6 @@ class DpSolver:
         self._check_carry(tab, carry)
         if depth > self._max_depth:
             self._max_depth = depth
-        self._carries.add(carry)
         if tab.canonical:
             entry = self._canonical(tab, cell, carry, depth)
         else:
@@ -494,14 +500,9 @@ class DpSolver:
         if min_take < stop:
             # every take here leaves the child a carry that neither bound
             # decides; clamp both candidate values once
-            pad_lo, pad_hi = [0] * lo, [0] * (len(carry) - hi)
-            kept_paid = pad_lo + [v if v > t else 0 for v, t in zip(paid[lo:hi], theta)] + pad_hi
-            kept_unpaid = (
-                pad_lo + [v if v > t else 0 for v, t in zip(unpaid[lo:hi], theta)] + pad_hi
-            )
-            self._clamped += (
-                kept_paid.count(0) - paid.count(0) + kept_unpaid.count(0) - unpaid.count(0)
-            )
+            kept_paid, zeroed_paid = _clamp(paid, lo, theta)
+            kept_unpaid, zeroed_unpaid = _clamp(unpaid, lo, theta)
+            self._clamped += zeroed_paid + zeroed_unpaid
             for take in range(min_take, stop):
                 sub = self._state(
                     child, cell, tuple(kept_paid[:take] + kept_unpaid[take:]), depth + 1

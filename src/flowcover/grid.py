@@ -14,7 +14,8 @@ tree over the horizon, and one grid still hands out exactly one object per
 cell.  Cells compare by identity, so structures built on two grids never
 mix.  ``GridCell`` is a slotted class, not a frozen dataclass, because a
 solve builds dozens of cells and the frozen form costs several times as
-much per cell (its docstring has the detail).
+much per cell (its docstring has the detail).  Cells hold no parent link:
+``cell_at``, ``cell_chain`` and ``cell_path`` descend from the root.
 
 A cell's *pieces* cut it into equal intervals: units in a cell of length K
 or less (a leaf or a parent of leaves), its grandchild cells in any other.
@@ -104,9 +105,13 @@ class GridCell:
     def contains_point(self, x: int) -> bool:
         return self.begin <= x < self.end
 
+    def child_index(self, x: int) -> int:
+        """Index of the child containing x; x must lie in this internal cell."""
+        return (x - self.begin) * self.K // self.length
+
     def child_at(self, x: int) -> "GridCell":
         """The child containing x; x must lie in this internal cell."""
-        return self.children[(x - self.begin) * self.K // self.length]
+        return self.children[self.child_index(x)]
 
 
 class Grid:
@@ -114,7 +119,7 @@ class Grid:
 
     ``lmax`` is the leaf level.  ``levels[l]`` lists the level-l cells in
     order; reading it walks, and so builds, the whole tree.  ``_segments``
-    caches ``build_segments`` per (job id, release).
+    caches ``build_segments`` per (job id, release).  Cells are found from ``root`` down.
     """
 
     def __init__(self, root: GridCell, K: int, shift: int):
@@ -133,15 +138,6 @@ class Grid:
         while not levels[-1][0].is_leaf:
             levels.append([child for cell in levels[-1] for child in cell.children])
         return levels
-
-    def parent(self, cell: GridCell) -> GridCell | None:
-        """The cell's parent in this grid; None for the root or a foreign cell."""
-        if not self.root.contains_point(cell.begin):
-            return None
-        cur = self.root
-        while cur.level < cell.level - 1 and not cur.is_leaf:
-            cur = cur.child_at(cell.begin)
-        return cur if any(child is cell for child in cur.children) else None
 
 
 def root_length(T: int, K: int, shift: int = 0) -> int:
@@ -184,7 +180,9 @@ def cell_at(grid: Grid, level: int, x: int) -> GridCell:
 
 def cell_chain(grid: Grid, x: int) -> list[GridCell]:
     """Cells containing x, one per level, root first."""
-    chain = [cell_at(grid, 0, x)]
+    if not grid.root.contains_point(x):
+        raise ValueError(f"x={x} outside root interval [{grid.root.begin}, {grid.root.end})")
+    chain = [grid.root]
     while not chain[-1].is_leaf:
         chain.append(chain[-1].child_at(x))
     return chain
@@ -237,12 +235,16 @@ def build_segments(job: Job, grid: Grid) -> tuple[SegmentGroup, ...]:
 
 
 def cell_path(grid: Grid, cell: GridCell) -> str:
-    """Slash-separated child indices from the root; the root path is ''."""
-    parts: list[int] = []
-    cur = cell
-    parent = grid.parent(cur)
-    while parent is not None:
-        parts.append(parent.children.index(cur))
-        cur = parent
-        parent = grid.parent(cur)
-    return "/".join(str(i) for i in reversed(parts))
+    """Slash-separated child indices from the root; the root path is ''.
+    The descent reads only children already built, so it builds no cell;
+    a cell that is not this grid's raises ValueError."""
+    parts: list[str] = []
+    cur, x = grid.root, cell.begin
+    if cur.contains_point(x):
+        while cur.level < cell.level and cur._children:
+            i = cur.child_index(x)
+            parts.append(str(i))
+            cur = cur._children[i]
+    if cur is not cell:
+        raise ValueError(f"{cell!r} is not a cell of this grid")
+    return "/".join(parts)

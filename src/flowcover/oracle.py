@@ -22,7 +22,8 @@ exact: every potentially optimal selection is still visited, so the result
 is a true minimum.
 
 ``reduce_instance`` is the reduction pipeline (release perturbation, seeded
-shifted grid, covering) that every solve, check and verification runs.
+shifted grid, covering) that every solve, check and verification runs;
+``reduction_fields`` is the one record of what a reduction reports.
 ``verify_pair`` reduces one instance, solves it both with the dynamic program
 and with this oracle, and reports whether the costs and the selections agree
 (both break cost ties towards the smallest sorted id tuple) and both
@@ -273,6 +274,19 @@ def reduce_instance(
     return build_covering(work, grid, cost_model=cost_model)
 
 
+def reduction_fields(cov: CoveringInstance) -> dict:
+    """What a reduction reports about itself; CLI records and verify reports carry it."""
+    work = cov.instance
+    return {
+        "epsilon": str(work.epsilon),
+        "K": cov.grid.K,
+        "shift": cov.grid.shift,
+        "n": work.n,
+        "P": max_processing(work),
+        "T": cov.horizon,
+    }
+
+
 def verify_pair(
     instance: JobInstance,
     K: int,
@@ -291,18 +305,7 @@ def verify_pair(
     be replayed.
     """
     cov = reduce_instance(instance, K, seed, epsilon, cost_model)
-    work = cov.instance
-    base = dict(
-        seed=seed,
-        K=K,
-        epsilon=str(work.epsilon),
-        shift=cov.grid.shift,
-        n=work.n,
-        P=max_processing(work),
-        T=cov.horizon,
-    )
-
-    t0 = time.perf_counter()
+    base = dict(seed=seed, **reduction_fields(cov))
     try:
         dp = dp_solve(cov)
     except DpError as exc:
@@ -312,13 +315,12 @@ def verify_pair(
             instance_json=instance_to_json(instance),
             **base,
         )
-    dp_ms = (time.perf_counter() - t0) * 1000.0
     base.update(
         dp_cost=dp.cost,
         dp_selection=dp.selection.sorted_ids(),
         dp_states=dp.stats.states,
         dp_max_depth=dp.stats.max_depth,
-        dp_ms=dp_ms,
+        dp_ms=dp.stats.wall_ms,
     )
 
     try:

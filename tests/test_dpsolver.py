@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import sys
 from functools import cache
@@ -419,6 +420,24 @@ def test_solve_leaves_the_recursion_limit_as_it_found_it(monkeypatch):
         sys.setrecursionlimit(outer)
 
 
+def test_a_chain_of_split_states_holds_no_list_per_state(monkeypatch):
+    # `gen --seed 1` at K=1000 searches a chain of about 875 split states,
+    # each with a carry of 200 values.  A list left alive in each frame of the
+    # chain grows memory with depth times K (at K=10000, twice the RSS).
+    cov = reduce_instance(campaign_instance(1, CampaignConfig(seed=1)), 1000, 0)
+    state = DpSolver._state
+    lists = {}
+
+    def spy(self, tab, cell, carry, depth):
+        if depth in (1, 800):
+            lists[depth] = sum(1 for o in gc.get_objects() if type(o) is list and len(o) >= 100)
+        return state(self, tab, cell, carry, depth)
+
+    monkeypatch.setattr(DpSolver, "_state", spy)
+    assert solve(cov).stats.max_depth > 800
+    assert lists[800] - lists[1] < 50
+
+
 def test_carry_checked_on_tabled_triple():
     # the carry check runs for every state, not once per (job, cell, k)
     cov = cov_for([(0, 4, 1)])
@@ -566,6 +585,35 @@ def test_memo_holds_only_searched_states():
             assert not any(v > f for v, f in zip(window, tab.phi))
             assert all(v == 0 or v > t for v, t in zip(window, tab.theta))
             assert not any(carry[: tab.lo]) and not any(carry[tab.lo + len(tab.theta) :])
+
+
+def test_split_phi_covers_both_parts():
+    # a split hands each part its slice of the carry with no phi test of its
+    # own, which is sound only because the split's phi is at most the phi of
+    # every left-part piece it fans into and of the matching right-part piece
+    def dense_phi(tab):
+        hi = tab.lo + len(tab.phi)  # outside the window a table has no bound
+        return [tab.phi[i - tab.lo] if tab.lo <= i < hi else tab.top for i in range(tab.n_pieces)]
+
+    rng = Random(4242)
+    splits = 0
+    for trial in range(60):
+        cov = random_cov(rng, K=(2, 3, 4)[trial % 3], n_max=4 if trial % 3 == 0 else 3)
+        solver = DpSolver(cov)
+        solver.solve()
+        for tab in solver._tables.values():
+            if tab.left is None:
+                continue
+            phi, fan = dense_phi(tab), tab.fan
+            left = dense_phi(tab.left)
+            right = dense_phi(tab.right) if tab.right is not None else []
+            assert len(left) == tab.inside * fan and tab.inside + len(right) == tab.n_pieces
+            for i in range(tab.inside):
+                assert all(phi[i] <= f for f in left[i * fan : (i + 1) * fan])
+            for i, f in enumerate(right):
+                assert phi[tab.inside + i] <= f
+            splits += 1
+    assert splits > 100
 
 
 def _baseline_row_k2_n8_seed3():

@@ -142,10 +142,11 @@ def test_two_builds_give_distinct_cells_with_equal_hashes():
 def test_cell_path_round_trips_through_parent():
     for K, T, shift in ((2, 13, 3), (3, 20, 5)):
         grid = build_grid(T, K, shift=shift)
-        assert grid.parent(grid.root) is None and cell_path(grid, grid.root) == ""
-        for row in grid.levels[1:]:
+        assert cell_path(grid, grid.root) == ""
+        levels = grid.levels
+        for upper, row in zip(levels, levels[1:]):
             for cell in row:
-                parent = grid.parent(cell)
+                parent = next(p for p in upper if p.begin <= cell.begin < p.end)
                 path = cell_path(grid, cell).split("/")
                 assert "/".join(path[:-1]) == cell_path(grid, parent)
                 assert parent.children[int(path[-1])] is cell
@@ -153,9 +154,17 @@ def test_cell_path_round_trips_through_parent():
                 for i in path:
                     walked = walked.children[int(i)]
                 assert walked is cell
-        # a cell of another build of the same grid has no parent here
+        # a cell of another build of the same grid is not this grid's
         other = build_grid(T, K, shift=shift)
-        assert grid.parent(cell_at(other, 1, 0)) is None
+        for level in range(grid.lmax + 1):
+            foreign = cell_at(other, level, other.root.begin)
+            with pytest.raises(ValueError, match="not a cell of this grid"):
+                cell_path(grid, foreign)
+        # the descent reads only children already built, so it builds no cell
+        fresh = build_grid(T, K, shift=shift)
+        with pytest.raises(ValueError, match="not a cell of this grid"):
+            cell_path(fresh, cell_at(other, other.lmax, other.root.begin))
+        assert fresh.root._children is None
 
 
 def test_levels_match_independent_recount_after_lazy_access():
