@@ -33,9 +33,11 @@ the oracle reads it.
 
 A build makes one ``Rectangle`` per segment and one ``PrefixGroup`` per
 non-empty segment group, dozens per small instance, so both are
-``typing.NamedTuple``s, built positionally: immutable, equal and hashed by
-value, and about half the cost of a frozen dataclass to build, which
-assigns each field through ``object.__setattr__``.  A build walks each
+``typing.NamedTuple``s: immutable, equal and hashed by value.
+``build_covering`` makes them with ``tuple.__new__(cls, (...))``, which
+skips the Python-level ``__new__`` that a NamedTuple call runs and so
+costs less than half as much a record; a frozen dataclass costs more still,
+since it assigns each field through ``object.__setattr__``.  A build walks each
 job's cell chain once: ``build_segments`` keeps the groups on the grid, and
 the structure check of ``CoveringInstance`` reads them back from there.
 
@@ -307,6 +309,7 @@ def build_covering(
     if not instance.has_distinct_releases():
         raise ValueError("release times must be pairwise distinct; perturb the instance first")
     cost_fn = resolve_cost_model(cost_model)
+    new = tuple.__new__  # positional records (module docstring)
     groups: list[PrefixGroup] = []
     rid = 0
     for job in instance.jobs:
@@ -315,12 +318,12 @@ def build_covering(
             if segments:
                 rects = tuple(
                     [
-                        Rectangle(rid + i, jid, a, b, cost_fn(job, a, b), p)
+                        new(Rectangle, (rid + i, jid, a, b, cost_fn(job, a, b), p))
                         for i, (a, b) in enumerate(segments)
                     ]
                 )
                 rid += len(rects)
-                groups.append(PrefixGroup(jid, cell, rects))
+                groups.append(new(PrefixGroup, (jid, cell, rects)))
     return CoveringInstance(instance=instance, grid=grid, groups=groups)
 
 

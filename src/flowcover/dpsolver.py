@@ -47,7 +47,9 @@ the full one, so with theta = tau(empty) and phi = tau(full):
   the same, and states that differ only there share one memo entry.
 
 theta and phi are filled once per (job, cell, k), bottom-up through the
-same recurrences as the states.  An area without rectangles bounds nothing.
+same recurrences as the states, by the code that builds the table
+(``_fill_canonical`` and the split branch of ``_table``).  An area without
+rectangles bounds nothing.
 A canonical triple with gap g and p = p_job reads its child (job+1, cell,
 k): theta_i = theta'_i - p + g and phi_i = phi'_i + g, or -1 where the
 child's value is negative; on a settled piece with largest demand dem_i
@@ -58,8 +60,13 @@ of the rows above, the largest value a carry of the row may hold, so B
 means "no bound".  A table keeps the vectors only on the window from the
 first to the last piece with a real bound, so at large K, where most pieces
 lie left of the first release or right of the horizon, a table stays small.
-Callers decide a state from its bounds before they recurse, and ``_clamp``
-is the one clamp to theta.  The memo stores only searched states and is
+Callers decide a state from its bounds before they recurse.  Each
+transition is one pass over the window of its carry: ``_decide`` tests a
+carry against theta, clamps the window and builds a new carry only when a
+value changed, and ``_canonical`` maps the carry through ``next_carry``
+once paid and once unpaid and reuses the window of each for the phi test,
+both theta tests and the clamp.  A piece outside the window has no bound,
+so the clamp sets it to 0.  The memo stores only searched states and is
 the one record of them: ``states``, ``canonical_states``,
 ``split_states``, ``carry_vectors`` and ``max_carry`` are read off its keys
 once, when the solve ends.
@@ -121,7 +128,6 @@ from __future__ import annotations
 
 import sys
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import gt, le
@@ -166,78 +172,6 @@ def next_carry(carry: Carry, processing: int, release_gap: int, paid_capacity: i
     return [v - cleared if v > cleared else 0 for v in carry]
 
 
-def _canonical_bounds(
-    child: TripleTable, settled: tuple[int, ...], p: int, gap: int, top: int
-) -> tuple[int, Bounds, Bounds]:
-    """(lo, theta, phi) of a canonical triple from its child's: the child's
-    value minus p plus gap for theta, plus gap for phi, -1 where it is
-    negative; on a settled piece capped at -dem and p - dem; clipped to
-    -1..``top``.  Outside the child's window the child has no bound, and
-    the window drops the pieces at either end where theta, hence phi
-    (theta <= phi <= top), holds none."""
-    clo, c_theta, c_phi = child.lo, child.theta, child.phi
-    chi = clo + len(c_theta)
-    lo = 0 if settled else clo
-    theta, phi = [], []
-    for i in range(lo, max(len(settled), chi)):
-        if clo <= i < chi:
-            t, f = c_theta[i - clo], c_phi[i - clo]
-        else:
-            t = f = child.top
-        t = t - p + gap if t >= 0 else -1
-        f = f + gap if f >= 0 else -1
-        if i < len(settled):
-            t = min(t, -settled[i])
-            f = min(f, p - settled[i])
-        theta.append(-1 if t < 0 else min(t, top))
-        phi.append(-1 if f < 0 else min(f, top))
-    a, b = 0, len(theta)
-    while a < b and theta[a] == top:
-        a += 1
-    while b > a and theta[b - 1] == top:
-        b -= 1
-    return lo + a, tuple(theta[a:b]), tuple(phi[a:b])
-
-
-def _split_bounds(
-    left: TripleTable, right: TripleTable | None, fan: int, inside: int, top: int
-) -> tuple[int, Bounds, Bounds]:
-    """(lo, theta, phi) of a split triple: for each piece of the k-th child,
-    the minimum over its ``fan`` pieces in the left part, then the right
-    part's values.  Both parts belong to one row, so they share ``top``."""
-    theta: list[int] = []
-    phi: list[int] = []
-    lo = hi = 0
-    if left.theta:
-        # the pieces of the k-th child that hold the left part's window
-        lo = left.lo // fan
-        hi = (left.lo + len(left.theta) - 1) // fan + 1
-        pad_lo = [top] * (left.lo - lo * fan)
-        pad_hi = [top] * (hi * fan - left.lo - len(left.theta))
-        for src, out in ((left.theta, theta), (left.phi, phi)):
-            run = pad_lo + list(src) + pad_hi
-            if fan > 1:
-                run = [min(run[j : j + fan]) for j in range(0, len(run), fan)]
-            out.extend(run)
-    if right is not None and right.theta:
-        r_lo = inside + right.lo
-        if not theta:
-            return r_lo, right.theta, right.phi
-        gap = [top] * (r_lo - hi)
-        theta += gap + list(right.theta)
-        phi += gap + list(right.phi)
-    return lo, tuple(theta), tuple(phi)
-
-
-def _clamp(carry: Sequence[int], lo: int, theta: Bounds) -> tuple[list[int], int]:
-    """The one theta clamp: ``carry`` as a list with 0 on every piece where
-    it is at most theta, pieces outside the window included, and the number
-    of positive values that zeroed."""
-    kept = [0] * lo + [v if v > t else 0 for v, t in zip(carry[lo:], theta)]
-    kept += [0] * (len(carry) - len(kept))
-    return kept, kept.count(0) - carry.count(0)
-
-
 class TripleTable:
     """Carry-independent facts of one (job, cell, k), shared by all its states.
 
@@ -247,7 +181,10 @@ class TripleTable:
     ``theta`` and ``phi`` are the bound vectors of the module docstring
     (``top`` meaning no bound) on the window of pieces from ``lo`` to the
     last real bound of theta; a piece outside the window has no bound.  An
-    area without a rectangle has both empty.
+    area without a rectangle has both empty.  The build fills them, from
+    the child's in ``_fill_canonical`` and from the parts' in ``_table``;
+    the search reads them, and ``_decide`` and ``_canonical`` clamp a
+    carry to theta on the window.
 
     Canonical triples, whose group's rectangles are the pieces, fill:
 
@@ -416,6 +353,7 @@ class DpSolver:
         return self._decide(tab, cell, carry, depth)
 
     def _check_carry(self, tab: TripleTable, carry: Carry) -> None:
+        """DpError unless the carry holds one value per piece, each in 0..top."""
         if len(carry) != tab.n_pieces:
             raise DpError(f"carry of {len(carry)} values for a state of {tab.n_pieces} pieces")
         # an area holds at least one piece, so the carry is not empty here
@@ -425,19 +363,23 @@ class DpSolver:
 
     def _decide(self, tab: TripleTable, cell: GridCell, carry: Carry, depth: int) -> Entry:
         """Answer a carry that phi has passed: (0, ()) when theta covers it,
-        else the search of its clamped state."""
+        else the search of its state clamped to theta: 0 on every piece
+        where the carry is at most theta, and outside the window, where
+        theta is no bound."""
         lo, theta = tab.lo, tab.theta
         window = carry[lo : lo + len(theta)]
         if all(map(le, window, theta)):
             self._theta_decided += 1
             return ZERO
-        kept, zeroed = _clamp(carry, lo, theta)
+        kept = [v if v > t else 0 for v, t in zip(window, theta)]
+        # the positive values of the carry that the kept window does not hold
+        zeroed = len(carry) - carry.count(0) - len(kept) + kept.count(0)
         if zeroed:
             self._clamped += zeroed
-            carry = tuple(kept)
-        # drop the list before recursing: this frame outlives the search
-        # below, and at large K each of a chain of split states would hold one
-        del kept
+            carry = tuple([0] * lo + kept + [0] * (len(carry) - lo - len(kept)))
+        # drop the lists before recursing: this frame outlives the search
+        # below, and at large K each of a chain of split states would hold them
+        del window, kept
         return self._state(tab, cell, carry, depth)
 
     def _state(self, tab: TripleTable, cell: GridCell, carry: Carry, depth: int) -> Entry:
@@ -446,7 +388,8 @@ class DpSolver:
         entry = self.memo.get(key, _UNSOLVED)
         if entry is not _UNSOLVED:
             return entry
-        self._check_carry(tab, carry)
+        if len(carry) != tab.n_pieces or min(carry) < 0 or max(carry) > tab.top:
+            self._check_carry(tab, carry)  # raises
         if depth > self._max_depth:
             self._max_depth = depth
         if tab.canonical:
@@ -474,21 +417,24 @@ class DpSolver:
         p, gap = tab.p, tab.gap
         paid = next_carry(carry, p, gap, p)
         unpaid = next_carry(carry, p, gap, 0)
-        # Only the child's window of pieces [lo, hi) holds bounds.
+        # Only the child's window of pieces [lo, hi) holds bounds; the
+        # reversed tests find the last piece over a bound.
         child = tab.child
         lo, theta, phi = child.lo, child.theta, child.phi
         hi = lo + len(theta)
-        over = list(map(gt, unpaid[lo:hi], phi))
+        w_paid, w_unpaid = paid[lo:hi], unpaid[lo:hi]
+        over = list(map(gt, reversed(w_unpaid), reversed(phi)))
         if True in over:
-            least = hi - over[::-1].index(True)
-            self._phi_decided += max(0, least - min_take)
-            min_take = max(min_take, least)
-        over = list(map(gt, unpaid[lo:hi], theta))
-        zero_lo = hi - over[::-1].index(True) if True in over else 0
-        over = list(map(gt, paid[lo:hi], theta))
+            least = hi - over.index(True)
+            if least > min_take:
+                self._phi_decided += least - min_take
+                min_take = least
+        over = list(map(gt, reversed(w_unpaid), reversed(theta)))
+        zero_lo = hi - over.index(True) if True in over else 0
+        over = list(map(gt, w_paid, theta))
         zero_hi = lo + over.index(True) if True in over else len(carry)
 
-        zero_take = max(min_take, zero_lo)
+        zero_take = min_take if min_take > zero_lo else zero_lo
         prefix_cost, first = tab.prefix_cost, tab.first_rid
         if zero_take <= zero_hi:
             self._theta_decided += 1
@@ -499,10 +445,14 @@ class DpSolver:
             stop = len(carry) + 1
         if min_take < stop:
             # every take here leaves the child a carry that neither bound
-            # decides; clamp both candidate values once
-            kept_paid, zeroed_paid = _clamp(paid, lo, theta)
-            kept_unpaid, zeroed_unpaid = _clamp(unpaid, lo, theta)
-            self._clamped += zeroed_paid + zeroed_unpaid
+            # decides; clamp both candidate values once, as ``_decide`` does,
+            # and count the positive values each clamp set to 0
+            pad, tail = [0] * lo, [0] * (len(carry) - hi)
+            kept_paid = pad + [v if v > t else 0 for v, t in zip(w_paid, theta)] + tail
+            kept_unpaid = pad + [v if v > t else 0 for v, t in zip(w_unpaid, theta)] + tail
+            self._clamped += (
+                kept_paid.count(0) - paid.count(0) + kept_unpaid.count(0) - unpaid.count(0)
+            )
             for take in range(min_take, stop):
                 sub = self._state(
                     child, cell, tuple(kept_paid[:take] + kept_unpaid[take:]), depth + 1
@@ -552,13 +502,30 @@ class DpSolver:
             # the area holds a rectangle but is not canonical: it splits
             child = cell.children[k - 1]
             tab.inside = child.length // width
-            tab.fan = width // child.piece_width
-            tab.left = self._table(job, child, 1)
-            if k < self.grid.K:
-                tab.right = self._table(job, cell, k + 1)
-            tab.lo, tab.theta, tab.phi = _split_bounds(
-                tab.left, tab.right, tab.fan, tab.inside, tab.top
-            )
+            tab.fan = fan = width // child.piece_width
+            tab.left = left = self._table(job, child, 1)
+            right = tab.right = self._table(job, cell, k + 1) if k < self.grid.K else None
+            # Bounds: for each piece of the k-th child, the minimum over its
+            # ``fan`` pieces in the left part, then the right part's values.
+            # Both parts belong to one row, so they share ``top``.
+            lo, theta, phi = left.lo, left.theta, left.phi
+            if theta and fan > 1:
+                # the pieces of the k-th child that hold the left window
+                top, lo = tab.top, left.lo // fan
+                pad_lo = [top] * (left.lo - lo * fan)
+                pad_hi = [top] * (-(left.lo + len(theta)) % fan)
+                theta, phi = (
+                    tuple(list(map(min, *[run[j::fan] for j in range(fan)])))
+                    for run in (pad_lo + list(theta) + pad_hi, pad_lo + list(phi) + pad_hi)
+                )
+            if right is not None and right.theta:
+                r_lo = tab.inside + right.lo
+                if not theta:
+                    lo, theta, phi = r_lo, right.theta, right.phi
+                else:
+                    gap = (tab.top,) * (r_lo - lo - len(theta))
+                    theta, phi = theta + gap + right.theta, phi + gap + right.phi
+            tab.lo, tab.theta, tab.phi = lo, theta, phi
         # otherwise the area holds no rectangle and bounds nothing
         return tab
 
@@ -578,8 +545,37 @@ class DpSolver:
         tab.gap = gap = r_next - r_job
         tab.prefix_cost = tuple(list(accumulate([r.cost for r in rects], initial=0)))
         tab.first_rid = rects[0].rid
-        tab.child = self._table(job + 1, cell, tab.key[3])
-        tab.lo, tab.theta, tab.phi = _canonical_bounds(tab.child, settled, p, gap, tab.top)
+        tab.child = child = self._table(job + 1, cell, tab.key[3])
+        # Bounds from the child's: its value minus p plus gap for theta, plus
+        # gap for phi, -1 where it is negative; on a settled piece capped at
+        # -dem and p - dem; clipped to -1..top.  Outside its window the child
+        # has no bound.  The window then drops the pieces at either end where
+        # theta, hence phi (theta <= phi <= top), holds none.
+        top, c_top, c_lo, c_theta, c_phi = tab.top, child.top, child.lo, child.theta, child.phi
+        c_hi, n_settled = c_lo + len(c_theta), len(settled)
+        lo = 0 if settled else c_lo
+        theta, phi = [], []
+        for i in range(lo, n_settled if n_settled > c_hi else c_hi):
+            if c_lo <= i < c_hi:
+                t, f = c_theta[i - c_lo], c_phi[i - c_lo]
+            else:
+                t = f = c_top
+            t = t - p + gap if t >= 0 else -1
+            f = f + gap if f >= 0 else -1
+            if i < n_settled:
+                dem = settled[i]
+                if t > -dem:
+                    t = -dem
+                if f > p - dem:
+                    f = p - dem
+            theta.append(-1 if t < 0 else t if t < top else top)
+            phi.append(-1 if f < 0 else f if f < top else top)
+        a, b = 0, len(theta)
+        while a < b and theta[a] == top:
+            a += 1
+        while b > a and theta[b - 1] == top:
+            b -= 1
+        tab.lo, tab.theta, tab.phi = lo + a, tuple(theta[a:b]), tuple(phi[a:b])
 
 
 def solve(cov: CoveringInstance) -> DpResult:

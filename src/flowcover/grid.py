@@ -15,7 +15,8 @@ cell.  Cells compare by identity, so structures built on two grids never
 mix.  ``GridCell`` is a slotted class, not a frozen dataclass, because a
 solve builds dozens of cells and the frozen form costs several times as
 much per cell (its docstring has the detail).  Cells hold no parent link:
-``cell_at``, ``cell_chain`` and ``cell_path`` descend from the root.
+``cell_chain`` and ``cell_path`` descend from the root, and ``cell_at``
+reads the chain.  ``cell_chain`` is the one root containment check.
 
 A cell's *pieces* cut it into equal intervals: units in a cell of length K
 or less (a leaf or a parent of leaves), its grandchild cells in any other.
@@ -167,21 +168,21 @@ def build_grid(T: int, K: int, shift: int = 0) -> Grid:
 
 
 def cell_at(grid: Grid, level: int, x: int) -> GridCell:
-    """The unique level-``level`` cell whose interval contains x."""
+    """The unique level-``level`` cell whose interval contains x: that
+    level's cell of ``cell_chain``."""
     if not 0 <= level <= grid.lmax:
         raise ValueError(f"level must be in 0..{grid.lmax}, got {level}")
-    if not grid.root.contains_point(x):
-        raise ValueError(f"x={x} outside root interval [{grid.root.begin}, {grid.root.end})")
-    cell = grid.root
-    while cell.level < level:
-        cell = cell.child_at(x)
-    return cell
+    return cell_chain(grid, x)[level]
 
 
 def cell_chain(grid: Grid, x: int) -> list[GridCell]:
-    """Cells containing x, one per level, root first."""
+    """Cells containing x, one per level, root first.  The one root
+    containment check; ``build_segments`` walks the chain of a release, so
+    the message names x as one."""
     if not grid.root.contains_point(x):
-        raise ValueError(f"x={x} outside root interval [{grid.root.begin}, {grid.root.end})")
+        raise ValueError(
+            f"release {x} outside root interval [{grid.root.begin}, {grid.root.end})"
+        )
     chain = [grid.root]
     while not chain[-1].is_leaf:
         chain.append(chain[-1].child_at(x))
@@ -191,7 +192,9 @@ def cell_chain(grid: Grid, x: int) -> list[GridCell]:
 class SegmentGroup(NamedTuple):
     """The segments of one job inside one cell, ordered left to right.  A
     NamedTuple, like the ``covering`` records: immutable, and cheaper to
-    build than a frozen dataclass."""
+    build than a frozen dataclass.  ``build_segments`` makes it with
+    ``tuple.__new__(SegmentGroup, (...))``, skipping the NamedTuple's
+    Python-level ``__new__``."""
 
     job: int
     cell: GridCell
@@ -210,7 +213,8 @@ def build_segments(job: Job, grid: Grid) -> tuple[SegmentGroup, ...]:
     Concatenating the groups' segments left to right yields a partition of
     [r_j, end(root)) with non-decreasing segment lengths.  Groups may be
     empty (when the chain cell at the next level already touches the cell's
-    end); they are kept so callers see one group per level.  The first call
+    end); they are kept so callers see one group per level.  A release
+    outside the root raises ValueError (``cell_chain``).  The first call
     for a (job id, release) walks the cell chain; later calls on the same
     grid return the same tuple.
     """
@@ -219,16 +223,13 @@ def build_segments(job: Job, grid: Grid) -> tuple[SegmentGroup, ...]:
     groups = grid._segments.get(key)
     if groups is not None:
         return groups
-    if not grid.root.contains_point(r):
-        raise ValueError(
-            f"release {r} outside root interval [{grid.root.begin}, {grid.root.end})"
-        )
+    new = tuple.__new__  # positional records (``SegmentGroup``)
     built: list[SegmentGroup] = []
     lo = r  # the leaf's group starts at r, each ancestor's where the last ended
     for cell in reversed(cell_chain(grid, r)):
         end = cell.end
         segments = chunk(lo, end, cell.piece_width) if lo < end else ()
-        built.append(SegmentGroup(job.id, cell, segments))
+        built.append(new(SegmentGroup, (job.id, cell, segments)))
         lo = end
     groups = grid._segments[key] = tuple(built)
     return groups

@@ -16,7 +16,6 @@ order, so summaries and solution data are identical for any worker count.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -170,6 +169,10 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
     if cfg.workers <= 1:
         reports = [run_trial(cfg, t) for t in trials]
     else:
+        # imported here: the pool's modules cost a serial campaign, and
+        # every command that imports this module, tens of milliseconds
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             reports = list(pool.map(run_trial, [cfg] * cfg.trials, trials))
     return CampaignResult(config=cfg, reports=tuple(reports))

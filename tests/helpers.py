@@ -5,13 +5,16 @@
 ``grid`` module docstring; ``is_canonical`` and ``area_holds_rectangle``
 are the two facts ``DpSolver`` classifies a table by, computed here on
 their own by scanning the covering.  ``subcells`` and ``dense_carry`` lay
-out a state's carry by its pieces.
+out a state's carry by its pieces.  ``clamp`` is the two-pass theta clamp
+that the DP's single-pass steps are checked against.
 """
 
 from __future__ import annotations
 
 from flowcover.covering import CoveringInstance
-from flowcover.dpsolver import Carry, area_begin
+from collections.abc import Sequence
+
+from flowcover.dpsolver import Bounds, Carry, area_begin
 from flowcover.grid import Grid, GridCell, Interval, SegmentGroup, build_segments, chunk
 from flowcover.jobs import Job
 
@@ -103,3 +106,13 @@ def dense_carry(
     if unknown:
         raise ValueError(f"intervals {sorted(unknown)} are not pieces of the state")
     return tuple(values.get(piece, 0) for piece in pieces)
+
+
+def clamp(carry: Sequence[int], lo: int, theta: Bounds) -> tuple[list[int], int]:
+    """``carry`` as a list with 0 on every piece where it is at most theta,
+    pieces outside the window ``lo``..``lo + len(theta)`` included, and the
+    number of positive values that zeroed: the whole carry built, then
+    counted in two passes."""
+    kept = [0] * lo + [v if v > t else 0 for v, t in zip(carry[lo:], theta)]
+    kept += [0] * (len(carry) - len(kept))
+    return kept, kept.count(0) - carry.count(0)

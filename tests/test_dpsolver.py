@@ -15,12 +15,12 @@ from flowcover.covering import (
     check_feasible,
     selection_cost,
 )
-from flowcover.dpsolver import DpError, DpSolver, area_begin, next_carry, solve
+from flowcover.dpsolver import ZERO, DpError, DpSolver, TripleTable, area_begin, next_carry, solve
 from flowcover.grid import build_grid, build_segments, cell_at, root_length
 from flowcover.harness import CampaignConfig, campaign_instance
 from flowcover.jobs import Job, make_instance, perturb_release_times, total_horizon
 from flowcover.oracle import brute_force_covering, reduce_instance, reduction_grid
-from helpers import area_holds_rectangle, dense_carry, is_canonical, subcells
+from helpers import area_holds_rectangle, clamp, dense_carry, is_canonical, subcells
 
 
 def cov_for(triples, K=2, shift=0, T=None):
@@ -252,6 +252,117 @@ def test_next_carry_maps_a_whole_carry():
                 for paid in (0, p):
                     expected = [max(0, v + p - g - paid) for v in carry]
                     assert next_carry(carry, p, g, paid) == expected
+
+
+def _searched_states(solver):
+    """Record the carries the solver's steps hand ``_state``, which answers
+    each with the empty selection instead of searching."""
+    searched = []
+    solver._state = lambda tab, cell, carry, depth: searched.append(carry) or ZERO
+    return searched
+
+
+def _counters(solver):
+    return solver._theta_decided, solver._phi_decided, solver._clamped
+
+
+def test_single_pass_decide_matches_the_two_pass_clamp():
+    # (top, carry, lo, theta); theta = -1 does not cover v = 0, so a carry
+    # whose clamp is all zeros can still need a search
+    cases = [
+        (2, (0, 0), 0, (-1, -1)),
+        (3, (2, 1, 0, 3), 1, (1, -1)),  # a window after piece 0, values on both sides
+        (2, (1, 2), 1, ()),  # an empty window: no bound, so (0, ())
+        (3, (3, 0), 0, (3, 0)),  # v == theta everywhere
+        (3, (0, 3, 1), 0, (0, 2, 0)),  # nothing to clamp
+    ]
+    rng = Random(1818)
+    for _ in range(500):
+        n, top = rng.randint(1, 6), rng.randint(0, 5)
+        lo = rng.randint(0, n)
+        theta = tuple(rng.randint(-1, top) for _ in range(rng.randint(0, n - lo)))
+        cases.append((top, tuple(rng.randint(0, top) for _ in range(n)), lo, theta))
+    results = []
+    for top, carry, lo, theta in cases:
+        tab = TripleTable((1, 0, 0, 1), len(carry), top, False)
+        tab.lo, tab.theta = lo, theta
+        solver = DpSolver(cov_for([(0, 2, 1)]))
+        searched = _searched_states(solver)
+        answer = solver._decide(tab, None, carry, 0)
+        window = carry[lo : lo + len(theta)]
+        if all(v <= t for v, t in zip(window, theta)):
+            assert (answer, searched, _counters(solver)) == (ZERO, [], (1, 0, 0))
+        else:
+            kept, zeroed = clamp(carry, lo, theta)
+            assert (searched, _counters(solver)) == ([tuple(kept)], (0, 0, zeroed))
+        results.append(searched)
+    assert results[:5] == [[(0, 0)], [(0, 0, 0, 0)], [], [], [(0, 3, 1)]]
+
+
+def _two_pass_canonical(tab, carry):
+    """The child carries a canonical step searches, in order, and its
+    (theta_decided, phi_decided, clamped), from the two-pass clamp of both
+    ``next_carry`` vectors and a test of every take against the child's bounds."""
+    child = tab.child
+    hi = child.lo + len(child.theta)
+    paid = next_carry(carry, tab.p, tab.gap, tab.p)
+    unpaid = next_carry(carry, tab.p, tab.gap, 0)
+    kept_paid, zeroed_paid = clamp(paid, child.lo, child.theta)
+    kept_unpaid, zeroed_unpaid = clamp(unpaid, child.lo, child.theta)
+    takes = [pos + 1 for pos, dem in enumerate(tab.settled) if dem + carry[pos] > 0]
+    searched, theta_decided, phi_decided = [], 0, 0
+    for take in range(max(takes, default=0), len(carry) + 1):
+        window = (paid[:take] + unpaid[take:])[child.lo : hi]
+        if any(v > f for v, f in zip(window, child.phi)):
+            phi_decided += 1
+        elif all(v <= t for v, t in zip(window, child.theta)):
+            theta_decided = 1  # the cheapest take the empty selection finishes
+            break
+        else:
+            searched.append(tuple(kept_paid[:take] + kept_unpaid[take:]))
+    clamped = zeroed_paid + zeroed_unpaid if searched else 0
+    return searched, (theta_decided, phi_decided, clamped)
+
+
+def test_single_pass_canonical_step_matches_the_two_pass_clamp():
+    # (top, p, gap, settled, carry, lo, theta, phi) of a canonical step and
+    # its child's bounds; paid = v - gap and unpaid = v - gap + p, at least 0
+    cases = [
+        (3, 2, 3, (), (3, 1, 0), 0, (-1, -1, -1), (4, 4, 4)),  # theta = -1, v = 0
+        (3, 2, 3, (), (3, 1, 2), 0, (1, 0, 1), (5, 5, 5)),  # v == cleared for paid, unpaid
+        (3, 2, 3, (), (3, 2, 4), 0, (0, 1, 1), (5, 5, 5)),  # v == theta + cleared
+        (3, 2, 1, (-1,), (2, 3, 1), 1, (), ()),  # an empty window
+        (3, 2, 1, (), (3, 3, 1, 2), 2, (1,), (3,)),  # a window after piece 0
+    ]
+    rng = Random(1919)
+    for _ in range(800):
+        n, top, p, gap = rng.randint(1, 6), rng.randint(0, 5), rng.randint(1, 4), rng.randint(1, 5)
+        lo = rng.randint(0, n)
+        theta = tuple(rng.randint(-1, top + p) for _ in range(rng.randint(0, n - lo)))
+        phi = tuple(rng.randint(max(t, 0), top + p) for t in theta)
+        # the parent's phi bounds v - gap by the child's, where v is positive
+        carry = tuple(
+            min(rng.randint(0, top), phi[i - lo] + gap if lo <= i < lo + len(phi) else top)
+            for i in range(n)
+        )
+        settled = tuple(rng.randint(-4, 2) for _ in range(rng.randint(0, n)))
+        cases.append((top, p, gap, settled, carry, lo, theta, phi))
+    results = []
+    for top, p, gap, settled, carry, lo, theta, phi in cases:
+        n = len(carry)
+        child = TripleTable((2, 0, 0, 1), n, top + p, False)
+        child.lo, child.theta, child.phi = lo, theta, phi
+        tab = TripleTable((1, 0, 0, 1), n, top, True)
+        tab.settled, tab.p, tab.gap, tab.child = settled, p, gap, child
+        tab.prefix_cost, tab.first_rid = tuple(range(n + 1)), 0
+        solver = DpSolver(cov_for([(0, 2, 1)]))
+        searched = _searched_states(solver)
+        solver._canonical(tab, None, carry, 0)
+        assert (searched, _counters(solver)) == _two_pass_canonical(tab, carry)
+        results.append(searched)
+    # each edge case but the empty window reaches a search
+    assert [len(searched) for searched in results[:5]] == [4, 1, 3, 0, 3]
+    assert sum(map(len, results)) > 300
 
 
 # -- solve ------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import flowcover
 from flowcover.cli import main
 from flowcover.harness import (
     CSV_HEADER,
@@ -70,6 +75,21 @@ def test_campaign_summary_identical_across_worker_counts():
     pooled = run_campaign(CampaignConfig(workers=3, **base))
     assert serial.summary_json() == pooled.summary_json()
     assert serial.plot_lines() == pooled.plot_lines()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only a campaign with workers > 1 imports the pool; a fresh interpreter
+    # shows what the import alone loads
+    code = (
+        "import sys, flowcover.cli, flowcover.harness; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(flowcover.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_csv_lines_shape():

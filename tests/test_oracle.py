@@ -302,6 +302,26 @@ def test_verify_pair_reports_a_tie_broken_apart(monkeypatch):
     assert report.instance_json is not None
 
 
+def test_verify_pair_scans_only_an_oracle_selection_that_differs(monkeypatch):
+    # the DP's selection passed the scan inside its solve, so the oracle's
+    # is scanned again only when it is another selection
+    inst = make_instance([(0, 2, 1), (1, 1, 1)])
+    scanned = []
+    scan = oracle_mod.check_feasible
+    monkeypatch.setattr(
+        oracle_mod, "check_feasible", lambda cov, sel: scanned.append(sel) or scan(cov, sel)
+    )
+    assert verify_pair(inst, K=2, seed=0).ok and scanned == []
+
+    def infeasible_oracle(cov, budget=None):
+        return 0, Selection.of([])
+
+    monkeypatch.setattr(oracle_mod, "brute_force_covering", infeasible_oracle)
+    report = verify_pair(inst, K=2, seed=0)
+    assert report.status == "oracle_infeasible" and scanned == [Selection.of([])]
+    assert report.instance_json is not None
+
+
 def test_verify_pair_reports_dp_error_as_dp_infeasible(monkeypatch):
     inst = make_instance([(0, 2, 1), (1, 1, 1)])
 
