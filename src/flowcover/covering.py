@@ -2,9 +2,9 @@
 
 Every segment of job j becomes an axis-parallel rectangle: the segment's
 x-interval at unit height in row j (y in [j, j+1)).  A rectangle carries a
-cost and a capacity equal to the job's processing time (``CoveringInstance``
-checks it).  Within one group (one job, one cell) a valid selection must
-take a left prefix of the rectangles.
+cost and a capacity equal to the job's processing time.  Within one group
+(one job, one cell) a valid selection must take a left prefix of the
+rectangles.
 
 For every integer interval [s, t] with 0 <= s <= t <= T there is a downward
 ray at x = t + 1/2 starting just below row j, the earliest released job with
@@ -31,15 +31,16 @@ scan and the DP's settled rays both read it.  The sets of rectangles a ray
 crosses come from a per-column crossing index, built on first use; only
 the oracle reads it.
 
-A build makes one ``Rectangle`` per segment and one ``PrefixGroup`` per
-non-empty segment group, dozens per small instance, so both are
-``typing.NamedTuple``s: immutable, equal and hashed by value.
-``build_covering`` makes them with ``tuple.__new__(cls, (...))``, which
-skips the Python-level ``__new__`` that a NamedTuple call runs and so
-costs less than half as much a record; a frozen dataclass costs more still,
-since it assigns each field through ``object.__setattr__``.  A build walks each
-job's cell chain once: ``build_segments`` keeps the groups on the grid, and
-the structure check of ``CoveringInstance`` reads them back from there.
+``CoveringInstance`` is the one way to make a covering, so what the rest
+of the package relies on holds by construction (its docstring) and is
+never checked again.  A build walks each job's cell chain once and makes
+one ``Rectangle`` per segment and one ``PrefixGroup`` per non-empty
+segment group, dozens per small instance, so both are
+``typing.NamedTuple``s: immutable, equal and hashed by value.  The build
+makes them with ``tuple.__new__(cls, (...))``, which skips the
+Python-level ``__new__`` that a NamedTuple call runs and so costs less than
+half as much a record; a frozen dataclass costs more still, since it
+assigns each field through ``object.__setattr__``.
 
 Costs come from a built-in model named in ``COST_MODELS``.  The default
 charges weight * segment length, the weighted duration the job stays alive
@@ -57,7 +58,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from operator import sub
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 from .grid import Grid, GridCell, Interval, build_segments, cell_path
 from .jobs import Job, JobInstance, total_horizon
@@ -155,53 +156,60 @@ class FeasibilityReport:
 class CoveringInstance:
     """Rectangles, groups, and ray machinery built from jobs plus a grid.
 
+    The one way to make a covering: for each job in order, every non-empty
+    group of ``build_segments`` becomes one ``PrefixGroup`` holding one
+    ``Rectangle`` per segment, costed by the ``cost_model`` named in
+    ``COST_MODELS``.  So ids run 0..N-1 in group order, every rectangle's
+    capacity is its job's processing, and every rectangle costs at least 1
+    (both models charge a weight >= 1 times a length >= 1, or 1; the DP's
+    threshold bounds rely on it).  Each row's groups are the grid's
+    segments, so they carry the structure of the ``grid`` docstring: each
+    row tiles [r_j, end(root)), groups nest and none straddles a cell.  The
+    DP classifies each (job, cell, k) table by it in O(1), and the
+    feasibility scan's column arrays rely on what it implies: every
+    x-interval is non-empty and starts at or after r_j >= 0.
+
+    Raises ValueError unless the release times are pairwise distinct (run
+    the release perturbation first) and every release lies inside the
+    grid's root interval, or for an unknown cost model.
+
     ``releases`` holds the jobs' release times in release order,
     ``proc_prefix[j]`` is p_1 + ... + p_j, the processing of the first j
     jobs, for j = 0..n, ``excess[t]`` is the processing released by t,
     minus t, for t = 0..T, and ``row_offset[j - 1]`` is P_{j-1} - r_j, so
     that d(r_j, t) = excess[t] - row_offset[j - 1].
-
-    Raises ValueError unless ids run 0..N-1 in group order, every
-    rectangle's capacity is its job's processing, every rectangle costs at
-    least 1 (the DP's threshold bounds rely on it), and the non-empty
-    groups are, in order, the non-empty groups of ``build_segments`` for
-    each job: same row, same cell object, and the segments as the
-    rectangles' x-intervals.  The last check carries the structure of the
-    ``grid`` docstring: each row tiles [r_j, end(root)), groups nest and
-    none straddles a cell.  The DP classifies each (job, cell, k) table by
-    it in O(1), and the feasibility scan's column arrays rely on what it
-    implies: every x-interval is non-empty and starts at or after
-    r_j >= 0.  ``build_segments`` walks a job's cell chain only the first
-    time it is asked on a grid, so checking a covering that
-    ``build_covering`` made walks nothing again; every group's row, cell
-    and intervals are still compared.
     """
 
-    def __init__(self, instance: JobInstance, grid: Grid, groups: Sequence[PrefixGroup]):
+    def __init__(self, instance: JobInstance, grid: Grid, cost_model: str = "weighted_length"):
+        if not instance.has_distinct_releases():
+            raise ValueError("release times must be pairwise distinct; perturb the instance first")
+        cost_fn = resolve_cost_model(cost_model)
+        new = tuple.__new__  # positional records (module docstring)
+        groups: list[PrefixGroup] = []
+        rectangles: list[Rectangle] = []
+        for job in instance.jobs:
+            jid, p = job.id, job.processing
+            for _, cell, segments in build_segments(job, grid):
+                if segments:
+                    rid = len(rectangles)
+                    rects = tuple(
+                        [
+                            new(Rectangle, (rid + i, jid, a, b, cost_fn(job, a, b), p))
+                            for i, (a, b) in enumerate(segments)
+                        ]
+                    )
+                    rectangles += rects
+                    groups.append(new(PrefixGroup, (jid, cell, rects)))
         self.instance = instance
         self.grid = grid
         self.groups = tuple(groups)
+        self.rectangles: tuple[Rectangle, ...] = tuple(rectangles)
         self.horizon = total_horizon(instance) if instance.jobs else 0
-        self.rectangles: tuple[Rectangle, ...] = tuple(
-            [r for g in self.groups for r in g.rectangles]
-        )
-        procs = [0] + [job.processing for job in instance.jobs]  # procs[j] = p_j
-        n = instance.n
-        for i, r in enumerate(self.rectangles):
-            if r.rid != i:
-                problem = f"is number {i} in group order (ids must run 0..N-1)"
-            elif not 1 <= r.job <= n or r.capacity != procs[r.job]:
-                problem = f"in row {r.job} has capacity {r.capacity}, not its job's processing"
-            elif r.cost < 1:
-                problem = f"costs {r.cost}; every rectangle must cost at least 1"
-            else:
-                continue
-            raise ValueError(f"rectangle {r.rid} {problem}")
-        self._check_segments()
         self._group_by_key: dict[tuple[int, int, int], PrefixGroup] = {
-            (g.job, g.cell.level, g.cell.begin): g for g in self.groups if g.rectangles
+            (g.job, g.cell.level, g.cell.begin): g for g in groups
         }
         self.releases = instance.releases()
+        procs = [0] + [job.processing for job in instance.jobs]  # procs[j] = p_j
         self.proc_prefix = list(accumulate(procs))
         self.row_offset = list(map(sub, self.proc_prefix, self.releases))
         released = [0] * (self.horizon + 1)
@@ -209,47 +217,10 @@ class CoveringInstance:
             released[job.release] += job.processing
         self.excess = list(map(sub, accumulate(released), range(self.horizon + 1)))
 
-    def _check_segments(self) -> None:
-        """ValueError unless the non-empty groups are the grid's segment
-        groups, job by job, in order (class docstring)."""
-        given = [(i, g) for i, g in enumerate(self.groups) if g.rectangles]
-        wanted = [
-            seg
-            for job in self.instance.jobs
-            for seg in build_segments(job, self.grid)
-            if seg.segments
-        ]
-        for (i, g), seg in zip(given, wanted):
-            rects = g.rectangles
-            if (
-                g.cell is not seg.cell
-                or g.job != seg.job
-                or any([r.job != seg.job for r in rects])
-                or tuple([(r.x_begin, r.x_end) for r in rects]) != seg.segments
-            ):
-                first, last = seg.segments[0], seg.segments[-1]
-                raise ValueError(
-                    f"group {i} (row {g.job}, cell {_span(g.cell)}) is not the grid's "
-                    f"segment group of row {seg.job} in cell {_span(seg.cell)}, "
-                    f"segments of width {first[1] - first[0]} over [{first[0]},{last[1]})"
-                )
-        if len(given) > len(wanted):
-            i, g = given[len(wanted)]
-            raise ValueError(
-                f"group {i} (row {g.job}, cell {_span(g.cell)}) is past "
-                "the grid's last segment group"
-            )
-        if len(given) < len(wanted):
-            seg = wanted[len(given)]
-            raise ValueError(
-                f"group {len(self.groups)} missing: the groups end before "
-                f"the grid's segment group of row {seg.job} in cell {_span(seg.cell)}"
-            )
-
     @cached_property
     def _crossing(self) -> list[tuple[Rectangle, ...]]:
         """crossing[t] lists the rectangles through x = t + 1/2 for t in
-        0..T; rectangles come job by job (``__init__`` checks it), so each
+        0..T; rectangles come job by job (``__init__`` builds them so), so each
         list is already in row order."""
         crossing: list[list[Rectangle]] = [[] for _ in range(self.horizon + 1)]
         for rect in self.rectangles:
@@ -294,37 +265,11 @@ class CoveringInstance:
         return self.excess[t] - (self.proc_prefix[bisect_left(self.releases, s)] - s)
 
 
-def _span(cell: GridCell) -> str:
-    return f"[{cell.begin},{cell.end})"
-
-
 def build_covering(
     instance: JobInstance, grid: Grid, cost_model: str = "weighted_length"
 ) -> CoveringInstance:
-    """One rectangle per segment of every job; groups ordered left to right.
-
-    Requires pairwise distinct release times (run the release perturbation
-    first) and every release inside the grid's root interval.
-    """
-    if not instance.has_distinct_releases():
-        raise ValueError("release times must be pairwise distinct; perturb the instance first")
-    cost_fn = resolve_cost_model(cost_model)
-    new = tuple.__new__  # positional records (module docstring)
-    groups: list[PrefixGroup] = []
-    rid = 0
-    for job in instance.jobs:
-        jid, p = job.id, job.processing
-        for _, cell, segments in build_segments(job, grid):
-            if segments:
-                rects = tuple(
-                    [
-                        new(Rectangle, (rid + i, jid, a, b, cost_fn(job, a, b), p))
-                        for i, (a, b) in enumerate(segments)
-                    ]
-                )
-                rid += len(rects)
-                groups.append(new(PrefixGroup, (jid, cell, rects)))
-    return CoveringInstance(instance=instance, grid=grid, groups=groups)
+    """The covering of ``instance`` on ``grid``; see ``CoveringInstance``."""
+    return CoveringInstance(instance, grid, cost_model)
 
 
 def full_selection(cov: CoveringInstance) -> Selection:

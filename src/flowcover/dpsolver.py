@@ -20,7 +20,10 @@ re-derives the carry for the next row (selected capacity pays the debt, the
 job's own processing and the gap to the next release shift it), and
 recurses with job+1.  Otherwise the area *splits* along the k-th child into
 two independent states.  These are the two kinds of state the solver
-searches; an area that holds no rectangle is never searched (below).
+searches; an area that holds no rectangle is never searched (below).  The
+search itself holds a state as (table, carry): the table of (job, cell, k)
+(below) links the tables of the states it steps to, so no search step
+reads a cell.
 
 Every carry transition is a slice, because the pieces of the next state are
 a run of the current state's pieces, or of their cuts.  A split keeps the
@@ -41,7 +44,7 @@ the full one, so with theta = tau(empty) and phi = tau(full):
 
 - some v_i > phi_i: no selection covers the state, which is infeasible;
 - v <= theta: the empty selection covers it.  Every rectangle costs at
-  least 1 (``CoveringInstance`` checks it), so the answer is (0, ());
+  least 1 (``CoveringInstance`` builds it so), so the answer is (0, ());
 - otherwise a value with v_i <= theta_i is met by every selection, and is
   set to 0: the feasible selections, hence the cost and the tie-break, stay
   the same, and states that differ only there share one memo entry.
@@ -68,8 +71,9 @@ once paid and once unpaid and reuses the window of each for the phi test,
 both theta tests and the clamp.  A piece outside the window has no bound,
 so the clamp sets it to 0.  The memo stores only searched states and is
 the one record of them: ``states``, ``canonical_states``,
-``split_states``, ``carry_vectors`` and ``max_carry`` are read off its keys
-once, when the solve ends.
+``split_states``, ``carry_vectors``, ``max_carry`` and ``max_depth``, the
+largest depth of a key's table, are read off its keys once, when the solve
+ends.
 
 Costs, demands, and coordinates are integers throughout; ties between
 equal-cost solutions go to the lexicographically smallest sorted tuple of
@@ -87,9 +91,10 @@ its cost can beat or tie the best so far.  Tables read the covering's
 per-row arrays and one per-solve list of releases, r_1..r_n followed by
 the sentinel T + 1 of row n + 1, with no range-checked lookup per table.
 Each table links the tables of its child triples, so a search step looks
-up no table.  Tables and memo entries are keyed on plain integers, ``(job,
-cell.level, cell.begin, k)``, with the carry appended for the memo, so no
-cell object is hashed on the way.
+up no table; building the root's table builds every table the search can
+reach, each with its depth.  Tables and memo entries are keyed on plain
+integers, ``(job, cell.level, cell.begin, k)``, with the carry appended
+for the memo, so no cell object is hashed on the way.
 
 Settled rays need no per-t scan.  Only the rays [r_job, t] can bind (the
 rule in ``covering``); one is settled at row ``job``, crossing no deeper row,
@@ -99,11 +104,11 @@ leaf group at r_job, an ancestor group at a deeper cell's end), so the
 settled pieces are the prefix with x < r_{job+1}, and d(r_job, x) =
 excess[x] - row_offset[job - 1] (``covering``) is each one's largest
 settled demand.  Every capacity is p_job and ids run in group order
-(``CoveringInstance`` checks both), so a prefix's ids followed by the next
-row's sorted ids are already sorted.
+(``CoveringInstance`` builds both so), so a prefix's ids followed by the
+next row's sorted ids are already sorted.
 
-Two O(1) facts classify a table, because ``CoveringInstance`` checks once
-that every row's groups are the grid's segments: rows tile [r_j,
+Two O(1) facts classify a table, because ``CoveringInstance`` builds every
+row's groups from the grid's segments: rows tile [r_j,
 end(root)), releases strictly increase, and groups of different rows nest
 (``grid`` docstring), so no group straddles an area the recursion reaches.
 So (job, cell, k) is canonical exactly when row job has a group in the
@@ -176,8 +181,12 @@ class TripleTable:
     """Carry-independent facts of one (job, cell, k), shared by all its states.
 
     ``key`` is the triple's integer key, ``n_pieces`` the number of pieces
-    of the area, so the length of every carry of the triple, and ``top``
-    the processing of the rows above, the largest value a carry may hold.
+    of the area, so the length of every carry of the triple, ``top`` the
+    processing of the rows above, the largest value a carry may hold, and
+    ``depth`` the search depth of the triple's states: the number of steps
+    from the table ``_cell`` entered, where it is 0.  Each step adds one
+    row, one level or one k, so every path to a triple has the same length,
+    and the build sets it from whichever table links it first.
     ``theta`` and ``phi`` are the bound vectors of the module docstring
     (``top`` meaning no bound) on the window of pieces from ``lo`` to the
     last real bound of theta; a piece outside the window has no bound.  An
@@ -208,6 +217,7 @@ class TripleTable:
         "key",
         "n_pieces",
         "top",
+        "depth",
         "lo",
         "theta",
         "phi",
@@ -224,10 +234,11 @@ class TripleTable:
         "right",
     )
 
-    def __init__(self, key: TableKey, n_pieces: int, top: int, canonical: bool):
+    def __init__(self, key: TableKey, n_pieces: int, top: int, canonical: bool, depth: int):
         self.key = key
         self.n_pieces = n_pieces
         self.top = top
+        self.depth = depth
         self.canonical = canonical
         self.lo = 0
         self.theta: Bounds = ()
@@ -248,7 +259,8 @@ class TripleTable:
 class SolveStats:
     """Counters of one solve.  ``states`` counts stored memo entries, the
     states that were searched; ``canonical_states`` and ``split_states``
-    divide them by kind.  These, ``carry_vectors`` and ``max_carry`` are read
+    divide them by kind.  ``max_depth`` is the largest depth of a searched
+    state's table.  These, ``carry_vectors`` and ``max_carry`` are read
     off the memo once.  ``theta_decided`` and ``phi_decided`` count the
     carries that the bounds answered without a search, as (0, ()) and as
     infeasible, and ``clamped`` the positive values each clamped vector set to 0."""
@@ -290,7 +302,6 @@ class DpSolver:
         self._n = cov.instance.n
         self.memo: dict[StateKey, Entry] = {}
         self._tables: dict[TableKey, TripleTable] = {}
-        self._max_depth = 0
         self._theta_decided = 0
         self._phi_decided = 0
         self._clamped = 0
@@ -309,7 +320,7 @@ class DpSolver:
             sys.setrecursionlimit(depth_needed + 1000)
         root = self.grid.root
         try:
-            entry = self._cell(1, root, 1, (0,) * (root.length // root.piece_width), 0)
+            entry = self._cell(1, root, 1, (0,) * (root.length // root.piece_width))
         finally:
             sys.setrecursionlimit(limit)  # the caller's limit, raised or not
         if entry is None:
@@ -322,13 +333,16 @@ class DpSolver:
         if not report.ok:
             raise DpError(f"solver returned an infeasible selection: {report}")
         # the searched states' counters, read off the memo in one pass
-        tables, carries, canonical = self._tables, set(), 0
+        tables, carries, canonical, max_depth = self._tables, set(), 0, 0
         for tkey, carry in self.memo:
-            canonical += tables[tkey].canonical
+            tab = tables[tkey]
+            canonical += tab.canonical
+            if tab.depth > max_depth:
+                max_depth = tab.depth
             carries.add(carry)
         stats = SolveStats(
             states=len(self.memo),
-            max_depth=self._max_depth,
+            max_depth=max_depth,
             wall_ms=(time.perf_counter() - started) * 1000.0,
             triples=len(self._tables),
             carry_vectors=len(carries),
@@ -343,14 +357,16 @@ class DpSolver:
 
     # -- recursion ------------------------------------------------------------
 
-    def _cell(self, job: int, cell: GridCell, k: int, carry: Carry, depth: int) -> Entry | None:
-        """A carry from outside the recursion: checked, then decided."""
-        tab = self._table(job, cell, k)
+    def _cell(self, job: int, cell: GridCell, k: int, carry: Carry) -> Entry | None:
+        """A carry from outside the recursion: checked, then decided.  The
+        table of (job, cell, k) is built with depth 0, and with it every table
+        the search can reach, so no later step reads a cell."""
+        tab = self._table(job, cell, k, 0)
         self._check_carry(tab, carry)
         if any(map(gt, carry[tab.lo :], tab.phi)):
             self._phi_decided += 1
             return None
-        return self._decide(tab, cell, carry, depth)
+        return self._decide(tab, carry)
 
     def _check_carry(self, tab: TripleTable, carry: Carry) -> None:
         """DpError unless the carry holds one value per piece, each in 0..top."""
@@ -361,7 +377,7 @@ class DpSolver:
             bad = next(v for v in carry if not 0 <= v <= tab.top)
             raise DpError(f"carry value {bad} outside 0..{tab.top}")
 
-    def _decide(self, tab: TripleTable, cell: GridCell, carry: Carry, depth: int) -> Entry:
+    def _decide(self, tab: TripleTable, carry: Carry) -> Entry:
         """Answer a carry that phi has passed: (0, ()) when theta covers it,
         else the search of its state clamped to theta: 0 on every piece
         where the carry is at most theta, and outside the window, where
@@ -380,9 +396,9 @@ class DpSolver:
         # drop the lists before recursing: this frame outlives the search
         # below, and at large K each of a chain of split states would hold them
         del window, kept
-        return self._state(tab, cell, carry, depth)
+        return self._state(tab, carry)
 
-    def _state(self, tab: TripleTable, cell: GridCell, carry: Carry, depth: int) -> Entry:
+    def _state(self, tab: TripleTable, carry: Carry) -> Entry:
         """Search one clamped state that the bounds do not decide."""
         key = (tab.key, carry)
         entry = self.memo.get(key, _UNSOLVED)
@@ -390,16 +406,14 @@ class DpSolver:
             return entry
         if len(carry) != tab.n_pieces or min(carry) < 0 or max(carry) > tab.top:
             self._check_carry(tab, carry)  # raises
-        if depth > self._max_depth:
-            self._max_depth = depth
         if tab.canonical:
-            entry = self._canonical(tab, cell, carry, depth)
+            entry = self._canonical(tab, carry)
         else:
-            entry = self._split(tab, cell, carry, depth)
+            entry = self._split(tab, carry)
         self.memo[key] = entry
         return entry
 
-    def _canonical(self, tab: TripleTable, cell: GridCell, carry: Carry, depth: int) -> Entry:
+    def _canonical(self, tab: TripleTable, carry: Carry) -> Entry:
         # A settled ray must be paid by the row's own rectangle at its t, so
         # that rectangle must be selected.  (phi has already checked that
         # p_job covers the need.)
@@ -454,9 +468,7 @@ class DpSolver:
                 kept_paid.count(0) - paid.count(0) + kept_unpaid.count(0) - unpaid.count(0)
             )
             for take in range(min_take, stop):
-                sub = self._state(
-                    child, cell, tuple(kept_paid[:take] + kept_unpaid[take:]), depth + 1
-                )
+                sub = self._state(child, tuple(kept_paid[:take] + kept_unpaid[take:]))
                 cost = prefix_cost[take] + sub[0]
                 # ids only for a candidate that can win; a tie goes to the smaller ids
                 if best is None or cost <= best[0]:
@@ -465,15 +477,15 @@ class DpSolver:
                         best = (cost, ids)
         return best
 
-    def _split(self, tab: TripleTable, cell: GridCell, carry: Carry, depth: int) -> Entry:
+    def _split(self, tab: TripleTable, carry: Carry) -> Entry:
         # The state's phi is the minimum of its parts', so it has passed both.
         fan = tab.fan
         head = carry[: tab.inside]
         inherited = head if fan == 1 else tuple([v for v in head for _ in range(fan)])
-        left = self._decide(tab.left, cell.children[tab.key[3] - 1], inherited, depth + 1)
+        left = self._decide(tab.left, inherited)
         if tab.right is None:
             return left
-        right = self._decide(tab.right, cell, carry[tab.inside :], depth + 1)
+        right = self._decide(tab.right, carry[tab.inside :])
         if not right[1]:
             return left
         if not left[1]:
@@ -482,7 +494,10 @@ class DpSolver:
 
     # -- per-triple tables ---------------------------------------------------
 
-    def _table(self, job: int, cell: GridCell, k: int) -> TripleTable:
+    def _table(self, job: int, cell: GridCell, k: int, depth: int) -> TripleTable:
+        """The table of (job, cell, k), built with the tables of its child
+        triples on first use.  ``depth`` is the search depth of its states,
+        one more than the depth of the table that links it."""
         key = (job, cell.level, cell.begin, k)
         tab = self._tables.get(key)
         if tab is not None:
@@ -494,7 +509,7 @@ class DpSolver:
         group = cov.group(job, cell)
         canonical = group is not None and group.rectangles[0].x_begin == x_begin
         tab = self._tables[key] = TripleTable(
-            key, (cell.end - x_begin) // width, cov.proc_prefix[job - 1], canonical
+            key, (cell.end - x_begin) // width, cov.proc_prefix[job - 1], canonical, depth
         )
         if canonical:
             self._fill_canonical(tab, job, cell, group)
@@ -503,8 +518,9 @@ class DpSolver:
             child = cell.children[k - 1]
             tab.inside = child.length // width
             tab.fan = fan = width // child.piece_width
-            tab.left = left = self._table(job, child, 1)
-            right = tab.right = self._table(job, cell, k + 1) if k < self.grid.K else None
+            tab.left = left = self._table(job, child, 1, depth + 1)
+            right = self._table(job, cell, k + 1, depth + 1) if k < self.grid.K else None
+            tab.right = right
             # Bounds: for each piece of the k-th child, the minimum over its
             # ``fan`` pieces in the left part, then the right part's values.
             # Both parts belong to one row, so they share ``top``.
@@ -545,7 +561,7 @@ class DpSolver:
         tab.gap = gap = r_next - r_job
         tab.prefix_cost = tuple(list(accumulate([r.cost for r in rects], initial=0)))
         tab.first_rid = rects[0].rid
-        tab.child = child = self._table(job + 1, cell, tab.key[3])
+        tab.child = child = self._table(job + 1, cell, tab.key[3], tab.depth + 1)
         # Bounds from the child's: its value minus p plus gap for theta, plus
         # gap for phi, -1 where it is negative; on a settled piece capped at
         # -dem and p - dem; clipped to -1..top.  Outside its window the child

@@ -31,12 +31,9 @@ ancestor's end.  Left to right the segment lengths are non-decreasing, each
 group's span ends at its cell's end and starts at a child boundary, and
 groups of different jobs never partially overlap (the later-released job's
 group span lies inside some group span of the earlier job whose cell is an
-ancestor-or-self of the later group's cell).
-
-A grid keeps each job's segment groups the first time ``build_segments``
-walks its cell chain, so building a covering and checking its structure
-share one walk per job.  The cache is sound because the groups hold the
-grid's own cells, which no other grid hands out.
+ancestor-or-self of the later group's cell).  ``build_segments`` is the
+one place these segments are made: a covering is built from it, so the
+structure holds there by construction and nothing downstream re-derives it.
 """
 
 from __future__ import annotations
@@ -119,8 +116,8 @@ class Grid:
     """K-ary cell tree over [root.begin, root.end), built lazily from the root.
 
     ``lmax`` is the leaf level.  ``levels[l]`` lists the level-l cells in
-    order; reading it walks, and so builds, the whole tree.  ``_segments``
-    caches ``build_segments`` per (job id, release).  Cells are found from ``root`` down.
+    order; reading it walks, and so builds, the whole tree.  Cells are
+    found from ``root`` down.
     """
 
     def __init__(self, root: GridCell, K: int, shift: int):
@@ -131,7 +128,6 @@ class Grid:
         while length > 1:
             lmax, length = lmax + 1, length // K
         self.lmax = lmax
-        self._segments: dict[tuple[int, int], tuple[SegmentGroup, ...]] = {}
 
     @property
     def levels(self) -> list[list[GridCell]]:
@@ -214,15 +210,10 @@ def build_segments(job: Job, grid: Grid) -> tuple[SegmentGroup, ...]:
     [r_j, end(root)) with non-decreasing segment lengths.  Groups may be
     empty (when the chain cell at the next level already touches the cell's
     end); they are kept so callers see one group per level.  A release
-    outside the root raises ValueError (``cell_chain``).  The first call
-    for a (job id, release) walks the cell chain; later calls on the same
-    grid return the same tuple.
+    outside the root raises ValueError (``cell_chain``).  Each call walks
+    the release's cell chain once.
     """
     r = job.release
-    key = (job.id, r)
-    groups = grid._segments.get(key)
-    if groups is not None:
-        return groups
     new = tuple.__new__  # positional records (``SegmentGroup``)
     built: list[SegmentGroup] = []
     lo = r  # the leaf's group starts at r, each ancestor's where the last ended
@@ -231,8 +222,7 @@ def build_segments(job: Job, grid: Grid) -> tuple[SegmentGroup, ...]:
         segments = chunk(lo, end, cell.piece_width) if lo < end else ()
         built.append(new(SegmentGroup, (job.id, cell, segments)))
         lo = end
-    groups = grid._segments[key] = tuple(built)
-    return groups
+    return tuple(built)
 
 
 def cell_path(grid: Grid, cell: GridCell) -> str:

@@ -6,17 +6,20 @@
 are the two facts ``DpSolver`` classifies a table by, computed here on
 their own by scanning the covering.  ``subcells`` and ``dense_carry`` lay
 out a state's carry by its pieces.  ``clamp`` is the two-pass theta clamp
-that the DP's single-pass steps are checked against.
+that the DP's single-pass steps are checked against.  ``campaign_coverings``
+draws the reductions that several draw-loop tests share.
 """
 
 from __future__ import annotations
 
-from flowcover.covering import CoveringInstance
-from collections.abc import Sequence
+from flowcover.covering import COST_MODELS, CoveringInstance
+from collections.abc import Iterator, Sequence
 
 from flowcover.dpsolver import Bounds, Carry, area_begin
 from flowcover.grid import Grid, GridCell, Interval, SegmentGroup, build_segments, chunk
+from flowcover.harness import CampaignConfig, campaign_instance
 from flowcover.jobs import Job
+from flowcover.oracle import reduce_instance
 
 
 def segments_flat(groups: list[SegmentGroup]) -> list[Interval]:
@@ -116,3 +119,13 @@ def clamp(carry: Sequence[int], lo: int, theta: Bounds) -> tuple[list[int], int]
     kept = [0] * lo + [v if v > t else 0 for v, t in zip(carry[lo:], theta)]
     kept += [0] * (len(carry) - len(kept))
     return kept, kept.count(0) - carry.count(0)
+
+
+def campaign_coverings(draws: int) -> Iterator[CoveringInstance]:
+    """The reductions of campaign draws 0..``draws`` - 1 at each K = 2..5
+    under each cost model, with n <= 4 at K = 2 and n <= 3 above it."""
+    for K in (2, 3, 4, 5):
+        for cost_model in COST_MODELS:
+            for seed in range(draws):
+                cfg = CampaignConfig(seed=seed, K=K, n_max=4 if K == 2 else 3)
+                yield reduce_instance(campaign_instance(seed, cfg), K, seed, cost_model=cost_model)

@@ -5,7 +5,6 @@ import pytest
 
 import flowcover.grid as grid_mod
 from flowcover.covering import (
-    CoveringInstance,
     Selection,
     build_covering,
     check_feasible,
@@ -19,6 +18,7 @@ from flowcover.dpsolver import DpSolver
 from flowcover.grid import build_grid, build_segments, root_length
 from flowcover.jobs import make_instance, perturb_release_times, total_horizon
 from flowcover.oracle import reduce_instance
+from helpers import campaign_coverings
 
 
 def cov_for(triples, K=2, shift=0, cost_model="weighted_length"):
@@ -94,107 +94,6 @@ def test_rectangles_of_two_builds_equal_and_hash_alike():
     assert first.groups[0] != second.groups[0]
 
 
-def _renumbered(groups):
-    """The groups with their rectangles' ids set to 0..N-1 in group order."""
-    out, rid = [], 0
-    for g in groups:
-        rects = tuple(r._replace(rid=rid + i) for i, r in enumerate(g.rectangles))
-        out.append(g._replace(rectangles=rects))
-        rid += len(rects)
-    return out
-
-
-def _with_rect(groups, target, **changes):
-    """The groups with the fields of rectangle ``target`` changed."""
-    return [
-        g._replace(rectangles=tuple(r._replace(**changes) if r.rid == target else r
-                                    for r in g.rectangles))
-        for g in groups
-    ]
-
-
-@pytest.mark.parametrize(
-    "malform, message",
-    [
-        (lambda gs: _with_rect(gs, 1, rid=7), "rectangle 7 is number 1 in group order"),
-        (
-            lambda gs: _renumbered(gs[::-1]),
-            r"group 0 \(row 2, cell \[0,4\)\) is not the grid's segment group of row 1 in "
-            r"cell \[0,1\), segments of width 1 over \[0,1\)",
-        ),
-        (lambda gs: _with_rect(gs, 0, capacity=3), "rectangle 0 in row 1 has capacity 3, not"),
-        (lambda gs: _with_rect(gs, 6, job=3), "rectangle 6 in row 3 has capacity 1, not"),
-        (lambda gs: _with_rect(gs, 2, cost=0), "rectangle 2 costs 0; every rectangle must cost"),
-        (
-            lambda gs: _with_rect(gs, 1, x_begin=3, x_end=3),
-            r"group 1 \(row 1, cell \[0,2\)\) is not the grid's segment group of row 1 in "
-            r"cell \[0,2\), segments of width 1 over \[1,2\)",
-        ),
-        (
-            lambda gs: _with_rect(gs, 0, x_begin=-1),
-            r"group 0 \(row 1, cell \[0,1\)\) is not the grid's segment group of row 1",
-        ),
-        (
-            lambda gs: _with_rect(gs, 1, job=2, capacity=1),
-            r"group 1 \(row 1, cell \[0,2\)\) is not the grid's segment group of row 1",
-        ),
-        (
-            lambda gs: gs[:-1],
-            r"group 4 missing: the groups end before the grid's segment group of row 2 in "
-            r"cell \[0,4\)",
-        ),
-        (
-            lambda gs: _renumbered(gs + gs[:1]),
-            r"group 5 \(row 1, cell \[0,1\)\) is past the grid's last segment group",
-        ),
-        (
-            lambda gs: _renumbered(cov_for([(0, 2, 1), (1, 1, 1)]).groups),
-            r"group 0 \(row 1, cell \[0,1\)\) is not the grid's segment group of row 1",
-        ),
-    ],
-    ids=[
-        "id-out-of-order", "row-decreases", "capacity-not-processing", "row-without-job",
-        "cost-below-one", "empty-x-interval", "negative-x", "rectangle-in-another-row",
-        "group-missing", "group-past-the-last", "cells-of-another-grid",
-    ],
-)
-def test_malformed_covering_rejected(malform, message):
-    cov = cov_for([(0, 2, 1), (1, 1, 1)])
-    CoveringInstance(cov.instance, cov.grid, _renumbered(cov.groups))  # the valid base passes
-    with pytest.raises(ValueError, match=message):
-        CoveringInstance(cov.instance, cov.grid, malform(list(cov.groups)))
-
-
-def test_structure_check_reads_the_kept_segments_and_still_rejects(monkeypatch):
-    # the build has walked every job's cell chain and kept its groups on the
-    # grid, so the check below must compare against those without walking
-    cov = cov_for([(0, 2, 1), (1, 1, 1)])
-    foreign = cov_for([(0, 2, 1), (1, 1, 1)]).groups[0]  # same values, another grid's cell
-    walks = []
-    walk = grid_mod.cell_chain
-    monkeypatch.setattr(grid_mod, "cell_chain", lambda grid, x: walks.append(x) or walk(grid, x))
-    groups = _renumbered(cov.groups)
-    CoveringInstance(cov.instance, cov.grid, groups)  # the valid base passes
-    shifted = groups[2]._replace(
-        rectangles=tuple(r._replace(x_begin=r.x_begin + 1, x_end=r.x_end + 1)
-                         for r in groups[2].rectangles)
-    )
-    wrong_row = groups[3]._replace(
-        job=1, rectangles=tuple(r._replace(job=1, capacity=2) for r in groups[3].rectangles)
-    )
-    for index, bad, message in (
-        (0, foreign, r"group 0 \(row 1, cell \[0,1\)\) is not the grid's segment group of row 1 "
-                     r"in cell \[0,1\), segments of width 1 over \[0,1\)"),
-        (2, shifted, r"group 2 \(row 1, cell \[0,4\)\) is not the grid's segment group of row 1 "
-                     r"in cell \[0,4\), segments of width 1 over \[2,4\)"),
-        (3, wrong_row, r"group 3 \(row 1, cell \[1,2\)\) is not the grid's segment group of row 2 "
-                       r"in cell \[1,2\), segments of width 1 over \[1,2\)"),
-    ):
-        with pytest.raises(ValueError, match=message):
-            CoveringInstance(cov.instance, cov.grid, groups[:index] + [bad] + groups[index + 1:])
-    assert walks == []
-
-
 def test_build_covering_walks_each_cell_chain_once(monkeypatch):
     work = perturb_release_times(make_instance([(0, 2, 1), (1, 3, 2), (1, 1, 1), (4, 2, 3)]), 1)
     grid = build_grid(total_horizon(work) + 1, 3, shift=2)
@@ -202,9 +101,26 @@ def test_build_covering_walks_each_cell_chain_once(monkeypatch):
     walk = grid_mod.cell_chain
     monkeypatch.setattr(grid_mod, "cell_chain", lambda grid, x: walks.append(x) or walk(grid, x))
     cov = build_covering(work, grid)
-    assert walks == list(cov.releases)  # one walk per job, none for the check
-    build_covering(work, grid, cost_model="unit")  # a second covering on the grid walks none
-    assert walks == list(cov.releases)
+    assert walks == list(cov.releases)  # one walk per job
+
+
+def test_build_guarantees_what_the_search_and_the_scan_rely_on():
+    # CoveringInstance makes its groups from build_segments, so these hold
+    # by construction; the DP's bounds and the feasibility scan rely on them
+    coverings = 0
+    for cov in campaign_coverings(40):
+        rects = cov.rectangles
+        assert [r.rid for g in cov.groups for r in g.rectangles] == list(range(len(rects)))
+        assert [r.job for r in rects] == sorted(r.job for r in rects)  # rows in id order
+        for job in cov.instance.jobs:
+            row = [r for r in rects if r.job == job.id]
+            assert all(r.capacity == job.processing and r.cost >= 1 for r in row)
+            # the row tiles [r_j, end(root)) left to right
+            assert all(r.x_begin < r.x_end for r in row)
+            assert [r.x_begin for r in row] == [job.release] + [r.x_end for r in row[:-1]]
+            assert row[-1].x_end == cov.grid.root.end
+        coverings += 1
+    assert coverings == 4 * 2 * 40
 
 
 def test_duplicate_releases_rejected():

@@ -8,19 +8,23 @@ from random import Random
 import pytest
 
 from flowcover.covering import (
-    CoveringInstance,
-    PrefixGroup,
-    Rectangle,
     build_covering,
     check_feasible,
     selection_cost,
 )
 from flowcover.dpsolver import ZERO, DpError, DpSolver, TripleTable, area_begin, next_carry, solve
-from flowcover.grid import build_grid, build_segments, cell_at, root_length
+from flowcover.grid import GridCell, build_grid, build_segments, cell_at, root_length
 from flowcover.harness import CampaignConfig, campaign_instance
 from flowcover.jobs import Job, make_instance, perturb_release_times, total_horizon
 from flowcover.oracle import brute_force_covering, reduce_instance, reduction_grid
-from helpers import area_holds_rectangle, clamp, dense_carry, is_canonical, subcells
+from helpers import (
+    area_holds_rectangle,
+    campaign_coverings,
+    clamp,
+    dense_carry,
+    is_canonical,
+    subcells,
+)
 
 
 def cov_for(triples, K=2, shift=0, T=None):
@@ -234,8 +238,8 @@ def test_carry_of_wrong_length_rejected():
     for carry in ((), (0,) * (n_pieces - 1), (0,) * (n_pieces + 1)):
         expected = f"carry of {len(carry)} values for a state of {n_pieces} pieces"
         with pytest.raises(DpError, match=expected):
-            solver._cell(1, root, 1, carry, depth=0)
-    assert solver._cell(1, root, 1, (0,) * n_pieces, depth=0) is not None
+            solver._cell(1, root, 1, carry)
+    assert solver._cell(1, root, 1, (0,) * n_pieces) is not None
 
 
 def test_next_carry_arithmetic():
@@ -258,7 +262,7 @@ def _searched_states(solver):
     """Record the carries the solver's steps hand ``_state``, which answers
     each with the empty selection instead of searching."""
     searched = []
-    solver._state = lambda tab, cell, carry, depth: searched.append(carry) or ZERO
+    solver._state = lambda tab, carry: searched.append(carry) or ZERO
     return searched
 
 
@@ -284,11 +288,11 @@ def test_single_pass_decide_matches_the_two_pass_clamp():
         cases.append((top, tuple(rng.randint(0, top) for _ in range(n)), lo, theta))
     results = []
     for top, carry, lo, theta in cases:
-        tab = TripleTable((1, 0, 0, 1), len(carry), top, False)
+        tab = TripleTable((1, 0, 0, 1), len(carry), top, False, 0)
         tab.lo, tab.theta = lo, theta
         solver = DpSolver(cov_for([(0, 2, 1)]))
         searched = _searched_states(solver)
-        answer = solver._decide(tab, None, carry, 0)
+        answer = solver._decide(tab, carry)
         window = carry[lo : lo + len(theta)]
         if all(v <= t for v, t in zip(window, theta)):
             assert (answer, searched, _counters(solver)) == (ZERO, [], (1, 0, 0))
@@ -350,14 +354,14 @@ def test_single_pass_canonical_step_matches_the_two_pass_clamp():
     results = []
     for top, p, gap, settled, carry, lo, theta, phi in cases:
         n = len(carry)
-        child = TripleTable((2, 0, 0, 1), n, top + p, False)
+        child = TripleTable((2, 0, 0, 1), n, top + p, False, 1)
         child.lo, child.theta, child.phi = lo, theta, phi
-        tab = TripleTable((1, 0, 0, 1), n, top, True)
+        tab = TripleTable((1, 0, 0, 1), n, top, True, 0)
         tab.settled, tab.p, tab.gap, tab.child = settled, p, gap, child
         tab.prefix_cost, tab.first_rid = tuple(range(n + 1)), 0
         solver = DpSolver(cov_for([(0, 2, 1)]))
         searched = _searched_states(solver)
-        solver._canonical(tab, None, carry, 0)
+        solver._canonical(tab, carry)
         assert (searched, _counters(solver)) == _two_pass_canonical(tab, carry)
         results.append(searched)
     # each edge case but the empty window reaches a search
@@ -372,7 +376,7 @@ def test_single_job_matches_oracle_from_root_state():
     cov = cov_for([(0, 4, 2)])
     oracle_cost, _ = brute_force_covering(cov)
     solver = DpSolver(cov)
-    entry = solver._cell(1, cov.grid.root, 1, dense_carry(cov.grid.root, 1, cov.grid), depth=0)
+    entry = solver._cell(1, cov.grid.root, 1, dense_carry(cov.grid.root, 1, cov.grid))
     assert entry is not None and entry[0] == oracle_cost
     assert solve(cov).cost == oracle_cost
 
@@ -447,64 +451,6 @@ def test_stats_shape():
     assert stats.max_depth >= 1 and stats.wall_ms >= 0.0
 
 
-def _first_row_groups(inst, grid):
-    """The grid's groups of row 1 and the next rectangle id."""
-    groups = [g for g in build_covering(inst, grid).groups if g.job == 1]
-    return groups, sum(len(g.rectangles) for g in groups)
-
-
-def test_group_straddling_the_kth_child_boundary_rejected():
-    # row 2's group spans [2, 6), across the boundary x = 4 where the area of
-    # (job 1, root, k=2) begins; the reduction never builds such a group
-    inst = make_instance([(0, 2, 1), (1, 1, 1)])
-    grid = build_grid(T=8, K=2)
-    groups, rid = _first_row_groups(inst, grid)
-    straddling = PrefixGroup(job=2, cell=grid.root, rectangles=(
-        Rectangle(rid=rid, job=2, x_begin=2, x_end=4, cost=1, capacity=1),
-        Rectangle(rid=rid + 1, job=2, x_begin=4, x_end=6, cost=1, capacity=1),
-    ))
-    with pytest.raises(ValueError, match=(
-        r"group 4 \(row 2, cell \[0,8\)\) is not the grid's segment group of row 2 in "
-        r"cell \[1,2\), segments of width 1 over \[1,2\)"
-    )):
-        CoveringInstance(inst, grid, groups + [straddling])
-
-
-def test_canonical_group_left_of_release_rejected():
-    # row 2's group spans the area [4, 8) of (job 2, root, k=2) but starts
-    # left of r_2 = 5; the reduction never builds such a group
-    inst = make_instance([(0, 2, 1), (5, 1, 1)])
-    grid = build_grid(T=8, K=2)
-    groups, rid = _first_row_groups(inst, grid)
-    early = PrefixGroup(job=2, cell=grid.root, rectangles=(
-        Rectangle(rid=rid, job=2, x_begin=4, x_end=6, cost=1, capacity=1),
-        Rectangle(rid=rid + 1, job=2, x_begin=6, x_end=8, cost=1, capacity=1),
-    ))
-    with pytest.raises(ValueError, match=(
-        r"group 4 \(row 2, cell \[0,8\)\) is not the grid's segment group of row 2 in "
-        r"cell \[5,6\)"
-    )):
-        CoveringInstance(inst, grid, groups + [early])
-
-
-def test_non_canonical_leaf_state_with_a_rectangle_rejected():
-    # row 2's leaf group lies in the area of (job 1, leaf [1, 2), k=1), but
-    # row 1 has no rectangle over that leaf: its rows do not tile [r_1, 4)
-    inst = make_instance([(0, 2, 1), (1, 1, 1)])
-    grid = build_grid(T=4, K=2)
-    groups = [
-        PrefixGroup(job=1, cell=cell_at(grid, grid.lmax, 0), rectangles=(
-            Rectangle(rid=0, job=1, x_begin=0, x_end=1, cost=1, capacity=2),)),
-        PrefixGroup(job=2, cell=cell_at(grid, grid.lmax, 1), rectangles=(
-            Rectangle(rid=1, job=2, x_begin=1, x_end=2, cost=1, capacity=1),)),
-    ]
-    with pytest.raises(ValueError, match=(
-        r"group 1 \(row 2, cell \[1,2\)\) is not the grid's segment group of row 1 in "
-        r"cell \[0,2\)"
-    )):
-        CoveringInstance(inst, grid, groups)
-
-
 def test_solve_leaves_the_recursion_limit_as_it_found_it(monkeypatch):
     # `gen --seed 1` at K=1000 needs far more than 1000 frames, so the solve
     # raises the limit while it runs; afterwards the caller's limit is back,
@@ -539,14 +485,66 @@ def test_a_chain_of_split_states_holds_no_list_per_state(monkeypatch):
     state = DpSolver._state
     lists = {}
 
-    def spy(self, tab, cell, carry, depth):
-        if depth in (1, 800):
-            lists[depth] = sum(1 for o in gc.get_objects() if type(o) is list and len(o) >= 100)
-        return state(self, tab, cell, carry, depth)
+    def spy(self, tab, carry):
+        if tab.depth in (1, 800):
+            lists[tab.depth] = sum(1 for o in gc.get_objects() if type(o) is list and len(o) >= 100)
+        return state(self, tab, carry)
 
     monkeypatch.setattr(DpSolver, "_state", spy)
     assert solve(cov).stats.max_depth > 800
     assert lists[800] - lists[1] < 50
+
+
+def test_the_search_reads_no_cell(monkeypatch):
+    # ``_cell`` builds the root table and with it every table the search can
+    # reach; from its first ``_decide`` on, the search follows the tables'
+    # links and reads no ``GridCell.children``
+    reads, searching = [], []
+    children = GridCell.children.fget
+    decide = DpSolver._decide
+
+    def spy_children(cell):
+        if searching:
+            reads.append(cell)
+        return children(cell)
+
+    def spy_decide(self, *args):
+        searching.append(True)
+        return decide(self, *args)
+
+    monkeypatch.setattr(GridCell, "children", property(spy_children))
+    monkeypatch.setattr(DpSolver, "_decide", spy_decide)
+    splits = 0
+    for cov in campaign_coverings(60):
+        splits += solve(cov).stats.split_states
+        searching.clear()
+    assert reads == [] and splits > 100
+
+
+def test_table_depth_is_the_search_depth(monkeypatch):
+    # each state is searched one ``_state`` frame below the state that
+    # reached it, and the root state in the outermost one, so the number of
+    # enclosing ``_state`` frames is the depth; the table's must match it
+    state = DpSolver._state
+    frames, pairs = [0], []
+
+    def spy(self, tab, carry):
+        pairs.append((tab.depth, frames[0]))
+        frames[0] += 1
+        try:
+            return state(self, tab, carry)
+        finally:
+            frames[0] -= 1
+
+    monkeypatch.setattr(DpSolver, "_state", spy)
+    checked = 0
+    for cov in campaign_coverings(60):
+        pairs.clear()
+        stats = solve(cov).stats
+        assert [(d, f) for d, f in pairs if d != f] == []
+        assert stats.max_depth == max((f for _, f in pairs), default=0)
+        checked += len(pairs)
+    assert checked > 10000
 
 
 def test_carry_checked_on_tabled_triple():
@@ -555,12 +553,12 @@ def test_carry_checked_on_tabled_triple():
     solver = DpSolver(cov)
     root = cov.grid.root
     zero = dense_carry(root, 1, cov.grid)
-    assert solver._cell(1, root, 1, zero, depth=0) is not None
+    assert solver._cell(1, root, 1, zero) is not None
     with pytest.raises(DpError, match=f"carry of {len(zero) + 1} values"):
-        solver._cell(1, root, 1, zero + (1,), depth=0)
+        solver._cell(1, root, 1, zero + (1,))
     # (0, 1) is a piece, but no row above job 1 can owe anything
     with pytest.raises(DpError, match="outside 0..0"):
-        solver._cell(1, root, 1, dense_carry(root, 1, cov.grid, {(0, 1): 1}), depth=0)
+        solver._cell(1, root, 1, dense_carry(root, 1, cov.grid, {(0, 1): 1}))
 
 
 def test_table_kind_matches_a_scan_of_the_covering():
@@ -613,7 +611,7 @@ def test_theta_phi_by_hand_on_two_jobs():
     # is the sentinel's T + 1 = 5, so gap = 4, and both pieces are settled,
     # with dem = d(1, 2) = 0 and d(1, 3) = -1.  Row 3 bounds nothing, so
     # theta = -dem = (0, 1) and phi = p - dem = (1, 2).
-    tab = solver._table(2, quarter, 2)
+    tab = solver._table(2, quarter, 2, 0)
     assert (tab.canonical, tab.top, tab.settled) == (True, 2, (0, -1))
     assert (tab.lo, tab.theta, tab.phi) == (0, (0, 1), (1, 2))
 
@@ -621,21 +619,21 @@ def test_theta_phi_by_hand_on_two_jobs():
     # settled piece (both start at x >= r_2).  theta = child - p + g =
     # (-1, 0) and phi = child + g = (2, 3), clipped to row 1's top 0: the
     # second piece has no bound, so only the first is kept.
-    tab = solver._table(1, quarter, 2)
+    tab = solver._table(1, quarter, 2, 0)
     assert (tab.canonical, tab.top, tab.settled) == (True, 0, ())
     assert (tab.lo, tab.theta, tab.phi) == (0, (-1,), (0,))
 
     # (2, leaf [1,2), 1): canonical, settled with dem = d(1, 1) = 1:
     # theta = -1 (the empty selection leaves ray [1, 1] short) and
     # phi = p - dem = 0.
-    tab = solver._table(2, leaf, 1)
+    tab = solver._table(2, leaf, 1, 0)
     assert (tab.lo, tab.theta, tab.phi) == (0, (-1,), (0,))
 
     # (2, [0,4), k=1): a split with fan 1.  Its left part (2, [0,2), 1) has
     # no rectangle over [0,1) and the leaf's bounds over [1,2); its right
     # part is (2, [0,4), 2).  So piece [0,1) has no bound and the window
     # starts at piece 1: theta = (-1, 0, 1), phi = (0, 1, 2).
-    tab = solver._table(2, quarter, 1)
+    tab = solver._table(2, quarter, 1, 0)
     assert (tab.canonical, tab.inside, tab.fan) == (False, 2, 1)
     assert (tab.lo, tab.theta, tab.phi) == (1, (-1, 0, 1), (0, 1, 2))
 
@@ -645,7 +643,7 @@ def test_theta_phi_by_hand_on_two_jobs():
     # where d(0, 3) = 0; phi is row 1's top, 0.  Each piece takes the
     # minimum over its two units, and the right part (1, [0,8), 2) bounds
     # nothing: theta = (-1, -1), phi = (0, 0).
-    tab = solver._table(1, cov.grid.root, 1)
+    tab = solver._table(1, cov.grid.root, 1, 0)
     assert (tab.canonical, tab.inside, tab.fan) == (False, 2, 2)
     assert (tab.lo, tab.theta, tab.phi) == (0, (-1, -1), (0, 0))
 
@@ -653,11 +651,11 @@ def test_theta_phi_by_hand_on_two_jobs():
     def carry(values):
         return dense_carry(quarter, 2, cov.grid, values)
 
-    assert solver._cell(2, quarter, 2, carry({(3, 4): 1}), depth=0) == (0, ())  # v <= theta
-    assert solver._cell(2, quarter, 2, carry({(2, 3): 2}), depth=0) is None  # v_0 > phi_0
+    assert solver._cell(2, quarter, 2, carry({(3, 4): 1})) == (0, ())  # v <= theta
+    assert solver._cell(2, quarter, 2, carry({(2, 3): 2})) is None  # v_0 > phi_0
     assert solver.memo == {}
     # theta_0 < 1 <= phi_0: searched, row 2 must take its rectangle [2,3)
-    assert solver._cell(2, quarter, 2, carry({(2, 3): 1}), depth=0) == (1, (7,))
+    assert solver._cell(2, quarter, 2, carry({(2, 3): 1})) == (1, (7,))
     assert list(solver.memo) == [((2, 1, 0, 2), (1, 0))]
 
 
@@ -667,15 +665,15 @@ def test_bounds_decide_no_carry_before_it_is_checked():
     quarter = cell_at(cov.grid, 1, 0)
     # theta = (0, 1) would answer (0, ()) for this carry, but -1 is no carry
     with pytest.raises(DpError, match=r"carry value -1 outside 0\.\.2"):
-        solver._cell(2, quarter, 2, dense_carry(quarter, 2, cov.grid, {(3, 4): -1}), depth=0)
+        solver._cell(2, quarter, 2, dense_carry(quarter, 2, cov.grid, {(3, 4): -1}))
     # above the processing of the rows above: phi would call it infeasible
     with pytest.raises(DpError, match=r"carry value 3 outside 0\.\.2"):
-        solver._cell(2, quarter, 2, dense_carry(quarter, 2, cov.grid, {(3, 4): 3}), depth=0)
+        solver._cell(2, quarter, 2, dense_carry(quarter, 2, cov.grid, {(3, 4): 3}))
     # row 3 holds no rectangle, so its bounds decide every carry as (0, ());
     # the length is still checked
     with pytest.raises(DpError, match="carry of 1 values for a state of 2 pieces"):
-        solver._cell(3, quarter, 2, (0,), depth=0)
-    assert solver._cell(3, quarter, 2, (2, 3), depth=0) == (0, ())
+        solver._cell(3, quarter, 2, (0,))
+    assert solver._cell(3, quarter, 2, (2, 3)) == (0, ())
     assert solver.memo == {}
 
 
