@@ -74,7 +74,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
         return 2
     cfg = CampaignConfig(
         seed=args.seed,
-        K=args.K,
         epsilon=parse_epsilon(args.epsilon or "1"),
         n_max=args.n,
         p_max=args.pmax,
@@ -318,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, reduction: bool = True) -> None:
         p.add_argument("--seed", type=int, default=0, help="seed for shifts and draws")
-        p.add_argument("--K", type=int, default=2, help="grid branching factor (>= 2)")
         p.add_argument("--epsilon", type=str, default=None, help='accuracy, e.g. "1" or "1/2"')
         if reduction:
+            p.add_argument("--K", type=int, default=2, help="grid branching factor (>= 2)")
             p.add_argument(
                 "--cost-model",
                 default="weighted_length",

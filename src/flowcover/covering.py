@@ -81,12 +81,11 @@ COST_MODELS: dict[str, CostFn] = {
 
 
 def resolve_cost_model(model: str) -> CostFn:
-    try:
+    """The built-in cost function named ``model``; ValueError for anything
+    else, a value that is no name (a list, a tuple) included."""
+    if isinstance(model, str) and model in COST_MODELS:
         return COST_MODELS[model]
-    except KeyError:
-        raise ValueError(
-            f"unknown cost model {model!r}; built-ins: {sorted(COST_MODELS)}"
-        ) from None
+    raise ValueError(f"unknown cost model {model!r}; built-ins: {sorted(COST_MODELS)}")
 
 
 class Rectangle(NamedTuple):
@@ -204,7 +203,7 @@ class CoveringInstance:
         self.grid = grid
         self.groups = tuple(groups)
         self.rectangles: tuple[Rectangle, ...] = tuple(rectangles)
-        self.horizon = total_horizon(instance) if instance.jobs else 0
+        self.horizon = total_horizon(instance)
         self._group_by_key: dict[tuple[int, int, int], PrefixGroup] = {
             (g.job, g.cell.level, g.cell.begin): g for g in groups
         }

@@ -18,18 +18,20 @@ span A's x-range, so they are A's pieces; the solver then tries every
 prefix of that group, checks the rays that no deeper row can still affect,
 re-derives the carry for the next row (selected capacity pays the debt, the
 job's own processing and the gap to the next release shift it), and
-recurses with job+1.  Otherwise the area *splits* along the k-th child into
-two independent states.  These are the two kinds of state the solver
+recurses with job+1.  Otherwise the area *splits* into two independent
+states: the child of the cell that holds r_job, and row job's canonical
+group right of that child.  These are the two kinds of state the solver
 searches; an area that holds no rectangle is never searched (below).  The
 search itself holds a state as (table, carry): the table of (job, cell, k)
 (below) links the tables of the states it steps to, so no search step
 reads a cell.
 
 Every carry transition is a slice, because the pieces of the next state are
-a run of the current state's pieces, or of their cuts.  A split keeps the
-pieces right of the k-th child for the right part, ``carry[inside:]``, and
-hands the left part the first ``inside`` values, each repeated ``fan``
-times, since each of those pieces holds ``fan`` of the child's pieces.  A
+a run of the current state's pieces, or of their cuts.  A split drops the
+``skip`` pieces of the children left of the release's child, where no ray
+[r_job, t] of the state reaches, hands the left part the next ``inside``
+values, each repeated ``fan`` times, since each of those pieces holds
+``fan`` of the child's pieces, and keeps the rest for the right part.  A
 canonical step keeps the pieces and maps the whole carry through
 ``next_carry``, once as if the row's rectangles were all taken and once as
 if none were.
@@ -51,29 +53,25 @@ the full one, so with theta = tau(empty) and phi = tau(full):
 
 theta and phi are filled once per (job, cell, k), bottom-up through the
 same recurrences as the states, by the code that builds the table
-(``_fill_canonical`` and the split branch of ``_table``).  An area without
-rectangles bounds nothing.
+(``_fill_canonical`` and the split branch of ``_table``).  Like the carry,
+they hold one value per piece, clipped to -1..B, where B is the processing
+of the rows above, the largest value a carry of the row may hold, so B
+means "no bound"; an area without rectangles has B on every piece.
 A canonical triple with gap g and p = p_job reads its child (job+1, cell,
 k): theta_i = theta'_i - p + g and phi_i = phi'_i + g, or -1 where the
 child's value is negative; on a settled piece with largest demand dem_i
-they are also capped at -dem_i and p - dem_i.  A split takes, for each
-piece of the k-th child, the minimum over its ``fan`` child pieces, then the
-right part's values.  Values are clipped to -1..B, where B is the processing
-of the rows above, the largest value a carry of the row may hold, so B
-means "no bound".  A table keeps the vectors only on the window from the
-first to the last piece with a real bound, so at large K, where most pieces
-lie left of the first release or right of the horizon, a table stays small.
+they are also capped at -dem_i and p - dem_i.  A split has no bound on the
+pieces it skips, takes, for each piece of the release's child, the minimum
+over its ``fan`` child pieces, then the right part's values.
 Callers decide a state from its bounds before they recurse.  Each
-transition is one pass over the window of its carry: ``_decide`` tests a
-carry against theta, clamps the window and builds a new carry only when a
-value changed, and ``_canonical`` maps the carry through ``next_carry``
-once paid and once unpaid and reuses the window of each for the phi test,
-both theta tests and the clamp.  A piece outside the window has no bound,
-so the clamp sets it to 0.  The memo stores only searched states and is
-the one record of them: ``states``, ``canonical_states``,
-``split_states``, ``carry_vectors``, ``max_carry`` and ``max_depth``, the
-largest depth of a key's table, are read off its keys once, when the solve
-ends.
+transition is one pass over its carry: ``_decide`` tests a carry against
+theta, clamps it and builds a new carry only when a value changed, and
+``_canonical`` maps the carry through ``next_carry`` once paid and once
+unpaid and reuses each for the phi test, both theta tests and the clamp.
+The memo stores only searched states and is the one record of them:
+``states``, ``canonical_states``, ``split_states``, ``carry_vectors``,
+``max_carry`` and ``max_depth``, the largest depth of a key's table, are
+read off its keys once, when the solve ends.
 
 Costs, demands, and coordinates are integers throughout; ties between
 equal-cost solutions go to the lexicographically smallest sorted tuple of
@@ -85,11 +83,12 @@ Work that does not depend on the carry is done once per (job, cell, k) and
 kept in a ``TripleTable``: the number of pieces, the two bound vectors,
 whether the triple is canonical and, if so, the largest demand of each
 settled piece, the cost of every prefix of the group and the group's first
-id, or, for a split, the two slice widths.  A prefix's ids run from the
-first id on, so a canonical step builds a candidate's id tuple only when
-its cost can beat or tie the best so far.  Tables read the covering's
-per-row arrays and one per-solve list of releases, r_1..r_n followed by
-the sentinel T + 1 of row n + 1, with no range-checked lookup per table.
+id, or, for a split, the widths of its three slices.  A prefix's ids run
+from the first id on, so a canonical step builds a candidate's id tuple
+only when its cost can beat or tie the best so far.  Tables read the
+covering's per-row arrays and one per-solve list of releases, r_1..r_n
+followed by the sentinel T + 1 of row n + 1, with no range-checked lookup
+per table.
 Each table links the tables of its child triples, so a search step looks
 up no table; building the root's table builds every table the search can
 reach, each with its depth.  Tables and memo entries are keyed on plain
@@ -108,17 +107,26 @@ settled demand.  Every capacity is p_job and ids run in group order
 next row's sorted ids are already sorted.
 
 Two O(1) facts classify a table, because ``CoveringInstance`` builds every
-row's groups from the grid's segments: rows tile [r_j,
-end(root)), releases strictly increase, and groups of different rows nest
-(``grid`` docstring), so no group straddles an area the recursion reaches.
-So (job, cell, k) is canonical exactly when row job has a group in the
-cell whose first rectangle begins at x1, and its rectangles are then the
-pieces, from r_job on.  Otherwise A holds a rectangle exactly when job <= n
-and r_job < end(cell); the cell is then internal and the area splits.  The
-carry checks (one value per piece, each in 0..the processing of the
-rows above) run for every carry handed to ``_cell``, before its bounds
-decide it, and for every state that is searched, so a carry is never
-trusted because its triple was seen before.
+row's groups from the grid's segments: rows tile [r_j, end(root)),
+releases strictly increase, and groups of different rows nest (``grid``
+docstring), so no group straddles an area the recursion reaches.  So (job,
+cell, k) is canonical exactly when row job has a group in the cell whose
+first rectangle begins at x1, and its rectangles are then the pieces, from
+r_job on.  Otherwise A holds a rectangle exactly when job <= n and r_job <
+end(cell); the cell is then internal and the area splits.  A third fact
+shapes the split: r_job lies in the k-th child or right of it.  The search
+enters a cell below the root only through a split at the child that holds
+a release, and later rows are released later, so r_job lies in the cell;
+and a release in a child left of the k-th would put row job's group in the
+cell across x1.  The children between x1 and r_job hold no rectangle of
+row job or a deeper row, whose releases are larger; the child c that holds
+r_job is the area (job, child c, 1); right of it lies row job's group in
+the cell, the canonical area (job, cell, c + 2), or nothing when c is the
+last child.  A split table whose release lies left of its k-th child
+raises ``DpError``.  The carry checks (one value per piece, each in 0..the
+processing of the rows above) run for every carry handed to ``_cell``,
+before its bounds decide it, and for every state that is searched, so a
+carry is never trusted because its triple was seen before.
 
 The tuples a solve builds are made from lists, ``tuple([...])``, not from
 generators.  CPython grows a tuple built from a generator by resizing it,
@@ -147,7 +155,7 @@ from .covering import (
 from .grid import GridCell
 
 Carry = tuple[int, ...]  # one value per piece of the area, left to right
-Bounds = tuple[int, ...]  # one value per piece of a table's window of real bounds
+Bounds = tuple[int, ...]  # one value per piece of the area, top meaning no bound
 Entry = tuple[int, tuple[int, ...]]  # (cost, sorted ids)
 TableKey = tuple[int, int, int, int]  # (job, cell.level, cell.begin, k)
 StateKey = tuple[TableKey, Carry]
@@ -184,16 +192,16 @@ class TripleTable:
     of the area, so the length of every carry of the triple, ``top`` the
     processing of the rows above, the largest value a carry may hold, and
     ``depth`` the search depth of the triple's states: the number of steps
-    from the table ``_cell`` entered, where it is 0.  Each step adds one
-    row, one level or one k, so every path to a triple has the same length,
-    and the build sets it from whichever table links it first.
-    ``theta`` and ``phi`` are the bound vectors of the module docstring
-    (``top`` meaning no bound) on the window of pieces from ``lo`` to the
-    last real bound of theta; a piece outside the window has no bound.  An
-    area without a rectangle has both empty.  The build fills them, from
-    the child's in ``_fill_canonical`` and from the parts' in ``_table``;
-    the search reads them, and ``_decide`` and ``_canonical`` clamp a
-    carry to theta on the window.
+    from the table ``_cell`` entered, where it is 0.  The links form a
+    tree: a split's parts cover disjoint pieces, and a canonical table's
+    child the same pieces one row down, so a table is linked by one table
+    only, and the build sets its depth from that one.
+    ``theta`` and ``phi`` are the bound vectors of the module docstring,
+    one value per piece, with ``top`` meaning no bound; an area without a
+    rectangle has ``top`` on every piece.  The build fills them, from the
+    child's in ``_fill_canonical`` and from the parts' in ``_table``; the
+    search reads them, and ``_decide`` and ``_canonical`` clamp a carry to
+    theta.
 
     Canonical triples, whose group's rectangles are the pieces, fill:
 
@@ -207,10 +215,11 @@ class TripleTable:
       have ids first_rid..first_rid + take - 1;
     - ``child``: the table of (job+1, cell, k).
 
-    Internal triples that split fill ``inside``, the number of pieces in the
-    k-th child, ``fan``, the number of the child's pieces in each, ``left``,
-    the table of (job, k-th child, 1), and ``right``, that of (job, cell,
-    k+1), or None when k = K.
+    Internal triples that split, with r_job in child c, fill ``skip``, the
+    number of pieces of the children left of child c, ``inside``, the
+    number of pieces in child c, ``fan``, the number of the child's pieces
+    in each, ``left``, the table of (job, child c, 1), and ``right``, that
+    of the canonical (job, cell, c + 2), or None when c is the last child.
     """
 
     __slots__ = (
@@ -218,7 +227,6 @@ class TripleTable:
         "n_pieces",
         "top",
         "depth",
-        "lo",
         "theta",
         "phi",
         "canonical",
@@ -228,6 +236,7 @@ class TripleTable:
         "prefix_cost",
         "first_rid",
         "child",
+        "skip",
         "inside",
         "fan",
         "left",
@@ -240,7 +249,6 @@ class TripleTable:
         self.top = top
         self.depth = depth
         self.canonical = canonical
-        self.lo = 0
         self.theta: Bounds = ()
         self.phi: Bounds = ()
         self.settled: tuple[int, ...] = ()
@@ -249,6 +257,7 @@ class TripleTable:
         self.prefix_cost: tuple[int, ...] = ()
         self.first_rid = 0
         self.child: TripleTable | None = None
+        self.skip = 0
         self.inside = 0
         self.fan = 0
         self.left: TripleTable | None = None
@@ -363,7 +372,7 @@ class DpSolver:
         the search can reach, so no later step reads a cell."""
         tab = self._table(job, cell, k, 0)
         self._check_carry(tab, carry)
-        if any(map(gt, carry[tab.lo :], tab.phi)):
+        if any(map(gt, carry, tab.phi)):
             self._phi_decided += 1
             return None
         return self._decide(tab, carry)
@@ -380,22 +389,16 @@ class DpSolver:
     def _decide(self, tab: TripleTable, carry: Carry) -> Entry:
         """Answer a carry that phi has passed: (0, ()) when theta covers it,
         else the search of its state clamped to theta: 0 on every piece
-        where the carry is at most theta, and outside the window, where
-        theta is no bound."""
-        lo, theta = tab.lo, tab.theta
-        window = carry[lo : lo + len(theta)]
-        if all(map(le, window, theta)):
+        where the carry is at most theta."""
+        theta = tab.theta
+        if all(map(le, carry, theta)):
             self._theta_decided += 1
             return ZERO
-        kept = [v if v > t else 0 for v, t in zip(window, theta)]
-        # the positive values of the carry that the kept window does not hold
-        zeroed = len(carry) - carry.count(0) - len(kept) + kept.count(0)
+        kept = [v if v > t else 0 for v, t in zip(carry, theta)]
+        zeroed = kept.count(0) - carry.count(0)  # the positive values clamped
         if zeroed:
             self._clamped += zeroed
-            carry = tuple([0] * lo + kept + [0] * (len(carry) - lo - len(kept)))
-        # drop the lists before recursing: this frame outlives the search
-        # below, and at large K each of a chain of split states would hold them
-        del window, kept
+            carry = tuple(kept)
         return self._state(tab, carry)
 
     def _state(self, tab: TripleTable, carry: Carry) -> Entry:
@@ -431,22 +434,19 @@ class DpSolver:
         p, gap = tab.p, tab.gap
         paid = next_carry(carry, p, gap, p)
         unpaid = next_carry(carry, p, gap, 0)
-        # Only the child's window of pieces [lo, hi) holds bounds; the
-        # reversed tests find the last piece over a bound.
+        # The reversed tests find the last piece over a bound.
         child = tab.child
-        lo, theta, phi = child.lo, child.theta, child.phi
-        hi = lo + len(theta)
-        w_paid, w_unpaid = paid[lo:hi], unpaid[lo:hi]
-        over = list(map(gt, reversed(w_unpaid), reversed(phi)))
+        theta, phi, n = child.theta, child.phi, len(carry)
+        over = list(map(gt, reversed(unpaid), reversed(phi)))
         if True in over:
-            least = hi - over.index(True)
+            least = n - over.index(True)
             if least > min_take:
                 self._phi_decided += least - min_take
                 min_take = least
-        over = list(map(gt, reversed(w_unpaid), reversed(theta)))
-        zero_lo = hi - over.index(True) if True in over else 0
-        over = list(map(gt, w_paid, theta))
-        zero_hi = lo + over.index(True) if True in over else len(carry)
+        over = list(map(gt, reversed(unpaid), reversed(theta)))
+        zero_lo = n - over.index(True) if True in over else 0
+        over = list(map(gt, paid, theta))
+        zero_hi = over.index(True) if True in over else n
 
         zero_take = min_take if min_take > zero_lo else zero_lo
         prefix_cost, first = tab.prefix_cost, tab.first_rid
@@ -456,14 +456,13 @@ class DpSolver:
             stop = zero_take
         else:
             best = None
-            stop = len(carry) + 1
+            stop = n + 1
         if min_take < stop:
             # every take here leaves the child a carry that neither bound
             # decides; clamp both candidate values once, as ``_decide`` does,
             # and count the positive values each clamp set to 0
-            pad, tail = [0] * lo, [0] * (len(carry) - hi)
-            kept_paid = pad + [v if v > t else 0 for v, t in zip(w_paid, theta)] + tail
-            kept_unpaid = pad + [v if v > t else 0 for v, t in zip(w_unpaid, theta)] + tail
+            kept_paid = [v if v > t else 0 for v, t in zip(paid, theta)]
+            kept_unpaid = [v if v > t else 0 for v, t in zip(unpaid, theta)]
             self._clamped += (
                 kept_paid.count(0) - paid.count(0) + kept_unpaid.count(0) - unpaid.count(0)
             )
@@ -479,13 +478,14 @@ class DpSolver:
 
     def _split(self, tab: TripleTable, carry: Carry) -> Entry:
         # The state's phi is the minimum of its parts', so it has passed both.
-        fan = tab.fan
-        head = carry[: tab.inside]
+        # The skipped pieces lie left of r_job, where no ray of the state reaches.
+        fan, mid = tab.fan, tab.skip + tab.inside
+        head = carry[tab.skip : mid]
         inherited = head if fan == 1 else tuple([v for v in head for _ in range(fan)])
         left = self._decide(tab.left, inherited)
         if tab.right is None:
             return left
-        right = self._decide(tab.right, carry[tab.inside :])
+        right = self._decide(tab.right, carry[mid:])
         if not right[1]:
             return left
         if not left[1]:
@@ -514,35 +514,36 @@ class DpSolver:
         if canonical:
             self._fill_canonical(tab, job, cell, group)
         elif job <= self._n and self._releases[job - 1] < cell.end:
-            # the area holds a rectangle but is not canonical: it splits
-            child = cell.children[k - 1]
-            tab.inside = child.length // width
+            # the area holds a rectangle but is not canonical: it splits into
+            # the child holding r_job and, right of it, row job's canonical group
+            r_job = self._releases[job - 1]
+            c = cell.child_index(r_job)
+            if c < k - 1:
+                raise DpError(f"release {r_job} of row {job} lies left of area {key}")
+            child = cell.children[c]
+            tab.inside = inside = child.length // width
+            tab.skip = skip = (c - k + 1) * inside
             tab.fan = fan = width // child.piece_width
             tab.left = left = self._table(job, child, 1, depth + 1)
-            right = self._table(job, cell, k + 1, depth + 1) if k < self.grid.K else None
+            right = self._table(job, cell, c + 2, depth + 1) if c + 1 < self.grid.K else None
             tab.right = right
-            # Bounds: for each piece of the k-th child, the minimum over its
-            # ``fan`` pieces in the left part, then the right part's values.
-            # Both parts belong to one row, so they share ``top``.
-            lo, theta, phi = left.lo, left.theta, left.phi
-            if theta and fan > 1:
-                # the pieces of the k-th child that hold the left window
-                top, lo = tab.top, left.lo // fan
-                pad_lo = [top] * (left.lo - lo * fan)
-                pad_hi = [top] * (-(left.lo + len(theta)) % fan)
+            # Bounds: none on the skipped pieces, then for each piece of the
+            # release's child the minimum over its ``fan`` pieces in the left
+            # part, then the right part's values.  Both parts belong to one
+            # row, so they share ``top``.
+            theta, phi = left.theta, left.phi
+            if fan > 1:
                 theta, phi = (
                     tuple(list(map(min, *[run[j::fan] for j in range(fan)])))
-                    for run in (pad_lo + list(theta) + pad_hi, pad_lo + list(phi) + pad_hi)
+                    for run in (theta, phi)
                 )
-            if right is not None and right.theta:
-                r_lo = tab.inside + right.lo
-                if not theta:
-                    lo, theta, phi = r_lo, right.theta, right.phi
-                else:
-                    gap = (tab.top,) * (r_lo - lo - len(theta))
-                    theta, phi = theta + gap + right.theta, phi + gap + right.phi
-            tab.lo, tab.theta, tab.phi = lo, theta, phi
-        # otherwise the area holds no rectangle and bounds nothing
+            pad = (tab.top,) * skip
+            tab.theta, tab.phi = pad + theta, pad + phi
+            if right is not None:
+                tab.theta, tab.phi = tab.theta + right.theta, tab.phi + right.phi
+        else:
+            # the area holds no rectangle and bounds nothing
+            tab.theta = tab.phi = (tab.top,) * tab.n_pieces
         return tab
 
     def _fill_canonical(
@@ -564,18 +565,10 @@ class DpSolver:
         tab.child = child = self._table(job + 1, cell, tab.key[3], tab.depth + 1)
         # Bounds from the child's: its value minus p plus gap for theta, plus
         # gap for phi, -1 where it is negative; on a settled piece capped at
-        # -dem and p - dem; clipped to -1..top.  Outside its window the child
-        # has no bound.  The window then drops the pieces at either end where
-        # theta, hence phi (theta <= phi <= top), holds none.
-        top, c_top, c_lo, c_theta, c_phi = tab.top, child.top, child.lo, child.theta, child.phi
-        c_hi, n_settled = c_lo + len(c_theta), len(settled)
-        lo = 0 if settled else c_lo
+        # -dem and p - dem; clipped to -1..top.
+        top, n_settled = tab.top, len(settled)
         theta, phi = [], []
-        for i in range(lo, n_settled if n_settled > c_hi else c_hi):
-            if c_lo <= i < c_hi:
-                t, f = c_theta[i - c_lo], c_phi[i - c_lo]
-            else:
-                t = f = c_top
+        for i, (t, f) in enumerate(zip(child.theta, child.phi)):
             t = t - p + gap if t >= 0 else -1
             f = f + gap if f >= 0 else -1
             if i < n_settled:
@@ -586,12 +579,7 @@ class DpSolver:
                     f = p - dem
             theta.append(-1 if t < 0 else t if t < top else top)
             phi.append(-1 if f < 0 else f if f < top else top)
-        a, b = 0, len(theta)
-        while a < b and theta[a] == top:
-            a += 1
-        while b > a and theta[b - 1] == top:
-            b -= 1
-        tab.lo, tab.theta, tab.phi = lo + a, tuple(theta[a:b]), tuple(phi[a:b])
+        tab.theta, tab.phi = tuple(theta), tuple(phi)
 
 
 def solve(cov: CoveringInstance) -> DpResult:

@@ -127,10 +127,10 @@ def make_instance(
 
 
 def total_horizon(instance: JobInstance) -> int:
-    """Max release plus total processing; every job can finish by this time."""
-    if not instance.jobs:
-        raise ValueError("total_horizon is undefined for an empty instance")
-    return max(j.release for j in instance.jobs) + sum(j.processing for j in instance.jobs)
+    """Max release plus total processing; every job can finish by this time.
+    0 for an empty instance."""
+    jobs = instance.jobs
+    return max((j.release for j in jobs), default=0) + sum(j.processing for j in jobs)
 
 
 def max_processing(instance: JobInstance) -> int:

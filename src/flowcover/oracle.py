@@ -270,7 +270,7 @@ def reduce_instance(
     ``epsilon``), the horizon ``T`` and the grid with its shift.
     """
     work = perturb_release_times(instance, epsilon)
-    grid = reduction_grid(total_horizon(work) if work.jobs else 0, K, seed)
+    grid = reduction_grid(total_horizon(work), K, seed)
     return build_covering(work, grid, cost_model=cost_model)
 
 

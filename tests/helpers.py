@@ -111,13 +111,11 @@ def dense_carry(
     return tuple(values.get(piece, 0) for piece in pieces)
 
 
-def clamp(carry: Sequence[int], lo: int, theta: Bounds) -> tuple[list[int], int]:
+def clamp(carry: Sequence[int], theta: Bounds) -> tuple[list[int], int]:
     """``carry`` as a list with 0 on every piece where it is at most theta,
-    pieces outside the window ``lo``..``lo + len(theta)`` included, and the
-    number of positive values that zeroed: the whole carry built, then
-    counted in two passes."""
-    kept = [0] * lo + [v if v > t else 0 for v, t in zip(carry[lo:], theta)]
-    kept += [0] * (len(carry) - len(kept))
+    and the number of positive values that zeroed: the whole carry built,
+    then counted in two passes."""
+    kept = [v if v > t else 0 for v, t in zip(carry, theta)]
     return kept, kept.count(0) - carry.count(0)
 
 

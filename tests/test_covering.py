@@ -143,6 +143,15 @@ def test_cost_models():
             build_covering(inst, grid, cost_model=model)
 
 
+def test_cost_model_that_is_no_name_rejected():
+    # a list is unhashable and a tuple is no name: both get the ValueError
+    inst = make_instance([(0, 2, 3)])
+    grid = build_grid(T=8, K=2)
+    for model in (["unit"], ("unit",), ("weighted_length", "unit")):
+        with pytest.raises(ValueError, match=r"unknown cost model [\[(]'"):
+            build_covering(inst, grid, cost_model=model)
+
+
 # -- demand ---------------------------------------------------------------------
 
 

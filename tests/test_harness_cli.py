@@ -143,6 +143,15 @@ def test_gen_instance_carries_its_epsilon(tmp_path):
     assert plain.read_bytes() == explicit.read_bytes()
 
 
+def test_gen_has_no_grid_option(tmp_path, capsys):
+    # gen draws jobs only; a branching factor would be read by nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--K", "3", "--out", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --K 3" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_gen_rejects_zero_jobs(tmp_path, capsys):
     rc = main(["gen", "--n", "0", "--out", str(tmp_path / "x.json")])
     assert rc == 2

@@ -184,9 +184,9 @@ def test_horizon_examples():
     assert total_horizon(make_instance([(0, 1, 1), (0, 1, 1)])) == 2
 
 
-def test_horizon_empty_rejected():
-    with pytest.raises(ValueError):
-        total_horizon(JobInstance(jobs=()))
+def test_horizon_of_empty_instance_is_zero():
+    # like max_processing: a reduction of no jobs lays its grid over [0, 0]
+    assert total_horizon(JobInstance(jobs=())) == 0
 
 
 def test_max_processing_of_empty_instance_is_zero():
