@@ -32,17 +32,17 @@ a run of the current state's pieces, or of their cuts.  A split drops the
 [r_job, t] of the state reaches, hands the left part the next ``inside``
 values, each repeated ``fan`` times, since each of those pieces holds
 ``fan`` of the child's pieces, and keeps the rest for the right part.  A
-canonical step keeps the pieces and maps the whole carry through
-``next_carry``, once as if the row's rectangles were all taken and once as
-if none were.
+canonical step keeps the pieces and maps each value to the next row's
+twice: once as if its piece's rectangle were taken (paid: v - gap) and once
+as if not (unpaid: v - gap + p_job), each at least 0.
 
 Threshold bounds decide most states without a search.  Fix a prefix-valid
 selection S of the area.  A carried value reaches only the rays inside its
 own piece, and raises their demand one for one, so S covers the state
 exactly when v_i <= tau_i(S) on every piece i, for some per-piece threshold
-tau_i(S).  Selecting more never lowers a threshold: paid <= unpaid in
-``next_carry``.  Every prefix-valid S lies between the empty selection and
-the full one, so with theta = tau(empty) and phi = tau(full):
+tau_i(S).  Selecting more never lowers a threshold: paid <= unpaid.
+Every prefix-valid S lies between the empty selection and the full one,
+so with theta = tau(empty) and phi = tau(full):
 
 - some v_i > phi_i: no selection covers the state, which is infeasible;
 - v <= theta: the empty selection covers it.  Every rectangle costs at
@@ -64,14 +64,23 @@ they are also capped at -dem_i and p - dem_i.  A split has no bound on the
 pieces it skips, takes, for each piece of the release's child, the minimum
 over its ``fan`` child pieces, then the right part's values.
 Callers decide a state from its bounds before they recurse.  Each
-transition is one pass over its carry: ``_decide`` tests a carry against
-theta, clamps it and builds a new carry only when a value changed, and
-``_canonical`` maps the carry through ``next_carry`` once paid and once
-unpaid and reuses each for the phi test, both theta tests and the clamp.
+transition is one pass over its carry: ``_decide`` clamps a carry to
+theta, tests it against theta only when the clamp leaves nothing, and
+builds a new carry only when a value changed; ``_canonical`` walks its
+pieces once, and on each piece computes the settled floor, the paid and
+unpaid values, the phi test, both theta tests and both clamped values.
+Its takes then run over those two clamped lists.  The child carry of a
+take differs from that of the take one smaller only on the last piece the
+larger take pays, so where the clamped paid and unpaid values agree on it
+the larger take reaches the same child state at a higher cost (every cost
+is at least 1).  It can neither win nor tie and is not searched, so each
+distinct child carry is probed once.
 The memo stores only searched states and is the one record of them:
 ``states``, ``canonical_states``, ``split_states``, ``carry_vectors``,
 ``max_carry`` and ``max_depth``, the largest depth of a key's table, are
-read off its keys once, when the solve ends.
+read off its keys once, when the solve ends.  Equal answers are stored as
+one tuple: a solve's memo holds few distinct (cost, ids) over many
+states, and a copy per state held most of its memory.
 
 Costs, demands, and coordinates are integers throughout; ties between
 equal-cost solutions go to the lexicographically smallest sorted tuple of
@@ -160,7 +169,6 @@ Entry = tuple[int, tuple[int, ...]]  # (cost, sorted ids)
 TableKey = tuple[int, int, int, int]  # (job, cell.level, cell.begin, k)
 StateKey = tuple[TableKey, Carry]
 ZERO: Entry = (0, ())  # the empty selection
-_UNSOLVED = object()  # memo default
 
 
 class DpError(RuntimeError):
@@ -174,15 +182,6 @@ def area_begin(cell: GridCell, k: int, K: int) -> int:
     if not 1 <= k <= top:
         raise ValueError(f"k must be in 1..{top}, got {k}")
     return cell.begin + (k - 1) * (cell.length // K)
-
-
-def next_carry(carry: Carry, processing: int, release_gap: int, paid_capacity: int) -> list[int]:
-    """Carried demand for the next row, piece by piece: each old debt plus
-    the current job's processing, minus the release gap and whatever
-    selected capacity paid, and at least 0.  One call maps a whole carry,
-    since every piece shares the shift; a canonical state makes two."""
-    cleared = release_gap + paid_capacity - processing  # a debt this small clears
-    return [v - cleared if v > cleared else 0 for v in carry]
 
 
 class TripleTable:
@@ -200,8 +199,9 @@ class TripleTable:
     one value per piece, with ``top`` meaning no bound; an area without a
     rectangle has ``top`` on every piece.  The build fills them, from the
     child's in ``_fill_canonical`` and from the parts' in ``_table``; the
-    search reads them, and ``_decide`` and ``_canonical`` clamp a carry to
-    theta.
+    search reads them: ``_decide`` clamps a carry to theta, and
+    ``_canonical`` clamps both of its child's candidate values in the same
+    pass that tests them.
 
     Canonical triples, whose group's rectangles are the pieces, fill:
 
@@ -310,6 +310,7 @@ class DpSolver:
         self._releases = [*cov.releases, cov.horizon + 1]
         self._n = cov.instance.n
         self.memo: dict[StateKey, Entry] = {}
+        self._answers: dict[Entry, Entry] = {}  # each distinct answer, once
         self._tables: dict[TableKey, TripleTable] = {}
         self._theta_decided = 0
         self._phi_decided = 0
@@ -389,12 +390,13 @@ class DpSolver:
     def _decide(self, tab: TripleTable, carry: Carry) -> Entry:
         """Answer a carry that phi has passed: (0, ()) when theta covers it,
         else the search of its state clamped to theta: 0 on every piece
-        where the carry is at most theta."""
+        where the carry is at most theta.  theta covers the carry only when
+        the clamp leaves nothing, so the clamp comes first."""
         theta = tab.theta
-        if all(map(le, carry, theta)):
+        kept = [v if v > t else 0 for v, t in zip(carry, theta)]
+        if not any(kept) and all(map(le, carry, theta)):
             self._theta_decided += 1
             return ZERO
-        kept = [v if v > t else 0 for v, t in zip(carry, theta)]
         zeroed = kept.count(0) - carry.count(0)  # the positive values clamped
         if zeroed:
             self._clamped += zeroed
@@ -402,10 +404,11 @@ class DpSolver:
         return self._state(tab, carry)
 
     def _state(self, tab: TripleTable, carry: Carry) -> Entry:
-        """Search one clamped state that the bounds do not decide."""
+        """Search one clamped state that the bounds do not decide.  Equal
+        answers are stored as one tuple, so the memo holds each once."""
         key = (tab.key, carry)
-        entry = self.memo.get(key, _UNSOLVED)
-        if entry is not _UNSOLVED:
+        entry = self.memo.get(key)  # no entry is None
+        if entry is not None:
             return entry
         if len(carry) != tab.n_pieces or min(carry) < 0 or max(carry) > tab.top:
             self._check_carry(tab, carry)  # raises
@@ -413,40 +416,54 @@ class DpSolver:
             entry = self._canonical(tab, carry)
         else:
             entry = self._split(tab, carry)
-        self.memo[key] = entry
+        entry = self.memo[key] = self._answers.setdefault(entry, entry)
         return entry
 
     def _canonical(self, tab: TripleTable, carry: Carry) -> Entry:
-        # A settled ray must be paid by the row's own rectangle at its t, so
-        # that rectangle must be selected.  (phi has already checked that
-        # p_job covers the need.)
-        min_take = 0
-        for pos, dem in enumerate(tab.settled):
-            if dem + carry[pos] > 0:
+        # One pass over the pieces.  A settled ray must be paid by the row's
+        # own rectangle at its t, so that rectangle must be selected: the
+        # last such piece sets the least take.  (phi has already checked
+        # that p_job covers the need.)  The next row's value on each piece
+        # is `paid` if its rectangle is taken, `unpaid` if not: the debt
+        # plus p minus the gap, less p when paid, and at least 0; a prefix
+        # of `take` pays the first `take`.  paid <= unpaid, so the child's
+        # phi rules out exactly the takes below `least`, the last piece
+        # whose unpaid value is over it, and its theta answers (0, ()) for
+        # exactly the takes in zero_lo..zero_hi: from the last piece whose
+        # unpaid value is over theta to the first whose paid value is.  The
+        # cheapest of those is the smallest; a larger take costs more.
+        # Both values are clamped to theta as ``_decide`` does, counting
+        # the positive values each clamp sets to 0.
+        p, gap, child = tab.p, tab.gap, tab.child
+        settled, n = tab.settled, len(carry)
+        n_settled, cleared = len(settled), gap - p  # an unpaid debt this small clears
+        min_take = least = zero_lo = clamped = pos = 0
+        zero_hi = n
+        kept_paid, kept_unpaid = [], []
+        for v, t, f in zip(carry, child.theta, child.phi):
+            if pos < n_settled and settled[pos] + v > 0:
                 min_take = pos + 1
-
-        # The next row's carry on each piece, if its rectangle is taken
-        # (paid) or not (unpaid); a prefix of `take` pays the first `take`.
-        # paid <= unpaid, so the child's phi rules out exactly the takes
-        # that leave some unpaid value above it, and its theta answers
-        # (0, ()) exactly for the takes in zero_lo..zero_hi.  The cheapest
-        # of those is the smallest; a larger take costs more.
-        p, gap = tab.p, tab.gap
-        paid = next_carry(carry, p, gap, p)
-        unpaid = next_carry(carry, p, gap, 0)
-        # The reversed tests find the last piece over a bound.
-        child = tab.child
-        theta, phi, n = child.theta, child.phi, len(carry)
-        over = list(map(gt, reversed(unpaid), reversed(phi)))
-        if True in over:
-            least = n - over.index(True)
-            if least > min_take:
-                self._phi_decided += least - min_take
-                min_take = least
-        over = list(map(gt, reversed(unpaid), reversed(theta)))
-        zero_lo = n - over.index(True) if True in over else 0
-        over = list(map(gt, paid, theta))
-        zero_hi = over.index(True) if True in over else n
+            pos += 1
+            u = v - cleared if v > cleared else 0
+            if u > f:
+                least = pos
+            if u > t:
+                zero_lo = pos
+                kept_unpaid.append(u)
+            else:
+                clamped += u > 0
+                kept_unpaid.append(0)
+            w = v - gap if v > gap else 0
+            if w > t:
+                if zero_hi == n:
+                    zero_hi = pos - 1
+                kept_paid.append(w)
+            else:
+                clamped += w > 0
+                kept_paid.append(0)
+        if least > min_take:
+            self._phi_decided += least - min_take
+            min_take = least
 
         zero_take = min_take if min_take > zero_lo else zero_lo
         prefix_cost, first = tab.prefix_cost, tab.first_rid
@@ -458,15 +475,13 @@ class DpSolver:
             best = None
             stop = n + 1
         if min_take < stop:
-            # every take here leaves the child a carry that neither bound
-            # decides; clamp both candidate values once, as ``_decide`` does,
-            # and count the positive values each clamp set to 0
-            kept_paid = [v if v > t else 0 for v, t in zip(paid, theta)]
-            kept_unpaid = [v if v > t else 0 for v, t in zip(unpaid, theta)]
-            self._clamped += (
-                kept_paid.count(0) - paid.count(0) + kept_unpaid.count(0) - unpaid.count(0)
-            )
+            # every take here leaves the child a carry that neither bound decides
+            self._clamped += clamped
             for take in range(min_take, stop):
+                # a take whose last piece clamps alike paid or unpaid hands
+                # the child the previous take's carry at a higher cost
+                if take > min_take and kept_paid[take - 1] == kept_unpaid[take - 1]:
+                    continue
                 sub = self._state(child, tuple(kept_paid[:take] + kept_unpaid[take:]))
                 cost = prefix_cost[take] + sub[0]
                 # ids only for a candidate that can win; a tie goes to the smaller ids

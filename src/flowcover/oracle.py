@@ -114,7 +114,9 @@ def brute_force_covering(
     # capacity) of the rectangles they cross: rays crossing the same
     # rectangles are one constraint with the largest need.  The rectangles
     # crossing t come in rid order, so row by row, and the ray of [r_j, t]
-    # crosses rows j and deeper: a suffix, already sorted.
+    # crosses rows j and deeper: a suffix, already sorted.  d(r_j, t) =
+    # excess[t] - row_offset[j - 1] (``covering``).
+    excess, row_offset = cov.excess, cov.row_offset
     needs: dict[tuple[tuple[int, int, int], ...], int] = {}
     for t in range(0, cov.horizon + 1):
         crossing = cov.rects_crossing(t)
@@ -122,7 +124,7 @@ def brute_force_covering(
         for job in cov.instance.jobs:
             if job.release > t:
                 break
-            need = cov.demand(job.release, t)
+            need = excess[t] - row_offset[job.id - 1]
             if need <= 0:
                 continue
             while start < len(crossing) and crossing[start].job < job.id:

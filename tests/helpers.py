@@ -5,8 +5,9 @@
 ``grid`` module docstring; ``is_canonical`` and ``area_holds_rectangle``
 are the two facts ``DpSolver`` classifies a table by, computed here on
 their own by scanning the covering.  ``subcells`` and ``dense_carry`` lay
-out a state's carry by its pieces.  ``clamp`` is the two-pass theta clamp
-that the DP's single-pass steps are checked against.  ``campaign_coverings``
+out a state's carry by its pieces.  ``next_carry`` and ``clamp`` are the
+whole-vector carry map and the two-pass theta clamp that the DP's
+single-pass steps are checked against.  ``campaign_coverings``
 draws the reductions that several draw-loop tests share.
 """
 
@@ -109,6 +110,15 @@ def dense_carry(
     if unknown:
         raise ValueError(f"intervals {sorted(unknown)} are not pieces of the state")
     return tuple(values.get(piece, 0) for piece in pieces)
+
+
+def next_carry(carry: Carry, processing: int, release_gap: int, paid_capacity: int) -> list[int]:
+    """Carried demand for the next row, piece by piece: each old debt plus
+    the current job's processing, minus the release gap and whatever
+    selected capacity paid, and at least 0.  One call maps a whole carry,
+    since every piece shares the shift."""
+    cleared = release_gap + paid_capacity - processing  # a debt this small clears
+    return [v - cleared if v > cleared else 0 for v in carry]
 
 
 def clamp(carry: Sequence[int], theta: Bounds) -> tuple[list[int], int]:

@@ -11,7 +11,7 @@ from flowcover.covering import (
     check_feasible,
     selection_cost,
 )
-from flowcover.dpsolver import ZERO, DpError, DpSolver, TripleTable, area_begin, next_carry, solve
+from flowcover.dpsolver import ZERO, DpError, DpSolver, TripleTable, area_begin, solve
 from flowcover.grid import GridCell, build_grid, build_segments, cell_at, root_length
 from flowcover.harness import CampaignConfig, campaign_instance
 from flowcover.jobs import Job, make_instance, perturb_release_times, total_horizon
@@ -22,6 +22,7 @@ from helpers import (
     clamp,
     dense_carry,
     is_canonical,
+    next_carry,
     subcells,
 )
 
@@ -303,7 +304,9 @@ def test_single_pass_decide_matches_the_two_pass_clamp():
 def _two_pass_canonical(tab, carry):
     """The child carries a canonical step searches, in order, and its
     (theta_decided, phi_decided, clamped), from the two-pass clamp of both
-    ``next_carry`` vectors and a test of every take against the child's bounds."""
+    ``next_carry`` vectors and a test of every take against the child's bounds.
+    A take that hands the child the previous take's carry costs more for the
+    same answer, so it is not searched again."""
     child = tab.child
     paid = next_carry(carry, tab.p, tab.gap, tab.p)
     unpaid = next_carry(carry, tab.p, tab.gap, 0)
@@ -319,7 +322,9 @@ def _two_pass_canonical(tab, carry):
             theta_decided = 1  # the cheapest take the empty selection finishes
             break
         else:
-            searched.append(tuple(kept_paid[:take] + kept_unpaid[take:]))
+            kept = tuple(kept_paid[:take] + kept_unpaid[take:])
+            if not searched or kept != searched[-1]:
+                searched.append(kept)
     clamped = zeroed_paid + zeroed_unpaid if searched else 0
     return searched, (theta_decided, phi_decided, clamped)
 
@@ -361,7 +366,7 @@ def test_single_pass_canonical_step_matches_the_two_pass_clamp():
         assert (searched, _counters(solver)) == _two_pass_canonical(tab, carry)
         results.append(searched)
     # each edge case but the unbounded one reaches a search
-    assert [len(searched) for searched in results[:5]] == [4, 1, 3, 0, 3]
+    assert [len(searched) for searched in results[:5]] == [2, 1, 2, 0, 1]
     assert sum(map(len, results)) > 300
 
 
@@ -483,6 +488,38 @@ def test_large_k_search_is_two_splits_deep():
     assert (stats.states, stats.split_states, stats.max_depth) == (6, 2, 3)
 
 
+def test_large_k_search_probes_each_state_once(monkeypatch):
+    # the canonical steps of the K=10000 instance clamp nearly every piece
+    # to 0 both paid and unpaid, so nearly every take hands the child the
+    # previous take's carry; none of those takes is searched again, and
+    # each state is probed once, by the step that first reaches it
+    cov = reduce_instance(campaign_instance(1, CampaignConfig(seed=1)), 10000, 0)
+    state, probes = DpSolver._state, []
+
+    def spy(self, tab, carry):
+        probes.append((tab.key, carry))
+        return state(self, tab, carry)
+
+    monkeypatch.setattr(DpSolver, "_state", spy)
+    stats = solve(cov).stats
+    assert len(probes) == len(set(probes)) == stats.states == 6
+
+
+def test_memo_stores_each_distinct_answer_once():
+    # equal (cost, ids) answers of different states share one tuple
+    solvers = [_baseline_row_k2_n8_seed3()[0]]
+    for cov in campaign_coverings(10):
+        solver = DpSolver(cov)
+        solver.solve()
+        solvers.append(solver)
+    shared = 0
+    for solver in solvers:
+        entries = list(solver.memo.values())
+        assert len({id(e) for e in entries}) == len(set(entries))
+        shared += len(entries) - len(set(entries))
+    assert shared > 100
+
+
 def test_the_search_reads_no_cell(monkeypatch):
     # ``_cell`` builds the root table and with it every table the search can
     # reach; from its first ``_decide`` on, the search follows the tables'
@@ -526,7 +563,7 @@ def test_table_depth_is_the_search_depth(monkeypatch):
 
     monkeypatch.setattr(DpSolver, "_state", spy)
     checked = 0
-    for cov in campaign_coverings(60):
+    for cov in campaign_coverings(80):
         pairs.clear()
         stats = solve(cov).stats
         assert [(d, f) for d, f in pairs if d != f] == []

@@ -6,7 +6,6 @@ import pytest
 
 import flowcover.oracle as oracle_mod
 from flowcover.covering import (
-    CoveringInstance,
     Selection,
     build_covering,
     check_feasible,
@@ -144,7 +143,9 @@ def test_no_feasible_selection_raises_not_asserts(monkeypatch):
     # demands past every capacity break the invariant that the full selection
     # is feasible; under python -O too, the oracle must say so
     cov = reduce_instance(make_instance([(0, 2, 1), (1, 1, 1)]), K=2, seed=0)
-    monkeypatch.setattr(CoveringInstance, "demand", lambda self, s, t: 100)
+    # the oracle reads d(r_j, t) = excess[t] - row_offset[j - 1]: 100 everywhere
+    monkeypatch.setattr(cov, "excess", [100] * len(cov.excess))
+    monkeypatch.setattr(cov, "row_offset", [0] * len(cov.row_offset))
     with pytest.raises(RuntimeError, match="no feasible selection"):
         brute_force_covering(cov)
 
