@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from flowcover.covering import (
+    COST_MODELS,
     build_covering,
     check_feasible,
     selection_cost,
@@ -843,3 +844,35 @@ def test_dp_counters_pinned_per_draw():
     counters = [row[1] for row in _per_draw_rows()]
     digest = hashlib.sha256(repr(counters).encode()).hexdigest()
     assert digest == "e5c1b8d9e95ef0d60564b5d8ae1a839564dddf88159b7929fc2242a5417a9cbf"
+
+
+def test_dp_answers_and_counters_pinned_at_wide_fans():
+    # the per-draw pins above reach fans of at most four; these K = 5 and 8
+    # draws reach the split bounds' minimum over five and eight pieces,
+    # under both cost models
+    rng = Random(2022)
+    answers, counters, wide = [], [], dict.fromkeys((5, 8), 0)
+    for K in (5, 8):
+        for cost_model in COST_MODELS:
+            for seed in range(150):
+                inst = make_instance(
+                    [(rng.randint(0, 4), rng.randint(1, 4), rng.randint(1, 4))
+                     for _ in range(rng.randint(1, 3))]
+                )
+                solver = DpSolver(reduce_instance(inst, K, seed, cost_model=cost_model))
+                result = solver.solve()
+                st = result.stats
+                wide[K] += sum(solver._tables[tkey].fan > 2 for tkey, _ in solver.memo)
+                answers.append((K, cost_model, result.cost, result.selection.sorted_ids()))
+                counters.append((
+                    st.states, st.triples, st.carry_vectors, st.max_carry, st.max_depth,
+                    st.canonical_states, st.split_states, st.theta_decided,
+                    st.phi_decided, st.clamped,
+                ))
+    assert len(answers) == 600 and wide[5] > 100 and wide[8] > 50
+    assert hashlib.sha256(repr(answers).encode()).hexdigest() == (
+        "d4a0cd8acd5268a7c7519950c11e3c6f4c31e2f4d5041d284e710a909c00c462"
+    )
+    assert hashlib.sha256(repr(counters).encode()).hexdigest() == (
+        "001a9b754203824c528f7be2ed69cd5bc5b97eae64db0edb669f1e7a09831fbe"
+    )
