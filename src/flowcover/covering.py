@@ -186,19 +186,17 @@ class CoveringInstance:
         new = tuple.__new__  # positional records (module docstring)
         groups: list[PrefixGroup] = []
         rectangles: list[Rectangle] = []
+        rid = 0  # the next rectangle's id
         for job in instance.jobs:
             jid, p = job.id, job.processing
             for _, cell, segments in build_segments(job, grid):
                 if segments:
-                    rid = len(rectangles)
-                    rects = tuple(
-                        [
-                            new(Rectangle, (rid + i, jid, a, b, cost_fn(job, a, b), p))
-                            for i, (a, b) in enumerate(segments)
-                        ]
-                    )
+                    rects = []
+                    for a, b in segments:
+                        rects.append(new(Rectangle, (rid, jid, a, b, cost_fn(job, a, b), p)))
+                        rid += 1
                     rectangles += rects
-                    groups.append(new(PrefixGroup, (jid, cell, rects)))
+                    groups.append(new(PrefixGroup, (jid, cell, tuple(rects))))
         self.instance = instance
         self.grid = grid
         self.groups = tuple(groups)
@@ -247,16 +245,6 @@ class CoveringInstance:
         idx = bisect_left(self.releases, s)
         return idx + 1 if idx < len(self.releases) else None
 
-    def release_of(self, job: int) -> int:
-        """Release of ``job``; one past the horizon for the sentinel job n+1.
-        ValueError for any job outside 1..n+1."""
-        n = self.instance.n
-        if not 1 <= job <= n + 1:
-            raise ValueError(f"job {job} outside 1..{n + 1}")
-        if job == n + 1:
-            return self.horizon + 1
-        return self.releases[job - 1]
-
     def demand(self, s: int, t: int) -> int:
         """d([s, t]) = total processing released within [s, t] minus (t - s)."""
         if not 0 <= s <= t <= self.horizon:
@@ -269,10 +257,6 @@ def build_covering(
 ) -> CoveringInstance:
     """The covering of ``instance`` on ``grid``; see ``CoveringInstance``."""
     return CoveringInstance(instance, grid, cost_model)
-
-
-def full_selection(cov: CoveringInstance) -> Selection:
-    return Selection.of(r.rid for r in cov.rectangles)
 
 
 def ray_rectangles(cov: CoveringInstance, s: int, t: int) -> tuple[Rectangle, ...]:

@@ -52,23 +52,29 @@ so with theta = tau(empty) and phi = tau(full):
   the same, and states that differ only there share one memo entry.
 
 theta and phi are filled once per (job, cell, k), bottom-up through the
-same recurrences as the states, by the code that builds the table
-(``_fill_canonical`` and the split branch of ``_table``).  Like the carry,
-they hold one value per piece, clipped to -1..B, where B is the processing
-of the rows above, the largest value a carry of the row may hold, so B
-means "no bound"; an area without rectangles has B on every piece.
+same recurrences as the states, by ``_table``, which builds the table.
+Like the carry, they hold one value per piece, clipped to -1..B, where B
+is the processing of the rows above, the largest value a carry of the
+row may hold, so B means "no bound"; an area without rectangles has B on
+every piece.
 A canonical triple with gap g and p = p_job reads its child (job+1, cell,
 k): theta_i = theta'_i - p + g and phi_i = phi'_i + g, or -1 where the
 child's value is negative; on a settled piece with largest demand dem_i
 they are also capped at -dem_i and p - dem_i.  A split has no bound on the
 pieces it skips, takes, for each piece of the release's child, the minimum
 over its ``fan`` child pieces, then the right part's values.
+A canonical table is built in one loop over its group's rectangles,
+which computes each piece's settled demand, prefix cost and both bounds;
+a split takes its minimum over the ``fan`` strided slices of the left
+part's bounds, and pads and joins only the parts it has.
 Callers decide a state from its bounds before they recurse.  Each
 transition is one pass over its carry: ``_decide`` clamps a carry to
-theta, tests it against theta only when the clamp leaves nothing, and
-builds a new carry only when a value changed; ``_canonical`` walks its
-pieces once, and on each piece computes the settled floor, the paid and
-unpaid values, the phi test, both theta tests and both clamped values.
+theta, tests it against theta and counts the positive values it clamps
+in one loop, and builds a new carry only when one was clamped; a split
+spreads its slice over the left part's pieces in ``fan`` strided slice
+writes; ``_canonical`` walks its pieces once, and on each piece
+computes the settled floor, the paid and unpaid values, the phi test,
+both theta tests and both clamped values.
 Its takes then run over those two clamped lists.  The child carry of a
 take differs from that of the take one smaller only on the last piece the
 larger take pays, so where the clamped paid and unpaid values agree on it
@@ -151,12 +157,10 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import gt, le
+from operator import gt
 
 from .covering import (
     CoveringInstance,
-    PrefixGroup,
     Selection,
     check_feasible,
     selection_cost,
@@ -169,6 +173,12 @@ Entry = tuple[int, tuple[int, ...]]  # (cost, sorted ids)
 TableKey = tuple[int, int, int, int]  # (job, cell.level, cell.begin, k)
 StateKey = tuple[TableKey, Carry]
 ZERO: Entry = (0, ())  # the empty selection
+
+
+# The interpreter frames of one search step, and those a solve may add on
+# top of its steps; ``DpSolver.solve`` raises the recursion limit by them.
+FRAMES_PER_LEVEL = 3
+FRAME_MARGIN = 100
 
 
 class DpError(RuntimeError):
@@ -197,13 +207,14 @@ class TripleTable:
     only, and the build sets its depth from that one.
     ``theta`` and ``phi`` are the bound vectors of the module docstring,
     one value per piece, with ``top`` meaning no bound; an area without a
-    rectangle has ``top`` on every piece.  The build fills them, from the
-    child's in ``_fill_canonical`` and from the parts' in ``_table``; the
-    search reads them: ``_decide`` clamps a carry to theta, and
-    ``_canonical`` clamps both of its child's candidate values in the same
-    pass that tests them.
+    rectangle has ``top`` on every piece.  ``_table`` fills them, from the
+    child's or from the parts'; the search reads them: ``_decide`` clamps
+    a carry to theta, and ``_canonical`` clamps both of its child's
+    candidate values in the same pass that tests them.
 
-    Canonical triples, whose group's rectangles are the pieces, fill:
+    Canonical triples, whose group's rectangles are the pieces, fill the
+    fields below; one loop over the rectangles fills ``settled``,
+    ``prefix_cost`` and both bounds:
 
     - ``settled``: the largest settled demand of each piece in the settled
       prefix of the pieces;
@@ -320,19 +331,27 @@ class DpSolver:
 
     def solve(self) -> DpResult:
         """The optimum of the root state, checked.  The search recurses once
-        per state, so a deep grid raises the interpreter's recursion limit
-        while it runs; the caller's limit is back when this returns or
-        raises."""
+        per table level, so this raises the interpreter's recursion limit by
+        the frames of its deepest path while it runs; the caller's limit is
+        back when this returns or raises.
+
+        A path of tables takes at most n canonical steps (each to the next
+        row), n right parts (each canonical, so a canonical step follows)
+        and lmax left parts (each one level down), so it spans at most
+        2n + lmax + 1 tables; the bound adds one.  A split step, ``_state``
+        to ``_split`` to ``_decide`` to ``_state``, is the longest, at
+        ``FRAMES_PER_LEVEL`` frames; the table build takes one frame a
+        level.  The margin covers this call's own frames and the C calls
+        inside a step."""
         started = time.perf_counter()
-        depth_needed = (self.cov.instance.n + 2) * (self.grid.lmax + 1) * (self.grid.K + 2)
+        levels = 2 * self.cov.instance.n + self.grid.lmax + 2
         limit = sys.getrecursionlimit()
-        if limit < depth_needed + 100:
-            sys.setrecursionlimit(depth_needed + 1000)
+        sys.setrecursionlimit(limit + FRAMES_PER_LEVEL * levels + FRAME_MARGIN)
         root = self.grid.root
         try:
             entry = self._cell(1, root, 1, (0,) * (root.length // root.piece_width))
         finally:
-            sys.setrecursionlimit(limit)  # the caller's limit, raised or not
+            sys.setrecursionlimit(limit)  # the caller's limit
         if entry is None:
             raise DpError("root state must be feasible: the full selection covers all demands")
         cost, ids = entry
@@ -390,16 +409,22 @@ class DpSolver:
     def _decide(self, tab: TripleTable, carry: Carry) -> Entry:
         """Answer a carry that phi has passed: (0, ()) when theta covers it,
         else the search of its state clamped to theta: 0 on every piece
-        where the carry is at most theta.  theta covers the carry only when
-        the clamp leaves nothing, so the clamp comes first."""
-        theta = tab.theta
-        kept = [v if v > t else 0 for v, t in zip(carry, theta)]
-        if not any(kept) and all(map(le, carry, theta)):
+        where the carry is at most theta.  One pass clamps, tests and
+        counts the positive values clamped."""
+        kept, clamped, covered = [], 0, True
+        for v, t in zip(carry, tab.theta):
+            if v > t:
+                kept.append(v)
+                covered = False
+            else:
+                kept.append(0)
+                if v:
+                    clamped += 1
+        if covered:
             self._theta_decided += 1
             return ZERO
-        zeroed = kept.count(0) - carry.count(0)  # the positive values clamped
-        if zeroed:
-            self._clamped += zeroed
+        if clamped:
+            self._clamped += clamped
             carry = tuple(kept)
         return self._state(tab, carry)
 
@@ -496,7 +521,14 @@ class DpSolver:
         # The skipped pieces lie left of r_job, where no ray of the state reaches.
         fan, mid = tab.fan, tab.skip + tab.inside
         head = carry[tab.skip : mid]
-        inherited = head if fan == 1 else tuple([v for v in head for _ in range(fan)])
+        if fan == 1:
+            inherited = head
+        else:
+            # each value once for each of its ``fan`` child pieces
+            spread = [0] * (len(head) * fan)
+            for j in range(fan):
+                spread[j::fan] = head
+            inherited = tuple(spread)
         left = self._decide(tab.left, inherited)
         if tab.right is None:
             return left
@@ -523,15 +555,47 @@ class DpSolver:
         width = cell.piece_width
         group = cov.group(job, cell)
         canonical = group is not None and group.rectangles[0].x_begin == x_begin
+        top = cov.proc_prefix[job - 1]
         tab = self._tables[key] = TripleTable(
-            key, (cell.end - x_begin) // width, cov.proc_prefix[job - 1], canonical, depth
+            key, (cell.end - x_begin) // width, top, canonical, depth
         )
+        releases = self._releases
         if canonical:
-            self._fill_canonical(tab, job, cell, group)
-        elif job <= self._n and self._releases[job - 1] < cell.end:
+            rects = group.rectangles
+            r_next = releases[job]
+            tab.p = p = cov.proc_prefix[job] - top
+            tab.gap = gap = r_next - releases[job - 1]
+            tab.first_rid = rects[0].rid
+            tab.child = child = self._table(job + 1, cell, k, depth + 1)
+            # One pass over the group's rectangles, which are the pieces.
+            # Settled rays (module docstring): only the prefix choice can
+            # still cover them, and a piece's rays share its carry and its
+            # rectangle.  Bounds from the child's: its value minus p plus gap
+            # for theta, plus gap for phi, -1 where it is negative; on a
+            # settled piece capped at -dem and p - dem; clipped to -1..top.
+            excess, offset = cov.excess, cov.row_offset[job - 1]
+            settled, prefix_cost, theta, phi = [], [0], [], []
+            cost = 0
+            for (_, _, x, _, c, _), t, f in zip(rects, child.theta, child.phi):
+                cost += c
+                prefix_cost.append(cost)
+                t = t - p + gap if t >= 0 else -1
+                f = f + gap if f >= 0 else -1
+                if x < r_next:
+                    dem = excess[x] - offset
+                    settled.append(dem)
+                    if t > -dem:
+                        t = -dem
+                    if f > p - dem:
+                        f = p - dem
+                theta.append(-1 if t < 0 else t if t < top else top)
+                phi.append(-1 if f < 0 else f if f < top else top)
+            tab.settled, tab.prefix_cost = tuple(settled), tuple(prefix_cost)
+            tab.theta, tab.phi = tuple(theta), tuple(phi)
+        elif job <= self._n and releases[job - 1] < cell.end:
             # the area holds a rectangle but is not canonical: it splits into
             # the child holding r_job and, right of it, row job's canonical group
-            r_job = self._releases[job - 1]
+            r_job = releases[job - 1]
             c = cell.child_index(r_job)
             if c < k - 1:
                 raise DpError(f"release {r_job} of row {job} lies left of area {key}")
@@ -548,53 +612,18 @@ class DpSolver:
             # row, so they share ``top``.
             theta, phi = left.theta, left.phi
             if fan > 1:
-                theta, phi = (
-                    tuple(list(map(min, *[run[j::fan] for j in range(fan)])))
-                    for run in (theta, phi)
-                )
-            pad = (tab.top,) * skip
-            tab.theta, tab.phi = pad + theta, pad + phi
+                theta = tuple([*map(min, *[theta[j::fan] for j in range(fan)])])
+                phi = tuple([*map(min, *[phi[j::fan] for j in range(fan)])])
+            if skip:
+                pad = (top,) * skip
+                theta, phi = pad + theta, pad + phi
             if right is not None:
-                tab.theta, tab.phi = tab.theta + right.theta, tab.phi + right.phi
+                theta, phi = theta + right.theta, phi + right.phi
+            tab.theta, tab.phi = theta, phi
         else:
             # the area holds no rectangle and bounds nothing
-            tab.theta = tab.phi = (tab.top,) * tab.n_pieces
+            tab.theta = tab.phi = (top,) * tab.n_pieces
         return tab
-
-    def _fill_canonical(
-        self, tab: TripleTable, job: int, cell: GridCell, group: PrefixGroup
-    ) -> None:
-        # Settled rays (module docstring): only the prefix choice can still
-        # cover them, and a piece's rays share its carry and its rectangle,
-        # which is the piece itself.
-        cov = self.cov
-        rects = group.rectangles
-        r_job, r_next = self._releases[job - 1], self._releases[job]
-        excess, offset = cov.excess, cov.row_offset[job - 1]
-        settled = tuple([excess[r.x_begin] - offset for r in rects if r.x_begin < r_next])
-        tab.settled = settled
-        tab.p = p = cov.proc_prefix[job] - tab.top
-        tab.gap = gap = r_next - r_job
-        tab.prefix_cost = tuple(list(accumulate([r.cost for r in rects], initial=0)))
-        tab.first_rid = rects[0].rid
-        tab.child = child = self._table(job + 1, cell, tab.key[3], tab.depth + 1)
-        # Bounds from the child's: its value minus p plus gap for theta, plus
-        # gap for phi, -1 where it is negative; on a settled piece capped at
-        # -dem and p - dem; clipped to -1..top.
-        top, n_settled = tab.top, len(settled)
-        theta, phi = [], []
-        for i, (t, f) in enumerate(zip(child.theta, child.phi)):
-            t = t - p + gap if t >= 0 else -1
-            f = f + gap if f >= 0 else -1
-            if i < n_settled:
-                dem = settled[i]
-                if t > -dem:
-                    t = -dem
-                if f > p - dem:
-                    f = p - dem
-            theta.append(-1 if t < 0 else t if t < top else top)
-            phi.append(-1 if f < 0 else f if f < top else top)
-        tab.theta, tab.phi = tuple(theta), tuple(phi)
 
 
 def solve(cov: CoveringInstance) -> DpResult:

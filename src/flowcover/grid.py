@@ -107,10 +107,6 @@ class GridCell:
         """Index of the child containing x; x must lie in this internal cell."""
         return (x - self.begin) * self.K // self.length
 
-    def child_at(self, x: int) -> "GridCell":
-        """The child containing x; x must lie in this internal cell."""
-        return self.children[self.child_index(x)]
-
 
 class Grid:
     """K-ary cell tree over [root.begin, root.end), built lazily from the root.
@@ -179,9 +175,11 @@ def cell_chain(grid: Grid, x: int) -> list[GridCell]:
         raise ValueError(
             f"release {x} outside root interval [{grid.root.begin}, {grid.root.end})"
         )
-    chain = [grid.root]
-    while not chain[-1].is_leaf:
-        chain.append(chain[-1].child_at(x))
+    cell = grid.root
+    chain = [cell]
+    while not cell.is_leaf:
+        cell = cell.children[cell.child_index(x)]
+        chain.append(cell)
     return chain
 
 
@@ -195,12 +193,6 @@ class SegmentGroup(NamedTuple):
     job: int
     cell: GridCell
     segments: tuple[Interval, ...]
-
-
-def chunk(begin: int, end: int, width: int) -> tuple[Interval, ...]:
-    """[begin, end) cut left to right into intervals of ``width``.  Built
-    from a list, not a generator: see the ``dpsolver`` docstring on tuples."""
-    return tuple([(x, x + width) for x in range(begin, end, width)])
 
 
 def build_segments(job: Job, grid: Grid) -> tuple[SegmentGroup, ...]:
@@ -218,8 +210,10 @@ def build_segments(job: Job, grid: Grid) -> tuple[SegmentGroup, ...]:
     built: list[SegmentGroup] = []
     lo = r  # the leaf's group starts at r, each ancestor's where the last ended
     for cell in reversed(cell_chain(grid, r)):
-        end = cell.end
-        segments = chunk(lo, end, cell.piece_width) if lo < end else ()
+        # the cell's pieces from lo on, from a list: see the ``dpsolver``
+        # docstring on tuples
+        end, width = cell.end, cell.piece_width
+        segments = tuple([(x, x + width) for x in range(lo, end, width)])
         built.append(new(SegmentGroup, (job.id, cell, segments)))
         lo = end
     return tuple(built)

@@ -7,17 +7,19 @@ are the two facts ``DpSolver`` classifies a table by, computed here on
 their own by scanning the covering.  ``subcells`` and ``dense_carry`` lay
 out a state's carry by its pieces.  ``next_carry`` and ``clamp`` are the
 whole-vector carry map and the two-pass theta clamp that the DP's
-single-pass steps are checked against.  ``campaign_coverings``
-draws the reductions that several draw-loop tests share.
+single-pass steps are checked against.  ``full_selection`` and
+``release_of`` read a covering the way the tests need and the package
+does not.  ``campaign_coverings`` draws the reductions that several
+draw-loop tests share.
 """
 
 from __future__ import annotations
 
-from flowcover.covering import COST_MODELS, CoveringInstance
 from collections.abc import Iterator, Sequence
 
+from flowcover.covering import COST_MODELS, CoveringInstance, Selection
 from flowcover.dpsolver import Bounds, Carry, area_begin
-from flowcover.grid import Grid, GridCell, Interval, SegmentGroup, build_segments, chunk
+from flowcover.grid import Grid, GridCell, Interval, SegmentGroup, build_segments
 from flowcover.harness import CampaignConfig, campaign_instance
 from flowcover.jobs import Job
 from flowcover.oracle import reduce_instance
@@ -96,7 +98,8 @@ def area_holds_rectangle(job: int, cell: GridCell, k: int, cov: CoveringInstance
 def subcells(cell: GridCell, k: int, grid: Grid) -> tuple[Interval, ...]:
     """The pieces of (cell, k), one per carry value: the cell's pieces across
     the area's x-span."""
-    return chunk(area_begin(cell, k, grid.K), cell.end, cell.piece_width)
+    width = cell.piece_width
+    return tuple((x, x + width) for x in range(area_begin(cell, k, grid.K), cell.end, width))
 
 
 def dense_carry(
@@ -127,6 +130,22 @@ def clamp(carry: Sequence[int], theta: Bounds) -> tuple[list[int], int]:
     then counted in two passes."""
     kept = [v if v > t else 0 for v, t in zip(carry, theta)]
     return kept, kept.count(0) - carry.count(0)
+
+
+def full_selection(cov: CoveringInstance) -> Selection:
+    """Every rectangle of the covering, which covers every demand."""
+    return Selection.of(r.rid for r in cov.rectangles)
+
+
+def release_of(cov: CoveringInstance, job: int) -> int:
+    """Release of ``job``; one past the horizon for the sentinel job n+1.
+    ValueError for any job outside 1..n+1."""
+    n = cov.instance.n
+    if not 1 <= job <= n + 1:
+        raise ValueError(f"job {job} outside 1..{n + 1}")
+    if job == n + 1:
+        return cov.horizon + 1
+    return cov.releases[job - 1]
 
 
 def campaign_coverings(draws: int) -> Iterator[CoveringInstance]:

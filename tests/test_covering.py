@@ -9,7 +9,6 @@ from flowcover.covering import (
     build_covering,
     check_feasible,
     covering_to_json,
-    full_selection,
     ray_rectangles,
     selection_cost,
     unit_cost,
@@ -18,7 +17,7 @@ from flowcover.dpsolver import DpSolver
 from flowcover.grid import build_grid, build_segments, root_length
 from flowcover.jobs import make_instance, perturb_release_times, total_horizon
 from flowcover.oracle import reduce_instance
-from helpers import campaign_coverings
+from helpers import campaign_coverings, full_selection, release_of
 
 
 def cov_for(triples, K=2, shift=0, cost_model="weighted_length"):
@@ -180,11 +179,11 @@ def test_demand_bounds():
 
 def test_release_of_checks_its_range():
     cov = cov_for([(0, 2, 1), (3, 1, 1)])
-    assert [cov.release_of(j) for j in (1, 2)] == [0, 3]
-    assert cov.release_of(3) == cov.horizon + 1  # the sentinel row n+1
+    assert [release_of(cov, j) for j in (1, 2)] == [0, 3]
+    assert release_of(cov, 3) == cov.horizon + 1  # the sentinel row n+1
     for job in (0, -1, 4):
         with pytest.raises(ValueError, match=rf"job {job} outside 1\.\.3"):
-            cov.release_of(job)
+            release_of(cov, job)
 
 
 def test_demand_matches_instance_method():
@@ -307,7 +306,7 @@ def test_rays_starting_at_releases_dominate():
         for t in range(cov.horizon + 1):
             for s in range(t + 1):
                 j = cov.anchor_job(s)
-                r_j = cov.release_of(j) if j is not None else None
+                r_j = release_of(cov, j) if j is not None else None
                 if r_j is not None and r_j <= t:
                     assert ray_rectangles(cov, s, t) == ray_rectangles(cov, r_j, t)
                     assert cov.demand(s, t) == cov.demand(r_j, t) - (r_j - s)

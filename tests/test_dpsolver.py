@@ -12,7 +12,14 @@ from flowcover.covering import (
     check_feasible,
     selection_cost,
 )
-from flowcover.dpsolver import ZERO, DpError, DpSolver, TripleTable, area_begin, solve
+from flowcover.dpsolver import (
+    ZERO,
+    DpError,
+    DpSolver,
+    TripleTable,
+    area_begin,
+    solve,
+)
 from flowcover.grid import GridCell, build_grid, build_segments, cell_at, root_length
 from flowcover.harness import CampaignConfig, campaign_instance
 from flowcover.jobs import Job, make_instance, perturb_release_times, total_horizon
@@ -24,6 +31,7 @@ from helpers import (
     dense_carry,
     is_canonical,
     next_carry,
+    release_of,
     subcells,
 )
 
@@ -198,7 +206,7 @@ def test_settled_rays_match_per_t_reference():
             if not tab.canonical:
                 continue
             cell = cell_at(cov.grid, level, begin)
-            r_job = cov.release_of(job)
+            r_job = release_of(cov, job)
             pieces = subcells(cell, k, cov.grid)
             assert tab.n_pieces == len(pieces)
             assert tuple(r.x_interval for r in cov.group(job, cell).rectangles) == pieces
@@ -453,30 +461,77 @@ def test_stats_shape():
     assert stats.max_depth >= 1 and stats.wall_ms >= 0.0
 
 
-def test_solve_leaves_the_recursion_limit_as_it_found_it(monkeypatch):
-    # the solve raises the limit to its bound on the search depth, far above
-    # 1000 at K=1000, while it runs; afterwards the caller's limit is back,
-    # also when the solve raises
-    cov = reduce_instance(campaign_instance(1, CampaignConfig(seed=1)), 1000, 0)
+def _frames_in_use() -> int:
+    """The frames on this call's stack, this call's included."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def _solve_from_limit(monkeypatch, cov, start=None):
+    """Solve ``cov`` from the recursion limit ``start``, by default one
+    with no frames to spare beyond the runner's own stack, so the search
+    runs only on the frames the solve adds.  Returns the limit the root
+    step ran under and the start, which the solve must leave in place."""
+    limits = []
+    root_state = DpSolver._cell
+
+    def spy(self, *args):
+        limits.append(sys.getrecursionlimit())
+        return root_state(self, *args)
+
+    start = start or _frames_in_use() + 30
     outer = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
+    with monkeypatch.context() as patch:
+        patch.setattr(DpSolver, "_cell", spy)
+        sys.setrecursionlimit(start)
+        try:
+            solve(cov)
+            assert sys.getrecursionlimit() == start
+        finally:
+            sys.setrecursionlimit(outer)
+    return limits[0], start
+
+
+def test_solve_leaves_the_recursion_limit_as_it_found_it(monkeypatch):
+    # the solve raises a limit too low for its search while it runs;
+    # afterwards the caller's limit is back, also when the solve raises
+    cov = reduce_instance(campaign_instance(1, CampaignConfig(seed=1)), 1000, 0)
+    raised, low = _solve_from_limit(monkeypatch, cov)
+    assert raised > low
+    monkeypatch.setattr(DpSolver, "_table", lambda *a: 1 / 0)
+    outer = sys.getrecursionlimit()
+    sys.setrecursionlimit(low)
     try:
-        limits = []
-        root_state = DpSolver._cell
-
-        def spy(self, *args):
-            limits.append(sys.getrecursionlimit())
-            return root_state(self, *args)
-
-        monkeypatch.setattr(DpSolver, "_cell", spy)
-        solve(cov)
-        assert limits[0] > 1000 and sys.getrecursionlimit() == 1000
-        monkeypatch.setattr(DpSolver, "_table", lambda *a: 1 / 0)
         with pytest.raises(ZeroDivisionError):
             solve(cov)
-        assert sys.getrecursionlimit() == 1000
+        assert sys.getrecursionlimit() == low
     finally:
         sys.setrecursionlimit(outer)
+
+
+def test_large_k_solve_raises_the_limit_by_its_depth_not_by_k(monkeypatch):
+    # `gen --seed 1` at K=100000 searches 3 states deep: the limit is raised
+    # by frames per table level times (2n + lmax + 2), not sized by K, which
+    # once raised it past a million frames
+    cov = reduce_instance(campaign_instance(1, CampaignConfig(seed=1)), 100000, 0)
+    raised, low = _solve_from_limit(monkeypatch, cov)
+    assert low < raised < low + 200
+    raised, _ = _solve_from_limit(monkeypatch, cov, 1000)  # the default limit
+    assert raised < 1200
+
+
+def test_the_raised_limit_covers_every_search(monkeypatch):
+    # a table path spans at most 2n + lmax + 1 tables, and each draw solves
+    # from a limit with no frames to spare, so a raise too small for the
+    # search would raise RecursionError here
+    for cov in [_baseline_row_k2_n8_seed3()[0].cov, *campaign_coverings(20)]:
+        solver = DpSolver(cov)
+        solver.solve()
+        assert max(t.depth for t in solver._tables.values()) <= 2 * cov.instance.n + cov.grid.lmax
+        raised, low = _solve_from_limit(monkeypatch, cov)
+        assert raised > low
 
 
 def test_large_k_search_is_two_splits_deep():
