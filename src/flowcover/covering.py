@@ -173,22 +173,28 @@ class CoveringInstance:
     grid's root interval, or for an unknown cost model.
 
     ``releases`` holds the jobs' release times in release order,
-    ``proc_prefix[j]`` is p_1 + ... + p_j, the processing of the first j
-    jobs, for j = 0..n, ``excess[t]`` is the processing released by t,
-    minus t, for t = 0..T, and ``row_offset[j - 1]`` is P_{j-1} - r_j, so
-    that d(r_j, t) = excess[t] - row_offset[j - 1].
+    ``row_groups[j - 1]`` row j's groups, deepest cell first, as
+    ``build_segments`` walks its release's cell chain, ``proc_prefix[j]``
+    is p_1 + ... + p_j, the processing of the first j jobs, for j = 0..n,
+    ``excess[t]`` is the processing released by t, minus t, for t = 0..T,
+    and ``row_offset[j - 1]`` is P_{j-1} - r_j, so that d(r_j, t) =
+    excess[t] - row_offset[j - 1].
     """
 
     def __init__(self, instance: JobInstance, grid: Grid, cost_model: str = "weighted_length"):
-        if not instance.has_distinct_releases():
+        self.releases = instance.releases()
+        if len(set(self.releases)) != len(self.releases):
             raise ValueError("release times must be pairwise distinct; perturb the instance first")
         cost_fn = resolve_cost_model(cost_model)
         new = tuple.__new__  # positional records (module docstring)
         groups: list[PrefixGroup] = []
         rectangles: list[Rectangle] = []
+        by_key: dict[tuple[int, int, int], PrefixGroup] = {}
+        row_groups: list[tuple[PrefixGroup, ...]] = []
         rid = 0  # the next rectangle's id
         for job in instance.jobs:
             jid, p = job.id, job.processing
+            row: list[PrefixGroup] = []
             for _, cell, segments in build_segments(job, grid):
                 if segments:
                     rects = []
@@ -196,16 +202,18 @@ class CoveringInstance:
                         rects.append(new(Rectangle, (rid, jid, a, b, cost_fn(job, a, b), p)))
                         rid += 1
                     rectangles += rects
-                    groups.append(new(PrefixGroup, (jid, cell, tuple(rects))))
+                    group = new(PrefixGroup, (jid, cell, tuple(rects)))
+                    row.append(group)
+                    by_key[jid, cell.level, cell.begin] = group
+            groups += row
+            row_groups.append(tuple(row))
         self.instance = instance
         self.grid = grid
         self.groups = tuple(groups)
+        self.row_groups = row_groups
         self.rectangles: tuple[Rectangle, ...] = tuple(rectangles)
         self.horizon = total_horizon(instance)
-        self._group_by_key: dict[tuple[int, int, int], PrefixGroup] = {
-            (g.job, g.cell.level, g.cell.begin): g for g in groups
-        }
-        self.releases = instance.releases()
+        self._group_by_key = by_key
         procs = [0] + [job.processing for job in instance.jobs]  # procs[j] = p_j
         self.proc_prefix = list(accumulate(procs))
         self.row_offset = list(map(sub, self.proc_prefix, self.releases))

@@ -18,23 +18,24 @@ span A's x-range, so they are A's pieces; the solver then tries every
 prefix of that group, checks the rays that no deeper row can still affect,
 re-derives the carry for the next row (selected capacity pays the debt, the
 job's own processing and the gap to the next release shift it), and
-recurses with job+1.  Otherwise the area *splits* into two independent
-states: the child of the cell that holds r_job, and row job's canonical
-group right of that child.  These are the two kinds of state the solver
-searches; an area that holds no rectangle is never searched (below).  The
-search itself holds a state as (table, carry): the table of (job, cell, k)
-(below) links the tables of the states it steps to, so no search step
-reads a cell.
+recurses with job+1.  A canonical area that holds no rectangle of a deeper
+row is a *tail*: the next row bounds nothing there, so the tail's bounds
+alone answer each of its carries, with no search and no memo entry
+(below).  Otherwise the area *splits* into independent parts: row job's
+non-empty groups inside it, each a canonical area.  Canonical states and
+splits are the two kinds of state the solver searches and stores; an area
+that holds no rectangle is never searched (below).  The search itself
+holds a state as (table, carry): the table of (job, cell, k) (below) links
+the tables of the states it steps to, so no search step reads a cell.
 
-Every carry transition is a slice, because the pieces of the next state are
-a run of the current state's pieces, or of their cuts.  A split drops the
-``skip`` pieces of the children left of the release's child, where no ray
-[r_job, t] of the state reaches, hands the left part the next ``inside``
-values, each repeated ``fan`` times, since each of those pieces holds
-``fan`` of the child's pieces, and keeps the rest for the right part.  A
-canonical step keeps the pieces and maps each value to the next row's
-twice: once as if its piece's rectangle were taken (paid: v - gap) and once
-as if not (unpaid: v - gap + p_job), each at least 0.
+Every carry transition is one pass over its carry.  A split hands each
+part, for each of the part's pieces, the value of the area's piece that
+holds it: one precomputed index gather, a slice where the part's pieces
+are the area's.  The area's pieces wholly left of r_job, where no ray
+[r_job, t] of the state reaches, are read by no part.  A canonical step keeps the
+pieces and maps each value to the next row's twice: once as if its
+piece's rectangle were taken (paid: v - gap) and once as if not (unpaid:
+v - gap + p_job), each at least 0.
 
 Threshold bounds decide most states without a search.  Fix a prefix-valid
 selection S of the area.  A carried value reaches only the rays inside its
@@ -60,27 +61,38 @@ every piece.
 A canonical triple with gap g and p = p_job reads its child (job+1, cell,
 k): theta_i = theta'_i - p + g and phi_i = phi'_i + g, or -1 where the
 child's value is negative; on a settled piece with largest demand dem_i
-they are also capped at -dem_i and p - dem_i.  A split has no bound on the
-pieces it skips, takes, for each piece of the release's child, the minimum
-over its ``fan`` child pieces, then the right part's values.
+they are also capped at -dem_i and p - dem_i.  A tail has no child, and
+reads its next row as bounding nothing, so its bounds come from its
+settled pieces alone: theta_i = -dem_i and phi_i = p - dem_i, clipped,
+and B on the other pieces.  A split has no bound on the pieces no part
+reads, and on each other piece the minimum over the part pieces it holds.
 A canonical table is built in one loop over its group's rectangles,
 which computes each piece's settled demand, prefix cost and both bounds;
-a split takes its minimum over the ``fan`` strided slices of the left
-part's bounds, and pads and joins only the parts it has.
-Callers decide a state from its bounds before they recurse.  Each
-transition is one pass over its carry: ``_decide`` clamps a carry to
-theta, tests it against theta and counts the positive values it clamps
-in one loop, and builds a new carry only when one was clamped; a split
-spreads its slice over the left part's pieces in ``fan`` strided slice
-writes; ``_canonical`` walks its pieces once, and on each piece
-computes the settled floor, the paid and unpaid values, the phi test,
-both theta tests and both clamped values.
+a split walks each part's pieces once, taking both minima and building
+the part's gather.
+Callers decide a state from its bounds before they recurse.  ``_decide``
+clamps a carry to theta, tests it against theta and counts the positive
+values it clamps in one loop, and builds a new carry only when one was
+clamped; ``_canonical`` walks its pieces once, and on each piece computes
+the settled floor, the paid and unpaid values, the phi test, both theta
+tests and both clamped values.
 Its takes then run over those two clamped lists.  The child carry of a
 take differs from that of the take one smaller only on the last piece the
 larger take pays, so where the clamped paid and unpaid values agree on it
 the larger take reaches the same child state at a higher cost (every cost
 is at least 1).  It can neither win nor tie and is not searched, so each
 distinct child carry is probed once.
+
+A tail answers a carry that its bounds pass in closed form.  Its area
+holds no deeper row's rectangle, so each of its rays [r_job, t] is
+covered by row job's own rectangle at t alone.  Every piece is settled
+when job < n, since r_{job+1} >= end(cell); when job = n the pieces past
+T hold no ray and have no bound.  So a settled piece needs its rectangle
+exactly when v_i + dem_i > 0, that is when v_i > theta_i, and the
+cheapest covering take is the prefix through the last piece whose value
+is over theta; phi has already checked that p_job covers each piece it
+takes.  ``_state`` answers it without the memo; the carry checks still run.
+
 The memo stores only searched states and is the one record of them:
 ``states``, ``canonical_states``, ``split_states``, ``carry_vectors``,
 ``max_carry`` and ``max_depth``, the largest depth of a key's table, are
@@ -96,14 +108,14 @@ re-verified against the exhaustive interval scan before being returned.
 
 Work that does not depend on the carry is done once per (job, cell, k) and
 kept in a ``TripleTable``: the number of pieces, the two bound vectors,
-whether the triple is canonical and, if so, the largest demand of each
-settled piece, the cost of every prefix of the group and the group's first
-id, or, for a split, the widths of its three slices.  A prefix's ids run
-from the first id on, so a canonical step builds a candidate's id tuple
-only when its cost can beat or tie the best so far.  Tables read the
-covering's per-row arrays and one per-solve list of releases, r_1..r_n
-followed by the sentinel T + 1 of row n + 1, with no range-checked lookup
-per table.
+whether the triple is canonical and, if so, whether it is a tail, the
+largest demand of each settled piece, the cost of every prefix of the group
+and the group's first id, or, for a split, its parts and their gathers.  A
+prefix's ids run from the first id on, so a canonical step builds a
+candidate's id tuple only when its cost can beat or tie the best so far.
+Tables read the covering's per-row arrays and one per-solve list of
+releases, r_1..r_n followed by the sentinel T + 1 of row n + 1, with no
+range-checked lookup per table.
 Each table links the tables of its child triples, so a search step looks
 up no table; building the root's table builds every table the search can
 reach, each with its depth.  Tables and memo entries are keyed on plain
@@ -121,26 +133,27 @@ settled demand.  Every capacity is p_job and ids run in group order
 (``CoveringInstance`` builds both so), so a prefix's ids followed by the
 next row's sorted ids are already sorted.
 
-Two O(1) facts classify a table, because ``CoveringInstance`` builds every
+O(1) facts classify a table, because ``CoveringInstance`` builds every
 row's groups from the grid's segments: rows tile [r_j, end(root)),
 releases strictly increase, and groups of different rows nest (``grid``
 docstring), so no group straddles an area the recursion reaches.  So (job,
 cell, k) is canonical exactly when row job has a group in the cell whose
 first rectangle begins at x1, and its rectangles are then the pieces, from
-r_job on.  Otherwise A holds a rectangle exactly when job <= n and r_job <
-end(cell); the cell is then internal and the area splits.  A third fact
-shapes the split: r_job lies in the k-th child or right of it.  The search
-enters a cell below the root only through a split at the child that holds
-a release, and later rows are released later, so r_job lies in the cell;
-and a release in a child left of the k-th would put row job's group in the
-cell across x1.  The children between x1 and r_job hold no rectangle of
-row job or a deeper row, whose releases are larger; the child c that holds
-r_job is the area (job, child c, 1); right of it lies row job's group in
-the cell, the canonical area (job, cell, c + 2), or nothing when c is the
-last child.  A split table whose release lies left of its k-th child
-raises ``DpError``.  The carry checks (one value per piece, each in 0..the
-processing of the rows above) run for every carry handed to ``_cell``,
-before its bounds decide it, and for every state that is searched, so a
+r_job on; it is a tail exactly when, besides, job = n or r_{job+1} >=
+end(cell).  Otherwise A holds a rectangle exactly when job <= n and r_job
+< end(cell), and the area splits.  A third fact shapes the split: x1 <=
+r_job.  The search enters a cell below the root only as a split's part,
+whose cell holds that row's release, and later rows are released later,
+so r_job lies in the cell; and a release left of x1 would put row job's
+group in the cell across x1.  So the cells of row job's groups at the
+cell's level and below hold r_job, and the groups tile [r_job,
+end(cell)): they are row job's rectangles inside A, and every deeper row's
+lie inside them.  ``CoveringInstance.row_groups`` keeps each row's groups
+deepest first, so a split reads its parts off the front of its row's.  A
+split table whose release lies left of its area raises ``DpError``.  The
+carry checks (one value per piece, each in 0..the processing of the rows
+above) run for every carry handed to ``_cell``, before its bounds decide
+it, and for every state that is searched or answered as a tail, so a
 carry is never trusted because its triple was seen before.
 
 The tuples a solve builds are made from lists, ``tuple([...])``, not from
@@ -157,7 +170,9 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
-from operator import gt
+from itertools import repeat
+from operator import gt, itemgetter
+from typing import Callable
 
 from .covering import (
     CoveringInstance,
@@ -202,15 +217,18 @@ class TripleTable:
     processing of the rows above, the largest value a carry may hold, and
     ``depth`` the search depth of the triple's states: the number of steps
     from the table ``_cell`` entered, where it is 0.  The links form a
-    tree: a split's parts cover disjoint pieces, and a canonical table's
-    child the same pieces one row down, so a table is linked by one table
-    only, and the build sets its depth from that one.
+    tree: a split's parts are distinct groups of its row, whose cells hold
+    its release, and a canonical table's child is its area one row down, so
+    a table is linked by one table only, and the build sets its depth from
+    that one.  Each row adds at most a split and a canonical table to a
+    path.
     ``theta`` and ``phi`` are the bound vectors of the module docstring,
     one value per piece, with ``top`` meaning no bound; an area without a
     rectangle has ``top`` on every piece.  ``_table`` fills them, from the
-    child's or from the parts'; the search reads them: ``_decide`` clamps
-    a carry to theta, and ``_canonical`` clamps both of its child's
-    candidate values in the same pass that tests them.
+    child's, from a tail's settled pieces or from the parts'; the search
+    reads them: ``_decide`` clamps a carry to theta, ``_canonical`` clamps
+    both of its child's candidate values in the same pass that tests them,
+    and a tail's answer is the prefix through the last value over theta.
 
     Canonical triples, whose group's rectangles are the pieces, fill the
     fields below; one loop over the rectangles fills ``settled``,
@@ -224,13 +242,14 @@ class TripleTable:
       take = 0..len(group);
     - ``first_rid``: the group's first id; the first ``take`` rectangles
       have ids first_rid..first_rid + take - 1;
-    - ``child``: the table of (job+1, cell, k).
+    - ``child``: the table of (job+1, cell, k), or None for a ``tail``,
+      whose area holds no rectangle of a deeper row.
 
-    Internal triples that split, with r_job in child c, fill ``skip``, the
-    number of pieces of the children left of child c, ``inside``, the
-    number of pieces in child c, ``fan``, the number of the child's pieces
-    in each, ``left``, the table of (job, child c, 1), and ``right``, that
-    of the canonical (job, cell, c + 2), or None when c is the last child.
+    Internal triples that split fill ``parts``: for each of row job's
+    non-empty groups at the cell's level and below, deepest first, its
+    canonical table and a gather, an ``operator.itemgetter`` that reads off
+    the area's carry the value of the piece holding each of the part's
+    pieces (a slice when those are the area's own pieces).
     """
 
     __slots__ = (
@@ -247,11 +266,8 @@ class TripleTable:
         "prefix_cost",
         "first_rid",
         "child",
-        "skip",
-        "inside",
-        "fan",
-        "left",
-        "right",
+        "tail",
+        "parts",
     )
 
     def __init__(self, key: TableKey, n_pieces: int, top: int, canonical: bool, depth: int):
@@ -268,17 +284,15 @@ class TripleTable:
         self.prefix_cost: tuple[int, ...] = ()
         self.first_rid = 0
         self.child: TripleTable | None = None
-        self.skip = 0
-        self.inside = 0
-        self.fan = 0
-        self.left: TripleTable | None = None
-        self.right: TripleTable | None = None
+        self.tail = False
+        self.parts: tuple[tuple[TripleTable, Callable[[Carry], Carry]], ...] = ()
 
 
 @dataclass
 class SolveStats:
     """Counters of one solve.  ``states`` counts stored memo entries, the
-    states that were searched; ``canonical_states`` and ``split_states``
+    states that were searched, so not the tail states, which are answered
+    from their bounds unstored; ``canonical_states`` and ``split_states``
     divide them by kind.  ``max_depth`` is the largest depth of a searched
     state's table.  These, ``carry_vectors`` and ``max_carry`` are read
     off the memo once.  ``theta_decided`` and ``phi_decided`` count the
@@ -335,16 +349,16 @@ class DpSolver:
         the frames of its deepest path while it runs; the caller's limit is
         back when this returns or raises.
 
-        A path of tables takes at most n canonical steps (each to the next
-        row), n right parts (each canonical, so a canonical step follows)
-        and lmax left parts (each one level down), so it spans at most
-        2n + lmax + 1 tables; the bound adds one.  A split step, ``_state``
-        to ``_split`` to ``_decide`` to ``_state``, is the longest, at
+        Each row adds at most one split and one canonical table to a path
+        of tables: a split's parts are canonical, and a canonical table's
+        child belongs to the next row.  So a path spans at most 2n + 1
+        tables; the bound adds one.  A split step, ``_state`` to ``_split``
+        to ``_decide`` to ``_state``, is the longest, at
         ``FRAMES_PER_LEVEL`` frames; the table build takes one frame a
         level.  The margin covers this call's own frames and the C calls
         inside a step."""
         started = time.perf_counter()
-        levels = 2 * self.cov.instance.n + self.grid.lmax + 2
+        levels = 2 * self.cov.instance.n + 2
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(limit + FRAMES_PER_LEVEL * levels + FRAME_MARGIN)
         root = self.grid.root
@@ -429,8 +443,18 @@ class DpSolver:
         return self._state(tab, carry)
 
     def _state(self, tab: TripleTable, carry: Carry) -> Entry:
-        """Search one clamped state that the bounds do not decide.  Equal
-        answers are stored as one tuple, so the memo holds each once."""
+        """Search one clamped state that the bounds do not decide, or answer
+        it from a tail table's bounds, unstored.  Equal answers are stored
+        as one tuple, so the memo holds each once."""
+        if tab.tail:
+            if len(carry) != tab.n_pieces or min(carry) < 0 or max(carry) > tab.top:
+                self._check_carry(tab, carry)  # raises
+            # the prefix through the last piece whose value is over theta
+            theta, take = tab.theta, len(carry)
+            while take and carry[take - 1] <= theta[take - 1]:
+                take -= 1
+            first = tab.first_rid
+            return (tab.prefix_cost[take], tuple(range(first, first + take)))
         key = (tab.key, carry)
         entry = self.memo.get(key)  # no entry is None
         if entry is not None:
@@ -517,27 +541,19 @@ class DpSolver:
         return best
 
     def _split(self, tab: TripleTable, carry: Carry) -> Entry:
-        # The state's phi is the minimum of its parts', so it has passed both.
-        # The skipped pieces lie left of r_job, where no ray of the state reaches.
-        fan, mid = tab.fan, tab.skip + tab.inside
-        head = carry[tab.skip : mid]
-        if fan == 1:
-            inherited = head
-        else:
-            # each value once for each of its ``fan`` child pieces
-            spread = [0] * (len(head) * fan)
-            for j in range(fan):
-                spread[j::fan] = head
-            inherited = tuple(spread)
-        left = self._decide(tab.left, inherited)
-        if tab.right is None:
-            return left
-        right = self._decide(tab.right, carry[mid:])
-        if not right[1]:
-            return left
-        if not left[1]:
-            return right
-        return (left[0] + right[0], tuple(sorted(left[1] + right[1])))
+        # The state's phi is the minimum of its parts', so it has passed each.
+        # Each part reads its pieces' values off the carry in one gather.
+        cost, ids, last = 0, [], ZERO
+        for part, gather in tab.parts:
+            sub = self._decide(part, gather(carry))
+            if sub[1]:
+                cost += sub[0]
+                ids += sub[1]
+                last = sub
+        if len(ids) == len(last[1]):  # at most one part selects
+            return last
+        ids.sort()
+        return (cost, tuple(ids))
 
     # -- per-triple tables ---------------------------------------------------
 
@@ -549,16 +565,15 @@ class DpSolver:
         tab = self._tables.get(key)
         if tab is not None:
             return tab
-        # the two O(1) facts of the module docstring
+        # the O(1) facts of the module docstring
         cov = self.cov
         x_begin = area_begin(cell, k, self.grid.K)
         width = cell.piece_width
         group = cov.group(job, cell)
         canonical = group is not None and group.rectangles[0].x_begin == x_begin
         top = cov.proc_prefix[job - 1]
-        tab = self._tables[key] = TripleTable(
-            key, (cell.end - x_begin) // width, top, canonical, depth
-        )
+        n_pieces = (cell.end - x_begin) // width
+        tab = self._tables[key] = TripleTable(key, n_pieces, top, canonical, depth)
         releases = self._releases
         if canonical:
             rects = group.rectangles
@@ -566,7 +581,15 @@ class DpSolver:
             tab.p = p = cov.proc_prefix[job] - top
             tab.gap = gap = r_next - releases[job - 1]
             tab.first_rid = rects[0].rid
-            tab.child = child = self._table(job + 1, cell, k, depth + 1)
+            if job < self._n and r_next < cell.end:
+                tab.child = child = self._table(job + 1, cell, k, depth + 1)
+                below_theta, below_phi = child.theta, child.phi
+            else:
+                # a tail: no deeper row has a rectangle in the area, so the
+                # area one row down bounds nothing, as if its bounds were its
+                # top, top + p, on every piece
+                tab.tail = True
+                below_theta = below_phi = repeat(top + p)
             # One pass over the group's rectangles, which are the pieces.
             # Settled rays (module docstring): only the prefix choice can
             # still cover them, and a piece's rays share its carry and its
@@ -576,7 +599,7 @@ class DpSolver:
             excess, offset = cov.excess, cov.row_offset[job - 1]
             settled, prefix_cost, theta, phi = [], [0], [], []
             cost = 0
-            for (_, _, x, _, c, _), t, f in zip(rects, child.theta, child.phi):
+            for (_, _, x, _, c, _), t, f in zip(rects, below_theta, below_phi):
                 cost += c
                 prefix_cost.append(cost)
                 t = t - p + gap if t >= 0 else -1
@@ -593,36 +616,43 @@ class DpSolver:
             tab.settled, tab.prefix_cost = tuple(settled), tuple(prefix_cost)
             tab.theta, tab.phi = tuple(theta), tuple(phi)
         elif job <= self._n and releases[job - 1] < cell.end:
-            # the area holds a rectangle but is not canonical: it splits into
-            # the child holding r_job and, right of it, row job's canonical group
+            # The area holds a rectangle but is not canonical: it splits into
+            # row job's groups at the cell's level and below, which tile
+            # [r_job, end(cell)), each a canonical area.  Each of a part's
+            # pieces lies in one of the area's, whose value it inherits; the
+            # area's pieces wholly left of r_job, where no ray of the state
+            # reaches, have no bound, and every other piece takes the minimum
+            # over the part pieces it holds.  The parts belong to one row, so they
+            # share ``top``.
             r_job = releases[job - 1]
-            c = cell.child_index(r_job)
-            if c < k - 1:
+            if r_job < x_begin:
                 raise DpError(f"release {r_job} of row {job} lies left of area {key}")
-            child = cell.children[c]
-            tab.inside = inside = child.length // width
-            tab.skip = skip = (c - k + 1) * inside
-            tab.fan = fan = width // child.piece_width
-            tab.left = left = self._table(job, child, 1, depth + 1)
-            right = self._table(job, cell, c + 2, depth + 1) if c + 1 < self.grid.K else None
-            tab.right = right
-            # Bounds: none on the skipped pieces, then for each piece of the
-            # release's child the minimum over its ``fan`` pieces in the left
-            # part, then the right part's values.  Both parts belong to one
-            # row, so they share ``top``.
-            theta, phi = left.theta, left.phi
-            if fan > 1:
-                theta = tuple([*map(min, *[theta[j::fan] for j in range(fan)])])
-                phi = tuple([*map(min, *[phi[j::fan] for j in range(fan)])])
-            if skip:
-                pad = (top,) * skip
-                theta, phi = pad + theta, pad + phi
-            if right is not None:
-                theta, phi = theta + right.theta, phi + right.phi
-            tab.theta, tab.phi = theta, phi
+            theta, phi, parts = [top] * n_pieces, [top] * n_pieces, []
+            for group in cov.row_groups[job - 1]:  # deepest first
+                part_cell = group.cell
+                if part_cell.level < cell.level:
+                    break
+                lo = group.rectangles[0].x_begin
+                part = self._table(job, part_cell, part_cell.child_index(lo) + 1, depth + 1)
+                xs = range(lo, part_cell.end, part_cell.piece_width)
+                index = [(x - x_begin) // width for x in xs]
+                for i, t, f in zip(index, part.theta, part.phi):
+                    if t < theta[i]:
+                        theta[i] = t
+                    if f < phi[i]:
+                        phi[i] = f
+                first, last = index[0], index[-1]
+                if last - first == len(index) - 1:  # consecutive pieces, one each
+                    parts.append((part, itemgetter(slice(first, last + 1))))
+                else:
+                    parts.append((part, itemgetter(*index)))
+            tab.parts = tuple(parts)
+            tab.theta, tab.phi = tuple(theta), tuple(phi)
         else:
-            # the area holds no rectangle and bounds nothing
-            tab.theta = tab.phi = (top,) * tab.n_pieces
+            # the area holds no rectangle and bounds nothing; the search links
+            # no such table, and only the root of an instance without
+            # rectangles is one
+            tab.theta = tab.phi = (top,) * n_pieces
         return tab
 
 

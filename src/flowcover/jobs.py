@@ -89,10 +89,6 @@ class JobInstance:
     def releases(self) -> tuple[int, ...]:
         return tuple([j.release for j in self.jobs])
 
-    def has_distinct_releases(self) -> bool:
-        rel = self.releases()
-        return len(set(rel)) == len(rel)
-
 
 def parse_epsilon(value: Fraction | int | str, name: str = "epsilon") -> Fraction:
     """``value`` (a Fraction, an int or a string such as "1/2") as a positive

@@ -7,9 +7,10 @@ are the two facts ``DpSolver`` classifies a table by, computed here on
 their own by scanning the covering.  ``subcells`` and ``dense_carry`` lay
 out a state's carry by its pieces.  ``next_carry`` and ``clamp`` are the
 whole-vector carry map and the two-pass theta clamp that the DP's
-single-pass steps are checked against.  ``full_selection`` and
-``release_of`` read a covering the way the tests need and the package
-does not.  ``campaign_coverings`` draws the reductions that several
+single-pass steps are checked against, and ``step_over_top_child`` the
+canonical step, take by take, that a tail table's answer is checked
+against.  ``full_selection`` and ``release_of`` read a covering the way
+the tests need and the package does not.  ``campaign_coverings`` draws the reductions that several
 draw-loop tests share.
 """
 
@@ -18,8 +19,8 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 
 from flowcover.covering import COST_MODELS, CoveringInstance, Selection
-from flowcover.dpsolver import Bounds, Carry, area_begin
-from flowcover.grid import Grid, GridCell, Interval, SegmentGroup, build_segments
+from flowcover.dpsolver import Bounds, Carry, Entry, TableKey, area_begin
+from flowcover.grid import Grid, GridCell, Interval, SegmentGroup, build_segments, cell_at
 from flowcover.harness import CampaignConfig, campaign_instance
 from flowcover.jobs import Job
 from flowcover.oracle import reduce_instance
@@ -130,6 +131,42 @@ def clamp(carry: Sequence[int], theta: Bounds) -> tuple[list[int], int]:
     then counted in two passes."""
     kept = [v if v > t else 0 for v, t in zip(carry, theta)]
     return kept, kept.count(0) - carry.count(0)
+
+
+def step_over_top_child(cov: CoveringInstance, key: TableKey, carry: Carry) -> Entry | None:
+    """The answer of the canonical state (key, carry) when the area one row
+    down holds no rectangle, from every take of the group in turn: the
+    child's bounds are then its top, the processing of rows 1..job, on every
+    piece, and each take's ``next_carry`` must lie within it, so the child
+    answers (0, ()).  A take covers the state when every ray [r_job, t] of
+    a piece, t <= T, has demand plus the piece's carry at most the capacity
+    the take puts there: p_job on the pieces it takes, 0 on the others.
+    The cheapest covering take wins, a tie going to the smaller ids; None
+    when no take covers it.  ValueError unless the group spans the area
+    and the carry has one value per rectangle, or for a child carry outside
+    0..top, which the child's bounds would not decide."""
+    job, level, begin, k = key
+    cell = cell_at(cov.grid, level, begin)
+    rects = cov.group(job, cell).rectangles
+    if rects[0].x_begin != area_begin(cell, k, cov.grid.K) or len(carry) != len(rects):
+        raise ValueError(f"{key} is no canonical area of the carry {carry}")
+    r_job, p = release_of(cov, job), rects[0].capacity
+    gap, top = release_of(cov, job + 1) - r_job, cov.proc_prefix[job]
+    best = None
+    for take in range(len(rects) + 1):
+        child = next_carry(carry[:take], p, gap, p) + next_carry(carry[take:], p, gap, 0)
+        if not all(0 <= v <= top for v in child):
+            raise ValueError(f"take {take} hands the child {child}, outside 0..{top}")
+        covers = all(
+            cov.demand(r_job, t) + v <= (p if pos < take else 0)
+            for pos, (rect, v) in enumerate(zip(rects, carry))
+            for t in range(max(rect.x_begin, r_job), min(rect.x_end, cov.horizon + 1))
+        )
+        if covers:
+            entry = (sum(r.cost for r in rects[:take]), tuple(r.rid for r in rects[:take]))
+            if best is None or entry < best:
+                best = entry
+    return best
 
 
 def full_selection(cov: CoveringInstance) -> Selection:

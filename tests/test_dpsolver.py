@@ -2,6 +2,7 @@ import hashlib
 import sys
 from functools import cache
 from fractions import Fraction
+from operator import gt
 from random import Random
 
 import pytest
@@ -32,6 +33,7 @@ from helpers import (
     is_canonical,
     next_carry,
     release_of,
+    step_over_top_child,
     subcells,
 )
 
@@ -168,16 +170,18 @@ def test_canonical_leaf_at_release():
 
 
 def test_canonical_states_span_both_edges():
-    # whenever a state is canonical its group also ends at the area's end
+    # whenever a table is canonical, a tail included, its group also ends at
+    # the area's end; tail states are answered unstored, so the tables are read
     rng = Random(77)
     for _ in range(12):
         cov = random_cov(rng, K=2)
         solver = DpSolver(cov)
         solver.solve()
         seen = 0
-        for (job, level, begin, k), _carry in solver.memo:
+        for (job, level, begin, k), tab in solver._tables.items():
             cell = cell_at(cov.grid, level, begin)
             if is_canonical(job, cell, k, cov):
+                assert tab.canonical
                 group = cov.group(job, cell)
                 assert group.rectangles[-1].x_end == cell.end
                 seen += 1
@@ -512,8 +516,8 @@ def test_solve_leaves_the_recursion_limit_as_it_found_it(monkeypatch):
 
 
 def test_large_k_solve_raises_the_limit_by_its_depth_not_by_k(monkeypatch):
-    # `gen --seed 1` at K=100000 searches 3 states deep: the limit is raised
-    # by frames per table level times (2n + lmax + 2), not sized by K, which
+    # `gen --seed 1` at K=100000 searches 2 states deep: the limit is raised
+    # by frames per table level times (2n + 2), not sized by K, which
     # once raised it past a million frames
     cov = reduce_instance(campaign_instance(1, CampaignConfig(seed=1)), 100000, 0)
     raised, low = _solve_from_limit(monkeypatch, cov)
@@ -523,42 +527,47 @@ def test_large_k_solve_raises_the_limit_by_its_depth_not_by_k(monkeypatch):
 
 
 def test_the_raised_limit_covers_every_search(monkeypatch):
-    # a table path spans at most 2n + lmax + 1 tables, and each draw solves
-    # from a limit with no frames to spare, so a raise too small for the
-    # search would raise RecursionError here
+    # each row adds at most one split and one canonical table to a path, so
+    # it spans at most 2n + 1 tables, and each draw solves from a limit with
+    # no frames to spare, so a raise too small for the search would raise
+    # RecursionError here
     for cov in [_baseline_row_k2_n8_seed3()[0].cov, *campaign_coverings(20)]:
         solver = DpSolver(cov)
         solver.solve()
-        assert max(t.depth for t in solver._tables.values()) <= 2 * cov.instance.n + cov.grid.lmax
+        assert max(t.depth for t in solver._tables.values()) <= 2 * cov.instance.n
         raised, low = _solve_from_limit(monkeypatch, cov)
         assert raised > low
 
 
 def test_large_k_search_is_two_splits_deep():
     # `gen --seed 1` at K=10000 puts both releases in one leaf's parent, far
-    # right of the shifted root's start.  Each split goes straight to the
-    # child holding its release, so the search is a few states deep, not a
-    # chain of one-part splits as long as the shift.
+    # right of the shifted root's start.  Each split goes straight to its
+    # row's groups, so the search is a few states deep, not a chain of
+    # one-part splits as long as the shift: the root's split, row 1's
+    # canonical step and row 2's split, whose parts are tails
     cov = reduce_instance(campaign_instance(1, CampaignConfig(seed=1)), 10000, 0)
     stats = solve(cov).stats
-    assert (stats.states, stats.split_states, stats.max_depth) == (6, 2, 3)
+    assert (stats.states, stats.split_states, stats.max_depth) == (3, 2, 2)
 
 
 def test_large_k_search_probes_each_state_once(monkeypatch):
-    # the canonical steps of the K=10000 instance clamp nearly every piece
+    # the canonical step of the K=10000 instance clamps nearly every piece
     # to 0 both paid and unpaid, so nearly every take hands the child the
     # previous take's carry; none of those takes is searched again, and
-    # each state is probed once, by the step that first reaches it
+    # each state, stored or tail, is probed once, by the step that first
+    # reaches it
     cov = reduce_instance(campaign_instance(1, CampaignConfig(seed=1)), 10000, 0)
-    state, probes = DpSolver._state, []
+    state, probes, tails = DpSolver._state, [], []
 
     def spy(self, tab, carry):
         probes.append((tab.key, carry))
+        tails.append(tab.tail)
         return state(self, tab, carry)
 
     monkeypatch.setattr(DpSolver, "_state", spy)
     stats = solve(cov).stats
-    assert len(probes) == len(set(probes)) == stats.states == 6
+    assert len(probes) == len(set(probes)) == stats.states + sum(tails) == 6
+    assert stats.states == 3
 
 
 def test_memo_stores_each_distinct_answer_once():
@@ -605,12 +614,14 @@ def test_the_search_reads_no_cell(monkeypatch):
 def test_table_depth_is_the_search_depth(monkeypatch):
     # each state is searched one ``_state`` frame below the state that
     # reached it, and the root state in the outermost one, so the number of
-    # enclosing ``_state`` frames is the depth; the table's must match it
+    # enclosing ``_state`` frames is the depth; the table's must match it.
+    # Tail states are answered in ``_state`` too, but unstored, so
+    # ``max_depth``, read off the memo, is the deepest stored state's.
     state = DpSolver._state
     frames, pairs = [0], []
 
     def spy(self, tab, carry):
-        pairs.append((tab.depth, frames[0]))
+        pairs.append((tab.depth, frames[0], tab.tail))
         frames[0] += 1
         try:
             return state(self, tab, carry)
@@ -618,14 +629,15 @@ def test_table_depth_is_the_search_depth(monkeypatch):
             frames[0] -= 1
 
     monkeypatch.setattr(DpSolver, "_state", spy)
-    checked = 0
-    for cov in campaign_coverings(80):
+    checked = tails = 0
+    for cov in campaign_coverings(100):
         pairs.clear()
         stats = solve(cov).stats
-        assert [(d, f) for d, f in pairs if d != f] == []
-        assert stats.max_depth == max((f for _, f in pairs), default=0)
+        assert [(d, f) for d, f, _ in pairs if d != f] == []
+        assert stats.max_depth == max((f for _, f, tail in pairs if not tail), default=0)
         checked += len(pairs)
-    assert checked > 10000
+        tails += sum(tail for _, _, tail in pairs)
+    assert checked > 10000 and tails > 3000
 
 
 def test_carry_checked_on_tabled_triple():
@@ -643,14 +655,16 @@ def test_carry_checked_on_tabled_triple():
 
 
 def test_table_kind_matches_a_scan_of_the_covering():
-    # the two O(1) facts a table is classified by, against a scan of every
-    # rectangle: canonical as ``is_canonical`` says, and a split or a
-    # canonical table exactly where a rectangle of row job or deeper lies
-    # wholly inside the area
+    # the O(1) facts a table is classified by, against a scan of every
+    # rectangle: canonical as ``is_canonical`` says, a tail exactly where a
+    # canonical area holds no rectangle of a deeper row, and a split exactly
+    # where a non-canonical area holds one of row job or deeper.  Every
+    # table the search reaches holds a rectangle, and every table but the
+    # root is linked once, by a table one level less deep.
     rng = Random(1515)
-    kinds = dict.fromkeys(["canonical", "split", "empty"], 0)
+    kinds = dict.fromkeys(["canonical", "split", "tail"], 0)
     for K in (2, 3, 4):
-        for seed in range(100):
+        for seed in range(150):
             inst = make_instance(
                 [(rng.randint(0, 4), rng.randint(1, 4), rng.randint(1, 4))
                  for _ in range(rng.randint(1, 5 if K == 2 else 4))]
@@ -658,14 +672,114 @@ def test_table_kind_matches_a_scan_of_the_covering():
             cov = reduce_instance(inst, K, seed)
             solver = DpSolver(cov)
             solver.solve()
+            links = []
             for (job, level, begin, k), tab in solver._tables.items():
                 cell = cell_at(cov.grid, level, begin)
                 assert tab.canonical == is_canonical(job, cell, k, cov)
-                holds = tab.canonical or tab.left is not None
-                assert holds == area_holds_rectangle(job, cell, k, cov)
-                kind = "canonical" if tab.canonical else "split" if holds else "empty"
+                assert area_holds_rectangle(job, cell, k, cov)
+                deeper = area_holds_rectangle(job + 1, cell, k, cov)
+                assert tab.tail == (tab.canonical and not deeper)
+                assert (tab.child is not None) == (tab.canonical and deeper)
+                assert bool(tab.parts) == (not tab.canonical)
+                kind = "tail" if tab.tail else "canonical" if tab.canonical else "split"
                 kinds[kind] += 1
+                for linked in [tab.child] if tab.child else [part for part, _ in tab.parts]:
+                    assert linked.depth == tab.depth + 1
+                    links.append(linked.key)
+            root = (1, 0, cov.grid.root.begin, 1)
+            assert sorted(links) == sorted(key for key in solver._tables if key != root)
     assert min(kinds.values()) > 1000
+
+
+def test_only_the_root_of_an_instance_without_rectangles_is_empty():
+    # an area without a rectangle gets a table only as the root of an
+    # instance that has none; its bounds are its top on every piece
+    cov = build_covering(make_instance([]), build_grid(T=0, K=2))
+    solver = DpSolver(cov)
+    assert solve(cov).cost == 0
+    solver.solve()
+    [(key, tab)] = solver._tables.items()
+    assert key == (1, 0, cov.grid.root.begin, 1)
+    assert not area_holds_rectangle(1, cov.grid.root, 1, cov)
+    assert (tab.canonical, tab.tail, tab.child, tab.parts) == (False, False, None, ())
+    assert tab.theta == tab.phi == (0,) * tab.n_pieces
+
+
+def test_tail_answer_is_a_canonical_step_over_an_all_top_child():
+    # a tail table answers a carry from its bounds alone: against every take
+    # of its group tried in turn, over an area one row down that bounds
+    # nothing, on carries over theta and past phi, and with no memo entry
+    rng = Random(2323)
+    answered = infeasible = 0
+    for K in (2, 3, 5, 8):
+        for cost_model in COST_MODELS:
+            for seed in range(25):
+                cfg = CampaignConfig(seed=seed, K=K, n_max=4 if K == 2 else 3)
+                cov = reduce_instance(campaign_instance(seed, cfg), K, seed, cost_model=cost_model)
+                solver = DpSolver(cov)
+                solver.solve()
+                memo = dict(solver.memo)
+                for (job, level, begin, k), tab in list(solver._tables.items()):
+                    if not tab.tail:
+                        continue
+                    cell = cell_at(cov.grid, level, begin)
+                    for _ in range(6):
+                        carry = tuple(rng.randint(0, tab.top) for _ in range(tab.n_pieces))
+                        expect = step_over_top_child(cov, tab.key, carry)
+                        assert solver._cell(job, cell, k, carry) == expect
+                        if expect is None:
+                            infeasible += 1
+                        elif any(map(gt, carry, tab.theta)):
+                            assert solver._state(tab, carry) == expect
+                            answered += 1
+                assert solver.memo == memo
+    assert answered > 1000 and infeasible > 300
+
+
+def test_split_parts_are_the_rows_groups_inside_the_area():
+    # a split's parts are row job's non-empty groups that lie inside the
+    # area, each as its canonical table; each part piece reads the value of
+    # the area's piece that holds it; and the split's bounds are, piece by
+    # piece, the minimum over the part pieces it holds, its top where it
+    # holds none.  All three against a scan of the covering.
+    splits = fanned = skipped = 0
+    for cov in campaign_coverings(40):
+        grid = cov.grid
+        solver = DpSolver(cov)
+        solver.solve()
+        for (job, level, begin, k), tab in solver._tables.items():
+            if tab.canonical:
+                continue
+            cell = cell_at(grid, level, begin)
+            x_begin = area_begin(cell, k, grid.K)
+            groups = [
+                g for g in cov.groups
+                if g.job == job and x_begin <= g.rectangles[0].x_begin
+                and g.rectangles[-1].x_end <= cell.end
+            ]
+            assert sorted(part.key for part, _ in tab.parts) == sorted(
+                (job, g.cell.level, g.cell.begin, k_g)
+                for g in groups
+                for k_g in range(1, (1 if g.cell.is_leaf else grid.K) + 1)
+                if area_begin(g.cell, k_g, grid.K) == g.rectangles[0].x_begin
+            )
+            pieces = subcells(cell, k, grid)
+            theta, phi = [tab.top] * len(pieces), [tab.top] * len(pieces)
+            for part, gather in tab.parts:
+                assert part.canonical
+                part_cell = cell_at(grid, part.key[1], part.key[2])
+                part_pieces = subcells(part_cell, part.key[3], grid)
+                read = gather(tuple(range(len(pieces))))
+                assert len(read) == len(part_pieces)
+                for (a, b), i, t, f in zip(part_pieces, read, part.theta, part.phi):
+                    [holder] = [j for j, (c, d) in enumerate(pieces) if c <= a and b <= d]
+                    assert i == holder
+                    theta[i], phi[i] = min(theta[i], t), min(phi[i], f)
+                fanned += len(set(read)) < len(read)
+            assert (tab.theta, tab.phi) == (tuple(theta), tuple(phi))
+            splits += 1
+            skipped += pieces[0][1] <= release_of(cov, job)  # a piece left of r_job
+    assert splits > 500 and fanned > 100 and skipped > 50
 
 
 # -- threshold bounds -----------------------------------------------------------
@@ -690,10 +804,12 @@ def test_theta_phi_by_hand_on_two_jobs():
 
     # (2, [0,4), k=2): area [2,4), canonical in row 2, p = 1, next release
     # is the sentinel's T + 1 = 5, so gap = 4, and both pieces are settled,
-    # with dem = d(1, 2) = 0 and d(1, 3) = -1.  Row 3 bounds nothing, so
-    # theta = -dem = (0, 1) and phi = p - dem = (1, 2).
+    # with dem = d(1, 2) = 0 and d(1, 3) = -1.  Row 2 is the last, so the
+    # table is a tail with no child: theta = -dem = (0, 1) and phi = p -
+    # dem = (1, 2).
     tab = solver._table(2, quarter, 2, 0)
-    assert (tab.canonical, tab.top, tab.settled) == (True, 2, (0, -1))
+    assert (tab.canonical, tab.tail, tab.child) == (True, True, None)
+    assert (tab.top, tab.settled) == (2, (0, -1))
     assert (tab.theta, tab.phi) == ((0, 1), (1, 2))
 
     # (1, [0,4), k=2): same area, row 1, p = 2, gap = r_2 - r_1 = 1, no
@@ -701,7 +817,8 @@ def test_theta_phi_by_hand_on_two_jobs():
     # (-1, 0) and phi = child + g = (2, 3), clipped to row 1's top 0: the
     # second piece has no bound.
     tab = solver._table(1, quarter, 2, 0)
-    assert (tab.canonical, tab.top, tab.settled) == (True, 0, ())
+    assert (tab.canonical, tab.tail, tab.top, tab.settled) == (True, False, 0, ())
+    assert tab.child is solver._table(2, quarter, 2, 0)
     assert (tab.theta, tab.phi) == ((-1, 0), (0, 0))
 
     # (2, leaf [1,2), 1): canonical, settled with dem = d(1, 1) = 1:
@@ -710,29 +827,39 @@ def test_theta_phi_by_hand_on_two_jobs():
     tab = solver._table(2, leaf, 1, 0)
     assert (tab.theta, tab.phi) == ((-1,), (0,))
 
-    # (2, [0,2), 1): r_2 = 1 lies in the second child, the leaf [1,2), so
-    # the split skips the first child's one piece, which has no bound, and
-    # has no right part: theta = (2, -1), phi = (2, 0).
+    def parts(tab, carry):
+        return [(part.key, gather(carry)) for part, gather in tab.parts]
+
+    # (2, [0,2), 1): r_2 = 1 lies in the second child, the leaf [1,2).  Row
+    # 2's only group in the area is that leaf's, so the split has one part,
+    # which reads the second piece; the first piece, left of r_2, has no
+    # bound: theta = (2, -1), phi = (2, 0).
     tab = solver._table(2, cell_at(cov.grid, 2, 0), 1, 0)
-    assert (tab.skip, tab.inside, tab.fan, tab.right) == (1, 1, 1, None)
-    assert tab.left is solver._table(2, leaf, 1, 0)
+    assert parts(tab, (10, 11)) == [((2, 3, 1, 1), (11,))]
+    assert tab.parts[0][0] is solver._table(2, leaf, 1, 0)
     assert (tab.theta, tab.phi) == ((2, -1), (2, 0))
 
-    # (2, [0,4), k=1): a split with fan 1.  Its left part is (2, [0,2), 1)
-    # above, its right part (2, [0,4), 2): theta = (2, -1, 0, 1), phi =
-    # (2, 0, 1, 2).
+    # (2, [0,4), k=1): row 2's groups in the area are the leaf [1,2) and
+    # [2,4) in [0,4), each of whose pieces is one of the area's units:
+    # theta = (2, -1, 0, 1), phi = (2, 0, 1, 2).
     tab = solver._table(2, quarter, 1, 0)
-    assert (tab.canonical, tab.skip, tab.inside, tab.fan) == (False, 0, 2, 1)
+    assert parts(tab, (10, 11, 12, 13)) == [((2, 3, 1, 1), (11,)), ((2, 1, 0, 2), (12, 13))]
     assert (tab.theta, tab.phi) == ((2, -1, 0, 1), (2, 0, 1, 2))
 
-    # (1, [0,8), k=1): a split with fan 2, pieces [0,2) [2,4) [4,6) [6,8).
-    # Its left part (1, [0,4), 1) has theta = -1 on the units [0,1) [1,2)
-    # [2,3), whose rays [0, t] have demand 2, 2, 1, and no bound on [3,4),
-    # where d(0, 3) = 0; phi is row 1's top, 0.  Each piece takes the
-    # minimum over its two units, and the right part (1, [0,8), 2) bounds
-    # nothing: theta = (-1, -1, 0, 0), phi = (0, 0, 0, 0).
+    # (1, [0,8), k=1): the root, pieces [0,2) [2,4) [4,6) [6,8), holds all
+    # four of row 1's groups, deepest first: the leaf [0,1) and [1,2) both
+    # lie in piece [0,2), the units [2,3) [3,4) in piece [2,4), and [4,8)
+    # in the root is two of its pieces.  The units [0,1) [1,2) [2,3), whose
+    # rays [0, t] have demand 2, 2, 1, have theta = -1, and [3,4), where
+    # d(0, 3) = 0, has none; phi is row 1's top, 0.  Each piece takes the
+    # minimum over the part pieces it holds, and [4,8) bounds nothing:
+    # theta = (-1, -1, 0, 0), phi = (0, 0, 0, 0).
     tab = solver._table(1, cov.grid.root, 1, 0)
-    assert (tab.canonical, tab.skip, tab.inside, tab.fan) == (False, 0, 2, 2)
+    assert parts(tab, (10, 11, 12, 13)) == [
+        ((1, 3, 0, 1), (10,)), ((1, 2, 0, 2), (10,)),
+        ((1, 1, 0, 2), (11, 11)), ((1, 0, 0, 2), (12, 13)),
+    ]
+    assert (tab.canonical, tab.tail, tab.child) == (False, False, None)
     assert (tab.theta, tab.phi) == ((-1, -1, 0, 0), (0, 0, 0, 0))
 
     # the bounds decide the states of (2, [0,4), k=2) without a search
@@ -741,10 +868,17 @@ def test_theta_phi_by_hand_on_two_jobs():
 
     assert solver._cell(2, quarter, 2, carry({(3, 4): 1})) == (0, ())  # v <= theta
     assert solver._cell(2, quarter, 2, carry({(2, 3): 2})) is None  # v_0 > phi_0
-    assert solver.memo == {}
-    # theta_0 < 1 <= phi_0: searched, row 2 must take its rectangle [2,3)
+    # theta_0 < 1 <= phi_0: row 2 must take its rectangle [2,3), which the
+    # tail answers from its bounds, storing nothing
     assert solver._cell(2, quarter, 2, carry({(2, 3): 1})) == (1, (7,))
-    assert list(solver.memo) == [((2, 1, 0, 2), (1, 0))]
+    assert solver.memo == {}
+    # (1, [0,4), k=2) is no tail: its zero carry is over theta_0 = -1, so
+    # it is searched and stored.  Taking nothing hands row 2 the carry
+    # (1, 1), clamped to (1, 0), which the tail pays with [2,3), id 7, at
+    # cost 1; taking row 1's [2,3), id 2, costs 1 too and hands row 2
+    # (0, 1), which theta = (0, 1) covers, so the tie goes to (2,)
+    assert solver._cell(1, quarter, 2, (0, 0)) == (1, (2,))
+    assert solver.memo == {((1, 1, 0, 2), (0, 0)): (1, (2,))}
 
 
 def test_a_release_left_of_the_area_raises():
@@ -797,34 +931,6 @@ def test_memo_holds_only_searched_states():
             assert all(v == 0 or v > t for v, t in zip(carry, tab.theta))
 
 
-def test_split_phi_covers_both_parts():
-    # a split hands each part its slice of the carry with no phi test of its
-    # own, which is sound only because the split's phi is at most the phi of
-    # every left-part piece it fans into and of the matching right-part
-    # piece; the pieces it skips, left of the release's child, have no bound
-    rng = Random(4242)
-    splits = skipped = 0
-    for trial in range(60):
-        cov = random_cov(rng, K=(2, 3, 4)[trial % 3], n_max=4 if trial % 3 == 0 else 3)
-        solver = DpSolver(cov)
-        solver.solve()
-        for tab in solver._tables.values():
-            if tab.left is None:
-                continue
-            phi, fan, skip, inside = tab.phi, tab.fan, tab.skip, tab.inside
-            left = tab.left.phi
-            right = tab.right.phi if tab.right is not None else ()
-            assert len(left) == inside * fan and skip + inside + len(right) == tab.n_pieces
-            assert tab.theta[:skip] == phi[:skip] == (tab.top,) * skip
-            for i in range(inside):
-                assert all(phi[skip + i] <= f for f in left[i * fan : (i + 1) * fan])
-            for i, f in enumerate(right):
-                assert phi[skip + inside + i] <= f
-            splits += 1
-            skipped += skip > 0
-    assert splits > 100 and skipped > 10
-
-
 def _baseline_row_k2_n8_seed3():
     # the K=2, n=8 row of the seed-3 baseline in ROADMAP.md
     rng = Random(3)
@@ -850,11 +956,12 @@ def test_baseline_row_k2_n8_seed3_counters():
     stats = result.stats
     # carry_vectors counts distinct dense carries (one int per piece); the
     # threshold bounds cut the stored states from 1,864 (641 of them (0, ())
-    # and 660 infeasible) to 423, none of either sort, and a split that goes
-    # straight to its release's child cuts them to 409
-    assert (stats.states, stats.triples, stats.carry_vectors) == (409, 111, 239)
-    assert (stats.canonical_states, stats.split_states) == (363, 46)
-    assert (stats.theta_decided, stats.phi_decided, stats.clamped) == (164, 147, 75)
+    # and 660 infeasible) to 423, none of either sort, a split that goes
+    # straight to its release's child cut them to 409, and tail answers and
+    # splits straight into the row's groups cut them to 227
+    assert (stats.states, stats.triples, stats.carry_vectors) == (227, 59, 140)
+    assert (stats.canonical_states, stats.split_states) == (216, 11)
+    assert (stats.theta_decided, stats.phi_decided, stats.clamped) == (17, 147, 75)
     entries = list(solver.memo.values())
     assert sum(1 for e in entries if e == (0, ())) == 0
     assert sum(1 for e in entries if e is None) == 0
@@ -898,13 +1005,20 @@ def test_dp_counters_pinned_per_draw():
     # re-pinned only by a change that means to change the search
     counters = [row[1] for row in _per_draw_rows()]
     digest = hashlib.sha256(repr(counters).encode()).hexdigest()
-    assert digest == "e5c1b8d9e95ef0d60564b5d8ae1a839564dddf88159b7929fc2242a5417a9cbf"
+    assert digest == "77cfaf8d673dcdd78c61327fec9b00963fb666e42dee5368fb11bba430e5252b"
+
+
+def _widest_minimum(tab):
+    """The most part pieces that one piece of a split's area holds, so takes
+    its bounds' minimum over; 0 for a canonical table."""
+    read = [i for _, gather in tab.parts for i in gather(tuple(range(tab.n_pieces)))]
+    return max(map(read.count, read), default=0)
 
 
 def test_dp_answers_and_counters_pinned_at_wide_fans():
     # the per-draw pins above reach fans of at most four; these K = 5 and 8
-    # draws reach the split bounds' minimum over five and eight pieces,
-    # under both cost models
+    # draws reach the split bounds' minimum over five and eight pieces and
+    # more, under both cost models
     rng = Random(2022)
     answers, counters, wide = [], [], dict.fromkeys((5, 8), 0)
     for K in (5, 8):
@@ -917,7 +1031,7 @@ def test_dp_answers_and_counters_pinned_at_wide_fans():
                 solver = DpSolver(reduce_instance(inst, K, seed, cost_model=cost_model))
                 result = solver.solve()
                 st = result.stats
-                wide[K] += sum(solver._tables[tkey].fan > 2 for tkey, _ in solver.memo)
+                wide[K] += sum(_widest_minimum(solver._tables[tkey]) > 2 for tkey, _ in solver.memo)
                 answers.append((K, cost_model, result.cost, result.selection.sorted_ids()))
                 counters.append((
                     st.states, st.triples, st.carry_vectors, st.max_carry, st.max_depth,
@@ -929,5 +1043,5 @@ def test_dp_answers_and_counters_pinned_at_wide_fans():
         "d4a0cd8acd5268a7c7519950c11e3c6f4c31e2f4d5041d284e710a909c00c462"
     )
     assert hashlib.sha256(repr(counters).encode()).hexdigest() == (
-        "001a9b754203824c528f7be2ed69cd5bc5b97eae64db0edb669f1e7a09831fbe"
+        "6ddf6534ad67d3fa8c7cc898830db094fa0f318a89c0701595be830732bfab8c"
     )
