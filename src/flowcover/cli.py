@@ -23,7 +23,7 @@ from .covering import (
     CoveringInstance,
     Selection,
     check_feasible,
-    covering_to_json,
+    covering_record,
     selection_cost,
 )
 from .dpsolver import solve as dp_solve
@@ -88,7 +88,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_reduce(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
     cov = reduce_instance(instance, args.K, args.seed, args.epsilon, args.cost_model)
-    payload = json.loads(covering_to_json(cov))
+    payload = covering_record(cov)
     payload.update(_reduction_fields(instance, cov), seed=args.seed)
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return 0

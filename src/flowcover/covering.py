@@ -52,7 +52,6 @@ for whatever costs the instance carries.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,7 +59,7 @@ from itertools import accumulate
 from operator import sub
 from typing import Callable, Iterable, NamedTuple
 
-from .grid import Grid, GridCell, Interval, build_segments, cell_path
+from .grid import Grid, GridCell, build_segments, cell_path
 from .jobs import Job, JobInstance, total_horizon
 
 CostFn = Callable[[Job, int, int], int]
@@ -97,10 +96,6 @@ class Rectangle(NamedTuple):
     x_end: int
     cost: int
     capacity: int
-
-    @property
-    def x_interval(self) -> Interval:
-        return (self.x_begin, self.x_end)
 
 
 class PrefixGroup(NamedTuple):
@@ -357,9 +352,10 @@ def check_feasible(cov: CoveringInstance, sel: Selection) -> FeasibilityReport:
     )
 
 
-def covering_to_json(cov: CoveringInstance, selection: Selection | None = None) -> str:
-    """Debug dump: groups with ordered rectangle records, optional selection."""
-    payload: dict = {
+def covering_record(cov: CoveringInstance) -> dict:
+    """The covering as a JSON-ready dict: the grid's parameters and its groups
+    with their ordered rectangle records, as ``reduce`` writes them."""
+    return {
         "T": cov.horizon,
         "K": cov.grid.K,
         "shift": cov.grid.shift,
@@ -383,6 +379,3 @@ def covering_to_json(cov: CoveringInstance, selection: Selection | None = None) 
             for g in cov.groups
         ],
     }
-    if selection is not None:
-        payload["selection"] = list(selection.sorted_ids())
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -1,19 +1,15 @@
-"""Preemptive single-machine instances, schedules, and a tiny exact solver.
+"""Preemptive single-machine instances and the release-time perturbation.
 
 A job has an integer release time, a positive integer processing time, and a
 positive integer weight.  A preemptive schedule assigns unit time slots to
 jobs (one job per slot, idling allowed); the flow time of a job is its
 completion time minus its release time, and the objective is the weighted sum
-of flow times.
+of flow times.  Instances are the reduction's input; no schedule is built.
 
-Besides the instance/schedule model this module provides:
-
-- ``evaluate_schedule``: objective evaluation with hard validation,
-- ``exact_opt_tiny``: an exhaustive slot-by-slot optimum for desk-scale
-  instances, used as ground truth in tests,
-- ``perturb_release_times``: the release-time perturbation that makes all
-  release times pairwise distinct while scaling the instance by an exact
-  integer factor, a prerequisite of the covering reduction.
+Besides the instance model and its JSON form this module provides
+``perturb_release_times``: the release-time perturbation that makes all
+release times pairwise distinct while scaling the instance by an exact
+integer factor, a prerequisite of the covering reduction.
 
 All arithmetic is exact (ints and ``fractions.Fraction``).  The tuples that
 every solve builds (jobs, releases) are made from lists, not generators: see
@@ -25,20 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Mapping
-
-
-class ScheduleViolation(ValueError):
-    """A schedule breaks a hard constraint; ``kind`` names the rule."""
-
-    def __init__(self, kind: str, message: str):
-        super().__init__(f"{kind}: {message}")
-        self.kind = kind
-
-
-class SizeGuardExceeded(ValueError):
-    """An exhaustive solver was asked to run outside its guarded size range."""
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -132,123 +115,6 @@ def total_horizon(instance: JobInstance) -> int:
 def max_processing(instance: JobInstance) -> int:
     """Largest processing time P; 0 for an empty instance."""
     return max((j.processing for j in instance.jobs), default=0)
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Unit-slot schedule: ``slots`` maps slot [t, t+1) to the job id run in it.
-
-    Idle slots are simply absent.  Stored as a sorted tuple of (t, job_id)
-    pairs so schedules are immutable and hashable.
-    """
-
-    slots: tuple[tuple[int, int], ...]
-
-    @staticmethod
-    def from_mapping(mapping: Mapping[int, int]) -> "Schedule":
-        return Schedule(slots=tuple(sorted(mapping.items())))
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.slots)
-
-    def completion_times(self) -> dict[int, int]:
-        """Per-job completion time: one past the last slot assigned to it."""
-        done: dict[int, int] = {}
-        for t, job_id in self.slots:
-            done[job_id] = max(done.get(job_id, 0), t + 1)
-        return done
-
-
-def evaluate_schedule(instance: JobInstance, schedule: Schedule) -> int:
-    """Weighted flow time of ``schedule``, after validating it.
-
-    Raises ScheduleViolation with kind "unknown_job", "slot_bounds",
-    "release", or "processing_total" on the first broken constraint.
-    """
-    by_id = {j.id: j for j in instance.jobs}
-    assigned: dict[int, int] = {j.id: 0 for j in instance.jobs}
-    for t, job_id in schedule.slots:
-        job = by_id.get(job_id)
-        if job is None:
-            raise ScheduleViolation("unknown_job", f"slot {t} runs unknown job {job_id}")
-        if t < 0:
-            raise ScheduleViolation("slot_bounds", f"slot {t} is negative")
-        if t < job.release:
-            raise ScheduleViolation(
-                "release", f"job {job_id} runs at slot {t} before release {job.release}"
-            )
-        assigned[job_id] += 1
-    for job in instance.jobs:
-        if assigned[job.id] != job.processing:
-            raise ScheduleViolation(
-                "processing_total",
-                f"job {job.id} got {assigned[job.id]} slots, needs {job.processing}",
-            )
-    completion = schedule.completion_times()
-    return sum(j.weight * (completion[j.id] - j.release) for j in instance.jobs)
-
-
-_TINY_MAX_JOBS = 5
-_TINY_MAX_HORIZON = 32
-
-
-def exact_opt_tiny(instance: JobInstance) -> tuple[int, Schedule]:
-    """Minimum weighted flow time by exhaustive slot enumeration.
-
-    Guarded to n <= 5 and T <= 32.  Every slot choice among released,
-    unfinished jobs (and idle) is explored with memoization on
-    (time, remaining work vector).  Ties are broken towards the
-    lexicographically smallest slot assignment, where slot entries compare as
-    job 1 < job 2 < ... < idle.
-    """
-    if not instance.jobs:
-        return 0, Schedule(slots=())
-    n = instance.n
-    horizon = total_horizon(instance)
-    if n > _TINY_MAX_JOBS or horizon > _TINY_MAX_HORIZON:
-        raise SizeGuardExceeded(
-            f"exact_opt_tiny handles n <= {_TINY_MAX_JOBS}, T <= {_TINY_MAX_HORIZON}; "
-            f"got n={n}, T={horizon}"
-        )
-    releases = tuple(j.release for j in instance.jobs)
-    weights = tuple(j.weight for j in instance.jobs)
-    idle = n + 1  # sorts after every job id
-
-    @lru_cache(maxsize=None)
-    def best(t: int, remaining: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-        if all(r == 0 for r in remaining):
-            return 0, (idle,) * (horizon - t)
-        if t == horizon:
-            return None
-        result: tuple[int, tuple[int, ...]] | None = None
-        for i in range(n):
-            if remaining[i] == 0 or releases[i] > t:
-                continue
-            left = remaining[i] - 1
-            tail = best(t + 1, remaining[:i] + (left,) + remaining[i + 1 :])
-            if tail is None:
-                continue
-            cost = tail[0]
-            if left == 0:
-                cost += weights[i] * (t + 1 - releases[i])
-            cand = (cost, (i + 1,) + tail[1])
-            if result is None or cand < result:
-                result = cand
-        tail = best(t + 1, remaining)
-        if tail is not None:
-            cand = (tail[0], (idle,) + tail[1])
-            if result is None or cand < result:
-                result = cand
-        return result
-
-    start = tuple(j.processing for j in instance.jobs)
-    answer = best(0, start)
-    best.cache_clear()
-    if answer is None:
-        raise RuntimeError("no complete schedule within the horizon; the horizon always admits one")
-    cost, assignment = answer
-    slots = {t: job_id for t, job_id in enumerate(assignment) if job_id != idle}
-    return cost, Schedule.from_mapping(slots)
 
 
 def perturb_release_times(

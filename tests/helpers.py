@@ -11,18 +11,22 @@ single-pass steps are checked against, and ``step_over_top_child`` the
 canonical step, take by take, that a tail table's answer is checked
 against.  ``full_selection`` and ``release_of`` read a covering the way
 the tests need and the package does not.  ``campaign_coverings`` draws the reductions that several
-draw-loop tests share.
+draw-loop tests share.  ``opt_weighted_flow_time`` is the exhaustive
+optimum of a desk-scale schedule instance, the reference that the
+perturbation bound is checked against.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from functools import cache
+from math import inf
 
 from flowcover.covering import COST_MODELS, CoveringInstance, Selection
 from flowcover.dpsolver import Bounds, Carry, Entry, TableKey, area_begin
 from flowcover.grid import Grid, GridCell, Interval, SegmentGroup, build_segments, cell_at
 from flowcover.harness import CampaignConfig, campaign_instance
-from flowcover.jobs import Job
+from flowcover.jobs import Job, JobInstance, total_horizon
 from flowcover.oracle import reduce_instance
 
 
@@ -193,3 +197,42 @@ def campaign_coverings(draws: int) -> Iterator[CoveringInstance]:
             for seed in range(draws):
                 cfg = CampaignConfig(seed=seed, K=K, n_max=4 if K == 2 else 3)
                 yield reduce_instance(campaign_instance(seed, cfg), K, seed, cost_model=cost_model)
+
+
+_TINY_MAX_JOBS = 5
+_TINY_MAX_HORIZON = 32
+
+
+def opt_weighted_flow_time(instance: JobInstance) -> int:
+    """Minimum weighted flow time of ``instance`` over preemptive schedules,
+    by exhaustive slot-by-slot search memoized on (time, remaining work):
+    each unit slot runs one released, unfinished job or idles.  ValueError
+    beyond n <= 5 and T <= 32; RuntimeError when no schedule completes
+    within the horizon, which ``total_horizon`` always admits."""
+    n, horizon = instance.n, total_horizon(instance)
+    if n > _TINY_MAX_JOBS or horizon > _TINY_MAX_HORIZON:
+        raise ValueError(
+            f"opt_weighted_flow_time handles n <= {_TINY_MAX_JOBS}, "
+            f"T <= {_TINY_MAX_HORIZON}; got n={n}, T={horizon}"
+        )
+    releases = [j.release for j in instance.jobs]
+    weights = [j.weight for j in instance.jobs]
+
+    @cache
+    def best(t: int, remaining: tuple[int, ...]) -> float:
+        if not any(remaining):
+            return 0
+        if t == horizon:
+            return inf
+        cost = best(t + 1, remaining)  # idle
+        for i, left in enumerate(remaining):
+            if left and releases[i] <= t:
+                done = weights[i] * (t + 1 - releases[i]) if left == 1 else 0
+                rest = remaining[:i] + (left - 1,) + remaining[i + 1 :]
+                cost = min(cost, done + best(t + 1, rest))
+        return cost
+
+    cost = best(0, tuple([j.processing for j in instance.jobs]))
+    if cost == inf:
+        raise RuntimeError("no complete schedule within the horizon; the horizon always admits one")
+    return cost

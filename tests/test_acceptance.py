@@ -16,14 +16,9 @@ from flowcover.cli import main
 from flowcover.covering import Selection, build_covering, check_feasible, ray_rectangles
 from flowcover.grid import build_grid, build_segments, root_length
 from flowcover.harness import CampaignConfig, campaign_instance, run_campaign
-from flowcover.jobs import (
-    exact_opt_tiny,
-    make_instance,
-    perturb_release_times,
-    total_horizon,
-)
+from flowcover.jobs import make_instance, perturb_release_times, total_horizon
 from flowcover.oracle import reduce_instance
-from helpers import check_nesting, segments_flat
+from helpers import check_nesting, opt_weighted_flow_time, segments_flat
 
 CAMPAIGN = CampaignConfig(
     seed=20_000, trials=200, K=2, n_max=4, p_max=4, w_max=4, horizon_max=64
@@ -133,7 +128,7 @@ def test_structural_suite():
                         assert check_nesting(a, b, grid)
             cov = build_covering(inst, grid)
             for job in inst.jobs:
-                strips = sorted(r.x_interval for r in cov.rectangles if r.job == job.id)
+                strips = sorted((r.x_begin, r.x_end) for r in cov.rectangles if r.job == job.id)
                 cursor = job.release
                 for x0, x1 in strips:
                     assert x0 == cursor
@@ -209,8 +204,8 @@ def test_preprocessing_cost_bound():
                 scaled_inst = perturb_release_times(inst)
                 if total_horizon(scaled_inst) > 32:
                     continue
-                base, _ = exact_opt_tiny(inst)
-                scaled, _ = exact_opt_tiny(scaled_inst)
+                base = opt_weighted_flow_time(inst)
+                scaled = opt_weighted_flow_time(scaled_inst)
                 scale = int(inst.n / eps)
                 assert scaled <= (scale + inst.n) * base
                 checked += 1

@@ -8,7 +8,7 @@ from flowcover.covering import (
     Selection,
     build_covering,
     check_feasible,
-    covering_to_json,
+    covering_record,
     ray_rectangles,
     selection_cost,
     unit_cost,
@@ -51,7 +51,7 @@ def test_one_job_rectangle_count_matches_segments():
     grid = build_grid(T=4, K=2, shift=0)
     cov = build_covering(inst, grid)
     assert len(cov.rectangles) == 4
-    assert [r.x_interval for r in cov.rectangles] == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    assert [(r.x_begin, r.x_end) for r in cov.rectangles] == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
 
 def test_empty_instance_gives_empty_covering():
@@ -77,9 +77,8 @@ def test_records_are_immutable():
     for record, name in ((rect, "cost"), (group, "job"), (seg_group, "segments")):
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
-    assert rect.x_interval == (rect.x_begin, rect.x_end)
     with pytest.raises(AttributeError):
-        rect.x_interval = (0, 1)
+        rect.x_begin = 0
 
 
 def test_rectangles_of_two_builds_equal_and_hash_alike():
@@ -256,7 +255,7 @@ def test_rectangles_tile_each_job_strip():
         cov = random_cov(rng)
         for job in cov.instance.jobs:
             intervals = sorted(
-                r.x_interval for r in cov.rectangles if r.job == job.id
+                (r.x_begin, r.x_end) for r in cov.rectangles if r.job == job.id
             )
             cursor = job.release
             for a, b in intervals:
@@ -432,7 +431,7 @@ def test_check_feasible_at_the_horizon_edge():
     inst = make_instance([(5, 3, 1)])
     assert total_horizon(inst) == 8
     cov = build_covering(inst, build_grid(16, 2))
-    spans = [[r.x_interval for r in g.rectangles] for g in cov.groups]
+    spans = [[(r.x_begin, r.x_end) for r in g.rectangles] for g in cov.groups]
     assert spans == [[(5, 6)], [(6, 7), (7, 8)], [(8, 12), (12, 16)]]
     n = len(cov.rectangles)
     outcomes = {}
@@ -490,8 +489,9 @@ def test_selection_cost_examples():
 
 def test_covering_json_dump():
     cov = cov_for([(0, 2, 1), (1, 1, 1)])
-    payload = json.loads(covering_to_json(cov, full_selection(cov)))
+    payload = covering_record(cov)
+    assert json.loads(json.dumps(payload)) == payload
     assert payload["T"] == cov.horizon
-    assert payload["selection"] == sorted(r.rid for r in cov.rectangles)
+    assert "selection" not in payload
     ids = [r["id"] for g in payload["groups"] for r in g["rectangles"]]
     assert ids == sorted(ids)

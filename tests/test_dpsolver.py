@@ -213,7 +213,7 @@ def test_settled_rays_match_per_t_reference():
             r_job = release_of(cov, job)
             pieces = subcells(cell, k, cov.grid)
             assert tab.n_pieces == len(pieces)
-            assert tuple(r.x_interval for r in cov.group(job, cell).rectangles) == pieces
+            assert tuple((r.x_begin, r.x_end) for r in cov.group(job, cell).rectangles) == pieces
             largest = []  # per piece: its largest settled demand, or None
             for sub in pieces:
                 demands = [

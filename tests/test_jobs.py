@@ -4,15 +4,10 @@ from random import Random
 
 import pytest
 
-import flowcover.jobs as jobs_mod
+import helpers
 from flowcover.jobs import (
     Job,
     JobInstance,
-    Schedule,
-    ScheduleViolation,
-    SizeGuardExceeded,
-    evaluate_schedule,
-    exact_opt_tiny,
     instance_from_json,
     instance_to_json,
     make_instance,
@@ -20,89 +15,46 @@ from flowcover.jobs import (
     perturb_release_times,
     total_horizon,
 )
+from helpers import opt_weighted_flow_time
 
 
-def sched(mapping):
-    return Schedule.from_mapping(mapping)
-
-
-# -- evaluate_schedule -------------------------------------------------------
-
-
-def test_evaluate_single_job_flow_equals_processing():
-    inst = make_instance([(0, 2, 1)])
-    assert evaluate_schedule(inst, sched({0: 1, 1: 1})) == 2
-
-
-def test_evaluate_late_release_unit_job():
-    inst = make_instance([(3, 1, 5)])
-    assert evaluate_schedule(inst, sched({3: 1})) == 5
+# -- opt_weighted_flow_time (the test reference) ------------------------------
 
 
 def test_evaluate_preemption_example_and_optimality():
-    inst = make_instance([(0, 3, 1), (1, 1, 10)])
-    schedule = sched({0: 1, 1: 2, 2: 1, 3: 1})
-    assert evaluate_schedule(inst, schedule) == 14
-    cost, best = exact_opt_tiny(inst)
-    assert cost == 14
-    assert evaluate_schedule(inst, best) == 14
-
-
-def test_evaluate_rejects_early_start():
-    inst = make_instance([(2, 1, 1)])
-    with pytest.raises(ScheduleViolation) as err:
-        evaluate_schedule(inst, sched({0: 1}))
-    assert err.value.kind == "release"
-
-
-def test_evaluate_rejects_wrong_processing_total():
-    inst = make_instance([(0, 2, 1)])
-    with pytest.raises(ScheduleViolation) as err:
-        evaluate_schedule(inst, sched({0: 1}))
-    assert err.value.kind == "processing_total"
-
-
-def test_evaluate_rejects_unknown_job():
-    inst = make_instance([(0, 1, 1)])
-    with pytest.raises(ScheduleViolation) as err:
-        evaluate_schedule(inst, sched({0: 1, 1: 7}))
-    assert err.value.kind == "unknown_job"
-
-
-# -- exact_opt_tiny ----------------------------------------------------------
+    # job 2 preempts job 1 at its release: job 2 ends at 2 (flow 1, weight
+    # 10) and job 1 at 4 (flow 4, weight 1), a cost of 14 that is optimal
+    assert opt_weighted_flow_time(make_instance([(0, 3, 1), (1, 1, 10)])) == 14
 
 
 def test_tiny_single_job():
-    cost, schedule = exact_opt_tiny(make_instance([(0, 2, 1)]))
-    assert cost == 2
-    assert schedule.as_dict() == {0: 1, 1: 1}
+    assert opt_weighted_flow_time(make_instance([(0, 2, 1)])) == 2
 
 
 def test_tiny_no_contention():
-    cost, _ = exact_opt_tiny(make_instance([(0, 1, 1), (2, 1, 1)]))
-    assert cost == 2
+    assert opt_weighted_flow_time(make_instance([(0, 1, 1), (2, 1, 1)])) == 2
 
 
 def test_tiny_guard():
-    with pytest.raises(SizeGuardExceeded):
-        exact_opt_tiny(make_instance([(0, 33, 1)]))
-    with pytest.raises(SizeGuardExceeded):
-        exact_opt_tiny(make_instance([(0, 1, 1)] * 6))
+    # a raised error, not an assert, so the guard holds under python -O
+    with pytest.raises(ValueError, match="n=1, T=33"):
+        opt_weighted_flow_time(make_instance([(0, 33, 1)]))
+    with pytest.raises(ValueError, match="n=6, T=6"):
+        opt_weighted_flow_time(make_instance([(0, 1, 1)] * 6))
 
 
 def test_tiny_short_horizon_raises_not_asserts(monkeypatch):
     # a horizon too short for the work breaks the invariant; under python -O
     # too, it must be an error naming it, not a failure further on
-    monkeypatch.setattr(jobs_mod, "total_horizon", lambda instance: 1)
+    monkeypatch.setattr(helpers, "total_horizon", lambda instance: 1)
     with pytest.raises(RuntimeError, match="no complete schedule within the horizon"):
-        exact_opt_tiny(make_instance([(0, 2, 1)]))
+        opt_weighted_flow_time(make_instance([(0, 2, 1)]))
 
 
 def test_tiny_cost_invariant_under_input_permutation():
     jobs = [(0, 2, 3), (0, 2, 3), (1, 1, 2)]
-    a, _ = exact_opt_tiny(make_instance(jobs))
-    b, _ = exact_opt_tiny(make_instance(list(reversed(jobs))))
-    assert a == b
+    a = opt_weighted_flow_time(make_instance(jobs))
+    assert opt_weighted_flow_time(make_instance(list(reversed(jobs)))) == a
 
 
 def test_tiny_schedules_validate_and_bound_below():
@@ -113,8 +65,7 @@ def test_tiny_schedules_validate_and_bound_below():
         inst = make_instance(
             [(rng.randint(0, 3), rng.randint(1, 3), rng.randint(1, 3)) for _ in range(n)]
         )
-        cost, schedule = exact_opt_tiny(inst)
-        assert evaluate_schedule(inst, schedule) == cost
+        cost = opt_weighted_flow_time(inst)
         assert cost >= sum(j.weight * j.processing for j in inst.jobs)
 
 
@@ -167,8 +118,8 @@ def test_perturb_cost_bound_scaled_exactly():
     ]
     for triples, eps in cases:
         inst = make_instance(triples, epsilon=eps)
-        base, _ = exact_opt_tiny(inst)
-        scaled, _ = exact_opt_tiny(perturb_release_times(inst))
+        base = opt_weighted_flow_time(inst)
+        scaled = opt_weighted_flow_time(perturb_release_times(inst))
         scale = inst.n * Fraction(eps) ** -1
         bound = (scale + inst.n) * base
         assert scaled <= bound, (triples, eps, scaled, bound)

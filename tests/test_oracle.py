@@ -57,7 +57,7 @@ def test_single_group_prefix_enumeration():
     # [0, 1] need the first rectangle of each group, [0, 2] needs nothing
     cov = cov_for([(0, 2, 1)], K=3)
     assert [len(g.rectangles) for g in cov.groups] == [1, 2]
-    assert [r.x_interval for r in cov.rectangles] == [(0, 1), (1, 2), (2, 3)]
+    assert [(r.x_begin, r.x_end) for r in cov.rectangles] == [(0, 1), (1, 2), (2, 3)]
     cost, sel = brute_force_covering(cov)
     assert sel.sorted_ids() == (0, 1)
     assert cost == 2
