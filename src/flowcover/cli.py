@@ -1,11 +1,9 @@
-"""Command-line front end: generate, reduce, solve, check, verify, pipeline.
+"""Command-line front end: generate, reduce, solve, check, verify.
 
 Artifact files (instances, reductions, solutions, verify summaries) carry no
 wall-clock data and are byte-identical for identical seeds and configs;
-timing goes to stdout, to optional stats files, to the ms column of CSV
-reports and to the ``wall_ms`` field of ``pipeline`` records, which are run
-reports rather than artifacts.  The FLOWCOVER_BUDGET_MS environment variable
-caps the brute-force oracle's running time per instance.
+timing goes to stdout, to optional stats files and to the ms column of CSV
+reports, which are run reports rather than artifacts.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from .jobs import (
     instance_to_json,
     parse_epsilon,
 )
-from .oracle import OracleBudget, brute_force_covering, reduce_instance, reduction_fields
+from .oracle import brute_force_covering, reduce_instance, reduction_fields
 
 
 def _instance_hash(instance: JobInstance) -> str:
@@ -64,7 +62,7 @@ def _load_instance(path: str) -> JobInstance:
 
 
 def _reduction_fields(instance: JobInstance, cov: CoveringInstance) -> dict:
-    """Record fields shared by reduce, solve and pipeline outputs."""
+    """Record fields shared by reduce and solve outputs."""
     return {"instance_hash": _instance_hash(instance), **reduction_fields(cov)}
 
 
@@ -100,7 +98,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     record = _reduction_fields(instance, cov)
     # leaves are unit cells; the record keeps the field
     record.update(method=args.method, leaf_len=1, seed=args.seed, cost_model=args.cost_model)
-    started = time.perf_counter()
     if args.method == "dp":
         # the DP scans its own answer and raises DpError when it is infeasible
         result = dp_solve(cov)
@@ -113,16 +110,22 @@ def cmd_solve(args: argparse.Namespace) -> int:
         stats = asdict(result.stats)
         stats["wall_ms"] = round(stats["wall_ms"], 3)
     else:
+        started = time.perf_counter()
         cost, selection = brute_force_covering(cov)
+        stats = {"wall_ms": round((time.perf_counter() - started) * 1000.0, 3)}
         record.update(
             cost=cost,
             selection=list(selection.sorted_ids()),
             feasible=check_feasible(cov, selection).ok,
         )
-        stats = {"wall_ms": round((time.perf_counter() - started) * 1000.0, 3)}
     _emit(json.dumps(record, sort_keys=True, indent=2) + "\n", args.out)
     if args.stats_out:
         _emit(json.dumps(stats, sort_keys=True, indent=2) + "\n", args.stats_out)
+    if args.csv:
+        # the method's own cost column; states is a DP counter, blank for the oracle
+        costs = (record["cost"], None) if args.method == "dp" else (None, record["cost"])
+        _append_csv(args.csv, args.seed, record["n"], record["P"], record["K"], record["shift"],
+                    record["T"], *costs, stats.get("states"), round(stats["wall_ms"]))
     if args.out is not None:
         print(f"{args.method} cost={record['cost']} stats={json.dumps(stats, sort_keys=True)}")
     return 0 if record["feasible"] else 1
@@ -166,7 +169,11 @@ def _record_type_error(record: dict) -> str | None:
 
 def cmd_check(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    record = json.loads(Path(args.solution).read_text())
+    try:
+        record = json.loads(Path(args.solution).read_text())
+    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8 text
+        print(f"check: FAIL {args.solution} is not a solve record (not JSON: {exc})")
+        return 1
     if type(record) is not dict:
         got = f"expected a JSON object, got {type(record).__name__}"
         print(f"check: FAIL {args.solution} is not a solve record ({got})")
@@ -229,32 +236,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 1
 
 
-def cmd_pipeline(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance)
-    started = time.perf_counter()
-    cov = reduce_instance(instance, args.K, args.seed, args.epsilon, args.cost_model)
-    # the DP scans its own answer and raises DpError when it is infeasible
-    result = dp_solve(cov)
-    wall_ms = round((time.perf_counter() - started) * 1000.0, 3)
-    record = _reduction_fields(instance, cov)
-    record.update(
-        dp_cost=result.cost,
-        selection=list(result.selection.sorted_ids()),
-        states=result.stats.states,
-        max_depth=result.stats.max_depth,
-        feasible=True,
-        wall_ms=wall_ms,
-    )
-    text = json.dumps(record, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        _emit(text, args.out)
-    sys.stdout.write(text)
-    if args.csv:
-        _append_csv(args.csv, args.seed, record["n"], record["P"], args.K, record["shift"],
-                    record["T"], result.cost, None, result.stats.states, round(wall_ms))
-    return 0
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = CampaignConfig(
         seed=args.seed,
@@ -267,7 +248,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         horizon_max=args.horizon,
         cost_model=args.cost_model,
         workers=args.workers,
-        budget=OracleBudget(),
     )
     started = time.perf_counter()
     result = run_campaign(cfg)
@@ -348,19 +328,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["dp", "oracle"], default="dp")
     p.add_argument("--out", default=None)
     p.add_argument("--stats-out", default=None, dest="stats_out")
+    p.add_argument("--csv", default=None, help="append a CSV row here")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check", help="re-verify a solution file against its instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--solution", required=True)
     p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("pipeline", help="preprocess, reduce, solve, check; emit a record")
-    common(p)
-    p.add_argument("--instance", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--csv", default=None, help="append a CSV row here")
-    p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("verify", help="paired DP-vs-oracle campaign over random instances")
     common(p)

@@ -353,12 +353,9 @@ def check_feasible(cov: CoveringInstance, sel: Selection) -> FeasibilityReport:
 
 
 def covering_record(cov: CoveringInstance) -> dict:
-    """The covering as a JSON-ready dict: the grid's parameters and its groups
-    with their ordered rectangle records, as ``reduce`` writes them."""
+    """The covering's groups as a JSON-ready dict, with their ordered
+    rectangle records; ``reduce`` adds the reduction's own fields."""
     return {
-        "T": cov.horizon,
-        "K": cov.grid.K,
-        "shift": cov.grid.shift,
         "leaf_len": 1,  # leaves are unit cells; the record keeps the field
         "groups": [
             {

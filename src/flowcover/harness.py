@@ -3,7 +3,7 @@
 A campaign runs ``trials`` seeded (instance, shift) pairs through the full
 pipeline and the brute-force oracle, collecting per-trial reports.  Trial i
 of a campaign with base seed s uses seed s+i for both the instance draw and
-the grid shift, so a single ``gen``/``pipeline`` run with seed s+i reproduces
+the grid shift, so a single ``gen``/``solve`` run with seed s+i reproduces
 trial i exactly.
 
 Instances are drawn uniformly within the configured caps and redrawn (from
@@ -39,7 +39,7 @@ class CampaignConfig:
     horizon_max: int = 64
     cost_model: str = "weighted_length"
     workers: int = 1
-    budget: OracleBudget | None = None  # None: the oracle's default, read when it runs
+    budget: OracleBudget | None = None  # None: the oracle's default
 
     def __post_init__(self) -> None:
         if self.K < 2:

@@ -32,10 +32,9 @@ solutions pass the independent feasibility scan.
 
 from __future__ import annotations
 
-import os
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from random import Random
@@ -59,15 +58,7 @@ from .jobs import (
 
 
 class OracleBudgetExceeded(RuntimeError):
-    """The exhaustive search hit its node or time budget."""
-
-
-def _default_time_limit_ms() -> int:
-    """FLOWCOVER_BUDGET_MS when set, else ten minutes."""
-    raw = os.environ.get("FLOWCOVER_BUDGET_MS", "600000")
-    if not (raw.isascii() and raw.isdigit()):
-        raise ValueError(f"FLOWCOVER_BUDGET_MS must be a non-negative integer (ms), got {raw!r}")
-    return int(raw)
+    """The exhaustive search hit its group or node budget."""
 
 
 @dataclass(frozen=True)
@@ -76,19 +67,18 @@ class OracleBudget:
 
     ``max_combinations`` caps the number of search nodes actually visited
     (the pruned tree, not the astronomically larger unpruned product of
-    prefix choices).  ``time_limit_ms`` defaults to the FLOWCOVER_BUDGET_MS
-    environment variable when set.
+    prefix choices).  Both limits are counts, so whether a search runs out
+    does not depend on the machine's speed.
     """
 
     max_groups: int = 256
     max_combinations: int = 2_000_000
-    time_limit_ms: int = field(default_factory=_default_time_limit_ms)
 
     def __post_init__(self) -> None:
-        for name, least in (("max_groups", 1), ("max_combinations", 1), ("time_limit_ms", 0)):
+        for name in ("max_groups", "max_combinations"):
             value = getattr(self, name)
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def brute_force_covering(
@@ -157,21 +147,16 @@ def brute_force_covering(
     prefix_costs = [list(accumulate((r.cost for r in g.rectangles), initial=0)) for g in groups]
 
     last = len(groups)
-    max_nodes, limit_ms = budget.max_combinations, budget.time_limit_ms
+    max_nodes = budget.max_combinations
     lengths = [0] * last
     best: tuple[int, tuple[int, ...]] | None = None
     nodes = 0
-    started = time.perf_counter()
 
     def walk(gi: int, cost: int) -> None:
         nonlocal best, nodes
         nodes += 1
         if nodes > max_nodes:
             raise OracleBudgetExceeded(f"visited more than {max_nodes} nodes")
-        if nodes % 4096 == 0 or limit_ms == 0:
-            elapsed_ms = (time.perf_counter() - started) * 1000.0
-            if elapsed_ms >= limit_ms:
-                raise OracleBudgetExceeded(f"time limit {limit_ms} ms hit")
         if gi == last:
             ids = tuple(
                 sorted(

@@ -13,7 +13,8 @@ against.  ``full_selection`` and ``release_of`` read a covering the way
 the tests need and the package does not.  ``campaign_coverings`` draws the reductions that several
 draw-loop tests share.  ``opt_weighted_flow_time`` is the exhaustive
 optimum of a desk-scale schedule instance, the reference that the
-perturbation bound is checked against.
+perturbation bound is checked against, and ``edf_meets_deadlines`` the
+schedule that the covering's feasibility is checked against.
 """
 
 from __future__ import annotations
@@ -236,3 +237,21 @@ def opt_weighted_flow_time(instance: JobInstance) -> int:
     if cost == inf:
         raise RuntimeError("no complete schedule within the horizon; the horizon always admits one")
     return cost
+
+
+def edf_meets_deadlines(jobs: Sequence[tuple[int, int, int]]) -> bool:
+    """Whether earliest-deadline-first finishes every (release, processing,
+    deadline) job by its deadline.  Each unit slot [t, t + 1) runs the
+    released, unfinished job with the earliest deadline; on one machine with
+    preemption, EDF meets every deadline whenever any schedule does."""
+    left = [p for _, p, _ in jobs]
+    t = 0
+    while any(left):
+        ready = [i for i, (r, _, _) in enumerate(jobs) if r <= t and left[i]]
+        if ready:
+            i = min(ready, key=lambda i: jobs[i][2])
+            left[i] -= 1
+            if not left[i] and t + 1 > jobs[i][2]:
+                return False
+        t += 1
+    return True

@@ -14,10 +14,12 @@ from flowcover.covering import (
     unit_cost,
 )
 from flowcover.dpsolver import DpSolver
+from flowcover.dpsolver import solve as dp_solve
 from flowcover.grid import build_grid, build_segments, root_length
 from flowcover.jobs import make_instance, perturb_release_times, total_horizon
+from flowcover.harness import CampaignConfig, campaign_instance
 from flowcover.oracle import reduce_instance
-from helpers import campaign_coverings, full_selection, release_of
+from helpers import campaign_coverings, edf_meets_deadlines, full_selection, release_of
 
 
 def cov_for(triples, K=2, shift=0, cost_model="weighted_length"):
@@ -296,6 +298,52 @@ def test_prefix_violation_reported():
     )
 
 
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_feasibility_matches_edf_on_selection_deadlines(K):
+    # a selection keeps row j alive up to D_j, the right end of its
+    # rightmost selected rectangle (r_j when none is); its closure C takes
+    # every rectangle of row j ending by D_j.  C covers every ray exactly
+    # when EDF meets every deadline D_j, and a feasible selection lies in
+    # its closure, so EDF meets its deadlines too
+    rng = Random(K)
+    checked = feasible = 0
+    for seed in range(60):
+        cov = reduce_instance(campaign_instance(seed, CampaignConfig(K=K, n_max=4)), K, seed)
+        selections = [dp_solve(cov).selection] + [
+            Selection.of(
+                r.rid for g in cov.groups for r in g.rectangles[: rng.randint(0, len(g.rectangles))]
+            )
+            for _ in range(20)
+        ]
+        for selection in selections:
+            chosen = [cov.rectangles[rid] for rid in selection.chosen]
+            deadline = {
+                job.id: max((r.x_end for r in chosen if r.job == job.id), default=job.release)
+                for job in cov.instance.jobs
+            }
+            closure = Selection.of(r.rid for r in cov.rectangles if r.x_end <= deadline[r.job])
+            edf = edf_meets_deadlines(
+                [(job.release, job.processing, deadline[job.id]) for job in cov.instance.jobs]
+            )
+            closure_ok = check_feasible(cov, closure).ok
+            assert closure_ok == edf, (seed, selection.sorted_ids())
+            if check_feasible(cov, selection).ok:
+                assert edf, (seed, selection.sorted_ids())
+            checked += 1
+            feasible += closure_ok
+    # both outcomes occur often
+    assert checked == 60 * 21 and 300 < feasible < checked
+
+
+def test_edf_meets_deadlines_examples():
+    assert edf_meets_deadlines([])
+    assert edf_meets_deadlines([(0, 2, 2), (1, 1, 3)])
+    assert not edf_meets_deadlines([(0, 2, 2), (1, 1, 2)])
+    # EDF runs the later-released job first when its deadline is earlier
+    assert edf_meets_deadlines([(0, 3, 5), (1, 1, 2)])
+    assert not edf_meets_deadlines([(0, 1, 0)])
+
+
 def test_rays_starting_at_releases_dominate():
     # the binding-ray rule of the covering module docstring, ray by ray
     rng = Random(31)
@@ -491,7 +539,7 @@ def test_covering_json_dump():
     cov = cov_for([(0, 2, 1), (1, 1, 1)])
     payload = covering_record(cov)
     assert json.loads(json.dumps(payload)) == payload
-    assert payload["T"] == cov.horizon
-    assert "selection" not in payload
+    # the reduction's own fields (T, K, shift) are added by ``reduce``
+    assert set(payload) == {"groups", "leaf_len"}
     ids = [r["id"] for g in payload["groups"] for r in g["rectangles"]]
     assert ids == sorted(ids)

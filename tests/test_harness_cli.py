@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 from random import Random
 
 import pytest
 
 import flowcover
+import flowcover.oracle as oracle_mod
 from flowcover.cli import main
 from flowcover.harness import (
     CSV_HEADER,
@@ -121,15 +123,6 @@ def test_gen_is_byte_identical(tmp_path):
     assert json.loads(a.read_text())["jobs"]
 
 
-def test_gen_ignores_the_oracle_budget_env(tmp_path, monkeypatch):
-    # gen runs no oracle, so a malformed FLOWCOVER_BUDGET_MS must not reach it
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["gen", "--seed", "1", "--out", str(a)]) == 0
-    monkeypatch.setenv("FLOWCOVER_BUDGET_MS", "abc")
-    assert main(["gen", "--seed", "1", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_gen_instance_carries_its_epsilon(tmp_path):
     inst = tmp_path / "inst.json"
     assert main(["gen", "--seed", "1", "--n", "3", "--epsilon", "1/3", "--out", str(inst)]) == 0
@@ -213,16 +206,18 @@ def test_check_rejects_shift_not_matching_seed(tmp_path, capsys):
     assert "FAIL" in out and f"recorded shift {record['shift']}" in out
 
 
-def test_check_rejects_pipeline_record(tmp_path, capsys):
-    inst = tmp_path / "inst.json"
-    rec = tmp_path / "rec.json"
+def test_check_rejects_stats_file(tmp_path, capsys):
+    # the counters of --stats-out are no record of the answer
+    inst, sol, stats = tmp_path / "inst.json", tmp_path / "sol.json", tmp_path / "stats.json"
     main(["gen", "--seed", "6", "--out", str(inst)])
-    assert main(["pipeline", "--instance", str(inst), "--seed", "6", "--out", str(rec)]) == 0
+    argv = ["solve", "--instance", str(inst), "--seed", "6", "--out", str(sol)]
+    assert main(argv + ["--stats-out", str(stats)]) == 0
     capsys.readouterr()
-    assert main(["check", "--instance", str(inst), "--solution", str(rec)]) == 1
+    assert main(["check", "--instance", str(inst), "--solution", str(stats)]) == 1
     captured = capsys.readouterr()
     assert captured.out == (
-        f"check: FAIL {rec} is not a solve record (missing: seed, leaf_len, cost)\n"
+        f"check: FAIL {stats} is not a solve record (missing: instance_hash, K, seed, "
+        "epsilon, leaf_len, shift, selection, cost)\n"
     )
     assert captured.err == ""
 
@@ -254,6 +249,26 @@ def test_check_rejects_record_that_is_not_an_object(tmp_path, capsys, value, kin
     assert captured.out == (
         f"check: FAIL {sol} is not a solve record (expected a JSON object, got {kind})\n"
     )
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "data, why",
+    [
+        (b"", "Expecting value: line 1 column 1 (char 0)"),
+        (b'{"K": 2', "Expecting ',' delimiter"),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["empty", "truncated", "not-utf8"],
+)
+def test_check_rejects_solution_that_is_not_json(tmp_path, capsys, data, why):
+    inst, sol, _record = _solve_record(tmp_path)
+    sol.write_bytes(data)
+    capsys.readouterr()
+    assert main(["check", "--instance", str(inst), "--solution", str(sol)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"check: FAIL {sol} is not a solve record (not JSON: {why}")
+    assert captured.out.count("\n") == 1 and captured.out.endswith(")\n")
     assert captured.err == ""
 
 
@@ -439,57 +454,57 @@ def test_reduce_dump(tmp_path):
     assert payload["T"] > 0
 
 
-def test_pipeline_record_and_csv(tmp_path):
-    inst = tmp_path / "inst.json"
-    rec = tmp_path / "rec.json"
-    csv = tmp_path / "runs.csv"
+def test_solve_csv_rows_and_records_check(tmp_path):
+    # each method appends one row under one header and fills its own cost
+    # column; states is a DP counter, blank for the oracle
+    inst, csv = tmp_path / "inst.json", tmp_path / "runs.csv"
     main(["gen", "--seed", "21", "--out", str(inst)])
-    assert (
-        main(
-            [
-                "pipeline",
-                "--instance",
-                str(inst),
-                "--seed",
-                "21",
-                "--out",
-                str(rec),
-                "--csv",
-                str(csv),
-            ]
-        )
-        == 0
-    )
-    record = json.loads(rec.read_text())
-    for key in ("instance_hash", "K", "shift", "dp_cost", "states", "wall_ms", "feasible"):
-        assert key in record
-    lines = csv.read_text().strip().splitlines()
-    assert lines[0] == CSV_HEADER and len(lines) == 2
-    row = lines[1].split(",")
-    assert row[0] == "21" and row[7] == ""  # oracle_cost blank
+    rows = {}
+    for method in ("dp", "oracle"):
+        sol, stats = tmp_path / f"{method}.json", tmp_path / f"{method}-stats.json"
+        argv = ["solve", "--instance", str(inst), "--seed", "21", "--method", method]
+        argv += ["--out", str(sol), "--stats-out", str(stats), "--csv", str(csv)]
+        assert main(argv) == 0
+        assert main(["check", "--instance", str(inst), "--solution", str(sol)]) == 0
+        record, counters = json.loads(sol.read_text()), json.loads(stats.read_text())
+        assert "wall_ms" not in record
+        lines = csv.read_text().splitlines()
+        assert lines[0] == CSV_HEADER and len(lines) == len(rows) + 2
+        rows[method] = dict(zip(CSV_HEADER.split(","), lines[-1].split(",")))
+        reduction = [str(record[key]) for key in ("n", "P", "K", "shift", "T")]
+        assert [rows[method][key] for key in ("n", "P", "K", "shift", "T")] == reduction
+        assert rows[method]["seed"] == "21"
+        assert rows[method]["ms"] == str(round(counters["wall_ms"]))
+    cost = str(json.loads((tmp_path / "dp.json").read_text())["cost"])
+    assert (rows["dp"]["dp_cost"], rows["dp"]["oracle_cost"]) == (cost, "")
+    assert (rows["oracle"]["dp_cost"], rows["oracle"]["oracle_cost"]) == ("", cost)
+    states = json.loads((tmp_path / "dp-stats.json").read_text())["states"]
+    assert (rows["dp"]["states"], rows["oracle"]["states"]) == (str(states), "")
 
 
-def test_pipeline_empty_instance_costs_zero(tmp_path):
+def test_solve_empty_instance_costs_zero(tmp_path):
     inst = tmp_path / "empty.json"
     inst.write_text('{"epsilon": "1", "jobs": []}\n')
-    rec = tmp_path / "rec.json"
-    assert main(["pipeline", "--instance", str(inst), "--out", str(rec)]) == 0
-    record = json.loads(rec.read_text())
-    assert record["dp_cost"] == 0 and record["selection"] == []
+    sol = tmp_path / "sol.json"
+    assert main(["solve", "--instance", str(inst), "--out", str(sol)]) == 0
+    record = json.loads(sol.read_text())
+    assert record["cost"] == 0 and record["selection"] == []
     assert record["feasible"] is True
+    assert main(["check", "--instance", str(inst), "--solution", str(sol)]) == 0
 
 
-def test_pipeline_matches_verify_oracle_cost_on_same_seed(tmp_path):
-    # trial i of a verify campaign with base seed s equals gen+pipeline at s+i
+def test_solve_matches_verify_on_same_seed(tmp_path):
+    # trial i of a verify campaign with base seed s equals gen+solve at s+i
     cfg = CampaignConfig(seed=30, trials=2)
     res = run_campaign(cfg)
     report = res.reports[1]  # seed 31
     inst = tmp_path / "inst.json"
-    rec = tmp_path / "rec.json"
+    sol = tmp_path / "sol.json"
     main(["gen", "--seed", "31", "--out", str(inst)])
-    main(["pipeline", "--instance", str(inst), "--seed", "31", "--out", str(rec)])
-    record = json.loads(rec.read_text())
-    assert record["dp_cost"] == report.oracle_cost == report.dp_cost
+    main(["solve", "--instance", str(inst), "--seed", "31", "--out", str(sol)])
+    record = json.loads(sol.read_text())
+    assert record["cost"] == report.oracle_cost == report.dp_cost
+    assert tuple(record["selection"]) == report.dp_selection
     assert record["shift"] == report.shift
 
 
@@ -543,25 +558,15 @@ def test_verify_summary_byte_identical_across_workers(tmp_path):
     assert paths[0] == paths[1]
 
 
-def test_verify_env_budget_skips(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FLOWCOVER_BUDGET_MS", "0")
+def test_verify_budget_skips(tmp_path, monkeypatch, capsys):
+    # the oracle's default budget, read when it runs, cut to its first node
+    monkeypatch.setattr(oracle_mod, "OracleBudget", partial(OracleBudget, max_combinations=1))
     out = tmp_path / "summary.json"
     rc = main(["verify", "--seed", "70", "--trials", "3", "--out", str(out)])
     assert rc == 0  # skips are not failures
     payload = json.loads(out.read_text())
     assert payload["skipped"] == 3
     assert "3 skipped" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("raw", ["abc", "-1", "1.5", ""])
-def test_verify_rejects_malformed_env_budget(monkeypatch, capsys, raw):
-    monkeypatch.setenv("FLOWCOVER_BUDGET_MS", raw)
-    assert main(["verify", "--seed", "0", "--trials", "1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == (
-        f"error: FLOWCOVER_BUDGET_MS must be a non-negative integer (ms), got {raw!r}\n"
-    )
-    assert captured.out == ""
 
 
 def test_verify_regression_capture(tmp_path, monkeypatch):
@@ -623,7 +628,7 @@ def test_verify_saves_instance_when_dp_raises(tmp_path, monkeypatch, capsys):
     assert meta["status"] == "dp_infeasible" and meta["instance"]["jobs"]
 
 
-@pytest.mark.parametrize("command", ["reduce", "solve", "pipeline", "verify"])
+@pytest.mark.parametrize("command", ["reduce", "solve", "verify"])
 def test_leaf_len_flag_removed(tmp_path, capsys, command):
     inst = tmp_path / "inst.json"
     main(["gen", "--seed", "3", "--out", str(inst)])
@@ -637,6 +642,14 @@ def test_leaf_len_flag_removed(tmp_path, capsys, command):
     assert "unrecognized arguments: --leaf-len 1" in capsys.readouterr().err
 
 
+def test_pipeline_is_not_a_subcommand(tmp_path, capsys):
+    # solve writes the answer, its counters (--stats-out) and its CSV row
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", "--instance", str(tmp_path / "inst.json")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'pipeline'" in capsys.readouterr().err
+
+
 def test_epsilon_flag_with_zero_denominator_rejected(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     main(["gen", "--seed", "3", "--out", str(inst)])
@@ -644,7 +657,7 @@ def test_epsilon_flag_with_zero_denominator_rejected(tmp_path, capsys):
         [
             ["gen", "--epsilon", "1/0"],
             ["verify", "--epsilon", "1/0"],
-            *(argv + ["--epsilon", "1/0"] for argv in _instance_commands(inst)[:3]),
+            *(argv + ["--epsilon", "1/0"] for argv in _instance_commands(inst)[:2]),
         ],
         capsys,
         "epsilon must be a positive fraction such as 1 or 1/2, got '1/0'",
@@ -675,7 +688,6 @@ def _instance_commands(inst):
     return [
         ["reduce", "--instance", str(inst)],
         ["solve", "--instance", str(inst)],
-        ["pipeline", "--instance", str(inst)],
         ["check", "--instance", str(inst), "--solution", str(inst)],
     ]
 

@@ -181,45 +181,20 @@ def test_budget_node_cap():
         brute_force_covering(cov, OracleBudget(max_combinations=1))
 
 
-def test_budget_time_cap_zero_trips_immediately():
-    cov = cov_for([(0, 3, 1), (1, 2, 1)])
-    with pytest.raises(OracleBudgetExceeded, match="time limit"):
-        brute_force_covering(cov, OracleBudget(time_limit_ms=0))
-
-
 def test_budget_group_cap():
     cov = cov_for([(0, 3, 1), (1, 2, 1)])
     with pytest.raises(OracleBudgetExceeded, match="groups"):
         brute_force_covering(cov, OracleBudget(max_groups=1))
 
 
-def test_budget_env_default(monkeypatch):
-    monkeypatch.setenv("FLOWCOVER_BUDGET_MS", "1234")
-    assert OracleBudget().time_limit_ms == 1234
-    monkeypatch.delenv("FLOWCOVER_BUDGET_MS")
-    assert OracleBudget().time_limit_ms == 600_000
-
-
 @pytest.mark.parametrize(
     "name, value, least",
-    [("max_groups", 0, 1), ("max_combinations", -3, 1), ("time_limit_ms", -1, 0)],
+    [("max_groups", 0, 1), ("max_combinations", -3, 1)],
 )
 def test_budget_names_the_bad_field(name, value, least):
     with pytest.raises(ValueError) as exc:
         OracleBudget(**{name: value})
     assert str(exc.value) == f"{name} must be >= {least}, got {value}"
-
-
-def test_budget_env_must_be_a_non_negative_integer(monkeypatch):
-    for raw in ("abc", "-1", "1.5", " "):
-        monkeypatch.setenv("FLOWCOVER_BUDGET_MS", raw)
-        with pytest.raises(ValueError) as exc:
-            OracleBudget()
-        assert str(exc.value) == (
-            f"FLOWCOVER_BUDGET_MS must be a non-negative integer (ms), got {raw!r}"
-        )
-    monkeypatch.setenv("FLOWCOVER_BUDGET_MS", "0")
-    assert OracleBudget().time_limit_ms == 0
 
 
 def test_derive_shift_seeded_and_in_range():
