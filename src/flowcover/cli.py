@@ -3,7 +3,9 @@
 Artifact files (instances, reductions, solutions, verify summaries) carry no
 wall-clock data and are byte-identical for identical seeds and configs;
 timing goes to stdout, to optional stats files and to the ms column of CSV
-reports, which are run reports rather than artifacts.
+reports, which are run reports rather than artifacts.  ``solve --csv`` and
+``verify --csv`` both append rows under one header, written when the file is
+new or empty, so their rows can share a file.
 """
 
 from __future__ import annotations
@@ -48,13 +50,15 @@ def _emit(text: str, out: str | None) -> None:
         path.write_text(text)
 
 
-def _append_csv(path: str, *cells: int | None) -> None:
+def _append_csv(path: str, rows: list[str]) -> None:
+    """Append CSV_HEADER rows, with the header first when the file is new or
+    empty; ``solve --csv`` and ``verify --csv`` both write through here."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    if not target.exists():
-        target.write_text(CSV_HEADER + "\n")
     with target.open("a") as fh:
-        fh.write(csv_row(*cells) + "\n")
+        if fh.tell() == 0:  # append mode opens at the end: 0 means empty
+            rows = [CSV_HEADER, *rows]
+        fh.write("\n".join(rows) + "\n")
 
 
 def _load_instance(path: str) -> JobInstance:
@@ -124,8 +128,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.csv:
         # the method's own cost column; states is a DP counter, blank for the oracle
         costs = (record["cost"], None) if args.method == "dp" else (None, record["cost"])
-        _append_csv(args.csv, args.seed, record["n"], record["P"], record["K"], record["shift"],
-                    record["T"], *costs, stats.get("states"), round(stats["wall_ms"]))
+        row = csv_row(args.seed, record["n"], record["P"], record["K"], record["shift"],
+                      record["T"], *costs, stats.get("states"), round(stats["wall_ms"]))
+        _append_csv(args.csv, [row])
     if args.out is not None:
         print(f"{args.method} cost={record['cost']} stats={json.dumps(stats, sort_keys=True)}")
     return 0 if record["feasible"] else 1
@@ -255,9 +260,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.out:
         _emit(result.summary_json(), args.out)
     if args.csv:
-        _emit("\n".join(result.csv_lines()) + "\n", args.csv)
-    if args.plot:
-        _emit("\n".join(result.plot_lines()) + "\n", args.plot)
+        _append_csv(args.csv, result.csv_lines())
     failures = result.failures
     for report in failures:
         print(f"FAIL trial seed={report.seed}: {report.status} {report.detail}")
@@ -345,8 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=64)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, help="summary JSON path")
-    p.add_argument("--csv", default=None, help="per-trial CSV path")
-    p.add_argument("--plot", default=None, help="states-vs-nP table path")
+    p.add_argument("--csv", default=None, help="append a CSV row per trial here")
     p.add_argument("--regression-dir", default=None, dest="regression_dir")
     p.set_defaults(func=cmd_verify)
 

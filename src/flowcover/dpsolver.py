@@ -71,11 +71,10 @@ which computes each piece's settled demand, prefix cost and both bounds;
 a split walks each part's pieces once, taking both minima and building
 the part's gather.
 Callers decide a state from its bounds before they recurse.  ``_decide``
-clamps a carry to theta, tests it against theta and counts the positive
-values it clamps in one loop, and builds a new carry only when one was
-clamped; ``_canonical`` walks its pieces once, and on each piece computes
-the settled floor, the paid and unpaid values, the phi test, both theta
-tests and both clamped values.
+clamps a carry to theta and tests it against theta in one loop;
+``_canonical`` walks its pieces once, and on each piece computes the
+settled floor, the paid and unpaid values, the phi test, both theta tests
+and both clamped values.
 Its takes then run over those two clamped lists.  The child carry of a
 take differs from that of the take one smaller only on the last piece the
 larger take pays, so where the clamped paid and unpaid values agree on it
@@ -297,7 +296,7 @@ class SolveStats:
     state's table.  These, ``carry_vectors`` and ``max_carry`` are read
     off the memo once.  ``theta_decided`` and ``phi_decided`` count the
     carries that the bounds answered without a search, as (0, ()) and as
-    infeasible, and ``clamped`` the positive values each clamped vector set to 0."""
+    infeasible."""
 
     states: int = 0
     max_depth: int = 0
@@ -309,7 +308,6 @@ class SolveStats:
     split_states: int = 0
     theta_decided: int = 0
     phi_decided: int = 0
-    clamped: int = 0
 
 
 @dataclass(frozen=True)
@@ -339,7 +337,6 @@ class DpSolver:
         self._tables: dict[TableKey, TripleTable] = {}
         self._theta_decided = 0
         self._phi_decided = 0
-        self._clamped = 0
 
     # -- public entry points ------------------------------------------------
 
@@ -394,7 +391,6 @@ class DpSolver:
             split_states=len(self.memo) - canonical,
             theta_decided=self._theta_decided,
             phi_decided=self._phi_decided,
-            clamped=self._clamped,
         )
         return DpResult(cost=cost, selection=selection, stats=stats)
 
@@ -423,24 +419,18 @@ class DpSolver:
     def _decide(self, tab: TripleTable, carry: Carry) -> Entry:
         """Answer a carry that phi has passed: (0, ()) when theta covers it,
         else the search of its state clamped to theta: 0 on every piece
-        where the carry is at most theta.  One pass clamps, tests and
-        counts the positive values clamped."""
-        kept, clamped, covered = [], 0, True
+        where the carry is at most theta.  One pass clamps and tests."""
+        kept, covered = [], True
         for v, t in zip(carry, tab.theta):
             if v > t:
                 kept.append(v)
                 covered = False
             else:
                 kept.append(0)
-                if v:
-                    clamped += 1
         if covered:
             self._theta_decided += 1
             return ZERO
-        if clamped:
-            self._clamped += clamped
-            carry = tuple(kept)
-        return self._state(tab, carry)
+        return self._state(tab, tuple(kept))
 
     def _state(self, tab: TripleTable, carry: Carry) -> Entry:
         """Search one clamped state that the bounds do not decide, or answer
@@ -481,12 +471,11 @@ class DpSolver:
         # exactly the takes in zero_lo..zero_hi: from the last piece whose
         # unpaid value is over theta to the first whose paid value is.  The
         # cheapest of those is the smallest; a larger take costs more.
-        # Both values are clamped to theta as ``_decide`` does, counting
-        # the positive values each clamp sets to 0.
+        # Both values are clamped to theta as ``_decide`` does.
         p, gap, child = tab.p, tab.gap, tab.child
         settled, n = tab.settled, len(carry)
         n_settled, cleared = len(settled), gap - p  # an unpaid debt this small clears
-        min_take = least = zero_lo = clamped = pos = 0
+        min_take = least = zero_lo = pos = 0
         zero_hi = n
         kept_paid, kept_unpaid = [], []
         for v, t, f in zip(carry, child.theta, child.phi):
@@ -500,7 +489,6 @@ class DpSolver:
                 zero_lo = pos
                 kept_unpaid.append(u)
             else:
-                clamped += u > 0
                 kept_unpaid.append(0)
             w = v - gap if v > gap else 0
             if w > t:
@@ -508,7 +496,6 @@ class DpSolver:
                     zero_hi = pos - 1
                 kept_paid.append(w)
             else:
-                clamped += w > 0
                 kept_paid.append(0)
         if least > min_take:
             self._phi_decided += least - min_take
@@ -523,21 +510,19 @@ class DpSolver:
         else:
             best = None
             stop = n + 1
-        if min_take < stop:
-            # every take here leaves the child a carry that neither bound decides
-            self._clamped += clamped
-            for take in range(min_take, stop):
-                # a take whose last piece clamps alike paid or unpaid hands
-                # the child the previous take's carry at a higher cost
-                if take > min_take and kept_paid[take - 1] == kept_unpaid[take - 1]:
-                    continue
-                sub = self._state(child, tuple(kept_paid[:take] + kept_unpaid[take:]))
-                cost = prefix_cost[take] + sub[0]
-                # ids only for a candidate that can win; a tie goes to the smaller ids
-                if best is None or cost <= best[0]:
-                    ids = tuple(range(first, first + take)) + sub[1]
-                    if best is None or cost < best[0] or ids < best[1]:
-                        best = (cost, ids)
+        # every take here leaves the child a carry that neither bound decides
+        for take in range(min_take, stop):
+            # a take whose last piece clamps alike paid or unpaid hands
+            # the child the previous take's carry at a higher cost
+            if take > min_take and kept_paid[take - 1] == kept_unpaid[take - 1]:
+                continue
+            sub = self._state(child, tuple(kept_paid[:take] + kept_unpaid[take:]))
+            cost = prefix_cost[take] + sub[0]
+            # ids only for a candidate that can win; a tie goes to the smaller ids
+            if best is None or cost <= best[0]:
+                ids = tuple(range(first, first + take)) + sub[1]
+                if best is None or cost < best[0] or ids < best[1]:
+                    best = (cost, ids)
         return best
 
     def _split(self, tab: TripleTable, carry: Carry) -> Entry:

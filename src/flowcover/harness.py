@@ -11,6 +11,10 @@ the same seeded stream, hence reproducibly) until the preprocessed horizon
 fits the campaign's horizon cap, which also keeps the exhaustive oracle
 within budget.  Trials may run in a process pool; results are merged in trial
 order, so summaries and solution data are identical for any worker count.
+
+A result has two reports: the summary, an artifact that holds answers only,
+and one CSV row per trial, which carries the counters and timing and which
+the CLI appends under the one CSV_HEADER that ``solve`` rows share.
 """
 
 from __future__ import annotations
@@ -147,16 +151,13 @@ class CampaignResult:
         return json.dumps(self.summary_dict(), sort_keys=True, indent=2) + "\n"
 
     def csv_lines(self) -> list[str]:
-        return [CSV_HEADER] + [
+        """One CSV_HEADER row per trial, in trial order, without the header:
+        the writer adds it to a new or empty file."""
+        return [
             csv_row(r.seed, r.n, r.P, r.K, r.shift, r.T, r.dp_cost, r.oracle_cost,
                     r.dp_states, round(r.dp_ms + (r.oracle_ms or 0.0)))
             for r in self.reports
         ]
-
-    def plot_lines(self) -> list[str]:
-        """State count against n*P for verified trials, gnuplot/CSV friendly."""
-        points = sorted((r.n * r.P, r.dp_states) for r in self.reports if r.ok)
-        return ["nP,states"] + [f"{np},{states}" for np, states in points]
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignResult:

@@ -6,8 +6,8 @@
 are the two facts ``DpSolver`` classifies a table by, computed here on
 their own by scanning the covering.  ``subcells`` and ``dense_carry`` lay
 out a state's carry by its pieces.  ``next_carry`` and ``clamp`` are the
-whole-vector carry map and the two-pass theta clamp that the DP's
-single-pass steps are checked against, and ``step_over_top_child`` the
+whole-vector carry map and theta clamp that the DP's single-pass steps
+are checked against, and ``step_over_top_child`` the
 canonical step, take by take, that a tail table's answer is checked
 against.  ``full_selection`` and ``release_of`` read a covering the way
 the tests need and the package does not.  ``campaign_coverings`` draws the reductions that several
@@ -130,12 +130,9 @@ def next_carry(carry: Carry, processing: int, release_gap: int, paid_capacity: i
     return [v - cleared if v > cleared else 0 for v in carry]
 
 
-def clamp(carry: Sequence[int], theta: Bounds) -> tuple[list[int], int]:
-    """``carry`` as a list with 0 on every piece where it is at most theta,
-    and the number of positive values that zeroed: the whole carry built,
-    then counted in two passes."""
-    kept = [v if v > t else 0 for v, t in zip(carry, theta)]
-    return kept, kept.count(0) - carry.count(0)
+def clamp(carry: Sequence[int], theta: Bounds) -> list[int]:
+    """``carry`` as a list with 0 on every piece where it is at most theta."""
+    return [v if v > t else 0 for v, t in zip(carry, theta)]
 
 
 def step_over_top_child(cov: CoveringInstance, key: TableKey, carry: Carry) -> Entry | None:

@@ -280,7 +280,7 @@ def _searched_states(solver):
 
 
 def _counters(solver):
-    return solver._theta_decided, solver._phi_decided, solver._clamped
+    return solver._theta_decided, solver._phi_decided
 
 
 def test_single_pass_decide_matches_the_two_pass_clamp():
@@ -306,25 +306,23 @@ def test_single_pass_decide_matches_the_two_pass_clamp():
         searched = _searched_states(solver)
         answer = solver._decide(tab, carry)
         if all(v <= t for v, t in zip(carry, theta)):
-            assert (answer, searched, _counters(solver)) == (ZERO, [], (1, 0, 0))
+            assert (answer, searched, _counters(solver)) == (ZERO, [], (1, 0))
         else:
-            kept, zeroed = clamp(carry, theta)
-            assert (searched, _counters(solver)) == ([tuple(kept)], (0, 0, zeroed))
+            assert (searched, _counters(solver)) == ([tuple(clamp(carry, theta))], (0, 0))
         results.append(searched)
     assert results[:5] == [[(0, 0)], [(0, 0, 0, 0)], [], [], [(0, 3, 1)]]
 
 
 def _two_pass_canonical(tab, carry):
     """The child carries a canonical step searches, in order, and its
-    (theta_decided, phi_decided, clamped), from the two-pass clamp of both
+    (theta_decided, phi_decided), from the whole-vector clamp of both
     ``next_carry`` vectors and a test of every take against the child's bounds.
     A take that hands the child the previous take's carry costs more for the
     same answer, so it is not searched again."""
     child = tab.child
     paid = next_carry(carry, tab.p, tab.gap, tab.p)
     unpaid = next_carry(carry, tab.p, tab.gap, 0)
-    kept_paid, zeroed_paid = clamp(paid, child.theta)
-    kept_unpaid, zeroed_unpaid = clamp(unpaid, child.theta)
+    kept_paid, kept_unpaid = clamp(paid, child.theta), clamp(unpaid, child.theta)
     takes = [pos + 1 for pos, dem in enumerate(tab.settled) if dem + carry[pos] > 0]
     searched, theta_decided, phi_decided = [], 0, 0
     for take in range(max(takes, default=0), len(carry) + 1):
@@ -338,8 +336,7 @@ def _two_pass_canonical(tab, carry):
             kept = tuple(kept_paid[:take] + kept_unpaid[take:])
             if not searched or kept != searched[-1]:
                 searched.append(kept)
-    clamped = zeroed_paid + zeroed_unpaid if searched else 0
-    return searched, (theta_decided, phi_decided, clamped)
+    return searched, (theta_decided, phi_decided)
 
 
 def test_single_pass_canonical_step_matches_the_two_pass_clamp():
@@ -961,7 +958,7 @@ def test_baseline_row_k2_n8_seed3_counters():
     # splits straight into the row's groups cut them to 227
     assert (stats.states, stats.triples, stats.carry_vectors) == (227, 59, 140)
     assert (stats.canonical_states, stats.split_states) == (216, 11)
-    assert (stats.theta_decided, stats.phi_decided, stats.clamped) == (17, 147, 75)
+    assert (stats.theta_decided, stats.phi_decided) == (17, 147)
     entries = list(solver.memo.values())
     assert sum(1 for e in entries if e == (0, ())) == 0
     assert sum(1 for e in entries if e is None) == 0
@@ -988,7 +985,7 @@ def _per_draw_rows():
                 (K, result.cost, result.selection.sorted_ids()),
                 (st.states, st.triples, st.carry_vectors, st.max_carry, st.max_depth,
                  memo.count((0, ())), memo.count(None), st.canonical_states,
-                 st.split_states, st.theta_decided, st.phi_decided, st.clamped),
+                 st.split_states, st.theta_decided, st.phi_decided),
             ))
     assert len(rows) == 420
     return rows
@@ -1005,7 +1002,7 @@ def test_dp_counters_pinned_per_draw():
     # re-pinned only by a change that means to change the search
     counters = [row[1] for row in _per_draw_rows()]
     digest = hashlib.sha256(repr(counters).encode()).hexdigest()
-    assert digest == "77cfaf8d673dcdd78c61327fec9b00963fb666e42dee5368fb11bba430e5252b"
+    assert digest == "635b020cacc8e0939d631ecfd60ddd85cda25878fe5da05e4c8df37afe4fbcac"
 
 
 def _widest_minimum(tab):
@@ -1035,13 +1032,12 @@ def test_dp_answers_and_counters_pinned_at_wide_fans():
                 answers.append((K, cost_model, result.cost, result.selection.sorted_ids()))
                 counters.append((
                     st.states, st.triples, st.carry_vectors, st.max_carry, st.max_depth,
-                    st.canonical_states, st.split_states, st.theta_decided,
-                    st.phi_decided, st.clamped,
+                    st.canonical_states, st.split_states, st.theta_decided, st.phi_decided,
                 ))
     assert len(answers) == 600 and wide[5] > 100 and wide[8] > 50
     assert hashlib.sha256(repr(answers).encode()).hexdigest() == (
         "d4a0cd8acd5268a7c7519950c11e3c6f4c31e2f4d5041d284e710a909c00c462"
     )
     assert hashlib.sha256(repr(counters).encode()).hexdigest() == (
-        "6ddf6534ad67d3fa8c7cc898830db094fa0f318a89c0701595be830732bfab8c"
+        "8f411eeddda849c55149817eadf08bee0e4fa260d384552614bf65bd378b8242"
     )
