@@ -27,9 +27,10 @@ released by t, minus t, so d(s, t) = excess[t] - (P_{<s} - s), where P_{<s}
 is the processing released before s.  For the rays that can bind, that
 offset is one number per row, ``CoveringInstance.row_offset[j - 1]`` =
 P_{j-1} - r_j, so d(r_j, t) = excess[t] - row_offset[j - 1]; the feasibility
-scan and the DP's settled rays both read it.  The sets of rectangles a ray
-crosses come from a per-column crossing index, built on first use; only
-the oracle reads it.
+scan and the DP's settled rays both read it.  Each row tiles
+[r_j, end(root)), so a ray [r_j, t] with t inside the root crosses one
+rectangle in each row j..m, m the number of rows released by t; the oracle
+reads them from per-row column arrays that it builds from the groups.
 
 ``CoveringInstance`` is the one way to make a covering, so what the rest
 of the package relies on holds by construction (its docstring) and is
@@ -54,7 +55,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from operator import sub
 from typing import Callable, Iterable, NamedTuple
@@ -217,36 +217,10 @@ class CoveringInstance:
             released[job.release] += job.processing
         self.excess = list(map(sub, accumulate(released), range(self.horizon + 1)))
 
-    @cached_property
-    def _crossing(self) -> list[tuple[Rectangle, ...]]:
-        """crossing[t] lists the rectangles through x = t + 1/2 for t in
-        0..T; rectangles come job by job (``__init__`` builds them so), so each
-        list is already in row order."""
-        crossing: list[list[Rectangle]] = [[] for _ in range(self.horizon + 1)]
-        for rect in self.rectangles:
-            for t in range(rect.x_begin, min(rect.x_end, self.horizon + 1)):
-                crossing[t].append(rect)
-        return [tuple(row) for row in crossing]
-
     # -- lookups ----------------------------------------------------------
 
     def group(self, job: int, cell: GridCell) -> PrefixGroup | None:
         return self._group_by_key.get((job, cell.level, cell.begin))
-
-    def rects_crossing(self, t: int) -> tuple[Rectangle, ...]:
-        """Rectangles whose x-interval contains t + 1/2, sorted by row.
-
-        Indexed for 0 <= t <= horizon only, where every ray lies; ``()``
-        for any other t.  The index is built on the first call.
-        """
-        if not 0 <= t < len(self._crossing):
-            return ()
-        return self._crossing[t]
-
-    def anchor_job(self, s: int) -> int | None:
-        """1-based id of the earliest released job with release >= s."""
-        idx = bisect_left(self.releases, s)
-        return idx + 1 if idx < len(self.releases) else None
 
     def demand(self, s: int, t: int) -> int:
         """d([s, t]) = total processing released within [s, t] minus (t - s)."""
@@ -260,17 +234,6 @@ def build_covering(
 ) -> CoveringInstance:
     """The covering of ``instance`` on ``grid``; see ``CoveringInstance``."""
     return CoveringInstance(instance, grid, cost_model)
-
-
-def ray_rectangles(cov: CoveringInstance, s: int, t: int) -> tuple[Rectangle, ...]:
-    """Rectangles the ray of [s, t] passes through: crossing t + 1/2 at rows
-    at or below the anchor job.  Empty when no job is released at or after s."""
-    if not 0 <= s <= t <= cov.horizon:
-        raise ValueError(f"interval [{s}, {t}] outside 0..{cov.horizon}")
-    anchor = cov.anchor_job(s)
-    if anchor is None:
-        return ()
-    return tuple([r for r in cov.rects_crossing(t) if r.job >= anchor])
 
 
 def selection_cost(cov: CoveringInstance, sel: Selection) -> int:

@@ -4,22 +4,28 @@
 i.e. the complete space of prefix-valid selections.  Groups are fixed in the
 order they appear in the covering instance (job by job, deepest cell first,
 which is left to right).  Only the rays [r_j, t] with positive demand can
-bind (the rule in ``covering``).  Each is checked at its trigger, the last
-group among those it crosses, and rays crossing the same rectangles are one
-constraint with the largest need.  A search node fixes its group's take by
-the least-take rule.  For each ray triggered there, the selected capacity of
-the earlier groups leaves a shortfall; the ray's own capacity over the
-group's takes is a prefix sum that never falls, so the takes meeting it are
-exactly those from the first whose prefix reaches the shortfall on.  A ray
-crossing no earlier group has a fixed bound, computed once.  The node tries
-takes from the largest bound up (none when it exceeds the group) and stops
-at the first take that costs more than the best complete solution: every
-cost is >= 1 and the best only falls, so every larger take would cost more
-too.  The search thus visits exactly the nodes, in the same order, that
-testing every take against every ray would, so node budgets, ties and
-results do not depend on how a node finds its takes.  Both prunings are
-exact: every potentially optimal selection is still visited, so the result
-is a true minimum.
+bind (the rule in ``covering``), and rays crossing the same rectangles are
+one constraint with the largest need.  A ray crosses one rectangle in each
+of its rows, so one per group, read from per-row column arrays.
+
+Each ray is checked at every group it crosses, assuming that its later
+groups take everything.  At a group g the ray is short by its need minus
+the selected capacity of its earlier groups and the full capacity of its
+later ones; at its trigger, the last group it crosses, that is exactly
+whether the selection covers it.  A take of g below the ray's rectangle
+there adds nothing to the ray, and no completion adds more than the later
+groups' full capacity, so while the shortfall is positive such a take has
+no feasible completion; when the shortfall exceeds the rectangle's
+capacity no take of g has one.  A node therefore fixes its group's least
+take as the largest of these over its rays (a ray crossing no earlier group
+gives a fixed bound, computed once), and cuts only subtrees without a
+feasible leaf: the feasible leaves come in the same order as with every
+take tried, so costs, selections and tie-breaks do not depend on the rule.
+The node tries takes from the least take up and stops at the first take
+that costs more than the best complete solution: every cost is >= 1 and
+the best only falls, so every larger take would cost more too.  Both
+prunings are exact: every potentially optimal selection is still visited,
+so the result is a true minimum.
 
 ``reduce_instance`` is the reduction pipeline (release perturbation, seeded
 shifted grid, covering) that every solve, check and verification runs;
@@ -33,10 +39,8 @@ solutions pass the independent feasibility scan.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from random import Random
 
 from .covering import (
@@ -94,57 +98,64 @@ def brute_force_covering(
     if len(groups) > budget.max_groups:
         raise OracleBudgetExceeded(f"{len(groups)} groups exceed cap {budget.max_groups}")
 
-    # rid -> (group index, position in the group, capacity); ids run group
-    # by group, so rid order is (group, position) order
-    slot = [
-        (gi, pos, r.capacity) for gi, g in enumerate(groups) for pos, r in enumerate(g.rectangles)
-    ]
+    # One pass over the groups: each group's prefix costs, and per row the
+    # (group index, position in the group, capacity) of its rectangle
+    # through each column t + 1/2, t = 0..T (None past the root's end).
+    T = cov.horizon
+    at: list[list[tuple[int, int, int] | None]] = [[None] * (T + 1) for _ in cov.releases]
+    prefix_costs: list[list[int]] = []
+    for gi, group in enumerate(groups):
+        row = at[group.job - 1]
+        costs = [0]
+        for pos, r in enumerate(group.rectangles):
+            costs.append(costs[-1] + r.cost)
+            end = min(r.x_end, T + 1)
+            row[r.x_begin : end] = [(gi, pos, r.capacity)] * (end - r.x_begin)
+        prefix_costs.append(costs)
 
-    # Rays [r_j, t] with positive demand, keyed by the (group, position,
-    # capacity) of the rectangles they cross: rays crossing the same
-    # rectangles are one constraint with the largest need.  The rectangles
-    # crossing t come in rid order, so row by row, and the ray of [r_j, t]
-    # crosses rows j and deeper: a suffix, already sorted.  d(r_j, t) =
-    # excess[t] - row_offset[j - 1] (``covering``).
-    excess, row_offset = cov.excess, cov.row_offset
+    # Rays [r_j, t] with positive demand, keyed by the rectangles they cross:
+    # one per row j..m at t, m the number of rows released by t, so in group
+    # order.  Rays crossing the same rectangles are one constraint with the
+    # largest need.  d(r_j, t) = excess[t] - row_offset[j - 1] (``covering``).
+    releases, excess, row_offset = cov.releases, cov.excess, cov.row_offset
     needs: dict[tuple[tuple[int, int, int], ...], int] = {}
-    for t in range(0, cov.horizon + 1):
-        crossing = cov.rects_crossing(t)
-        start = 0
-        for job in cov.instance.jobs:
-            if job.release > t:
-                break
-            need = excess[t] - row_offset[job.id - 1]
-            if need <= 0:
-                continue
-            while start < len(crossing) and crossing[start].job < job.id:
-                start += 1
-            key = tuple([slot[r.rid] for r in crossing[start:]])
-            needs[key] = max(need, needs.get(key, 0))
+    m = 0
+    for t in range(T + 1):
+        while m < len(releases) and releases[m] <= t:
+            m += 1
+        col = [row[t] for row in at[:m]]
+        for j in range(m):
+            need = excess[t] - row_offset[j]
+            if need > 0:
+                if col[j] is None:  # a ray past the root's end crosses nothing
+                    raise RuntimeError(
+                        "the oracle found no feasible selection; the full selection always is"
+                    )
+                key = tuple(col[j:])
+                needs[key] = max(need, needs.get(key, 0))
 
-    # Each ray is checked at its trigger, the last group it crosses; checking
-    # it any earlier could reject selections that a later group would still
-    # fix.  Per trigger: the least take that the rays crossing no earlier
-    # group ask for, and for the other rays their need, their earlier
-    # contributors and their own capacity prefix over the group's takes.
+    # Per group: the least take that the rays crossing no earlier group ask
+    # for, and for the other rays their shortfall with the later groups
+    # taken in full (module docstring), their earlier rectangles, and the
+    # least take holding their own rectangle and its capacity.  A key walked
+    # backwards gives the later capacity; once that alone meets the need,
+    # no earlier group can fail the ray.
     floors = [0] * len(groups)
-    buckets: list[list[tuple[int, tuple[tuple[int, int, int], ...], list[int]]]] = [
+    buckets: list[list[tuple[int, tuple[tuple[int, int, int], ...], int, int]]] = [
         [] for _ in groups
     ]
     for key, need in needs.items():
-        trigger = key[-1][0] if key else 0  # a ray crossing nothing fails at the root
-        own = [0] * (len(groups[trigger].rectangles) + 1)
-        for g, pos, cap in key:
-            if g == trigger:
-                own[pos + 1] += cap
-        own = list(accumulate(own))
-        earlier = tuple([c for c in key if c[0] < trigger])
-        if earlier:
-            buckets[trigger].append((need, earlier, own))
-        else:
-            floors[trigger] = max(floors[trigger], bisect_left(own, need))
-
-    prefix_costs = [list(accumulate((r.cost for r in g.rectangles), initial=0)) for g in groups]
+        short = need
+        for i in range(len(key) - 1, -1, -1):
+            g, pos, cap = key[i]
+            if i:
+                buckets[g].append((short, key[:i], pos + 1, cap))
+            else:
+                least = pos + 1 if short <= cap else len(prefix_costs[g])
+                floors[g] = max(floors[g], least)
+            short -= cap
+            if short <= 0:
+                break
 
     last = len(groups)
     max_nodes = budget.max_combinations
@@ -169,15 +180,16 @@ def brute_force_covering(
             if best is None or cand < best:
                 best = cand
             return
-        # the least take that meets every ray of this bucket; own prefixes
-        # never fall, so exactly the takes from there on meet them all
+        # the least take that every ray of this bucket allows; a ray that its
+        # own rectangle cannot meet after the earlier groups allows none
         lo = floors[gi]
-        for short, earlier, own in buckets[gi]:
-            for g, pos, cap in earlier:
+        for short, earlier, least, cap in buckets[gi]:
+            for g, pos, c in earlier:
                 if lengths[g] > pos:
-                    short -= cap
+                    short -= c
             if short > 0:
-                least = bisect_left(own, short)
+                if short > cap:
+                    return
                 if least > lo:
                     lo = least
         costs = prefix_costs[gi]

@@ -7,11 +7,13 @@ are the two facts ``DpSolver`` classifies a table by, computed here on
 their own by scanning the covering.  ``subcells`` and ``dense_carry`` lay
 out a state's carry by its pieces.  ``next_carry`` and ``clamp`` are the
 whole-vector carry map and theta clamp that the DP's single-pass steps
-are checked against, and ``step_over_top_child`` the
-canonical step, take by take, that a tail table's answer is checked
-against.  ``full_selection`` and ``release_of`` read a covering the way
-the tests need and the package does not.  ``campaign_coverings`` draws the reductions that several
-draw-loop tests share.  ``opt_weighted_flow_time`` is the exhaustive
+are checked against, and ``step_over_top_child`` the canonical step,
+take by take, that a tail table's answer is checked against.
+``rects_crossing``, ``anchor_job`` and ``ray_rectangles`` give the
+rectangles a ray [s, t] crosses from a per-column crossing index, and
+``full_selection`` and ``release_of`` read a covering the way the tests
+need and the package does not.  ``campaign_coverings`` draws the
+reductions that several draw-loop tests share.  ``opt_weighted_flow_time`` is the exhaustive
 optimum of a desk-scale schedule instance, the reference that the
 perturbation bound is checked against, and ``edf_meets_deadlines`` the
 schedule that the covering's feasibility is checked against.
@@ -19,11 +21,12 @@ schedule that the covering's feasibility is checked against.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from functools import cache
 from math import inf
 
-from flowcover.covering import COST_MODELS, CoveringInstance, Selection
+from flowcover.covering import COST_MODELS, CoveringInstance, Rectangle, Selection
 from flowcover.dpsolver import Bounds, Carry, Entry, TableKey, area_begin
 from flowcover.grid import Grid, GridCell, Interval, SegmentGroup, build_segments, cell_at
 from flowcover.harness import CampaignConfig, campaign_instance
@@ -169,6 +172,43 @@ def step_over_top_child(cov: CoveringInstance, key: TableKey, carry: Carry) -> E
             if best is None or entry < best:
                 best = entry
     return best
+
+
+def rects_crossing(cov: CoveringInstance, t: int) -> tuple[Rectangle, ...]:
+    """Rectangles whose x-interval contains t + 1/2, sorted by row.
+
+    Indexed for 0 <= t <= horizon only, where every ray lies; ``()`` for
+    any other t.  The index is built on the first call and kept on the
+    covering as ``_crossing``; rectangles come job by job, so each column's
+    list is already in row order.
+    """
+    crossing = vars(cov).get("_crossing")
+    if crossing is None:
+        columns: list[list[Rectangle]] = [[] for _ in range(cov.horizon + 1)]
+        for rect in cov.rectangles:
+            for x in range(rect.x_begin, min(rect.x_end, cov.horizon + 1)):
+                columns[x].append(rect)
+        crossing = cov._crossing = [tuple(column) for column in columns]
+    if not 0 <= t < len(crossing):
+        return ()
+    return crossing[t]
+
+
+def anchor_job(cov: CoveringInstance, s: int) -> int | None:
+    """1-based id of the earliest released job with release >= s."""
+    idx = bisect_left(cov.releases, s)
+    return idx + 1 if idx < len(cov.releases) else None
+
+
+def ray_rectangles(cov: CoveringInstance, s: int, t: int) -> tuple[Rectangle, ...]:
+    """Rectangles the ray of [s, t] passes through: crossing t + 1/2 at rows
+    at or below the anchor job.  Empty when no job is released at or after s."""
+    if not 0 <= s <= t <= cov.horizon:
+        raise ValueError(f"interval [{s}, {t}] outside 0..{cov.horizon}")
+    anchor = anchor_job(cov, s)
+    if anchor is None:
+        return ()
+    return tuple([r for r in rects_crossing(cov, t) if r.job >= anchor])
 
 
 def full_selection(cov: CoveringInstance) -> Selection:

@@ -13,12 +13,12 @@ from random import Random
 import pytest
 
 from flowcover.cli import main
-from flowcover.covering import Selection, build_covering, check_feasible, ray_rectangles
+from flowcover.covering import Selection, build_covering, check_feasible
 from flowcover.grid import build_grid, build_segments, root_length
 from flowcover.harness import CampaignConfig, campaign_instance, run_campaign
 from flowcover.jobs import make_instance, perturb_release_times, total_horizon
 from flowcover.oracle import reduce_instance
-from helpers import check_nesting, opt_weighted_flow_time, segments_flat
+from helpers import check_nesting, opt_weighted_flow_time, ray_rectangles, segments_flat
 
 CAMPAIGN = CampaignConfig(
     seed=20_000, trials=200, K=2, n_max=4, p_max=4, w_max=4, horizon_max=64

@@ -9,7 +9,6 @@ from flowcover.covering import (
     build_covering,
     check_feasible,
     covering_record,
-    ray_rectangles,
     selection_cost,
     unit_cost,
 )
@@ -19,7 +18,15 @@ from flowcover.grid import build_grid, build_segments, root_length
 from flowcover.jobs import make_instance, perturb_release_times, total_horizon
 from flowcover.harness import CampaignConfig, campaign_instance
 from flowcover.oracle import reduce_instance
-from helpers import campaign_coverings, edf_meets_deadlines, full_selection, release_of
+from helpers import (
+    anchor_job,
+    campaign_coverings,
+    edf_meets_deadlines,
+    full_selection,
+    ray_rectangles,
+    rects_crossing,
+    release_of,
+)
 
 
 def cov_for(triples, K=2, shift=0, cost_model="weighted_length"):
@@ -352,7 +359,7 @@ def test_rays_starting_at_releases_dominate():
         cov = random_cov(rng, n_max=5, K=2 if trial % 2 else 3)
         for t in range(cov.horizon + 1):
             for s in range(t + 1):
-                j = cov.anchor_job(s)
+                j = anchor_job(cov, s)
                 r_j = release_of(cov, j) if j is not None else None
                 if r_j is not None and r_j <= t:
                     assert ray_rectangles(cov, s, t) == ray_rectangles(cov, r_j, t)
@@ -372,7 +379,7 @@ def naive_scan(cov, sel):
             need = cov.demand(s, t)
             if need <= 0:
                 continue
-            assert cov.anchor_job(s) is not None
+            assert anchor_job(cov, s) is not None
             got = sum(r.capacity for r in ray_rectangles(cov, s, t) if r.rid in sel.chosen)
             if got < need:
                 violations.append((s, t, need, got))
@@ -516,7 +523,7 @@ def test_rects_crossing_built_on_first_use():
             through = tuple(
                 r for r in cov.rectangles if r.x_begin <= t < r.x_end and 0 <= t <= cov.horizon
             )
-            assert cov.rects_crossing(t) == through
+            assert rects_crossing(cov, t) == through
             assert [r.job for r in through] == sorted(r.job for r in through)
         assert "_crossing" in vars(cov)
 

@@ -32,6 +32,7 @@ from helpers import (
     dense_carry,
     is_canonical,
     next_carry,
+    rects_crossing,
     release_of,
     step_over_top_child,
     subcells,
@@ -219,7 +220,7 @@ def test_settled_rays_match_per_t_reference():
                 demands = [
                     cov.demand(r_job, t)
                     for t in range(max(sub[0], r_job), min(sub[1], cov.horizon + 1))
-                    if cov.rects_crossing(t)[-1].job <= job
+                    if rects_crossing(cov, t)[-1].job <= job
                 ]
                 largest.append(max(demands) if demands else None)
             settled = [dem for dem in largest if dem is not None]

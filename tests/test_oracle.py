@@ -9,7 +9,6 @@ from flowcover.covering import (
     Selection,
     build_covering,
     check_feasible,
-    ray_rectangles,
     selection_cost,
 )
 from flowcover.dpsolver import DpError
@@ -24,6 +23,7 @@ from flowcover.oracle import (
     reduce_instance,
     verify_pair,
 )
+from helpers import ray_rectangles
 
 
 def cov_for(triples, K=2, shift=0):
@@ -32,17 +32,17 @@ def cov_for(triples, K=2, shift=0):
     return build_covering(inst, grid)
 
 
-def random_cov(rng, K=2):
+def random_cov(rng, K=2, cost_model="weighted_length", n_min=1, p_max=3):
     inst = make_instance(
         [
-            (rng.randint(0, 3), rng.randint(1, 3), rng.randint(1, 3))
-            for _ in range(rng.randint(1, 3))
+            (rng.randint(0, 3), rng.randint(1, p_max), rng.randint(1, 3))
+            for _ in range(rng.randint(n_min, 3))
         ]
     )
     work = perturb_release_times(inst, 1)
     T = total_horizon(work)
     grid = build_grid(T + 1, K, shift=rng.randrange(root_length(T + 1, K)))
-    return build_covering(work, grid)
+    return build_covering(work, grid, cost_model=cost_model)
 
 
 def test_empty_instance_yields_empty_minimum():
@@ -84,41 +84,52 @@ def test_oracle_matches_feasibility_and_is_minimal():
 
 def test_oracle_matches_unpruned_enumeration():
     # every prefix combination, judged by the feasibility scan alone: the
-    # oracle's pruning and its choice of rays must not change the minimum
+    # oracle's pruning and its choice of rays must not change the minimum,
+    # nor, under unit costs where ties are common, the tie-break.  Two rows
+    # or more, so that rays cross several groups; at K=4 only processing 1
+    # keeps two rows under the size cap
     rng = Random(8)
+    kinds = [(K, cost_model) for K in (2, 3, 4) for cost_model in ("weighted_length", "unit")]
     checked = 0
     largest = 0
-    while checked < 40:
-        cov = random_cov(rng, K=2 + checked % 2)
+    ties = 0
+    while checked < 60:
+        K, cost_model = kinds[checked % len(kinds)]
+        cov = random_cov(rng, K=K, cost_model=cost_model, n_min=2, p_max=1 if K == 4 else 3)
         choices = [range(len(g.rectangles) + 1) for g in cov.groups]
         size = 1
         for c in choices:
             size *= len(c)
         if size > 400:
             continue
-        best = None
+        feasible = []
         for takes in product(*choices):
             sel = Selection.of(
                 r.rid for g, take in zip(cov.groups, takes) for r in g.rectangles[:take]
             )
             if check_feasible(cov, sel).ok:
-                cand = (selection_cost(cov, sel), sel.sorted_ids())
-                best = cand if best is None or cand < best else best
+                feasible.append((selection_cost(cov, sel), sel.sorted_ids()))
+        best = min(feasible)
         cost, sel = brute_force_covering(cov)
         assert (cost, sel.sorted_ids()) == best
         checked += 1
         largest = max(largest, size)
-    assert largest > 100
+        ties += [c for c, _ in feasible].count(best[0]) > 1
+    assert largest > 100 and ties
 
 
 # Search nodes of the campaign draws with seeds 0..9 (n <= 3), per (K, cost
-# model): the least max_combinations that does not raise.  A change to how a
-# node decides its takes must leave every count as it is.
+# model): the least max_combinations that does not raise.  Every ray is
+# checked at every group it crosses, with its later groups taken in full
+# (the oracle docstring), so the search cuts each subtree whose prefix no
+# completion can make feasible.  A change to how a node finds its takes
+# must leave every count as it is, and a change to which rays it checks
+# must move none of them up.
 SEARCH_NODES = {
-    (2, "weighted_length"): (8, 3, 3, 5, 3, 149, 191, 11, 4, 69),
-    (2, "unit"): (12, 3, 3, 5, 3, 504, 309, 19, 4, 44),
-    (3, "weighted_length"): (65, 3, 3, 3, 3, 248, 136, 20, 4, 41),
-    (3, "unit"): (78, 3, 3, 3, 3, 26300, 315, 54, 4, 30),
+    (2, "weighted_length"): (8, 3, 3, 5, 3, 64, 131, 11, 4, 69),
+    (2, "unit"): (12, 3, 3, 5, 3, 196, 249, 19, 4, 44),
+    (3, "weighted_length"): (65, 3, 3, 3, 3, 122, 25, 20, 4, 41),
+    (3, "unit"): (78, 3, 3, 3, 3, 16452, 204, 54, 4, 30),
 }
 
 
