@@ -363,6 +363,14 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # the covering keeps one demand column per time step up to the horizon
+        print(
+            "error: out of memory; the horizon (largest release plus total "
+            "processing) is too large",
+            file=sys.stderr,
+        )
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,5 +1,19 @@
 """Geometric covering instances: rectangles, prefix groups, rays, demands.
 
+Each job j has segments that partition [r_j, end(root)) of the ``grid``.
+Take the chain of cells containing r_j, one per level.  The deepest (leaf)
+cell is the unit [r_j, r_j + 1), the first segment.  Inside each ancestor
+the segments are its pieces (``GridCell.piece_width``) between the
+next-deeper chain cell's end and the ancestor's end; an ancestor whose
+next-deeper chain cell already ends where it does holds none.  Left to
+right the segment lengths are non-decreasing, each group's span ends at its
+cell's end and starts at a child boundary, and groups of different jobs
+never partially overlap (the later-released job's group span lies inside
+some group span of the earlier job whose cell is an ancestor-or-self of the
+later group's cell).  ``CoveringInstance`` is the one place these segments
+are made, so the structure holds by construction and nothing downstream
+re-derives it.
+
 Every segment of job j becomes an axis-parallel rectangle: the segment's
 x-interval at unit height in row j (y in [j, j+1)).  A rectangle carries a
 cost and a capacity equal to the job's processing time.  Within one group
@@ -35,8 +49,8 @@ reads them from per-row column arrays that it builds from the groups.
 ``CoveringInstance`` is the one way to make a covering, so what the rest
 of the package relies on holds by construction (its docstring) and is
 never checked again.  A build walks each job's cell chain once and makes
-one ``Rectangle`` per segment and one ``PrefixGroup`` per non-empty
-segment group, dozens per small instance, so both are
+one ``Rectangle`` per segment and one ``PrefixGroup`` per chain cell that
+holds segments, dozens per small instance, so both are
 ``typing.NamedTuple``s: immutable, equal and hashed by value.  The build
 makes them with ``tuple.__new__(cls, (...))``, which skips the
 Python-level ``__new__`` that a NamedTuple call runs and so costs less than
@@ -59,7 +73,7 @@ from itertools import accumulate
 from operator import sub
 from typing import Callable, Iterable, NamedTuple
 
-from .grid import Grid, GridCell, build_segments, cell_path
+from .grid import Grid, GridCell, cell_chain, cell_path
 from .jobs import Job, JobInstance, total_horizon
 
 CostFn = Callable[[Job, int, int], int]
@@ -150,15 +164,15 @@ class FeasibilityReport:
 class CoveringInstance:
     """Rectangles, groups, and ray machinery built from jobs plus a grid.
 
-    The one way to make a covering: for each job in order, every non-empty
-    group of ``build_segments`` becomes one ``PrefixGroup`` holding one
-    ``Rectangle`` per segment, costed by the ``cost_model`` named in
-    ``COST_MODELS``.  So ids run 0..N-1 in group order, every rectangle's
-    capacity is its job's processing, and every rectangle costs at least 1
-    (both models charge a weight >= 1 times a length >= 1, or 1; the DP's
-    threshold bounds rely on it).  Each row's groups are the grid's
-    segments, so they carry the structure of the ``grid`` docstring: each
-    row tiles [r_j, end(root)), groups nest and none straddles a cell.  The
+    The one way to make a covering: for each job in order, every cell of
+    its release's chain that holds segments (module docstring) becomes one
+    ``PrefixGroup`` holding one ``Rectangle`` per segment, costed by the
+    ``cost_model`` named in ``COST_MODELS``.  So ids run 0..N-1 in group
+    order, every rectangle's capacity is its job's processing, and every
+    rectangle costs at least 1 (both models charge a weight >= 1 times a
+    length >= 1, or 1; the DP's threshold bounds rely on it).  Each row's
+    groups carry the segment structure of the module docstring: each row
+    tiles [r_j, end(root)), groups nest and none straddles a cell.  The
     DP classifies each (job, cell, k) table by it in O(1), and the
     feasibility scan's column arrays rely on what it implies: every
     x-interval is non-empty and starts at or after r_j >= 0.
@@ -168,9 +182,9 @@ class CoveringInstance:
     grid's root interval, or for an unknown cost model.
 
     ``releases`` holds the jobs' release times in release order,
-    ``row_groups[j - 1]`` row j's groups, deepest cell first, as
-    ``build_segments`` walks its release's cell chain, ``proc_prefix[j]``
-    is p_1 + ... + p_j, the processing of the first j jobs, for j = 0..n,
+    ``row_groups[j - 1]`` row j's groups, deepest cell first, as the build
+    walks its release's cell chain, ``proc_prefix[j]`` is p_1 + ... + p_j,
+    the processing of the first j jobs, for j = 0..n,
     ``excess[t]`` is the processing released by t, minus t, for t = 0..T,
     and ``row_offset[j - 1]`` is P_{j-1} - r_j, so that d(r_j, t) =
     excess[t] - row_offset[j - 1].
@@ -190,16 +204,21 @@ class CoveringInstance:
         for job in instance.jobs:
             jid, p = job.id, job.processing
             row: list[PrefixGroup] = []
-            for _, cell, segments in build_segments(job, grid):
-                if segments:
+            # the leaf's group starts at r_j, each ancestor's where the last ended
+            lo = job.release
+            for cell in reversed(cell_chain(grid, lo)):
+                end, width = cell.end, cell.piece_width
+                if lo < end:
                     rects = []
-                    for a, b in segments:
+                    for a in range(lo, end, width):
+                        b = a + width
                         rects.append(new(Rectangle, (rid, jid, a, b, cost_fn(job, a, b), p)))
                         rid += 1
                     rectangles += rects
                     group = new(PrefixGroup, (jid, cell, tuple(rects)))
                     row.append(group)
                     by_key[jid, cell.level, cell.begin] = group
+                    lo = end
             groups += row
             row_groups.append(tuple(row))
         self.instance = instance

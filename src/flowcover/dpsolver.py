@@ -133,8 +133,8 @@ settled demand.  Every capacity is p_job and ids run in group order
 next row's sorted ids are already sorted.
 
 O(1) facts classify a table, because ``CoveringInstance`` builds every
-row's groups from the grid's segments: rows tile [r_j, end(root)),
-releases strictly increase, and groups of different rows nest (``grid``
+row's groups from its release's cell chain: rows tile [r_j, end(root)),
+releases strictly increase, and groups of different rows nest (``covering``
 docstring), so no group straddles an area the recursion reaches.  So (job,
 cell, k) is canonical exactly when row job has a group in the cell whose
 first rectangle begins at x1, and its rectangles are then the pieces, from

@@ -1,4 +1,4 @@
-"""K-ary hierarchical grid over the time horizon and per-job segment structure.
+"""K-ary hierarchical grid over the time horizon.
 
 The time axis is recursively subdivided: level 0 is a single root cell whose
 half-open interval contains [0, T); every cell longer than one unit has
@@ -20,29 +20,12 @@ reads the chain.  ``cell_chain`` is the one root containment check.
 
 A cell's *pieces* cut it into equal intervals: units in a cell of length K
 or less (a leaf or a parent of leaves), its grandchild cells in any other.
-``GridCell.piece_width`` is this one layout rule: a job's segments are runs
-of pieces, and the dynamic program's carry holds one value per piece.
-
-Each job j is assigned segments Seg(j) that partition [r_j, end(root)).  Take
-the chain of cells containing r_j, one per level.  The deepest (leaf) cell is
-the unit [r_j, r_j + 1), the first segment.  Inside each ancestor the
-segments are its pieces between the next-deeper chain cell's end and the
-ancestor's end.  Left to right the segment lengths are non-decreasing, each
-group's span ends at its cell's end and starts at a child boundary, and
-groups of different jobs never partially overlap (the later-released job's
-group span lies inside some group span of the earlier job whose cell is an
-ancestor-or-self of the later group's cell).  ``build_segments`` is the
-one place these segments are made: a covering is built from it, so the
-structure holds there by construction and nothing downstream re-derives it.
+``GridCell.piece_width`` is this one layout rule: a job's segments (the
+``covering`` docstring) are runs of pieces, and the dynamic program's carry
+holds one value per piece.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
-
-from .jobs import Job
-
-Interval = tuple[int, int]
 
 
 class GridCell:
@@ -169,7 +152,7 @@ def cell_at(grid: Grid, level: int, x: int) -> GridCell:
 
 def cell_chain(grid: Grid, x: int) -> list[GridCell]:
     """Cells containing x, one per level, root first.  The one root
-    containment check; ``build_segments`` walks the chain of a release, so
+    containment check; the covering walks the chain of each release, so
     the message names x as one."""
     if not grid.root.contains_point(x):
         raise ValueError(
@@ -181,42 +164,6 @@ def cell_chain(grid: Grid, x: int) -> list[GridCell]:
         cell = cell.children[cell.child_index(x)]
         chain.append(cell)
     return chain
-
-
-class SegmentGroup(NamedTuple):
-    """The segments of one job inside one cell, ordered left to right.  A
-    NamedTuple, like the ``covering`` records: immutable, and cheaper to
-    build than a frozen dataclass.  ``build_segments`` makes it with
-    ``tuple.__new__(SegmentGroup, (...))``, skipping the NamedTuple's
-    Python-level ``__new__``."""
-
-    job: int
-    cell: GridCell
-    segments: tuple[Interval, ...]
-
-
-def build_segments(job: Job, grid: Grid) -> tuple[SegmentGroup, ...]:
-    """Segment groups of ``job``, deepest cell first.
-
-    Concatenating the groups' segments left to right yields a partition of
-    [r_j, end(root)) with non-decreasing segment lengths.  Groups may be
-    empty (when the chain cell at the next level already touches the cell's
-    end); they are kept so callers see one group per level.  A release
-    outside the root raises ValueError (``cell_chain``).  Each call walks
-    the release's cell chain once.
-    """
-    r = job.release
-    new = tuple.__new__  # positional records (``SegmentGroup``)
-    built: list[SegmentGroup] = []
-    lo = r  # the leaf's group starts at r, each ancestor's where the last ended
-    for cell in reversed(cell_chain(grid, r)):
-        # the cell's pieces from lo on, from a list: see the ``dpsolver``
-        # docstring on tuples
-        end, width = cell.end, cell.piece_width
-        segments = tuple([(x, x + width) for x in range(lo, end, width)])
-        built.append(new(SegmentGroup, (job.id, cell, segments)))
-        lo = end
-    return tuple(built)
 
 
 def cell_path(grid: Grid, cell: GridCell) -> str:

@@ -9,8 +9,9 @@ trial i exactly.
 Instances are drawn uniformly within the configured caps and redrawn (from
 the same seeded stream, hence reproducibly) until the preprocessed horizon
 fits the campaign's horizon cap, which also keeps the exhaustive oracle
-within budget.  Trials may run in a process pool; results are merged in trial
-order, so summaries and solution data are identical for any worker count.
+within its caps (``oracle.MAX_GROUPS`` and ``MAX_NODES``).  Trials may run
+in a process pool; results are merged in trial order, so summaries and
+solution data are identical for any worker count.
 
 A result has two reports: the summary, an artifact that holds answers only,
 and one CSV row per trial, which carries the counters and timing and which
@@ -25,7 +26,7 @@ from fractions import Fraction
 from random import Random
 
 from .jobs import JobInstance, make_instance, perturb_release_times, total_horizon
-from .oracle import OracleBudget, VerifyReport, verify_pair
+from .oracle import VerifyReport, verify_pair
 
 CSV_HEADER = "seed,n,P,K,shift,T,dp_cost,oracle_cost,states,ms"
 MAX_DRAW_ATTEMPTS = 1000
@@ -43,7 +44,6 @@ class CampaignConfig:
     horizon_max: int = 64
     cost_model: str = "weighted_length"
     workers: int = 1
-    budget: OracleBudget | None = None  # None: the oracle's default
 
     def __post_init__(self) -> None:
         if self.K < 2:
@@ -95,7 +95,6 @@ def run_trial(cfg: CampaignConfig, trial: int) -> VerifyReport:
         seed=seed,
         epsilon=cfg.epsilon,
         cost_model=cfg.cost_model,
-        budget=cfg.budget,
     )
 
 

@@ -61,42 +61,29 @@ from .jobs import (
 )
 
 
+# The exhaustive search's limits.  Both are counts, so whether a search
+# runs out does not depend on the machine's speed.  The walk recurses once
+# per group, so the group cap also bounds its depth; the node cap counts
+# the nodes actually visited (the pruned tree, not the far larger product
+# of prefix choices).
+MAX_GROUPS = 256
+MAX_NODES = 2_000_000
+
+
 class OracleBudgetExceeded(RuntimeError):
-    """The exhaustive search hit its group or node budget."""
+    """The exhaustive search hit MAX_GROUPS or MAX_NODES."""
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    """Limits for the exhaustive search.
-
-    ``max_combinations`` caps the number of search nodes actually visited
-    (the pruned tree, not the astronomically larger unpruned product of
-    prefix choices).  Both limits are counts, so whether a search runs out
-    does not depend on the machine's speed.
-    """
-
-    max_groups: int = 256
-    max_combinations: int = 2_000_000
-
-    def __post_init__(self) -> None:
-        for name in ("max_groups", "max_combinations"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-
-
-def brute_force_covering(
-    cov: CoveringInstance, budget: OracleBudget | None = None
-) -> tuple[int, Selection]:
+def brute_force_covering(cov: CoveringInstance) -> tuple[int, Selection]:
     """Cheapest prefix-valid selection covering every ray demand.
 
     Ties are broken towards the lexicographically smallest sorted tuple of
-    rectangle ids.  Raises OracleBudgetExceeded when the budget runs out.
+    rectangle ids.  Raises OracleBudgetExceeded beyond MAX_GROUPS groups or
+    MAX_NODES visited nodes.
     """
-    budget = budget or OracleBudget()
     groups = cov.groups
-    if len(groups) > budget.max_groups:
-        raise OracleBudgetExceeded(f"{len(groups)} groups exceed cap {budget.max_groups}")
+    if len(groups) > MAX_GROUPS:
+        raise OracleBudgetExceeded(f"{len(groups)} groups exceed cap {MAX_GROUPS}")
 
     # One pass over the groups: each group's prefix costs, and per row the
     # (group index, position in the group, capacity) of its rectangle
@@ -158,7 +145,7 @@ def brute_force_covering(
                 break
 
     last = len(groups)
-    max_nodes = budget.max_combinations
+    max_nodes = MAX_NODES
     lengths = [0] * last
     best: tuple[int, tuple[int, ...]] | None = None
     nodes = 0
@@ -292,7 +279,6 @@ def verify_pair(
     seed: int,
     epsilon: Fraction | int | str | None = None,
     cost_model: str = "weighted_length",
-    budget: OracleBudget | None = None,
 ) -> VerifyReport:
     """Reduce ``instance`` and solve it with both solvers.
 
@@ -324,7 +310,7 @@ def verify_pair(
 
     try:
         t1 = time.perf_counter()
-        oracle_cost, oracle_sel = brute_force_covering(cov, budget)
+        oracle_cost, oracle_sel = brute_force_covering(cov)
         oracle_ms = (time.perf_counter() - t1) * 1000.0
     except OracleBudgetExceeded as exc:
         return VerifyReport(status="skipped_budget", detail=str(exc), **base)

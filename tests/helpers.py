@@ -1,22 +1,24 @@
 """Checks the tests share that the package itself never runs.
 
+``job_groups`` reads one job's groups off a one-job covering, and
 ``segments_flat``, ``group_span``, ``is_descendant_or_self``,
 ``spans_nest`` and ``check_nesting`` state the segment structure of the
-``grid`` module docstring; ``is_canonical`` and ``area_holds_rectangle``
-are the two facts ``DpSolver`` classifies a table by, computed here on
-their own by scanning the covering.  ``subcells`` and ``dense_carry`` lay
-out a state's carry by its pieces.  ``next_carry`` and ``clamp`` are the
-whole-vector carry map and theta clamp that the DP's single-pass steps
-are checked against, and ``step_over_top_child`` the canonical step,
-take by take, that a tail table's answer is checked against.
-``rects_crossing``, ``anchor_job`` and ``ray_rectangles`` give the
-rectangles a ray [s, t] crosses from a per-column crossing index, and
-``full_selection`` and ``release_of`` read a covering the way the tests
-need and the package does not.  ``campaign_coverings`` draws the
-reductions that several draw-loop tests share.  ``opt_weighted_flow_time`` is the exhaustive
-optimum of a desk-scale schedule instance, the reference that the
-perturbation bound is checked against, and ``edf_meets_deadlines`` the
-schedule that the covering's feasibility is checked against.
+``covering`` module docstring on them; ``is_canonical`` and
+``area_holds_rectangle`` are the two facts ``DpSolver`` classifies a
+table by, computed here on their own by scanning the covering.
+``subcells`` and ``dense_carry`` lay out a state's carry by its pieces.
+``next_carry`` and ``clamp`` are the whole-vector carry map and theta
+clamp that the DP's single-pass steps are checked against, and
+``step_over_top_child`` the canonical step, take by take, that a tail
+table's answer is checked against.  ``rects_crossing``, ``anchor_job``
+and ``ray_rectangles`` give the rectangles a ray [s, t] crosses from a
+per-column crossing index, and ``full_selection`` and ``release_of``
+read a covering the way the tests need and the package does not.
+``campaign_coverings`` draws the reductions that several draw-loop tests
+share.  ``opt_weighted_flow_time`` is the exhaustive optimum of a
+desk-scale schedule instance, the reference that the perturbation bound
+is checked against, and ``edf_meets_deadlines`` the schedule that the
+covering's feasibility is checked against.
 """
 
 from __future__ import annotations
@@ -26,24 +28,32 @@ from collections.abc import Iterator, Sequence
 from functools import cache
 from math import inf
 
-from flowcover.covering import COST_MODELS, CoveringInstance, Rectangle, Selection
+from flowcover.covering import COST_MODELS, CoveringInstance, PrefixGroup, Rectangle, Selection
 from flowcover.dpsolver import Bounds, Carry, Entry, TableKey, area_begin
-from flowcover.grid import Grid, GridCell, Interval, SegmentGroup, build_segments, cell_at
+from flowcover.grid import Grid, GridCell, cell_at
 from flowcover.harness import CampaignConfig, campaign_instance
-from flowcover.jobs import Job, JobInstance, total_horizon
+from flowcover.jobs import Job, JobInstance, make_instance, total_horizon
 from flowcover.oracle import reduce_instance
 
+Interval = tuple[int, int]
 
-def segments_flat(groups: list[SegmentGroup]) -> list[Interval]:
+
+def job_groups(job: Job, grid: Grid) -> tuple[PrefixGroup, ...]:
+    """The groups of ``job`` alone on ``grid``, deepest cell first: the one
+    row of a one-job covering.  The job is re-id'd as 1 through
+    ``make_instance``, so draws with repeated releases work too."""
+    alone = make_instance([(job.release, job.processing, job.weight)])
+    return CoveringInstance(alone, grid).row_groups[0]
+
+
+def segments_flat(groups: Sequence[PrefixGroup]) -> list[Interval]:
     """All segments of one job, left to right."""
-    return [seg for group in groups for seg in group.segments]
+    return [(r.x_begin, r.x_end) for group in groups for r in group.rectangles]
 
 
-def group_span(group: SegmentGroup) -> Interval | None:
-    """[first segment's begin, last segment's end) of a group; None when empty."""
-    if not group.segments:
-        return None
-    return (group.segments[0][0], group.segments[-1][1])
+def group_span(group: PrefixGroup) -> Interval:
+    """[first segment's begin, last segment's end) of a group."""
+    return (group.rectangles[0].x_begin, group.rectangles[-1].x_end)
 
 
 def is_descendant_or_self(cell: GridCell, ancestor: GridCell) -> bool:
@@ -55,21 +65,18 @@ def is_descendant_or_self(cell: GridCell, ancestor: GridCell) -> bool:
     )
 
 
-def spans_nest(outer_groups: list[SegmentGroup], inner_groups: list[SegmentGroup]) -> bool:
-    """Whether every non-empty inner group's span sits inside the span of some
-    outer group whose cell is an ancestor-or-self of the inner group's cell.
+def spans_nest(outer_groups: Sequence[PrefixGroup], inner_groups: Sequence[PrefixGroup]) -> bool:
+    """Whether every inner group's span sits inside the span of some outer
+    group whose cell is an ancestor-or-self of the inner group's cell.
 
     ``outer_groups`` must belong to the job released no later than the other;
-    segment groups built on different grids will generally fail this check.
+    groups built on different grids will generally fail this check.
     """
     for inner in inner_groups:
-        span = group_span(inner)
-        if span is None:
-            continue
+        begin, end = group_span(inner)
         if not any(
-            (ospan := group_span(outer)) is not None
-            and ospan[0] <= span[0]
-            and span[1] <= ospan[1]
+            (ospan := group_span(outer))[0] <= begin
+            and end <= ospan[1]
             and is_descendant_or_self(inner.cell, outer.cell)
             for outer in outer_groups
         ):
@@ -81,7 +88,7 @@ def check_nesting(job: Job, job2: Job, grid: Grid) -> bool:
     """Nesting property for a pair of jobs built on one shared grid."""
     if job.release > job2.release:
         raise ValueError("check_nesting expects job.release <= job2.release")
-    return spans_nest(build_segments(job, grid), build_segments(job2, grid))
+    return spans_nest(job_groups(job, grid), job_groups(job2, grid))
 
 
 def is_canonical(job: int, cell: GridCell, k: int, cov: CoveringInstance) -> bool:
@@ -227,10 +234,13 @@ def release_of(cov: CoveringInstance, job: int) -> int:
     return cov.releases[job - 1]
 
 
-def campaign_coverings(draws: int) -> Iterator[CoveringInstance]:
-    """The reductions of campaign draws 0..``draws`` - 1 at each K = 2..5
-    under each cost model, with n <= 4 at K = 2 and n <= 3 above it."""
-    for K in (2, 3, 4, 5):
+def campaign_coverings(
+    draws: int, fans: Sequence[int] = (2, 3, 4, 5)
+) -> Iterator[CoveringInstance]:
+    """The reductions of campaign draws 0..``draws`` - 1 at each K in
+    ``fans`` under each cost model, with n <= 4 at K = 2 and n <= 3 above
+    it."""
+    for K in fans:
         for cost_model in COST_MODELS:
             for seed in range(draws):
                 cfg = CampaignConfig(seed=seed, K=K, n_max=4 if K == 2 else 3)

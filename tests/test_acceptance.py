@@ -14,11 +14,17 @@ import pytest
 
 from flowcover.cli import main
 from flowcover.covering import Selection, build_covering, check_feasible
-from flowcover.grid import build_grid, build_segments, root_length
+from flowcover.grid import build_grid, root_length
 from flowcover.harness import CampaignConfig, campaign_instance, run_campaign
 from flowcover.jobs import make_instance, perturb_release_times, total_horizon
 from flowcover.oracle import reduce_instance
-from helpers import check_nesting, opt_weighted_flow_time, ray_rectangles, segments_flat
+from helpers import (
+    check_nesting,
+    job_groups,
+    opt_weighted_flow_time,
+    ray_rectangles,
+    segments_flat,
+)
 
 CAMPAIGN = CampaignConfig(
     seed=20_000, trials=200, K=2, n_max=4, p_max=4, w_max=4, horizon_max=64
@@ -110,7 +116,7 @@ def test_structural_suite():
             shift = rng.randrange(root_length(T + 1, K))
             grid = build_grid(T + 1, K, shift=shift)
             for job in inst.jobs:
-                groups = build_segments(job, grid)
+                groups = job_groups(job, grid)
                 flat = segments_flat(groups)
                 cursor = job.release
                 for a, b in flat:
@@ -120,8 +126,8 @@ def test_structural_suite():
                 lengths = [b - a for a, b in flat]
                 assert lengths == sorted(lengths)
                 for g in groups:
-                    if g.segments and g.cell.level <= grid.lmax - 2:
-                        assert len(g.segments) % K == 0 and len(g.segments) > 0
+                    if g.cell.level <= grid.lmax - 2:
+                        assert len(g.rectangles) % K == 0 and len(g.rectangles) > 0
             for a in inst.jobs:
                 for b in inst.jobs:
                     if a.release <= b.release:

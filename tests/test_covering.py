@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-import flowcover.grid as grid_mod
+import flowcover.covering as covering_mod
 from flowcover.covering import (
     Selection,
     build_covering,
@@ -14,7 +14,7 @@ from flowcover.covering import (
 )
 from flowcover.dpsolver import DpSolver
 from flowcover.dpsolver import solve as dp_solve
-from flowcover.grid import build_grid, build_segments, root_length
+from flowcover.grid import build_grid, root_length
 from flowcover.jobs import make_instance, perturb_release_times, total_horizon
 from flowcover.harness import CampaignConfig, campaign_instance
 from flowcover.oracle import reduce_instance
@@ -82,8 +82,7 @@ def test_rows_follow_job_index():
 def test_records_are_immutable():
     cov = cov_for([(0, 2, 1), (1, 1, 1)])
     rect, group = cov.rectangles[0], cov.groups[0]
-    seg_group = build_segments(cov.instance.jobs[0], cov.grid)[0]
-    for record, name in ((rect, "cost"), (group, "job"), (seg_group, "segments")):
+    for record, name in ((rect, "cost"), (group, "job")):
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
     with pytest.raises(AttributeError):
@@ -105,15 +104,18 @@ def test_build_covering_walks_each_cell_chain_once(monkeypatch):
     work = perturb_release_times(make_instance([(0, 2, 1), (1, 3, 2), (1, 1, 1), (4, 2, 3)]), 1)
     grid = build_grid(total_horizon(work) + 1, 3, shift=2)
     walks = []
-    walk = grid_mod.cell_chain
-    monkeypatch.setattr(grid_mod, "cell_chain", lambda grid, x: walks.append(x) or walk(grid, x))
+    walk = covering_mod.cell_chain
+    monkeypatch.setattr(
+        covering_mod, "cell_chain", lambda grid, x: walks.append(x) or walk(grid, x)
+    )
     cov = build_covering(work, grid)
     assert walks == list(cov.releases)  # one walk per job
 
 
 def test_build_guarantees_what_the_search_and_the_scan_rely_on():
-    # CoveringInstance makes its groups from build_segments, so these hold
-    # by construction; the DP's bounds and the feasibility scan rely on them
+    # CoveringInstance makes its groups off each release's cell chain, so
+    # these hold by construction; the DP's bounds and the feasibility scan
+    # rely on them
     coverings = 0
     for cov in campaign_coverings(40):
         rects = cov.rectangles

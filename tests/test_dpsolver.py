@@ -21,7 +21,7 @@ from flowcover.dpsolver import (
     area_begin,
     solve,
 )
-from flowcover.grid import GridCell, build_grid, build_segments, cell_at, root_length
+from flowcover.grid import GridCell, build_grid, cell_at, root_length
 from flowcover.harness import CampaignConfig, campaign_instance
 from flowcover.jobs import Job, make_instance, perturb_release_times, total_horizon
 from flowcover.oracle import brute_force_covering, reduce_instance, reduction_grid
@@ -31,6 +31,7 @@ from helpers import (
     clamp,
     dense_carry,
     is_canonical,
+    job_groups,
     next_carry,
     rects_crossing,
     release_of,
@@ -138,10 +139,9 @@ def test_piece_layout_matches_independent_recount():
                             )
                         assert subcells(cell, k, grid) == expect
             for r in range(max(grid.root.begin, 0), grid.root.end):
-                for group in build_segments(Job(1, r, 1, 1), grid):
-                    if group.segments:
-                        widths = {b - a for a, b in group.segments}
-                        assert widths == {group.cell.piece_width}
+                for group in job_groups(Job(1, r, 1, 1), grid):
+                    widths = {rect.x_end - rect.x_begin for rect in group.rectangles}
+                    assert widths == {group.cell.piece_width}
 
 
 def test_subcells_count_bounded_by_k_squared():

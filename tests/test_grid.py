@@ -4,14 +4,20 @@ import pytest
 
 from flowcover.grid import (
     build_grid,
-    build_segments,
     cell_at,
     cell_chain,
     cell_path,
     root_length,
 )
 from flowcover.jobs import Job, make_instance
-from helpers import check_nesting, group_span, segments_flat, spans_nest
+from helpers import (
+    campaign_coverings,
+    check_nesting,
+    group_span,
+    job_groups,
+    segments_flat,
+    spans_nest,
+)
 
 
 def intervals_partition(segments, lo, hi):
@@ -177,36 +183,36 @@ def test_levels_match_independent_recount_after_lazy_access():
         assert [(c.begin, c.end) for c in grid.levels[level]] == expect
 
 
-# -- build_segments -----------------------------------------------------------
+# -- segments: a job's groups in the covering --------------------------------
 
 
 def test_segments_example_r5():
     grid = build_grid(T=8, K=2, shift=0)
-    groups = build_segments(Job(1, 5, 1, 1), grid)
-    by_cell = {(g.cell.begin, g.cell.end): g.segments for g in groups}
-    assert by_cell[(5, 6)] == ((5, 6),)
-    assert by_cell[(4, 6)] == ()
-    assert by_cell[(4, 8)] == ((6, 7), (7, 8))
-    assert by_cell[(0, 8)] == ()
+    groups = job_groups(Job(1, 5, 1, 1), grid)
+    by_cell = {(g.cell.begin, g.cell.end): segments_flat([g]) for g in groups}
+    assert by_cell[(5, 6)] == [(5, 6)]
+    assert (4, 6) not in by_cell  # no group in that cell
+    assert by_cell[(4, 8)] == [(6, 7), (7, 8)]
+    assert (0, 8) not in by_cell
     assert intervals_partition(segments_flat(groups), 5, 8)
 
 
 def test_segments_full_span_from_root_begin():
     grid = build_grid(T=8, K=2, shift=0)
-    groups = build_segments(Job(1, 0, 1, 1), grid)
+    groups = job_groups(Job(1, 0, 1, 1), grid)
     assert intervals_partition(segments_flat(groups), 0, 8)
 
 
 def test_segments_last_slot_only():
     grid = build_grid(T=8, K=2, shift=0)
-    groups = build_segments(Job(1, 7, 1, 1), grid)
+    groups = job_groups(Job(1, 7, 1, 1), grid)
     assert segments_flat(groups) == [(7, 8)]
 
 
 def test_segments_release_outside_root():
     grid = build_grid(T=4, K=2)
     with pytest.raises(ValueError):
-        build_segments(Job(1, 9, 1, 1), grid)
+        job_groups(Job(1, 9, 1, 1), grid)
 
 
 def test_segment_structure_invariants_random():
@@ -218,25 +224,24 @@ def test_segment_structure_invariants_random():
         shift = rng.randrange(root_length(T, K))
         grid = build_grid(T, K, shift=shift)
         for job in inst.jobs:
-            groups = build_segments(job, grid)
+            groups = job_groups(job, grid)
             flat = segments_flat(groups)
             assert intervals_partition(flat, job.release, grid.root.end)
             lengths = [b - a for a, b in flat]
             assert lengths == sorted(lengths)
             for g in groups:
-                if not g.segments:
-                    continue
-                widths = {b - a for a, b in g.segments}
+                segments = segments_flat([g])
+                widths = {b - a for a, b in segments}
                 assert len(widths) == 1
                 span = group_span(g)
                 assert g.cell.begin <= span[0] and span[1] == g.cell.end
                 if g.cell.level <= grid.lmax - 2:
-                    count = len(g.segments)
+                    count = len(segments)
                     assert count % K == 0 and 0 < count <= K * K
                 if g.cell.level <= grid.lmax - 1:
                     child_begins = {c.begin for c in g.cell.children}
                     assert span[0] in child_begins
-                assert all(isinstance(x, int) for seg in g.segments for x in seg)
+                assert all(isinstance(x, int) for seg in segments for x in seg)
 
 
 # -- nesting -------------------------------------------------------------------
@@ -262,13 +267,26 @@ def test_nesting_random_pairs():
                     assert check_nesting(a, b, grid)
 
 
+def test_nesting_over_campaign_rows_at_wide_fans():
+    # the DP's split rule relies on nesting at every fan the campaigns reach,
+    # K = 8 included; the draws above stop at K = 3
+    pairs = 0
+    for cov in campaign_coverings(40, fans=(2, 3, 4, 5, 8)):
+        for a in cov.instance.jobs:
+            for b in cov.instance.jobs:
+                if a.release <= b.release:
+                    assert check_nesting(a, b, cov.grid)
+                    pairs += a is not b
+    assert pairs > 500
+
+
 def test_nesting_fails_across_different_shifts():
-    # mixing segments built on differently shifted grids breaks the contract
+    # mixing groups built on differently shifted grids breaks the contract
     job_a = Job(1, 2, 1, 1)
     job_b = Job(2, 3, 1, 1)
     grid_a = build_grid(T=6, K=2, shift=0)
     grid_b = build_grid(T=6, K=2, shift=3)
-    assert not spans_nest(build_segments(job_a, grid_a), build_segments(job_b, grid_b))
+    assert not spans_nest(job_groups(job_a, grid_a), job_groups(job_b, grid_b))
 
 
 def test_nesting_requires_release_order():

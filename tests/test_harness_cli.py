@@ -2,13 +2,13 @@ import json
 import os
 import subprocess
 import sys
-from functools import partial
 from pathlib import Path
 from random import Random
 
 import pytest
 
 import flowcover
+import flowcover.cli as cli_mod
 import flowcover.oracle as oracle_mod
 from flowcover.cli import main
 from flowcover.harness import (
@@ -20,7 +20,6 @@ from flowcover.harness import (
     run_trial,
 )
 from flowcover.jobs import perturb_release_times, total_horizon
-from flowcover.oracle import OracleBudget
 
 
 # -- harness ---------------------------------------------------------------------
@@ -63,8 +62,9 @@ def test_campaign_counts_sum_to_trials():
     assert res.verified == 8
 
 
-def test_campaign_skip_accounting():
-    cfg = CampaignConfig(seed=10, trials=5, budget=OracleBudget(max_combinations=1))
+def test_campaign_skip_accounting(monkeypatch):
+    monkeypatch.setattr(oracle_mod, "MAX_NODES", 1)
+    cfg = CampaignConfig(seed=10, trials=5)
     res = run_campaign(cfg)
     assert res.skipped == 5 and res.verified == 0 and not res.failures
     summary = res.summary_dict()
@@ -584,8 +584,8 @@ def test_verify_summary_byte_identical_across_workers(tmp_path):
 
 
 def test_verify_budget_skips(tmp_path, monkeypatch, capsys):
-    # the oracle's default budget, read when it runs, cut to its first node
-    monkeypatch.setattr(oracle_mod, "OracleBudget", partial(OracleBudget, max_combinations=1))
+    # the oracle's node cap, read when it runs, cut to its first node
+    monkeypatch.setattr(oracle_mod, "MAX_NODES", 1)
     out = tmp_path / "summary.json"
     rc = main(["verify", "--seed", "70", "--trials", "3", "--out", str(out)])
     assert rc == 0  # skips are not failures
@@ -706,6 +706,22 @@ def test_cli_error_exit_code(tmp_path, capsys):
     rc = main(["solve", "--instance", str(tmp_path / "missing.json")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_oversized_horizon_is_one_error_line(tmp_path, monkeypatch, capsys):
+    # a release of 2e9 asks the covering for a demand column per time step;
+    # the allocation's MemoryError is stood in for here
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_mod, "reduce_instance", out_of_memory)
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"jobs":[{"id":1,"release":2000000000,"processing":1,"weight":1}]}')
+    _assert_one_line_error(
+        _instance_commands(inst)[:2],  # check fails on its solution record first
+        capsys,
+        "out of memory; the horizon (largest release plus total processing) is too large",
+    )
 
 
 def _instance_commands(inst):

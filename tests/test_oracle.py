@@ -16,7 +16,6 @@ from flowcover.grid import build_grid, root_length
 from flowcover.harness import CampaignConfig, campaign_instance, run_campaign
 from flowcover.jobs import make_instance, perturb_release_times, total_horizon
 from flowcover.oracle import (
-    OracleBudget,
     OracleBudgetExceeded,
     brute_force_covering,
     derive_shift,
@@ -134,13 +133,15 @@ SEARCH_NODES = {
 
 
 @pytest.mark.parametrize("K, cost_model", sorted(SEARCH_NODES))
-def test_search_visits_the_pinned_nodes(K, cost_model):
+def test_search_visits_the_pinned_nodes(K, cost_model, monkeypatch):
     cfg = CampaignConfig(K=K, n_max=3, cost_model=cost_model)
     for seed, nodes in enumerate(SEARCH_NODES[K, cost_model]):
         cov = reduce_instance(campaign_instance(seed, cfg), K, seed, cost_model=cost_model)
-        brute_force_covering(cov, OracleBudget(max_combinations=nodes))
+        monkeypatch.setattr(oracle_mod, "MAX_NODES", nodes)
+        brute_force_covering(cov)
+        monkeypatch.setattr(oracle_mod, "MAX_NODES", nodes - 1)
         with pytest.raises(OracleBudgetExceeded, match="nodes"):
-            brute_force_covering(cov, OracleBudget(max_combinations=nodes - 1))
+            brute_force_covering(cov)
 
 
 def test_unit_cost_campaign_breaks_ties_alike():
@@ -186,26 +187,18 @@ def test_oracle_deterministic():
     assert first[1].sorted_ids() == second[1].sorted_ids()
 
 
-def test_budget_node_cap():
+def test_budget_node_cap(monkeypatch):
     cov = cov_for([(0, 3, 1), (1, 2, 1)])
+    monkeypatch.setattr(oracle_mod, "MAX_NODES", 1)
     with pytest.raises(OracleBudgetExceeded, match="nodes"):
-        brute_force_covering(cov, OracleBudget(max_combinations=1))
+        brute_force_covering(cov)
 
 
-def test_budget_group_cap():
+def test_budget_group_cap(monkeypatch):
     cov = cov_for([(0, 3, 1), (1, 2, 1)])
+    monkeypatch.setattr(oracle_mod, "MAX_GROUPS", 1)
     with pytest.raises(OracleBudgetExceeded, match="groups"):
-        brute_force_covering(cov, OracleBudget(max_groups=1))
-
-
-@pytest.mark.parametrize(
-    "name, value, least",
-    [("max_groups", 0, 1), ("max_combinations", -3, 1)],
-)
-def test_budget_names_the_bad_field(name, value, least):
-    with pytest.raises(ValueError) as exc:
-        OracleBudget(**{name: value})
-    assert str(exc.value) == f"{name} must be >= {least}, got {value}"
+        brute_force_covering(cov)
 
 
 def test_derive_shift_seeded_and_in_range():
@@ -250,9 +243,10 @@ def test_verify_pair_epsilon_override():
     assert report.P == 4  # processing scaled by n/eps = 4
 
 
-def test_verify_pair_budget_skip():
+def test_verify_pair_budget_skip(monkeypatch):
     inst = make_instance([(0, 2, 1), (1, 1, 1)])
-    report = verify_pair(inst, K=2, seed=0, budget=OracleBudget(max_combinations=1))
+    monkeypatch.setattr(oracle_mod, "MAX_NODES", 1)
+    report = verify_pair(inst, K=2, seed=0)
     assert report.skipped and report.status == "skipped_budget"
     assert report.oracle_cost is None
     assert report.dp_cost is not None  # the DP side still ran
@@ -261,7 +255,7 @@ def test_verify_pair_budget_skip():
 def test_verify_pair_mismatch_report(monkeypatch):
     inst = make_instance([(0, 2, 1), (1, 1, 1)])
 
-    def wrong_oracle(cov, budget=None):
+    def wrong_oracle(cov):
         return 0, Selection.of([])
 
     monkeypatch.setattr(oracle_mod, "brute_force_covering", wrong_oracle)
@@ -279,7 +273,7 @@ def test_verify_pair_reports_a_tie_broken_apart(monkeypatch):
     report = verify_pair(inst, K=2, seed=2, cost_model="unit")
     assert report.ok and report.dp_selection == (0, 1, 2, 3, 6, 7)
 
-    def other_tie(cov, budget=None):
+    def other_tie(cov):
         return 6, Selection.of([0, 1, 2, 6, 7, 8])
 
     monkeypatch.setattr(oracle_mod, "brute_force_covering", other_tie)
@@ -300,7 +294,7 @@ def test_verify_pair_scans_only_an_oracle_selection_that_differs(monkeypatch):
     )
     assert verify_pair(inst, K=2, seed=0).ok and scanned == []
 
-    def infeasible_oracle(cov, budget=None):
+    def infeasible_oracle(cov):
         return 0, Selection.of([])
 
     monkeypatch.setattr(oracle_mod, "brute_force_covering", infeasible_oracle)
