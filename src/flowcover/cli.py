@@ -33,6 +33,7 @@ from .jobs import (
     instance_from_json,
     instance_to_json,
     parse_epsilon,
+    perturb_scale,
 )
 from .oracle import brute_force_covering, reduce_instance, reduction_fields
 
@@ -143,8 +144,9 @@ _SOLVE_RECORD_KEYS = (
 _SOLVE_RECORD_INTS = ("K", "seed", "leaf_len", "shift", "cost")
 
 
-def _record_type_error(record: dict) -> str | None:
-    """What is wrong with the types of a solve record's fields, if anything.
+def _record_type_error(record: dict, n: int) -> str | None:
+    """What is wrong with the types of a solve record's fields, if anything;
+    ``n`` is the instance's job count, which epsilon must scale exactly.
 
     ``type(v) is int`` rather than isinstance: JSON true/false load as bool,
     a subclass of int.
@@ -157,9 +159,13 @@ def _record_type_error(record: dict) -> str | None:
     if record["leaf_len"] != 1:
         return f"field 'leaf_len' must be 1 (leaves are unit cells), got {record['leaf_len']}"
     try:
-        parse_epsilon(record["epsilon"], "field 'epsilon'")
+        epsilon = parse_epsilon(record["epsilon"], "field 'epsilon'")
     except ValueError as exc:
         return str(exc)
+    try:
+        perturb_scale(n, epsilon)
+    except ValueError as exc:
+        return f"field 'epsilon' is {record['epsilon']!r} for n = {n}: {exc}"
     selection = record["selection"]
     if type(selection) is not list:
         return f"field 'selection' must be a list of integers, got {selection!r}"
@@ -188,7 +194,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         listed = ", ".join(missing)
         print(f"check: FAIL {args.solution} is not a solve record (missing: {listed})")
         return 1
-    problem = _record_type_error(record)
+    problem = _record_type_error(record, instance.n)
     if problem is not None:
         print(f"check: FAIL {args.solution} {problem}")
         return 1

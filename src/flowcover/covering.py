@@ -173,9 +173,10 @@ class CoveringInstance:
     length >= 1, or 1; the DP's threshold bounds rely on it).  Each row's
     groups carry the segment structure of the module docstring: each row
     tiles [r_j, end(root)), groups nest and none straddles a cell.  The
-    DP classifies each (job, cell, k) table by it in O(1), and the
-    feasibility scan's column arrays rely on what it implies: every
-    x-interval is non-empty and starts at or after r_j >= 0.
+    DP's tables are these groups and splits of a row's groups, which the
+    structure lets it find with no scan, and the feasibility scan's column
+    arrays rely on what it implies: every x-interval is non-empty and
+    starts at or after r_j >= 0.
 
     Raises ValueError unless the release times are pairwise distinct (run
     the release perturbation first) and every release lies inside the
@@ -198,7 +199,6 @@ class CoveringInstance:
         new = tuple.__new__  # positional records (module docstring)
         groups: list[PrefixGroup] = []
         rectangles: list[Rectangle] = []
-        by_key: dict[tuple[int, int, int], PrefixGroup] = {}
         row_groups: list[tuple[PrefixGroup, ...]] = []
         rid = 0  # the next rectangle's id
         for job in instance.jobs:
@@ -217,7 +217,6 @@ class CoveringInstance:
                     rectangles += rects
                     group = new(PrefixGroup, (jid, cell, tuple(rects)))
                     row.append(group)
-                    by_key[jid, cell.level, cell.begin] = group
                     lo = end
             groups += row
             row_groups.append(tuple(row))
@@ -227,7 +226,6 @@ class CoveringInstance:
         self.row_groups = row_groups
         self.rectangles: tuple[Rectangle, ...] = tuple(rectangles)
         self.horizon = total_horizon(instance)
-        self._group_by_key = by_key
         procs = [0] + [job.processing for job in instance.jobs]  # procs[j] = p_j
         self.proc_prefix = list(accumulate(procs))
         self.row_offset = list(map(sub, self.proc_prefix, self.releases))
@@ -237,9 +235,6 @@ class CoveringInstance:
         self.excess = list(map(sub, accumulate(released), range(self.horizon + 1)))
 
     # -- lookups ----------------------------------------------------------
-
-    def group(self, job: int, cell: GridCell) -> PrefixGroup | None:
-        return self._group_by_key.get((job, cell.level, cell.begin))
 
     def demand(self, s: int, t: int) -> int:
         """d([s, t]) = total processing released within [s, t] minus (t - s)."""
@@ -285,8 +280,6 @@ def check_feasible(cov: CoveringInstance, sel: Selection) -> FeasibilityReport:
     prefix_viols: list[PrefixViolation] = []
     for group in cov.groups:
         rects = group.rectangles
-        if not rects:
-            continue
         first = rects[0].rid  # a group's ids run first, first + 1, ...
         take = 0
         while take < len(rects) and first + take in chosen:

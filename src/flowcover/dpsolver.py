@@ -1,32 +1,37 @@
 """Exact dynamic program for prefix-constrained rectangle/ray covering.
 
-The solver walks states (job, cell, k, carry) top-down with memoization:
+The solver walks states (table, carry) top-down with memoization.  A table
+stands for an area A = [x1, end(cell)) x [job, oo):
 
 - ``job`` is a row index in 1..n+1; rows above it are already decided.
-- ``cell`` and ``k`` select the area A = [x1, end(cell)) x [job, oo), where
-  x1 is the start of the cell's k-th child; a leaf is a unit cell, whose one
-  area (k = 1) is the leaf itself.  Only rectangles wholly inside A may still
-  be chosen.
+- x1 is the begin of one of the cell's children, or of a leaf, a unit
+  cell whose one area is the leaf itself.  Only rectangles wholly inside
+  A may still be chosen.
 - ``carry`` holds one extra demand per piece of A's x-span, left to right:
   the cell's pieces from x1 on (``GridCell.piece_width``), zeros included.
   A carried value remembers, for rays that start at rows above ``job`` but
   reach down into A, how much capacity they are still owed: the state must
   cover d([r_job, t]) plus the carry of the piece containing t.
 
-A state is *canonical* when the job's own rectangles in the cell exactly
-span A's x-range, so they are A's pieces; the solver then tries every
-prefix of that group, checks the rays that no deeper row can still affect,
-re-derives the carry for the next row (selected capacity pays the debt, the
-job's own processing and the gap to the next release shift it), and
-recurses with job+1.  A canonical area that holds no rectangle of a deeper
-row is a *tail*: the next row bounds nothing there, so the tail's bounds
-alone answer each of its carries, with no search and no memo entry
-(below).  Otherwise the area *splits* into independent parts: row job's
-non-empty groups inside it, each a canonical area.  Canonical states and
-splits are the two kinds of state the solver searches and stores; an area
-that holds no rectangle is never searched (below).  The search itself
-holds a state as (table, carry): the table of (job, cell, k) (below) links
-the tables of the states it steps to, so no search step reads a cell.
+A table is one of the covering's groups or a split of a row's groups.  A
+*canonical* table is a group, whose rectangles exactly span A's x-range,
+so they are A's pieces; the solver tries every prefix of the group, checks
+the rays that no deeper row can still affect, re-derives the carry for the
+next row (selected capacity pays the debt, the job's own processing and
+the gap to the next release shift it), and steps to its child, the area
+[x1, end(cell)) one row down.  A canonical area that holds no rectangle of
+a deeper row is a *tail*: it has no child, the next row bounds nothing
+there, so the tail's bounds alone answer each of its carries, with no
+search and no memo entry (below).  One rule finds the table of a child's
+area, and of the root's, row 1 over the root cell: take row job's groups
+at the cell's level and below, deepest first.  When the last of them is
+the group in the cell itself and starts at x1, it is the whole area, and
+its table is the area's.  Otherwise the area *splits* into independent
+parts, those groups, each a canonical area; an instance without
+rectangles makes the root a split with no parts.  Canonical tables and
+splits are the two kinds of state the solver searches and stores.  Each
+table links the tables its states step to, so no search step reads a
+cell or looks a table up.
 
 Every carry transition is one pass over its carry.  A split hands each
 part, for each of the part's pieces, the value of the area's piece that
@@ -52,14 +57,14 @@ so with theta = tau(empty) and phi = tau(full):
   set to 0: the feasible selections, hence the cost and the tie-break, stay
   the same, and states that differ only there share one memo entry.
 
-theta and phi are filled once per (job, cell, k), bottom-up through the
-same recurrences as the states, by ``_table``, which builds the table.
-Like the carry, they hold one value per piece, clipped to -1..B, where B
-is the processing of the rows above, the largest value a carry of the
-row may hold, so B means "no bound"; an area without rectangles has B on
+theta and phi are filled once per table, bottom-up through the same
+recurrences as the states, by ``_table`` and ``_area``, which build the
+tables.  Like the carry, they hold one value per piece, clipped to -1..B,
+where B is the processing of the rows above, the largest value a carry of
+the row may hold, so B means "no bound"; a split without parts has B on
 every piece.
-A canonical triple with gap g and p = p_job reads its child (job+1, cell,
-k): theta_i = theta'_i - p + g and phi_i = phi'_i + g, or -1 where the
+A canonical table with gap g and p = p_job reads its child's bounds:
+theta_i = theta'_i - p + g and phi_i = phi'_i + g, or -1 where the
 child's value is negative; on a settled piece with largest demand dem_i
 they are also capped at -dem_i and p - dem_i.  A tail has no child, and
 reads its next row as bounding nothing, so its bounds come from its
@@ -105,21 +110,19 @@ rectangle ids, so results are deterministic.  The root state covers the full
 plane with zero carry, which is exactly the covering problem; its solution is
 re-verified against the exhaustive interval scan before being returned.
 
-Work that does not depend on the carry is done once per (job, cell, k) and
-kept in a ``TripleTable``: the number of pieces, the two bound vectors,
-whether the triple is canonical and, if so, whether it is a tail, the
-largest demand of each settled piece, the cost of every prefix of the group
-and the group's first id, or, for a split, its parts and their gathers.  A
-prefix's ids run from the first id on, so a canonical step builds a
-candidate's id tuple only when its cost can beat or tie the best so far.
-Tables read the covering's per-row arrays and one per-solve list of
-releases, r_1..r_n followed by the sentinel T + 1 of row n + 1, with no
-range-checked lookup per table.
-Each table links the tables of its child triples, so a search step looks
-up no table; building the root's table builds every table the search can
-reach, each with its depth.  Tables and memo entries are keyed on plain
-integers, ``(job, cell.level, cell.begin, k)``, with the carry appended
-for the memo, so no cell object is hashed on the way.
+Work that does not depend on the carry is done once per table and kept in
+a ``TripleTable``: the number of pieces, the two bound vectors, for a
+canonical table its group, whether it is a tail, the largest demand of
+each settled piece, the cost of every prefix of the group and the group's
+first id, or, for a split, its parts and their gathers.  A prefix's ids
+run from the first id on, so a canonical step builds a candidate's id
+tuple only when its cost can beat or tie the best so far.  Tables read the
+covering's per-row arrays and one per-solve list of releases, r_1..r_n
+followed by the sentinel T + 1 of row n + 1, with no range-checked lookup
+per table.  Building the root's table builds every table the search can
+reach, each once and with its depth: the links form a tree
+(``TripleTable``), so no table is looked up or cached on the way.  The
+memo is keyed ``(table, carry)``, and a table hashes by identity.
 
 Settled rays need no per-t scan.  Only the rays [r_job, t] can bind (the
 rule in ``covering``); one is settled at row ``job``, crossing no deeper row,
@@ -132,28 +135,27 @@ settled demand.  Every capacity is p_job and ids run in group order
 (``CoveringInstance`` builds both so), so a prefix's ids followed by the
 next row's sorted ids are already sorted.
 
-O(1) facts classify a table, because ``CoveringInstance`` builds every
-row's groups from its release's cell chain: rows tile [r_j, end(root)),
-releases strictly increase, and groups of different rows nest (``covering``
-docstring), so no group straddles an area the recursion reaches.  So (job,
-cell, k) is canonical exactly when row job has a group in the cell whose
-first rectangle begins at x1, and its rectangles are then the pieces, from
-r_job on; it is a tail exactly when, besides, job = n or r_{job+1} >=
-end(cell).  Otherwise A holds a rectangle exactly when job <= n and r_job
-< end(cell), and the area splits.  A third fact shapes the split: x1 <=
-r_job.  The search enters a cell below the root only as a split's part,
-whose cell holds that row's release, and later rows are released later,
-so r_job lies in the cell; and a release left of x1 would put row job's
-group in the cell across x1.  So the cells of row job's groups at the
-cell's level and below hold r_job, and the groups tile [r_job,
-end(cell)): they are row job's rectangles inside A, and every deeper row's
-lie inside them.  ``CoveringInstance.row_groups`` keeps each row's groups
-deepest first, so a split reads its parts off the front of its row's.  A
-split table whose release lies left of its area raises ``DpError``.  The
-carry checks (one value per piece, each in 0..the processing of the rows
-above) run for every carry handed to ``_cell``, before its bounds decide
-it, and for every state that is searched or answered as a tail, so a
-carry is never trusted because its triple was seen before.
+The rule that finds an area's table needs no scan of the covering, because
+``CoveringInstance`` builds every row's groups from its release's cell
+chain: rows tile [r_j, end(root)), releases strictly increase, and groups
+of different rows nest (``covering`` docstring), so no group straddles an
+area the recursion reaches.  A canonical table of row job's group in a
+cell has a child exactly when job < n and r_{job+1} < end(cell): a deeper
+row has a rectangle in the area exactly then.  Every cell the rule is
+applied to holds its row's release: the root holds r_1, and the cell of
+row job's group holds r_job, so with r_job < r_{job+1} < end(cell) it
+holds r_{job+1} too.  So row job + 1's groups at the cell's level and
+below tile [r_{job+1}, end(cell)), and every deeper row's lie inside
+them.  Where r_{job+1} < x1 it lies in the cell's child that holds
+r_job, so row job + 1's group in the cell starts at x1, as row job's
+does, and is the whole area; otherwise those groups are the row's
+rectangles inside A.  ``CoveringInstance.row_groups`` keeps each row's
+groups deepest first, so a split reads its parts off the front of its
+row's.  A split whose release lies left of its area raises ``DpError``.  The carry checks (one value per piece, each in 0..the
+processing of the rows above) run for every carry handed to ``_enter``,
+before its bounds decide it, and for every state that is searched or
+answered as a tail, so a carry is never trusted because its table was
+seen before.
 
 The tuples a solve builds are made from lists, ``tuple([...])``, not from
 generators.  CPython grows a tuple built from a generator by resizing it,
@@ -175,6 +177,7 @@ from typing import Callable
 
 from .covering import (
     CoveringInstance,
+    PrefixGroup,
     Selection,
     check_feasible,
     selection_cost,
@@ -184,8 +187,6 @@ from .grid import GridCell
 Carry = tuple[int, ...]  # one value per piece of the area, left to right
 Bounds = tuple[int, ...]  # one value per piece of the area, top meaning no bound
 Entry = tuple[int, tuple[int, ...]]  # (cost, sorted ids)
-TableKey = tuple[int, int, int, int]  # (job, cell.level, cell.begin, k)
-StateKey = tuple[TableKey, Carry]
 ZERO: Entry = (0, ())  # the empty selection
 
 
@@ -199,37 +200,31 @@ class DpError(RuntimeError):
     """Internal contract of the dynamic program broken."""
 
 
-def area_begin(cell: GridCell, k: int, K: int) -> int:
-    """Left edge x1 of the area of (cell, k): the k-th child's begin, or the
-    begin of a leaf, whose only area is k = 1."""
-    top = 1 if cell.is_leaf else K
-    if not 1 <= k <= top:
-        raise ValueError(f"k must be in 1..{top}, got {k}")
-    return cell.begin + (k - 1) * (cell.length // K)
-
-
 class TripleTable:
-    """Carry-independent facts of one (job, cell, k), shared by all its states.
+    """Carry-independent facts of one area, shared by all its states.
 
-    ``key`` is the triple's integer key, ``n_pieces`` the number of pieces
-    of the area, so the length of every carry of the triple, ``top`` the
-    processing of the rows above, the largest value a carry may hold, and
-    ``depth`` the search depth of the triple's states: the number of steps
-    from the table ``_cell`` entered, where it is 0.  The links form a
-    tree: a split's parts are distinct groups of its row, whose cells hold
-    its release, and a canonical table's child is its area one row down, so
-    a table is linked by one table only, and the build sets its depth from
-    that one.  Each row adds at most a split and a canonical table to a
-    path.
+    ``group`` is the covering's group that a canonical table is, or None
+    for a split.  ``n_pieces`` is the number of pieces of the area, so the
+    length of every carry of the table, ``top`` the processing of the rows
+    above, the largest value a carry may hold, and ``depth`` the search
+    depth of the table's states: the number of steps from the table
+    ``_enter`` was handed, where it is 0.  The links form a tree: a split's
+    parts are distinct groups of its row, whose cells hold its release, and
+    a canonical table's child is its area one row down, so a table is
+    linked by one table only, and the build sets its depth from that one.
+    Each row adds at most a split and a canonical table to a path.  Tables
+    hash by identity, so a memo key ``(table, carry)`` runs no Python-level
+    ``__hash__``.
     ``theta`` and ``phi`` are the bound vectors of the module docstring,
-    one value per piece, with ``top`` meaning no bound; an area without a
-    rectangle has ``top`` on every piece.  ``_table`` fills them, from the
-    child's, from a tail's settled pieces or from the parts'; the search
-    reads them: ``_decide`` clamps a carry to theta, ``_canonical`` clamps
-    both of its child's candidate values in the same pass that tests them,
-    and a tail's answer is the prefix through the last value over theta.
+    one value per piece, with ``top`` meaning no bound; a split with no
+    parts has ``top`` on every piece.  ``_table`` and ``_area`` fill them,
+    from the child's, from a tail's settled pieces or from the parts'; the
+    search reads them: ``_decide`` clamps a carry to theta, ``_canonical``
+    clamps both of its child's candidate values in the same pass that tests
+    them, and a tail's answer is the prefix through the last value over
+    theta.
 
-    Canonical triples, whose group's rectangles are the pieces, fill the
+    Canonical tables, whose group's rectangles are the pieces, fill the
     fields below; one loop over the rectangles fills ``settled``,
     ``prefix_cost`` and both bounds:
 
@@ -241,24 +236,23 @@ class TripleTable:
       take = 0..len(group);
     - ``first_rid``: the group's first id; the first ``take`` rectangles
       have ids first_rid..first_rid + take - 1;
-    - ``child``: the table of (job+1, cell, k), or None for a ``tail``,
-      whose area holds no rectangle of a deeper row.
+    - ``child``: the table of the area one row down, or None for a
+      ``tail``, whose area holds no rectangle of a deeper row.
 
-    Internal triples that split fill ``parts``: for each of row job's
-    non-empty groups at the cell's level and below, deepest first, its
-    canonical table and a gather, an ``operator.itemgetter`` that reads off
-    the area's carry the value of the piece holding each of the part's
-    pieces (a slice when those are the area's own pieces).
+    Splits fill ``parts``: for each of the row's groups at the cell's level
+    and below, deepest first, its canonical table and a gather, an
+    ``operator.itemgetter`` that reads off the area's carry the value of
+    the piece holding each of the part's pieces (a slice when those are the
+    area's own pieces).
     """
 
     __slots__ = (
-        "key",
+        "group",
         "n_pieces",
         "top",
         "depth",
         "theta",
         "phi",
-        "canonical",
         "settled",
         "p",
         "gap",
@@ -269,12 +263,11 @@ class TripleTable:
         "parts",
     )
 
-    def __init__(self, key: TableKey, n_pieces: int, top: int, canonical: bool, depth: int):
-        self.key = key
+    def __init__(self, group: PrefixGroup | None, n_pieces: int, top: int, depth: int):
+        self.group = group
         self.n_pieces = n_pieces
         self.top = top
         self.depth = depth
-        self.canonical = canonical
         self.theta: Bounds = ()
         self.phi: Bounds = ()
         self.settled: tuple[int, ...] = ()
@@ -287,6 +280,9 @@ class TripleTable:
         self.parts: tuple[tuple[TripleTable, Callable[[Carry], Carry]], ...] = ()
 
 
+StateKey = tuple[TripleTable, Carry]
+
+
 @dataclass
 class SolveStats:
     """Counters of one solve.  ``states`` counts stored memo entries, the
@@ -294,9 +290,10 @@ class SolveStats:
     from their bounds unstored; ``canonical_states`` and ``split_states``
     divide them by kind.  ``max_depth`` is the largest depth of a searched
     state's table.  These, ``carry_vectors`` and ``max_carry`` are read
-    off the memo once.  ``theta_decided`` and ``phi_decided`` count the
-    carries that the bounds answered without a search, as (0, ()) and as
-    infeasible."""
+    off the memo once.  ``triples`` counts the tables built, groups and
+    splits, the root's included.  ``theta_decided`` and ``phi_decided``
+    count the carries that the bounds answered without a search, as (0, ())
+    and as infeasible."""
 
     states: int = 0
     max_depth: int = 0
@@ -320,21 +317,24 @@ class DpResult:
 class DpSolver:
     """Memoized recursion over covering states; see the module docstring.
 
-    ``memo`` holds one entry per searched state, keyed ``((job,
-    cell.level, cell.begin, k), carry)`` with the carry after clamping; the
-    entry is (cost, sorted ids).  States the bounds decide are not stored,
-    so no entry is None (infeasible) or (0, ()); ``solve`` reads its counters off the memo.
+    ``memo`` holds one entry per searched state, keyed ``(table, carry)``
+    with the carry after clamping; the entry is (cost, sorted ids).  States
+    the bounds decide are not stored, so no entry is None (infeasible) or
+    (0, ()); ``solve`` reads its counters off the memo.  ``_tables`` lists
+    the tables in build order, the root's first.
     """
 
     def __init__(self, cov: CoveringInstance):
         self.cov = cov
         self.grid = cov.grid
-        # r_job for job = 1..n+1 at index job - 1; row n+1 is the sentinel
+        # r_job and row job's groups for job = 1..n+1 at index job - 1; row
+        # n+1 is the sentinel, released at T + 1, with no group
         self._releases = [*cov.releases, cov.horizon + 1]
+        self._rows = [*cov.row_groups, ()]
         self._n = cov.instance.n
         self.memo: dict[StateKey, Entry] = {}
         self._answers: dict[Entry, Entry] = {}  # each distinct answer, once
-        self._tables: dict[TableKey, TripleTable] = {}
+        self._tables: list[TripleTable] = []
         self._theta_decided = 0
         self._phi_decided = 0
 
@@ -351,16 +351,18 @@ class DpSolver:
         child belongs to the next row.  So a path spans at most 2n + 1
         tables; the bound adds one.  A split step, ``_state`` to ``_split``
         to ``_decide`` to ``_state``, is the longest, at
-        ``FRAMES_PER_LEVEL`` frames; the table build takes one frame a
-        level.  The margin covers this call's own frames and the C calls
-        inside a step."""
+        ``FRAMES_PER_LEVEL`` frames; the table build takes at most two
+        frames a level.  The margin covers this call's own frames and the C
+        calls inside a step."""
         started = time.perf_counter()
         levels = 2 * self.cov.instance.n + 2
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(limit + FRAMES_PER_LEVEL * levels + FRAME_MARGIN)
         root = self.grid.root
         try:
-            entry = self._cell(1, root, 1, (0,) * (root.length // root.piece_width))
+            # the root's table, and with it every table the search can reach
+            tab = self._area(1, root, root.begin, 0)
+            entry = self._enter(tab, (0,) * tab.n_pieces)
         finally:
             sys.setrecursionlimit(limit)  # the caller's limit
         if entry is None:
@@ -373,10 +375,9 @@ class DpSolver:
         if not report.ok:
             raise DpError(f"solver returned an infeasible selection: {report}")
         # the searched states' counters, read off the memo in one pass
-        tables, carries, canonical, max_depth = self._tables, set(), 0, 0
-        for tkey, carry in self.memo:
-            tab = tables[tkey]
-            canonical += tab.canonical
+        carries, canonical, max_depth = set(), 0, 0
+        for tab, carry in self.memo:
+            canonical += tab.group is not None
             if tab.depth > max_depth:
                 max_depth = tab.depth
             carries.add(carry)
@@ -396,11 +397,8 @@ class DpSolver:
 
     # -- recursion ------------------------------------------------------------
 
-    def _cell(self, job: int, cell: GridCell, k: int, carry: Carry) -> Entry | None:
-        """A carry from outside the recursion: checked, then decided.  The
-        table of (job, cell, k) is built with depth 0, and with it every table
-        the search can reach, so no later step reads a cell."""
-        tab = self._table(job, cell, k, 0)
+    def _enter(self, tab: TripleTable, carry: Carry) -> Entry | None:
+        """A carry from outside the recursion: checked, then decided."""
         self._check_carry(tab, carry)
         if any(map(gt, carry, tab.phi)):
             self._phi_decided += 1
@@ -445,13 +443,13 @@ class DpSolver:
                 take -= 1
             first = tab.first_rid
             return (tab.prefix_cost[take], tuple(range(first, first + take)))
-        key = (tab.key, carry)
+        key = (tab, carry)
         entry = self.memo.get(key)  # no entry is None
         if entry is not None:
             return entry
         if len(carry) != tab.n_pieces or min(carry) < 0 or max(carry) > tab.top:
             self._check_carry(tab, carry)  # raises
-        if tab.canonical:
+        if tab.group is not None:
             entry = self._canonical(tab, carry)
         else:
             entry = self._split(tab, carry)
@@ -540,104 +538,99 @@ class DpSolver:
         ids.sort()
         return (cost, tuple(ids))
 
-    # -- per-triple tables ---------------------------------------------------
+    # -- tables ---------------------------------------------------------------
 
-    def _table(self, job: int, cell: GridCell, k: int, depth: int) -> TripleTable:
-        """The table of (job, cell, k), built with the tables of its child
-        triples on first use.  ``depth`` is the search depth of its states,
-        one more than the depth of the table that links it."""
-        key = (job, cell.level, cell.begin, k)
-        tab = self._tables.get(key)
-        if tab is not None:
-            return tab
-        # the O(1) facts of the module docstring
-        cov = self.cov
-        x_begin = area_begin(cell, k, self.grid.K)
-        width = cell.piece_width
-        group = cov.group(job, cell)
-        canonical = group is not None and group.rectangles[0].x_begin == x_begin
+    def _table(self, group: PrefixGroup, depth: int) -> TripleTable:
+        """The canonical table of ``group``, whose rectangles are its area's
+        pieces, built with the tables it links.  ``depth`` is the search
+        depth of its states, one more than the depth of the table that links
+        it."""
+        cov, releases = self.cov, self._releases
+        job, cell, rects = group
         top = cov.proc_prefix[job - 1]
-        n_pieces = (cell.end - x_begin) // width
-        tab = self._tables[key] = TripleTable(key, n_pieces, top, canonical, depth)
-        releases = self._releases
-        if canonical:
-            rects = group.rectangles
-            r_next = releases[job]
-            tab.p = p = cov.proc_prefix[job] - top
-            tab.gap = gap = r_next - releases[job - 1]
-            tab.first_rid = rects[0].rid
-            if job < self._n and r_next < cell.end:
-                tab.child = child = self._table(job + 1, cell, k, depth + 1)
-                below_theta, below_phi = child.theta, child.phi
-            else:
-                # a tail: no deeper row has a rectangle in the area, so the
-                # area one row down bounds nothing, as if its bounds were its
-                # top, top + p, on every piece
-                tab.tail = True
-                below_theta = below_phi = repeat(top + p)
-            # One pass over the group's rectangles, which are the pieces.
-            # Settled rays (module docstring): only the prefix choice can
-            # still cover them, and a piece's rays share its carry and its
-            # rectangle.  Bounds from the child's: its value minus p plus gap
-            # for theta, plus gap for phi, -1 where it is negative; on a
-            # settled piece capped at -dem and p - dem; clipped to -1..top.
-            excess, offset = cov.excess, cov.row_offset[job - 1]
-            settled, prefix_cost, theta, phi = [], [0], [], []
-            cost = 0
-            for (_, _, x, _, c, _), t, f in zip(rects, below_theta, below_phi):
-                cost += c
-                prefix_cost.append(cost)
-                t = t - p + gap if t >= 0 else -1
-                f = f + gap if f >= 0 else -1
-                if x < r_next:
-                    dem = excess[x] - offset
-                    settled.append(dem)
-                    if t > -dem:
-                        t = -dem
-                    if f > p - dem:
-                        f = p - dem
-                theta.append(-1 if t < 0 else t if t < top else top)
-                phi.append(-1 if f < 0 else f if f < top else top)
-            tab.settled, tab.prefix_cost = tuple(settled), tuple(prefix_cost)
-            tab.theta, tab.phi = tuple(theta), tuple(phi)
-        elif job <= self._n and releases[job - 1] < cell.end:
-            # The area holds a rectangle but is not canonical: it splits into
-            # row job's groups at the cell's level and below, which tile
-            # [r_job, end(cell)), each a canonical area.  Each of a part's
-            # pieces lies in one of the area's, whose value it inherits; the
-            # area's pieces wholly left of r_job, where no ray of the state
-            # reaches, have no bound, and every other piece takes the minimum
-            # over the part pieces it holds.  The parts belong to one row, so they
-            # share ``top``.
-            r_job = releases[job - 1]
-            if r_job < x_begin:
-                raise DpError(f"release {r_job} of row {job} lies left of area {key}")
-            theta, phi, parts = [top] * n_pieces, [top] * n_pieces, []
-            for group in cov.row_groups[job - 1]:  # deepest first
-                part_cell = group.cell
-                if part_cell.level < cell.level:
-                    break
-                lo = group.rectangles[0].x_begin
-                part = self._table(job, part_cell, part_cell.child_index(lo) + 1, depth + 1)
-                xs = range(lo, part_cell.end, part_cell.piece_width)
-                index = [(x - x_begin) // width for x in xs]
-                for i, t, f in zip(index, part.theta, part.phi):
-                    if t < theta[i]:
-                        theta[i] = t
-                    if f < phi[i]:
-                        phi[i] = f
-                first, last = index[0], index[-1]
-                if last - first == len(index) - 1:  # consecutive pieces, one each
-                    parts.append((part, itemgetter(slice(first, last + 1))))
-                else:
-                    parts.append((part, itemgetter(*index)))
-            tab.parts = tuple(parts)
-            tab.theta, tab.phi = tuple(theta), tuple(phi)
+        tab = TripleTable(group, len(rects), top, depth)
+        self._tables.append(tab)
+        r_next = releases[job]
+        tab.p = p = cov.proc_prefix[job] - top
+        tab.gap = gap = r_next - releases[job - 1]
+        tab.first_rid = rects[0].rid
+        if job < self._n and r_next < cell.end:
+            tab.child = child = self._area(job + 1, cell, rects[0].x_begin, depth + 1)
+            below_theta, below_phi = child.theta, child.phi
         else:
-            # the area holds no rectangle and bounds nothing; the search links
-            # no such table, and only the root of an instance without
-            # rectangles is one
-            tab.theta = tab.phi = (top,) * n_pieces
+            # a tail: no deeper row has a rectangle in the area, so the area
+            # one row down bounds nothing, as if its bounds were its top,
+            # top + p, on every piece
+            tab.tail = True
+            below_theta = below_phi = repeat(top + p)
+        # One pass over the group's rectangles, which are the pieces.
+        # Settled rays (module docstring): only the prefix choice can still
+        # cover them, and a piece's rays share its carry and its rectangle.
+        # Bounds from the child's: its value minus p plus gap for theta,
+        # plus gap for phi, -1 where it is negative; on a settled piece
+        # capped at -dem and p - dem; clipped to -1..top.
+        excess, offset = cov.excess, cov.row_offset[job - 1]
+        settled, prefix_cost, theta, phi = [], [0], [], []
+        cost = 0
+        for (_, _, x, _, c, _), t, f in zip(rects, below_theta, below_phi):
+            cost += c
+            prefix_cost.append(cost)
+            t = t - p + gap if t >= 0 else -1
+            f = f + gap if f >= 0 else -1
+            if x < r_next:
+                dem = excess[x] - offset
+                settled.append(dem)
+                if t > -dem:
+                    t = -dem
+                if f > p - dem:
+                    f = p - dem
+            theta.append(-1 if t < 0 else t if t < top else top)
+            phi.append(-1 if f < 0 else f if f < top else top)
+        tab.settled, tab.prefix_cost = tuple(settled), tuple(prefix_cost)
+        tab.theta, tab.phi = tuple(theta), tuple(phi)
+        return tab
+
+    def _area(self, job: int, cell: GridCell, x_begin: int, depth: int) -> TripleTable:
+        """The table of the area [x_begin, end(cell)) from row ``job`` down,
+        by the rule of the module docstring: row job's group in the cell
+        when it starts at x_begin, else a split over row job's groups at the
+        cell's level and below."""
+        groups = []
+        for group in self._rows[job - 1]:  # deepest first
+            if group.cell.level < cell.level:
+                break
+            groups.append(group)
+        if groups and groups[-1].cell is cell and groups[-1].rectangles[0].x_begin == x_begin:
+            return self._table(groups[-1], depth)
+        # The area splits into those groups, which tile [r_job, end(cell)),
+        # each a canonical area.  Each of a part's pieces lies in one of the
+        # area's, whose value it inherits; the area's pieces wholly left of
+        # r_job, where no ray of the state reaches, have no bound, and every
+        # other piece takes the minimum over the part pieces it holds.  The
+        # parts belong to one row, so they share ``top``.
+        r_job = self._releases[job - 1]
+        if r_job < x_begin:
+            raise DpError(f"release {r_job} of row {job} lies left of area [{x_begin}, {cell.end})")
+        top, width = self.cov.proc_prefix[job - 1], cell.piece_width
+        n_pieces = (cell.end - x_begin) // width
+        tab = TripleTable(None, n_pieces, top, depth)
+        self._tables.append(tab)
+        theta, phi, parts = [top] * n_pieces, [top] * n_pieces, []
+        for group in groups:
+            part = self._table(group, depth + 1)
+            index = [(rect.x_begin - x_begin) // width for rect in group.rectangles]
+            for i, t, f in zip(index, part.theta, part.phi):
+                if t < theta[i]:
+                    theta[i] = t
+                if f < phi[i]:
+                    phi[i] = f
+            first, last = index[0], index[-1]
+            if last - first == len(index) - 1:  # consecutive pieces, one each
+                parts.append((part, itemgetter(slice(first, last + 1))))
+            else:
+                parts.append((part, itemgetter(*index)))
+        tab.parts = tuple(parts)
+        tab.theta, tab.phi = tuple(theta), tuple(phi)
         return tab
 
 

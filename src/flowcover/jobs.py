@@ -117,6 +117,15 @@ def max_processing(instance: JobInstance) -> int:
     return max((j.processing for j in instance.jobs), default=0)
 
 
+def perturb_scale(n: int, epsilon: Fraction) -> int:
+    """The factor n/epsilon that the perturbation of n jobs scales by;
+    ValueError unless it is an integer."""
+    scale = Fraction(n) / epsilon
+    if scale.denominator != 1:
+        raise ValueError(f"n/epsilon = {scale} is not an integer; cannot scale exactly")
+    return int(scale)
+
+
 def perturb_release_times(
     instance: JobInstance, epsilon: Fraction | int | str | None = None
 ) -> JobInstance:
@@ -131,10 +140,7 @@ def perturb_release_times(
     eps = instance.epsilon if epsilon is None else parse_epsilon(epsilon)
     if not instance.jobs:
         return JobInstance(jobs=(), epsilon=eps)
-    scale_frac = Fraction(instance.n) / eps
-    if scale_frac.denominator != 1:
-        raise ValueError(f"n/epsilon = {scale_frac} is not an integer; cannot scale exactly")
-    scale = int(scale_frac)
+    scale = perturb_scale(instance.n, eps)
     jobs = tuple(
         [
             Job(

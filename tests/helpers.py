@@ -3,9 +3,12 @@
 ``job_groups`` reads one job's groups off a one-job covering, and
 ``segments_flat``, ``group_span``, ``is_descendant_or_self``,
 ``spans_nest`` and ``check_nesting`` state the segment structure of the
-``covering`` module docstring on them; ``is_canonical`` and
-``area_holds_rectangle`` are the two facts ``DpSolver`` classifies a
-table by, computed here on their own by scanning the covering.
+``covering`` module docstring on them.  ``area_begin`` is the left edge
+of the area (cell, k), and ``group_at`` finds a row's group in a cell by
+scanning the covering; ``is_canonical`` and ``area_holds_rectangle`` are
+the two facts that decide a table's kind, computed here on their own by
+scanning the covering.  ``table_of`` reads a solver's table of a group,
+and ``table_areas`` every table linked from its root, each with its area.
 ``subcells`` and ``dense_carry`` lay out a state's carry by its pieces.
 ``next_carry`` and ``clamp`` are the whole-vector carry map and theta
 clamp that the DP's single-pass steps are checked against, and
@@ -29,8 +32,8 @@ from functools import cache
 from math import inf
 
 from flowcover.covering import COST_MODELS, CoveringInstance, PrefixGroup, Rectangle, Selection
-from flowcover.dpsolver import Bounds, Carry, Entry, TableKey, area_begin
-from flowcover.grid import Grid, GridCell, cell_at
+from flowcover.dpsolver import Bounds, Carry, DpSolver, Entry, TripleTable
+from flowcover.grid import Grid, GridCell
 from flowcover.harness import CampaignConfig, campaign_instance
 from flowcover.jobs import Job, JobInstance, make_instance, total_horizon
 from flowcover.oracle import reduce_instance
@@ -91,11 +94,58 @@ def check_nesting(job: Job, job2: Job, grid: Grid) -> bool:
     return spans_nest(job_groups(job, grid), job_groups(job2, grid))
 
 
+def area_begin(cell: GridCell, k: int, K: int) -> int:
+    """Left edge x1 of the area of (cell, k): the k-th child's begin, or the
+    begin of a leaf, whose only area is k = 1."""
+    top = 1 if cell.is_leaf else K
+    if not 1 <= k <= top:
+        raise ValueError(f"k must be in 1..{top}, got {k}")
+    return cell.begin + (k - 1) * (cell.length // K)
+
+
+def group_at(cov: CoveringInstance, job: int, cell: GridCell) -> PrefixGroup | None:
+    """Row ``job``'s group in ``cell``, by scanning every group; None when
+    the row has none there."""
+    for group in cov.groups:
+        if group.job == job and group.cell is cell:
+            return group
+    return None
+
+
+def table_of(solver: DpSolver, group: PrefixGroup) -> TripleTable:
+    """The table ``solver`` built for ``group``; ValueError unless it
+    built exactly one."""
+    found = [tab for tab in solver._tables if tab.group is group]
+    if len(found) != 1:
+        raise ValueError(f"{len(found)} tables of {group}")
+    return found[0]
+
+
+def table_areas(solver: DpSolver) -> list[tuple[TripleTable, tuple[int, GridCell, int]]]:
+    """Each table linked from the solver's root, the first table it built,
+    with its area (job, cell, k), root first.  The root's area is row 1
+    over the root cell, a canonical table's child's is the table's own area
+    one row down, and a split part's is its group's area in the split's
+    row."""
+    root = solver.grid.root
+    found, todo = [], [(solver._tables[0], (1, root, 1))]
+    while todo:
+        tab, (job, cell, k) = todo.pop()
+        found.append((tab, (job, cell, k)))
+        if tab.child is not None:
+            todo.append((tab.child, (job + 1, cell, k)))
+        for part, _ in tab.parts:
+            part_cell, x = part.group.cell, part.group.rectangles[0].x_begin
+            part_k = 1 if part_cell.is_leaf else part_cell.child_index(x) + 1
+            todo.append((part, (job, part_cell, part_k)))
+    return found
+
+
 def is_canonical(job: int, cell: GridCell, k: int, cov: CoveringInstance) -> bool:
     """Whether the job's own rectangles in ``cell`` exactly span the area of
     (cell, k): its group is non-empty, starts at the area's left edge and
     ends inside the cell."""
-    group = cov.group(job, cell)
+    group = group_at(cov, job, cell)
     if group is None or not group.rectangles:
         return False
     rects = group.rectangles
@@ -145,23 +195,26 @@ def clamp(carry: Sequence[int], theta: Bounds) -> list[int]:
     return [v if v > t else 0 for v, t in zip(carry, theta)]
 
 
-def step_over_top_child(cov: CoveringInstance, key: TableKey, carry: Carry) -> Entry | None:
-    """The answer of the canonical state (key, carry) when the area one row
-    down holds no rectangle, from every take of the group in turn: the
-    child's bounds are then its top, the processing of rows 1..job, on every
-    piece, and each take's ``next_carry`` must lie within it, so the child
-    answers (0, ()).  A take covers the state when every ray [r_job, t] of
-    a piece, t <= T, has demand plus the piece's carry at most the capacity
-    the take puts there: p_job on the pieces it takes, 0 on the others.
-    The cheapest covering take wins, a tie going to the smaller ids; None
-    when no take covers it.  ValueError unless the group spans the area
-    and the carry has one value per rectangle, or for a child carry outside
-    0..top, which the child's bounds would not decide."""
-    job, level, begin, k = key
-    cell = cell_at(cov.grid, level, begin)
-    rects = cov.group(job, cell).rectangles
-    if rects[0].x_begin != area_begin(cell, k, cov.grid.K) or len(carry) != len(rects):
-        raise ValueError(f"{key} is no canonical area of the carry {carry}")
+def step_over_top_child(
+    cov: CoveringInstance, job: int, cell: GridCell, k: int, carry: Carry
+) -> Entry | None:
+    """The answer of the canonical state of the area (job, cell, k) and
+    ``carry`` when the area one row down holds no rectangle, from every
+    take of the group in turn: the child's bounds are then its top, the
+    processing of rows 1..job, on every piece, and each take's
+    ``next_carry`` must lie within it, so the child answers (0, ()).  A
+    take covers the state when every ray [r_job, t] of a piece, t <= T,
+    has demand plus the piece's carry at most the capacity the take puts
+    there: p_job on the pieces it takes, 0 on the others.  The cheapest
+    covering take wins, a tie going to the smaller ids; None when no take
+    covers it.  ValueError unless row job's group in the cell, found by
+    scanning the covering, spans the area and the carry has one value per
+    rectangle, or for a child carry outside 0..top, which the child's
+    bounds would not decide."""
+    group = group_at(cov, job, cell)
+    rects = group.rectangles if group else ()
+    if not rects or rects[0].x_begin != area_begin(cell, k, cov.grid.K) or len(carry) != len(rects):
+        raise ValueError(f"({job}, {cell!r}, {k}) is no canonical area of the carry {carry}")
     r_job, p = release_of(cov, job), rects[0].capacity
     gap, top = release_of(cov, job + 1) - r_job, cov.proc_prefix[job]
     best = None

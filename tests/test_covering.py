@@ -54,8 +54,6 @@ def random_cov(rng, n_max=4, K=2, epsilon=1):
 
 
 def test_one_job_rectangle_count_matches_segments():
-    cov = cov_for([(0, 1, 1)])  # grid T=1 would be trivial; use T=4 via processing
-    # instead build explicitly on the documented example grid
     inst = make_instance([(0, 4, 1)])
     grid = build_grid(T=4, K=2, shift=0)
     cov = build_covering(inst, grid)

@@ -18,7 +18,6 @@ from flowcover.dpsolver import (
     DpError,
     DpSolver,
     TripleTable,
-    area_begin,
     solve,
 )
 from flowcover.grid import GridCell, build_grid, cell_at, root_length
@@ -26,10 +25,12 @@ from flowcover.harness import CampaignConfig, campaign_instance
 from flowcover.jobs import Job, make_instance, perturb_release_times, total_horizon
 from flowcover.oracle import brute_force_covering, reduce_instance, reduction_grid
 from helpers import (
+    area_begin,
     area_holds_rectangle,
     campaign_coverings,
     clamp,
     dense_carry,
+    group_at,
     is_canonical,
     job_groups,
     next_carry,
@@ -37,6 +38,8 @@ from helpers import (
     release_of,
     step_over_top_child,
     subcells,
+    table_areas,
+    table_of,
 )
 
 
@@ -59,6 +62,12 @@ def random_cov(rng, K, n_max=4, p_max=4):
     shift = rng.randrange(root_length(T + 1, K))
     grid = build_grid(T + 1, K, shift=shift)
     return build_covering(work, grid)
+
+
+def _area(solver, job, cell, k):
+    """The table of the area (cell, k) from row ``job`` down, built by the
+    solver's area builder at depth 0."""
+    return solver._area(job, cell, area_begin(cell, k, solver.grid.K), 0)
 
 
 # -- area ---------------------------------------------------------------------
@@ -179,11 +188,10 @@ def test_canonical_states_span_both_edges():
         solver = DpSolver(cov)
         solver.solve()
         seen = 0
-        for (job, level, begin, k), tab in solver._tables.items():
-            cell = cell_at(cov.grid, level, begin)
+        for tab, (job, cell, k) in table_areas(solver):
             if is_canonical(job, cell, k, cov):
-                assert tab.canonical
-                group = cov.group(job, cell)
+                group = group_at(cov, job, cell)
+                assert tab.group is group
                 assert group.rectangles[-1].x_end == cell.end
                 seen += 1
         assert seen > 0
@@ -207,14 +215,14 @@ def test_settled_rays_match_per_t_reference():
         cov = reduce_instance(inst, K, trial)
         solver = DpSolver(cov)
         solver.solve()
-        for (job, level, begin, k), tab in solver._tables.items():
-            if not tab.canonical:
+        for tab, (job, cell, k) in table_areas(solver):
+            if tab.group is None:
                 continue
-            cell = cell_at(cov.grid, level, begin)
             r_job = release_of(cov, job)
             pieces = subcells(cell, k, cov.grid)
             assert tab.n_pieces == len(pieces)
-            assert tuple((r.x_begin, r.x_end) for r in cov.group(job, cell).rectangles) == pieces
+            rects = group_at(cov, job, cell).rectangles
+            assert tuple((r.x_begin, r.x_end) for r in rects) == pieces
             largest = []  # per piece: its largest settled demand, or None
             for sub in pieces:
                 demands = [
@@ -230,17 +238,23 @@ def test_settled_rays_match_per_t_reference():
     assert tables > 300
 
 
-def test_memo_holds_one_integer_keyed_entry_per_state():
+def test_memo_holds_one_table_keyed_entry_per_state():
+    # a key is (table, carry), and a table hashes by identity, so hashing a
+    # key runs no Python-level ``__hash__``
+    assert TripleTable.__hash__ is object.__hash__
     rng = Random(616)
     for trial in range(8):
         cov = random_cov(rng, K=2 if trial % 2 else 3, n_max=3)
         solver = DpSolver(cov)
         result = solver.solve()
         assert len(solver.memo) == result.stats.states
-        for (tkey, carry) in solver.memo:
-            assert len(tkey) == 4 and all(type(x) is int for x in tkey)
-            # the carry is dense: one int >= 0 per piece of the triple
-            assert len(carry) == solver._tables[tkey].n_pieces
+        built = set(map(id, solver._tables))
+        for key in solver.memo:
+            tab, carry = key
+            assert type(key) is tuple and len(key) == 2
+            assert type(tab) is TripleTable and id(tab) in built
+            # the carry is dense: one int >= 0 per piece of the table
+            assert type(carry) is tuple and len(carry) == tab.n_pieces
             assert all(type(v) is int and v >= 0 for v in carry)
 
 
@@ -249,11 +263,12 @@ def test_carry_of_wrong_length_rejected():
     solver = DpSolver(cov)
     root = cov.grid.root
     n_pieces = len(subcells(root, 1, cov.grid))
+    tab = _area(solver, 1, root, 1)
     for carry in ((), (0,) * (n_pieces - 1), (0,) * (n_pieces + 1)):
         expected = f"carry of {len(carry)} values for a state of {n_pieces} pieces"
         with pytest.raises(DpError, match=expected):
-            solver._cell(1, root, 1, carry)
-    assert solver._cell(1, root, 1, (0,) * n_pieces) is not None
+            solver._enter(tab, carry)
+    assert solver._enter(tab, (0,) * n_pieces) is not None
 
 
 def test_next_carry_arithmetic():
@@ -301,7 +316,7 @@ def test_single_pass_decide_matches_the_two_pass_clamp():
         cases.append((top, tuple(rng.randint(0, top) for _ in range(n)), theta))
     results = []
     for top, carry, theta in cases:
-        tab = TripleTable((1, 0, 0, 1), len(carry), top, False, 0)
+        tab = TripleTable(None, len(carry), top, 0)
         tab.theta = theta
         solver = DpSolver(cov_for([(0, 2, 1)]))
         searched = _searched_states(solver)
@@ -366,9 +381,10 @@ def test_single_pass_canonical_step_matches_the_two_pass_clamp():
     results = []
     for top, p, gap, settled, carry, theta, phi in cases:
         n = len(carry)
-        child = TripleTable((2, 0, 0, 1), n, top + p, False, 1)
+        # ``_canonical`` is called directly, so neither table needs a group
+        child = TripleTable(None, n, top + p, 1)
         child.theta, child.phi = theta, phi
-        tab = TripleTable((1, 0, 0, 1), n, top, True, 0)
+        tab = TripleTable(None, n, top, 0)
         tab.settled, tab.p, tab.gap, tab.child = settled, p, gap, child
         tab.prefix_cost, tab.first_rid = tuple(range(n + 1)), 0
         solver = DpSolver(cov_for([(0, 2, 1)]))
@@ -388,7 +404,8 @@ def test_single_job_matches_oracle_from_root_state():
     cov = cov_for([(0, 4, 2)])
     oracle_cost, _ = brute_force_covering(cov)
     solver = DpSolver(cov)
-    entry = solver._cell(1, cov.grid.root, 1, dense_carry(cov.grid.root, 1, cov.grid))
+    root = cov.grid.root
+    entry = solver._enter(_area(solver, 1, root, 1), dense_carry(root, 1, cov.grid))
     assert entry is not None and entry[0] == oracle_cost
     assert solve(cov).cost == oracle_cost
 
@@ -477,7 +494,7 @@ def _solve_from_limit(monkeypatch, cov, start=None):
     runs only on the frames the solve adds.  Returns the limit the root
     step ran under and the start, which the solve must leave in place."""
     limits = []
-    root_state = DpSolver._cell
+    root_state = DpSolver._enter
 
     def spy(self, *args):
         limits.append(sys.getrecursionlimit())
@@ -486,7 +503,7 @@ def _solve_from_limit(monkeypatch, cov, start=None):
     start = start or _frames_in_use() + 30
     outer = sys.getrecursionlimit()
     with monkeypatch.context() as patch:
-        patch.setattr(DpSolver, "_cell", spy)
+        patch.setattr(DpSolver, "_enter", spy)
         sys.setrecursionlimit(start)
         try:
             solve(cov)
@@ -532,7 +549,7 @@ def test_the_raised_limit_covers_every_search(monkeypatch):
     for cov in [_baseline_row_k2_n8_seed3()[0].cov, *campaign_coverings(20)]:
         solver = DpSolver(cov)
         solver.solve()
-        assert max(t.depth for t in solver._tables.values()) <= 2 * cov.instance.n
+        assert max(t.depth for t in solver._tables) <= 2 * cov.instance.n
         raised, low = _solve_from_limit(monkeypatch, cov)
         assert raised > low
 
@@ -558,7 +575,7 @@ def test_large_k_search_probes_each_state_once(monkeypatch):
     state, probes, tails = DpSolver._state, [], []
 
     def spy(self, tab, carry):
-        probes.append((tab.key, carry))
+        probes.append((tab, carry))
         tails.append(tab.tail)
         return state(self, tab, carry)
 
@@ -584,7 +601,7 @@ def test_memo_stores_each_distinct_answer_once():
 
 
 def test_the_search_reads_no_cell(monkeypatch):
-    # ``_cell`` builds the root table and with it every table the search can
+    # ``solve`` builds the root table and with it every table the search can
     # reach; from its first ``_decide`` on, the search follows the tables'
     # links and reads no ``GridCell.children``
     reads, searching = [], []
@@ -639,26 +656,29 @@ def test_table_depth_is_the_search_depth(monkeypatch):
 
 
 def test_carry_checked_on_tabled_triple():
-    # the carry check runs for every state, not once per (job, cell, k)
+    # the carry check runs for every carry handed to a table, not once per
+    # table
     cov = cov_for([(0, 4, 1)])
     solver = DpSolver(cov)
     root = cov.grid.root
+    tab = _area(solver, 1, root, 1)
     zero = dense_carry(root, 1, cov.grid)
-    assert solver._cell(1, root, 1, zero) is not None
+    assert solver._enter(tab, zero) is not None
     with pytest.raises(DpError, match=f"carry of {len(zero) + 1} values"):
-        solver._cell(1, root, 1, zero + (1,))
+        solver._enter(tab, zero + (1,))
     # (0, 1) is a piece, but no row above job 1 can owe anything
     with pytest.raises(DpError, match="outside 0..0"):
-        solver._cell(1, root, 1, dense_carry(root, 1, cov.grid, {(0, 1): 1}))
+        solver._enter(tab, dense_carry(root, 1, cov.grid, {(0, 1): 1}))
 
 
 def test_table_kind_matches_a_scan_of_the_covering():
-    # the O(1) facts a table is classified by, against a scan of every
-    # rectangle: canonical as ``is_canonical`` says, a tail exactly where a
-    # canonical area holds no rectangle of a deeper row, and a split exactly
-    # where a non-canonical area holds one of row job or deeper.  Every
-    # table the search reaches holds a rectangle, and every table but the
-    # root is linked once, by a table one level less deep.
+    # the rule a table is found by, against a scan of every rectangle:
+    # canonical as ``is_canonical`` says, a tail exactly where a canonical
+    # area holds no rectangle of a deeper row, and a split exactly where a
+    # non-canonical area holds one of row job or deeper.  Every table the
+    # search reaches holds a rectangle, and every table but the root, the
+    # first built, is linked exactly once, by a table one level less deep:
+    # the tables form a tree, so none needs a cache
     rng = Random(1515)
     kinds = dict.fromkeys(["canonical", "split", "tail"], 0)
     for K in (2, 3, 4):
@@ -671,35 +691,60 @@ def test_table_kind_matches_a_scan_of_the_covering():
             solver = DpSolver(cov)
             solver.solve()
             links = []
-            for (job, level, begin, k), tab in solver._tables.items():
-                cell = cell_at(cov.grid, level, begin)
-                assert tab.canonical == is_canonical(job, cell, k, cov)
+            for tab, (job, cell, k) in table_areas(solver):
+                canonical = tab.group is not None
+                assert canonical == is_canonical(job, cell, k, cov)
                 assert area_holds_rectangle(job, cell, k, cov)
                 deeper = area_holds_rectangle(job + 1, cell, k, cov)
-                assert tab.tail == (tab.canonical and not deeper)
-                assert (tab.child is not None) == (tab.canonical and deeper)
-                assert bool(tab.parts) == (not tab.canonical)
-                kind = "tail" if tab.tail else "canonical" if tab.canonical else "split"
+                assert tab.tail == (canonical and not deeper)
+                assert (tab.child is not None) == (canonical and deeper)
+                assert bool(tab.parts) == (not canonical)
+                kind = "tail" if tab.tail else "canonical" if canonical else "split"
                 kinds[kind] += 1
                 for linked in [tab.child] if tab.child else [part for part, _ in tab.parts]:
                     assert linked.depth == tab.depth + 1
-                    links.append(linked.key)
-            root = (1, 0, cov.grid.root.begin, 1)
-            assert sorted(links) == sorted(key for key in solver._tables if key != root)
+                    links.append(id(linked))
+            assert solver._tables[0].depth == 0
+            assert len(set(map(id, solver._tables))) == len(solver._tables)
+            assert sorted(links) == sorted(map(id, solver._tables[1:]))
     assert min(kinds.values()) > 1000
+
+
+def test_each_canonical_table_is_a_distinct_group_of_the_covering():
+    # a canonical table is one of the covering's groups, in its own cell,
+    # no two tables share a group, and the area's pieces are the group's
+    # rectangles
+    tables = 0
+    for cov in campaign_coverings(20):
+        solver = DpSolver(cov)
+        solver.solve()
+        seen = []
+        for tab, (job, cell, k) in table_areas(solver):
+            if tab.group is None:
+                continue
+            assert any(g is tab.group for g in cov.groups)
+            assert (tab.group.job, tab.group.cell) == (job, cell)
+            pieces = subcells(cell, k, cov.grid)
+            assert tuple((r.x_begin, r.x_end) for r in tab.group.rectangles) == pieces
+            assert tab.n_pieces == len(pieces)
+            seen.append(id(tab.group))
+        assert len(seen) == len(set(seen))
+        tables += len(seen)
+    assert tables > 1000
 
 
 def test_only_the_root_of_an_instance_without_rectangles_is_empty():
     # an area without a rectangle gets a table only as the root of an
-    # instance that has none; its bounds are its top on every piece
+    # instance that has none: a split with no parts, whose bounds are its
+    # top on every piece
     cov = build_covering(make_instance([]), build_grid(T=0, K=2))
     solver = DpSolver(cov)
     assert solve(cov).cost == 0
     solver.solve()
-    [(key, tab)] = solver._tables.items()
-    assert key == (1, 0, cov.grid.root.begin, 1)
+    [tab] = solver._tables
+    assert table_areas(solver) == [(tab, (1, cov.grid.root, 1))]
     assert not area_holds_rectangle(1, cov.grid.root, 1, cov)
-    assert (tab.canonical, tab.tail, tab.child, tab.parts) == (False, False, None, ())
+    assert (tab.group, tab.tail, tab.child, tab.parts) == (None, False, None, ())
     assert tab.theta == tab.phi == (0,) * tab.n_pieces
 
 
@@ -717,14 +762,13 @@ def test_tail_answer_is_a_canonical_step_over_an_all_top_child():
                 solver = DpSolver(cov)
                 solver.solve()
                 memo = dict(solver.memo)
-                for (job, level, begin, k), tab in list(solver._tables.items()):
+                for tab, (job, cell, k) in table_areas(solver):
                     if not tab.tail:
                         continue
-                    cell = cell_at(cov.grid, level, begin)
                     for _ in range(6):
                         carry = tuple(rng.randint(0, tab.top) for _ in range(tab.n_pieces))
-                        expect = step_over_top_child(cov, tab.key, carry)
-                        assert solver._cell(job, cell, k, carry) == expect
+                        expect = step_over_top_child(cov, job, cell, k, carry)
+                        assert solver._enter(tab, carry) == expect
                         if expect is None:
                             infeasible += 1
                         elif any(map(gt, carry, tab.theta)):
@@ -745,28 +789,25 @@ def test_split_parts_are_the_rows_groups_inside_the_area():
         grid = cov.grid
         solver = DpSolver(cov)
         solver.solve()
-        for (job, level, begin, k), tab in solver._tables.items():
-            if tab.canonical:
+        areas = {id(tab): area for tab, area in table_areas(solver)}
+        for tab, (job, cell, k) in table_areas(solver):
+            if tab.group is not None:
                 continue
-            cell = cell_at(grid, level, begin)
             x_begin = area_begin(cell, k, grid.K)
             groups = [
                 g for g in cov.groups
                 if g.job == job and x_begin <= g.rectangles[0].x_begin
                 and g.rectangles[-1].x_end <= cell.end
             ]
-            assert sorted(part.key for part, _ in tab.parts) == sorted(
-                (job, g.cell.level, g.cell.begin, k_g)
-                for g in groups
-                for k_g in range(1, (1 if g.cell.is_leaf else grid.K) + 1)
-                if area_begin(g.cell, k_g, grid.K) == g.rectangles[0].x_begin
-            )
+            # deepest first, as ``cov.groups`` lists a row's groups
+            assert [part.group for part, _ in tab.parts] == groups
             pieces = subcells(cell, k, grid)
             theta, phi = [tab.top] * len(pieces), [tab.top] * len(pieces)
             for part, gather in tab.parts:
-                assert part.canonical
-                part_cell = cell_at(grid, part.key[1], part.key[2])
-                part_pieces = subcells(part_cell, part.key[3], grid)
+                part_job, part_cell, part_k = areas[id(part)]
+                assert part_job == job
+                assert area_begin(part_cell, part_k, grid.K) == part.group.rectangles[0].x_begin
+                part_pieces = subcells(part_cell, part_k, grid)
                 read = gather(tuple(range(len(pieces))))
                 assert len(read) == len(part_pieces)
                 for (a, b), i, t, f in zip(part_pieces, read, part.theta, part.phi):
@@ -797,52 +838,41 @@ def _two_job_cov():
 def test_theta_phi_by_hand_on_two_jobs():
     cov = _two_job_cov()
     solver = DpSolver(cov)
-    quarter = cell_at(cov.grid, 1, 0)  # [0, 4), whose pieces are units
-    leaf = cell_at(cov.grid, cov.grid.lmax, 1)  # [1, 2)
+    grid = cov.grid
+    quarter = cell_at(grid, 1, 0)  # [0, 4), whose pieces are units
+    half = cell_at(grid, 2, 0)  # [0, 2)
+    leaf = cell_at(grid, grid.lmax, 1)  # [1, 2)
+    # the root's table, and with it every table the search can reach
+    root = _area(solver, 1, grid.root, 1)
 
-    # (2, [0,4), k=2): area [2,4), canonical in row 2, p = 1, next release
-    # is the sentinel's T + 1 = 5, so gap = 4, and both pieces are settled,
-    # with dem = d(1, 2) = 0 and d(1, 3) = -1.  Row 2 is the last, so the
-    # table is a tail with no child: theta = -dem = (0, 1) and phi = p -
-    # dem = (1, 2).
-    tab = solver._table(2, quarter, 2, 0)
-    assert (tab.canonical, tab.tail, tab.child) == (True, True, None)
-    assert (tab.top, tab.settled) == (2, (0, -1))
-    assert (tab.theta, tab.phi) == ((0, 1), (1, 2))
+    # row 2's group in [0,4): area [2,4), p = 1, next release is the
+    # sentinel's T + 1 = 5, so gap = 4, and both pieces are settled, with
+    # dem = d(1, 2) = 0 and d(1, 3) = -1.  Row 2 is the last, so the table
+    # is a tail with no child: theta = -dem = (0, 1) and phi = p - dem =
+    # (1, 2).
+    tail = table_of(solver, group_at(cov, 2, quarter))
+    assert (tail.tail, tail.child) == (True, None)
+    assert (tail.top, tail.settled) == (2, (0, -1))
+    assert (tail.theta, tail.phi) == ((0, 1), (1, 2))
 
-    # (1, [0,4), k=2): same area, row 1, p = 2, gap = r_2 - r_1 = 1, no
-    # settled piece (both start at x >= r_2).  theta = child - p + g =
+    # row 1's group in [0,4): same area, p = 2, gap = r_2 - r_1 = 1, no
+    # settled piece (both start at x >= r_2).  Its child is row 2's group
+    # above, whole in the area one row down.  theta = child - p + g =
     # (-1, 0) and phi = child + g = (2, 3), clipped to row 1's top 0: the
     # second piece has no bound.
-    tab = solver._table(1, quarter, 2, 0)
-    assert (tab.canonical, tab.tail, tab.top, tab.settled) == (True, False, 0, ())
-    assert tab.child is solver._table(2, quarter, 2, 0)
+    tab = table_of(solver, group_at(cov, 1, quarter))
+    assert (tab.tail, tab.top, tab.settled) == (False, 0, ())
+    assert tab.child is tail
     assert (tab.theta, tab.phi) == ((-1, 0), (0, 0))
 
-    # (2, leaf [1,2), 1): canonical, settled with dem = d(1, 1) = 1:
+    # row 2's leaf [1,2): canonical, settled with dem = d(1, 1) = 1:
     # theta = -1 (the empty selection leaves ray [1, 1] short) and
     # phi = p - dem = 0.
-    tab = solver._table(2, leaf, 1, 0)
-    assert (tab.theta, tab.phi) == ((-1,), (0,))
+    leaf_tab = table_of(solver, group_at(cov, 2, leaf))
+    assert (leaf_tab.theta, leaf_tab.phi) == ((-1,), (0,))
 
     def parts(tab, carry):
-        return [(part.key, gather(carry)) for part, gather in tab.parts]
-
-    # (2, [0,2), 1): r_2 = 1 lies in the second child, the leaf [1,2).  Row
-    # 2's only group in the area is that leaf's, so the split has one part,
-    # which reads the second piece; the first piece, left of r_2, has no
-    # bound: theta = (2, -1), phi = (2, 0).
-    tab = solver._table(2, cell_at(cov.grid, 2, 0), 1, 0)
-    assert parts(tab, (10, 11)) == [((2, 3, 1, 1), (11,))]
-    assert tab.parts[0][0] is solver._table(2, leaf, 1, 0)
-    assert (tab.theta, tab.phi) == ((2, -1), (2, 0))
-
-    # (2, [0,4), k=1): row 2's groups in the area are the leaf [1,2) and
-    # [2,4) in [0,4), each of whose pieces is one of the area's units:
-    # theta = (2, -1, 0, 1), phi = (2, 0, 1, 2).
-    tab = solver._table(2, quarter, 1, 0)
-    assert parts(tab, (10, 11, 12, 13)) == [((2, 3, 1, 1), (11,)), ((2, 1, 0, 2), (12, 13))]
-    assert (tab.theta, tab.phi) == ((2, -1, 0, 1), (2, 0, 1, 2))
+        return [(part.group, gather(carry)) for part, gather in tab.parts]
 
     # (1, [0,8), k=1): the root, pieces [0,2) [2,4) [4,6) [6,8), holds all
     # four of row 1's groups, deepest first: the leaf [0,1) and [1,2) both
@@ -852,62 +882,82 @@ def test_theta_phi_by_hand_on_two_jobs():
     # d(0, 3) = 0, has none; phi is row 1's top, 0.  Each piece takes the
     # minimum over the part pieces it holds, and [4,8) bounds nothing:
     # theta = (-1, -1, 0, 0), phi = (0, 0, 0, 0).
-    tab = solver._table(1, cov.grid.root, 1, 0)
-    assert parts(tab, (10, 11, 12, 13)) == [
-        ((1, 3, 0, 1), (10,)), ((1, 2, 0, 2), (10,)),
-        ((1, 1, 0, 2), (11, 11)), ((1, 0, 0, 2), (12, 13)),
+    row1 = [group_at(cov, 1, cell_at(grid, level, 0)) for level in (3, 2, 1, 0)]
+    assert parts(root, (10, 11, 12, 13)) == [
+        (row1[0], (10,)), (row1[1], (10,)), (row1[2], (11, 11)), (row1[3], (12, 13)),
     ]
-    assert (tab.canonical, tab.tail, tab.child) == (False, False, None)
-    assert (tab.theta, tab.phi) == ((-1, -1, 0, 0), (0, 0, 0, 0))
+    assert (root.group, root.tail, root.child) == (None, False, None)
+    assert (root.theta, root.phi) == ((-1, -1, 0, 0), (0, 0, 0, 0))
 
-    # the bounds decide the states of (2, [0,4), k=2) without a search
+    # the bounds decide the states of row 2's group in [0,4) without a search
     def carry(values):
-        return dense_carry(quarter, 2, cov.grid, values)
+        return dense_carry(quarter, 2, grid, values)
 
-    assert solver._cell(2, quarter, 2, carry({(3, 4): 1})) == (0, ())  # v <= theta
-    assert solver._cell(2, quarter, 2, carry({(2, 3): 2})) is None  # v_0 > phi_0
+    assert solver._enter(tail, carry({(3, 4): 1})) == (0, ())  # v <= theta
+    assert solver._enter(tail, carry({(2, 3): 2})) is None  # v_0 > phi_0
     # theta_0 < 1 <= phi_0: row 2 must take its rectangle [2,3), which the
     # tail answers from its bounds, storing nothing
-    assert solver._cell(2, quarter, 2, carry({(2, 3): 1})) == (1, (7,))
+    assert solver._enter(tail, carry({(2, 3): 1})) == (1, (7,))
     assert solver.memo == {}
-    # (1, [0,4), k=2) is no tail: its zero carry is over theta_0 = -1, so
-    # it is searched and stored.  Taking nothing hands row 2 the carry
-    # (1, 1), clamped to (1, 0), which the tail pays with [2,3), id 7, at
-    # cost 1; taking row 1's [2,3), id 2, costs 1 too and hands row 2
+    # row 1's group in [0,4) is no tail: its zero carry is over theta_0 =
+    # -1, so it is searched and stored.  Taking nothing hands row 2 the
+    # carry (1, 1), clamped to (1, 0), which the tail pays with [2,3), id
+    # 7, at cost 1; taking row 1's [2,3), id 2, costs 1 too and hands row 2
     # (0, 1), which theta = (0, 1) covers, so the tie goes to (2,)
-    assert solver._cell(1, quarter, 2, (0, 0)) == (1, (2,))
-    assert solver.memo == {((1, 1, 0, 2), (0, 0)): (1, (2,))}
+    assert solver._enter(tab, (0, 0)) == (1, (2,))
+    assert solver.memo == {(tab, (0, 0)): (1, (2,))}
+
+    # Two areas the search does not reach, built by the area builder.
+    # (2, [0,2), 1): r_2 = 1 lies in the second child, the leaf [1,2).  Row
+    # 2's only group in the area is that leaf's, so the split has one part,
+    # which reads the second piece; the first piece, left of r_2, has no
+    # bound: theta = (2, -1), phi = (2, 0).
+    split = _area(solver, 2, half, 1)
+    assert parts(split, (10, 11)) == [(group_at(cov, 2, leaf), (11,))]
+    assert (split.parts[0][0].theta, split.parts[0][0].phi) == ((-1,), (0,))
+    assert (split.theta, split.phi) == ((2, -1), (2, 0))
+
+    # (2, [0,4), k=1): row 2's groups in the area are the leaf [1,2) and
+    # [2,4) in [0,4), each of whose pieces is one of the area's units:
+    # theta = (2, -1, 0, 1), phi = (2, 0, 1, 2).
+    split = _area(solver, 2, quarter, 1)
+    assert parts(split, (10, 11, 12, 13)) == [
+        (group_at(cov, 2, leaf), (11,)), (group_at(cov, 2, quarter), (12, 13)),
+    ]
+    assert (split.theta, split.phi) == ((2, -1, 0, 1), (2, 0, 1, 2))
 
 
 def test_a_release_left_of_the_area_raises():
-    # a split steps to the child that holds r_job, so an area whose k-th
-    # child lies right of r_job is no area the search reaches
+    # the search reaches no split whose release lies left of its area, so
+    # the area builder refuses one
     cov = _two_job_cov()
     solver = DpSolver(cov)
-    with pytest.raises(DpError, match=r"release 1 of row 2 lies left of area \(2, 1, 4, 1\)"):
-        solver._table(2, cell_at(cov.grid, 1, 4), 1, 0)
+    with pytest.raises(DpError, match=r"release 1 of row 2 lies left of area \[4, 8\)"):
+        _area(solver, 2, cell_at(cov.grid, 1, 4), 1)
     inst = make_instance([(0, 1, 1), (2, 1, 1)])
     cov = build_covering(inst, build_grid(9, 3, shift=0))
     # row 2's group in the root [0,9) covers [3,9), across the area [6,9)
-    with pytest.raises(DpError, match=r"release 2 of row 2 lies left of area \(2, 0, 0, 3\)"):
-        DpSolver(cov)._table(2, cov.grid.root, 3, 0)
+    with pytest.raises(DpError, match=r"release 2 of row 2 lies left of area \[6, 9\)"):
+        _area(DpSolver(cov), 2, cov.grid.root, 3)
 
 
 def test_bounds_decide_no_carry_before_it_is_checked():
     cov = _two_job_cov()
     solver = DpSolver(cov)
     quarter = cell_at(cov.grid, 1, 0)
+    tail = _area(solver, 2, quarter, 2)
     # theta = (0, 1) would answer (0, ()) for this carry, but -1 is no carry
     with pytest.raises(DpError, match=r"carry value -1 outside 0\.\.2"):
-        solver._cell(2, quarter, 2, dense_carry(quarter, 2, cov.grid, {(3, 4): -1}))
+        solver._enter(tail, dense_carry(quarter, 2, cov.grid, {(3, 4): -1}))
     # above the processing of the rows above: phi would call it infeasible
     with pytest.raises(DpError, match=r"carry value 3 outside 0\.\.2"):
-        solver._cell(2, quarter, 2, dense_carry(quarter, 2, cov.grid, {(3, 4): 3}))
+        solver._enter(tail, dense_carry(quarter, 2, cov.grid, {(3, 4): 3}))
     # row 3 holds no rectangle, so its bounds decide every carry as (0, ());
     # the length is still checked
+    empty = _area(solver, 3, quarter, 2)
     with pytest.raises(DpError, match="carry of 1 values for a state of 2 pieces"):
-        solver._cell(3, quarter, 2, (0,))
-    assert solver._cell(3, quarter, 2, (2, 3)) == (0, ())
+        solver._enter(empty, (0,))
+    assert solver._enter(empty, (2, 3)) == (0, ())
     assert solver.memo == {}
 
 
@@ -921,9 +971,8 @@ def test_memo_holds_only_searched_states():
         result = solver.solve()
         st = result.stats
         assert st.states == len(solver.memo) == st.canonical_states + st.split_states
-        for (tkey, carry), entry in solver.memo.items():
+        for (tab, carry), entry in solver.memo.items():
             assert entry is not None and entry[1] != ()
-            tab = solver._tables[tkey]
             assert len(tab.theta) == len(tab.phi) == len(carry)
             assert not any(v > f for v, f in zip(carry, tab.phi))
             assert all(v == 0 or v > t for v, t in zip(carry, tab.theta))
@@ -1029,7 +1078,7 @@ def test_dp_answers_and_counters_pinned_at_wide_fans():
                 solver = DpSolver(reduce_instance(inst, K, seed, cost_model=cost_model))
                 result = solver.solve()
                 st = result.stats
-                wide[K] += sum(_widest_minimum(solver._tables[tkey]) > 2 for tkey, _ in solver.memo)
+                wide[K] += sum(_widest_minimum(tab) > 2 for tab, _ in solver.memo)
                 answers.append((K, cost_model, result.cost, result.selection.sorted_ids()))
                 counters.append((
                     st.states, st.triples, st.carry_vectors, st.max_carry, st.max_depth,

@@ -19,7 +19,7 @@ from flowcover.harness import (
     run_campaign,
     run_trial,
 )
-from flowcover.jobs import perturb_release_times, total_horizon
+from flowcover.jobs import instance_to_json, make_instance, perturb_release_times, total_horizon
 
 
 # -- harness ---------------------------------------------------------------------
@@ -330,6 +330,25 @@ def test_check_rejects_zero_denominator_epsilon(tmp_path, capsys):
     assert captured.out == (
         f"check: FAIL {sol} field 'epsilon' must be a positive fraction such as 1 or 1/2, "
         "got '1/0'\n"
+    )
+    assert captured.err == ""
+
+
+def test_check_rejects_epsilon_that_cannot_scale_n(tmp_path, capsys):
+    # the reduction scales the instance by n/epsilon, which must be an
+    # integer; an epsilon that breaks it is a bad field like any other
+    inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+    inst.write_text(instance_to_json(make_instance([(0, 2, 1)])))
+    assert main(["solve", "--instance", str(inst), "--out", str(sol)]) == 0
+    record = json.loads(sol.read_text())
+    record["epsilon"] = "3/4"
+    sol.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["check", "--instance", str(inst), "--solution", str(sol)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        f"check: FAIL {sol} field 'epsilon' is '3/4' for n = 1: "
+        "n/epsilon = 4/3 is not an integer; cannot scale exactly\n"
     )
     assert captured.err == ""
 
