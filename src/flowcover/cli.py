@@ -370,10 +370,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        # the covering keeps one demand column per time step up to the horizon
+        # the covering's size follows its rectangles, not the horizon: a cell
+        # longer than K holds up to K**2 pieces, so a large K over a long
+        # horizon can lay out more rectangles than fit
         print(
-            "error: out of memory; the horizon (largest release plus total "
-            "processing) is too large",
+            "error: out of memory; the reduction has too many rectangles for this K",
             file=sys.stderr,
         )
         return 2

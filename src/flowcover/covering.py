@@ -35,16 +35,26 @@ in [s, r_j), so the ray of [s, t] crosses the same rectangles as that of
 [r_j, t] (rows j and deeper at t) and d(s, t) = d(r_j, t) - (r_j - s).  Any
 other ray has no release in [s, t], so d(s, t) = -(t - s) <= 0.  The
 feasibility scan, the oracle and the DP's settled rays rest on this rule.
-Rays are never materialized.  Demands come from one per-column vector over
-[0, T], the only columns a ray can sit in: ``excess[t]`` is the processing
-released by t, minus t, so d(s, t) = excess[t] - (P_{<s} - s), where P_{<s}
-is the processing released before s.  For the rays that can bind, that
-offset is one number per row, ``CoveringInstance.row_offset[j - 1]`` =
-P_{j-1} - r_j, so d(r_j, t) = excess[t] - row_offset[j - 1]; the feasibility
-scan and the DP's settled rays both read it.  Each row tiles
-[r_j, end(root)), so a ray [r_j, t] with t inside the root crosses one
-rectangle in each row j..m, m the number of rows released by t; the oracle
-reads them from per-row column arrays that it builds from the groups.
+Rays are never materialized, and no column is visited on its own.  The
+columns [0, T] a ray can sit in fall into *runs*: a run starts at a
+rectangle's ``x_begin`` or at the root's end, the ones in [0, T], and
+lasts to the next start, or to T.  Each release is the ``x_begin`` of its
+leaf's rectangle, and each ``x_end`` the next ``x_begin`` of its row or the
+root's end, so inside a run no job is released and every ray crosses the
+same rectangles: each demand falls by exactly one per column, and the
+run's first column holds its largest.  Demands come from one
+value per run: ``excess[x]``, at a run start x, is the processing released
+by x, minus x, so d(s, t) = excess[x] - (t - x) - (P_{<s} - s) for t in the
+run of x, where P_{<s} is the processing released before s.  For the rays
+that can bind, that offset is one number per row,
+``CoveringInstance.row_offset[j - 1]`` = P_{j-1} - r_j, so d(r_j, x) =
+excess[x] - row_offset[j - 1]; the feasibility scan, the oracle and the
+DP's settled rays all read it.  Each row tiles [r_j, end(root)), so a ray
+[r_j, t] with t inside the root crosses one rectangle in each row j..m, m
+the number of rows released by t; the feasibility scan sums the selected
+capacity per run and the oracle reads the rectangles from per-row run
+arrays that it builds from the groups.  So both cost the number of
+rectangles, not the horizon T.
 
 ``CoveringInstance`` is the one way to make a covering, so what the rest
 of the package relies on holds by construction (its docstring) and is
@@ -67,10 +77,10 @@ for whatever costs the instance carries.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import sub
+from operator import attrgetter, sub
 from typing import Callable, Iterable, NamedTuple
 
 from .grid import Grid, GridCell, cell_chain, cell_path
@@ -174,9 +184,10 @@ class CoveringInstance:
     groups carry the segment structure of the module docstring: each row
     tiles [r_j, end(root)), groups nest and none straddles a cell.  The
     DP's tables are these groups and splits of a row's groups, which the
-    structure lets it find with no scan, and the feasibility scan's column
+    structure lets it find with no scan, and the feasibility scan's run
     arrays rely on what it implies: every x-interval is non-empty and
-    starts at or after r_j >= 0.
+    starts at or after r_j >= 0, and every boundary is a run start or lies
+    past T.
 
     Raises ValueError unless the release times are pairwise distinct (run
     the release perturbation first) and every release lies inside the
@@ -185,10 +196,15 @@ class CoveringInstance:
     ``releases`` holds the jobs' release times in release order,
     ``row_groups[j - 1]`` row j's groups, deepest cell first, as the build
     walks its release's cell chain, ``proc_prefix[j]`` is p_1 + ... + p_j,
-    the processing of the first j jobs, for j = 0..n,
-    ``excess[t]`` is the processing released by t, minus t, for t = 0..T,
-    and ``row_offset[j - 1]`` is P_{j-1} - r_j, so that d(r_j, t) =
-    excess[t] - row_offset[j - 1].
+    the processing of the first j jobs, for j = 0..n, and
+    ``row_offset[j - 1]`` is P_{j-1} - r_j.  ``run_starts`` lists the runs'
+    first columns (module docstring), left to right: the distinct rectangle
+    ``x_begin``s up to T, and the root's end when it is up to T.
+    ``run_of`` maps every rectangle boundary, ``x_begin`` or ``x_end``, to
+    the index of the run it starts, and one past T to the number of runs.
+    ``excess[x]``, for a run start x, is the processing released by x, minus
+    x, so that d(r_j, t) = excess[x] - (t - x) - row_offset[j - 1] for t in
+    the run of x.  ``group_firsts`` holds each group's first id.
     """
 
     def __init__(self, instance: JobInstance, grid: Grid, cost_model: str = "weighted_length"):
@@ -200,6 +216,7 @@ class CoveringInstance:
         groups: list[PrefixGroup] = []
         rectangles: list[Rectangle] = []
         row_groups: list[tuple[PrefixGroup, ...]] = []
+        firsts: list[int] = []
         rid = 0  # the next rectangle's id
         for job in instance.jobs:
             jid, p = job.id, job.processing
@@ -209,6 +226,7 @@ class CoveringInstance:
             for cell in reversed(cell_chain(grid, lo)):
                 end, width = cell.end, cell.piece_width
                 if lo < end:
+                    firsts.append(rid)
                     rects = []
                     for a in range(lo, end, width):
                         b = a + width
@@ -225,14 +243,22 @@ class CoveringInstance:
         self.groups = tuple(groups)
         self.row_groups = row_groups
         self.rectangles: tuple[Rectangle, ...] = tuple(rectangles)
-        self.horizon = total_horizon(instance)
+        self.group_firsts = frozenset(firsts)
+        self.horizon = T = total_horizon(instance)
         procs = [0] + [job.processing for job in instance.jobs]  # procs[j] = p_j
-        self.proc_prefix = list(accumulate(procs))
-        self.row_offset = list(map(sub, self.proc_prefix, self.releases))
-        released = [0] * (self.horizon + 1)
-        for job in instance.jobs:
-            released[job.release] += job.processing
-        self.excess = list(map(sub, accumulate(released), range(self.horizon + 1)))
+        self.proc_prefix = proc_prefix = list(accumulate(procs))
+        self.row_offset = list(map(sub, proc_prefix, self.releases))
+        # runs (module docstring): every x_end is the next x_begin of its
+        # row or the root's end, so these are all the boundaries
+        bounds = set(map(attrgetter("x_begin"), rectangles))
+        bounds.add(grid.root.end)
+        self.run_starts = starts = sorted([x for x in bounds if x <= T])
+        self.run_of = run_of = dict.fromkeys(bounds, len(starts))
+        run_of.update(zip(starts, range(len(starts))))
+        released = [0] * len(starts)  # the processing released at each start
+        for r, p in zip(self.releases, procs[1:]):
+            released[run_of[r]] += p
+        self.excess = dict(zip(starts, map(sub, accumulate(released), starts)))
 
     # -- lookups ----------------------------------------------------------
 
@@ -240,7 +266,9 @@ class CoveringInstance:
         """d([s, t]) = total processing released within [s, t] minus (t - s)."""
         if not 0 <= s <= t <= self.horizon:
             raise ValueError(f"interval [{s}, {t}] outside 0..{self.horizon}")
-        return self.excess[t] - (self.proc_prefix[bisect_left(self.releases, s)] - s)
+        releases, proc_prefix = self.releases, self.proc_prefix
+        released = proc_prefix[bisect_right(releases, t)] - proc_prefix[bisect_left(releases, s)]
+        return released - (t - s)
 
 
 def build_covering(
@@ -262,62 +290,75 @@ def selection_cost(cov: CoveringInstance, sel: Selection) -> int:
 def check_feasible(cov: CoveringInstance, sel: Selection) -> FeasibilityReport:
     """Scan every prefix constraint and every interval [s, t] within the horizon.
 
-    Violations are returned as data, not raised, in (t, s) order.  By the
-    binding-ray rule (module docstring), the rays [s, t] with
-    r_{j-1} < s <= r_j <= t cross the same rectangles as [r_j, t], those in
-    rows j and deeper at t, whose selected capacity is got_j(t); their
-    demand d(r_j, t) - (r_j - s) grows with s, and every other ray's demand
-    is at most 0.  So one pass per row, deepest first, judges every [s, t]:
-    the row's selected rectangles are added to one difference array over
-    the columns, whose running sum is got_j, a suffix sum over rows, and
-    got_j(t) is compared with need_j(t) = excess[t] - row_offset[j - 1] for
-    t >= r_j.  Where it falls short by m, the rays of the m largest s of
-    the row's range fail.
+    Violations are returned as data, not raised, in (t, s) order.  A
+    selection breaks a group's prefix exactly when some chosen id neither
+    starts its group nor follows a chosen id, so one test per chosen id
+    finds whether any does, and only then are the groups walked to list
+    the positions.  By the binding-ray rule (module docstring), the rays
+    [s, t] with r_{j-1} < s <= r_j <= t cross the same rectangles as
+    [r_j, t], those in rows j and deeper at t, whose selected capacity is
+    got_j(t); their demand d(r_j, t) - (r_j - s) grows with s, and every
+    other ray's demand is at most 0.  So one pass per row, deepest first,
+    judges every [s, t], run by run: the row's selected rectangles are
+    added to one difference array over the runs, whose running sum is got_j
+    on each run, a suffix sum over rows, and got_j is compared with
+    need_j(t) = excess[x] - (t - x) - row_offset[j - 1] on each run from
+    the one r_j starts, x the run's start.  need_j - got_j falls by one a
+    column, so a run falls short only when its first column does, and where
+    that column falls short by m, exactly the run's first m columns do
+    (fewer if the run is shorter); at each, where it falls short by m', the
+    rays of the m' largest s of the row's range fail.
     """
-    chosen = sel.chosen
-    n, T = cov.instance.n, cov.horizon
-    rows: list[list[Rectangle]] = [[] for _ in range(n + 1)]
+    chosen, rectangles, firsts = sel.chosen, cov.rectangles, cov.group_firsts
     prefix_viols: list[PrefixViolation] = []
-    for group in cov.groups:
-        rects = group.rectangles
-        first = rects[0].rid  # a group's ids run first, first + 1, ...
-        take = 0
-        while take < len(rects) and first + take in chosen:
-            take += 1
-        if chosen.isdisjoint(range(first + take + 1, first + len(rects))):
-            rows[group.job] += rects[:take]
-            continue
-        positions = tuple([i for i, r in enumerate(rects) if r.rid in chosen])
-        prefix_viols.append(
-            PrefixViolation(
-                job=group.job,
-                cell_begin=group.cell.begin,
-                cell_end=group.cell.end,
-                selected_positions=positions,
-            )
-        )
-        rows[group.job] += [rects[i] for i in positions]
+    # an id outside the covering is in no group, so it breaks none
+    breaks = [i for i in chosen if i - 1 not in chosen and i not in firsts]
+    if breaks:
+        for group in cov.groups:
+            rects = group.rectangles
+            first = rects[0].rid  # a group's ids run first, first + 1, ...
+            if any(first <= i < first + len(rects) for i in breaks):
+                prefix_viols.append(
+                    PrefixViolation(
+                        job=group.job,
+                        cell_begin=group.cell.begin,
+                        cell_end=group.cell.end,
+                        selected_positions=tuple(
+                            [i for i, r in enumerate(rects) if r.rid in chosen]
+                        ),
+                    )
+                )
+    # the chosen rectangles, deepest row first: ids run in row order
+    picked = [rectangles[i] for i in sorted(chosen, reverse=True) if 0 <= i < len(rectangles)]
 
-    releases, row_offset, excess = cov.releases, cov.row_offset, cov.excess
-    diff = [0] * (T + 2)  # selected capacity in the rows passed, as differences
+    releases, row_offset, run_of = cov.releases, cov.row_offset, cov.run_of
+    starts, excess = cov.run_starts, list(cov.excess.values())
+    diff = [0] * (len(starts) + 1)  # selected capacity in the rows passed, by run
     found: list[tuple[int, int, int, int]] = []  # (t, s, required, covered)
-    for j in range(n, 0, -1):
-        for r in rows[j]:
-            if r.x_begin <= T:
-                diff[r.x_begin] += r.capacity
-                diff[min(r.x_end, T + 1)] -= r.capacity
-        got = list(accumulate(diff))  # got_j(t)
+    k = 0
+    for j in range(cov.instance.n, 0, -1):
+        while k < len(picked) and picked[k].job == j:
+            r = picked[k]
+            diff[run_of[r.x_begin]] += r.capacity
+            diff[run_of[r.x_end]] -= r.capacity
+            k += 1
         r_j = releases[j - 1]
-        bar = row_offset[j - 1]  # need_j(t) = excess[t] - bar
-        left = list(map(sub, excess[r_j:], got[r_j:]))  # excess[t] - got_j(t)
+        first = run_of[r_j]  # the run r_j starts; no row from j on has a rectangle before it
+        bar = row_offset[j - 1]  # need_j at a run start x is excess[x] - bar
+        # excess[x] - got_j(x) at each run start x from r_j on
+        left = list(map(sub, excess[first:], accumulate(diff[first:])))
         if max(left) <= bar:
             continue
         first_s = releases[j - 2] + 1 if j > 1 else 0  # the row's s run first_s..r_j
-        for t, x in enumerate(left, r_j):
-            if x > bar:
-                need = x - bar + got[t]
-                for s in range(max(first_s, r_j - x + bar + 1), r_j + 1):
-                    found.append((t, s, need - (r_j - s), got[t]))
+        for i, lead in enumerate(left, first):
+            if lead > bar:
+                covered, start = excess[i] - lead, starts[i]
+                end = starts[i + 1] if i + 1 < len(starts) else cov.horizon + 1
+                for t in range(start, min(start + lead - bar, end)):
+                    x = lead - (t - start)  # excess[t] - got_j(t)
+                    need = x - bar + covered
+                    for s in range(max(first_s, r_j - x + bar + 1), r_j + 1):
+                        found.append((t, s, need - (r_j - s), covered))
     found.sort()
     return FeasibilityReport(
         prefix_violations=tuple(prefix_viols),

@@ -129,9 +129,10 @@ rule in ``covering``); one is settled at row ``job``, crossing no deeper row,
 exactly when t < r_{job+1}, and there d(r_job, t) = p_job - (t - r_job)
 falls with t.  A canonical group's pieces all start at some x >= r_job (the
 leaf group at r_job, an ancestor group at a deeper cell's end), so the
-settled pieces are the prefix with x < r_{job+1}, and d(r_job, x) =
-excess[x] - row_offset[job - 1] (``covering``) is each one's largest
-settled demand.  Every capacity is p_job and ids run in group order
+settled pieces are the prefix with x < r_{job+1}.  Each piece's x is a
+rectangle's ``x_begin`` at most T, so a run start, and d(r_job, x) =
+excess[x] - row_offset[job - 1] (``covering``), the per-run value, is the
+piece's largest settled demand.  Every capacity is p_job and ids run in group order
 (``CoveringInstance`` builds both so), so a prefix's ids followed by the
 next row's sorted ids are already sorted.
 

@@ -8,13 +8,16 @@ fall at randomized positions relative to the jobs while all coordinates stay
 integral.
 
 Cells are built on first access: ``build_grid`` makes only the root, and a
-cell creates its K children the first time ``children`` is read, then keeps
-them.  A solve therefore pays for the cells it touches, not for the whole
-tree over the horizon, and one grid still hands out exactly one object per
-cell.  Cells compare by identity, so structures built on two grids never
-mix.  ``GridCell`` is a slotted class, not a frozen dataclass, because a
-solve builds dozens of cells and the frozen form costs several times as
-much per cell (its docstring has the detail).  Cells hold no parent link:
+cell builds each child the first time it is asked for it, by index through
+``GridCell.child``, then keeps it.  ``cell_chain`` descends that way, so a
+chain builds one cell per level, not the K siblings of each; reading
+``children`` builds the rest and keeps the full tuple.  A solve therefore
+pays for the cells on its releases' chains, not for the whole tree over the
+horizon or for K cells a level, and one grid still hands out exactly one
+object per cell.  Cells compare by identity, so structures built on two
+grids never mix.  ``GridCell`` is a slotted class, not a frozen dataclass,
+because a solve builds dozens of cells and the frozen form costs several
+times as much per cell (its docstring has the detail).  Cells hold no parent link:
 ``cell_chain`` and ``cell_path`` descend from the root, and ``cell_at``
 reads the chain.  ``cell_chain`` is the one root containment check.
 
@@ -31,20 +34,32 @@ from __future__ import annotations
 class GridCell:
     """One grid cell: half-open interval [begin, end) at ``level``.
 
-    ``children`` is built the first time it is read and kept, so one grid
-    has exactly one object per cell.  Cells compare by identity; two builds
-    of the same grid yield distinct cell objects on purpose, so structures
-    from different grids cannot be mixed silently.  The hash is on (level,
-    begin, end), stable across runs, unlike ``id()``.
+    Each child is built the first time ``child`` is asked for it and kept
+    by index; ``children`` builds the others on its first read and keeps
+    the tuple.  So one grid has exactly one object per cell.  Cells compare
+    by identity; two builds of the same grid yield distinct cell objects on
+    purpose, so structures from different grids cannot be mixed silently.
+    The hash is on (level, begin, end), stable across runs, unlike
+    ``id()``.
 
     A plain slotted class with its own ``__init__``, not a frozen dataclass:
     a solve builds dozens of cells, and a frozen dataclass pays an
     ``object.__setattr__`` call per field, several times the cost of the
     cell's plain assignments.  Nothing assigns to a cell after ``__init__``
-    except its children cache.
+    except its two children caches.
     """
 
-    __slots__ = ("level", "begin", "end", "K", "length", "is_leaf", "piece_width", "_children")
+    __slots__ = (
+        "level",
+        "begin",
+        "end",
+        "K",
+        "length",
+        "is_leaf",
+        "piece_width",
+        "_kids",
+        "_children",
+    )
 
     def __init__(self, level: int, begin: int, end: int, K: int):
         self.level = level
@@ -57,7 +72,8 @@ class GridCell:
         self.length = length = end - begin
         self.is_leaf = length == 1
         self.piece_width = 1 if length <= K else length // K**2
-        self._children: tuple[GridCell, ...] | None = None
+        self._kids: dict[int, GridCell] | None = None  # child index -> child, as built
+        self._children: tuple[GridCell, ...] | None = None  # all K, once read
 
     def __repr__(self) -> str:
         return f"GridCell(level={self.level}, begin={self.begin}, end={self.end})"
@@ -65,21 +81,26 @@ class GridCell:
     def __hash__(self) -> int:
         return hash((self.level, self.begin, self.end))
 
+    def child(self, i: int) -> "GridCell":
+        """The i-th of the K equal cells one level below, built on first
+        request and kept; this must be an internal cell and 0 <= i < K."""
+        kids = self._kids
+        if kids is None:
+            kids = self._kids = {}
+        kid = kids.get(i)
+        if kid is None:
+            step = self.length // self.K
+            x = self.begin + i * step
+            kid = kids[i] = GridCell(self.level + 1, x, x + step, self.K)
+        return kid
+
     @property
     def children(self) -> tuple["GridCell", ...]:
         """The K equal cells one level below, built on first read; empty for a leaf."""
         kids = self._children
         if kids is None:
-            kids = ()
-            if not self.is_leaf:
-                step = self.length // self.K
-                # from a list: see the ``dpsolver`` docstring on tuples
-                kids = tuple(
-                    [
-                        GridCell(self.level + 1, x, x + step, self.K)
-                        for x in range(self.begin, self.end, step)
-                    ]
-                )
+            # from a list: see the ``dpsolver`` docstring on tuples
+            kids = () if self.is_leaf else tuple([self.child(i) for i in range(self.K)])
             self._children = kids
         return kids
 
@@ -151,9 +172,10 @@ def cell_at(grid: Grid, level: int, x: int) -> GridCell:
 
 
 def cell_chain(grid: Grid, x: int) -> list[GridCell]:
-    """Cells containing x, one per level, root first.  The one root
-    containment check; the covering walks the chain of each release, so
-    the message names x as one."""
+    """Cells containing x, one per level, root first.  Builds only the
+    cells on the chain, none of their siblings.  The one root containment
+    check; the covering walks the chain of each release, so the message
+    names x as one."""
     if not grid.root.contains_point(x):
         raise ValueError(
             f"release {x} outside root interval [{grid.root.begin}, {grid.root.end})"
@@ -161,7 +183,7 @@ def cell_chain(grid: Grid, x: int) -> list[GridCell]:
     cell = grid.root
     chain = [cell]
     while not cell.is_leaf:
-        cell = cell.children[cell.child_index(x)]
+        cell = cell.child(cell.child_index(x))
         chain.append(cell)
     return chain
 
@@ -173,10 +195,12 @@ def cell_path(grid: Grid, cell: GridCell) -> str:
     parts: list[str] = []
     cur, x = grid.root, cell.begin
     if cur.contains_point(x):
-        while cur.level < cell.level and cur._children:
+        while cur.level < cell.level and cur._kids:
             i = cur.child_index(x)
+            if i not in cur._kids:
+                break
             parts.append(str(i))
-            cur = cur._children[i]
+            cur = cur._kids[i]
     if cur is not cell:
         raise ValueError(f"{cell!r} is not a cell of this grid")
     return "/".join(parts)

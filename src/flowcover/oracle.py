@@ -5,8 +5,11 @@ i.e. the complete space of prefix-valid selections.  Groups are fixed in the
 order they appear in the covering instance (job by job, deepest cell first,
 which is left to right).  Only the rays [r_j, t] with positive demand can
 bind (the rule in ``covering``), and rays crossing the same rectangles are
-one constraint with the largest need.  A ray crosses one rectangle in each
-of its rows, so one per group, read from per-row column arrays.
+one constraint with the largest need.  Within a run of columns (the
+``covering`` docstring) every ray crosses the same rectangles and its need
+falls by one a column, so only the rays at run starts are enumerated.  A
+ray crosses one rectangle in each of its rows, so one per group, read from
+per-row run arrays.
 
 Each ray is checked at every group it crosses, assuming that its later
 groups take everything.  At a group g the ray is short by its need minus
@@ -87,32 +90,33 @@ def brute_force_covering(cov: CoveringInstance) -> tuple[int, Selection]:
 
     # One pass over the groups: each group's prefix costs, and per row the
     # (group index, position in the group, capacity) of its rectangle
-    # through each column t + 1/2, t = 0..T (None past the root's end).
-    T = cov.horizon
-    at: list[list[tuple[int, int, int] | None]] = [[None] * (T + 1) for _ in cov.releases]
+    # through each run of columns (None past the root's end).
+    run_of, starts = cov.run_of, cov.run_starts
+    at: list[list[tuple[int, int, int] | None]] = [[None] * len(starts) for _ in cov.releases]
     prefix_costs: list[list[int]] = []
     for gi, group in enumerate(groups):
         row = at[group.job - 1]
         costs = [0]
         for pos, r in enumerate(group.rectangles):
             costs.append(costs[-1] + r.cost)
-            end = min(r.x_end, T + 1)
-            row[r.x_begin : end] = [(gi, pos, r.capacity)] * (end - r.x_begin)
+            a, b = run_of[r.x_begin], run_of[r.x_end]
+            row[a:b] = [(gi, pos, r.capacity)] * (b - a)
         prefix_costs.append(costs)
 
     # Rays [r_j, t] with positive demand, keyed by the rectangles they cross:
     # one per row j..m at t, m the number of rows released by t, so in group
     # order.  Rays crossing the same rectangles are one constraint with the
-    # largest need.  d(r_j, t) = excess[t] - row_offset[j - 1] (``covering``).
+    # largest need, so of a run's rays only those at its start x count, with
+    # d(r_j, x) = excess[x] - row_offset[j - 1] (``covering``).
     releases, excess, row_offset = cov.releases, cov.excess, cov.row_offset
     needs: dict[tuple[tuple[int, int, int], ...], int] = {}
     m = 0
-    for t in range(T + 1):
-        while m < len(releases) and releases[m] <= t:
+    for i, x in enumerate(starts):
+        while m < len(releases) and releases[m] <= x:
             m += 1
-        col = [row[t] for row in at[:m]]
+        col = [row[i] for row in at[:m]]
         for j in range(m):
-            need = excess[t] - row_offset[j]
+            need = excess[x] - row_offset[j]
             if need > 0:
                 if col[j] is None:  # a ray past the root's end crosses nothing
                     raise RuntimeError(

@@ -18,7 +18,9 @@ and ``ray_rectangles`` give the rectangles a ray [s, t] crosses from a
 per-column crossing index, and ``full_selection`` and ``release_of``
 read a covering the way the tests need and the package does not.
 ``campaign_coverings`` draws the reductions that several draw-loop tests
-share.  ``opt_weighted_flow_time`` is the exhaustive optimum of a
+share.  ``reference_scan`` is the feasibility scan column by column, over
+a demand vector with one entry per time step, that the scan over runs of
+columns is checked against.  ``opt_weighted_flow_time`` is the exhaustive optimum of a
 desk-scale schedule instance, the reference that the perturbation bound
 is checked against, and ``edf_meets_deadlines`` the schedule that the
 covering's feasibility is checked against.
@@ -29,9 +31,20 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from functools import cache
+from itertools import accumulate
 from math import inf
+from operator import sub
 
-from flowcover.covering import COST_MODELS, CoveringInstance, PrefixGroup, Rectangle, Selection
+from flowcover.covering import (
+    COST_MODELS,
+    CoveringInstance,
+    FeasibilityReport,
+    PrefixGroup,
+    PrefixViolation,
+    RayViolation,
+    Rectangle,
+    Selection,
+)
 from flowcover.dpsolver import Bounds, Carry, DpSolver, Entry, TripleTable
 from flowcover.grid import Grid, GridCell
 from flowcover.harness import CampaignConfig, campaign_instance
@@ -298,6 +311,68 @@ def campaign_coverings(
             for seed in range(draws):
                 cfg = CampaignConfig(seed=seed, K=K, n_max=4 if K == 2 else 3)
                 yield reduce_instance(campaign_instance(seed, cfg), K, seed, cost_model=cost_model)
+
+
+def reference_scan(cov: CoveringInstance, sel: Selection) -> FeasibilityReport:
+    """``check_feasible`` column by column: each group's prefix from its
+    first id on, then one pass per row, deepest first, over a difference
+    array with one entry per column 0..T + 1 and the demand vector
+    excess[t], the processing released by t minus t, for t = 0..T."""
+    chosen = sel.chosen
+    n, T = cov.instance.n, cov.horizon
+    rows: list[list[Rectangle]] = [[] for _ in range(n + 1)]
+    prefix_viols: list[PrefixViolation] = []
+    for group in cov.groups:
+        rects = group.rectangles
+        first = rects[0].rid  # a group's ids run first, first + 1, ...
+        take = 0
+        while take < len(rects) and first + take in chosen:
+            take += 1
+        if chosen.isdisjoint(range(first + take + 1, first + len(rects))):
+            rows[group.job] += rects[:take]
+            continue
+        positions = tuple([i for i, r in enumerate(rects) if r.rid in chosen])
+        prefix_viols.append(
+            PrefixViolation(
+                job=group.job,
+                cell_begin=group.cell.begin,
+                cell_end=group.cell.end,
+                selected_positions=positions,
+            )
+        )
+        rows[group.job] += [rects[i] for i in positions]
+
+    released = [0] * (T + 1)
+    for job in cov.instance.jobs:
+        released[job.release] += job.processing
+    excess = list(map(sub, accumulate(released), range(T + 1)))
+    releases, row_offset = cov.releases, cov.row_offset
+    diff = [0] * (T + 2)  # selected capacity in the rows passed, as differences
+    found: list[tuple[int, int, int, int]] = []  # (t, s, required, covered)
+    for j in range(n, 0, -1):
+        for r in rows[j]:
+            if r.x_begin <= T:
+                diff[r.x_begin] += r.capacity
+                diff[min(r.x_end, T + 1)] -= r.capacity
+        got = list(accumulate(diff))  # got_j(t)
+        r_j = releases[j - 1]
+        bar = row_offset[j - 1]  # need_j(t) = excess[t] - bar
+        left = list(map(sub, excess[r_j:], got[r_j:]))  # excess[t] - got_j(t)
+        if max(left) <= bar:
+            continue
+        first_s = releases[j - 2] + 1 if j > 1 else 0  # the row's s run first_s..r_j
+        for t, x in enumerate(left, r_j):
+            if x > bar:
+                need = x - bar + got[t]
+                for s in range(max(first_s, r_j - x + bar + 1), r_j + 1):
+                    found.append((t, s, need - (r_j - s), got[t]))
+    found.sort()
+    return FeasibilityReport(
+        prefix_violations=tuple(prefix_viols),
+        demand_violations=tuple(
+            [RayViolation(s=s, t=t, required=q, covered=c) for t, s, q, c in found]
+        ),
+    )
 
 
 _TINY_MAX_JOBS = 5

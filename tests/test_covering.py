@@ -25,6 +25,7 @@ from helpers import (
     full_selection,
     ray_rectangles,
     rects_crossing,
+    reference_scan,
     release_of,
 )
 
@@ -476,6 +477,44 @@ def test_check_feasible_report_matches_naive_references(K, cost_model, epsilon):
             kinds["demand"] += bool(report.demand_violations)
             kinds["ok"] += report.ok
     assert all(kinds.values())
+
+
+def test_check_feasible_equals_the_per_column_reference_scan():
+    # The scan over runs of columns returns the whole report of the scan
+    # column by column: on the DP's answers, the answers with each group's
+    # take moved by -2..+1, random id subsets (mostly breaking a prefix) and
+    # selections holding ids outside the covering.
+    rng = Random(30)
+    kinds = dict.fromkeys(["prefix", "demand", "ok", "outside"], 0)
+    checked = 0
+    for cov in campaign_coverings(80, fans=(2, 3, 5, 8)):
+        ids, n_rects = [r.rid for r in cov.rectangles], len(cov.rectangles)
+        answer = DpSolver(cov).solve().selection.chosen
+        selections = [answer, frozenset(), frozenset(ids)]
+        for group in cov.groups:
+            first, size = group.rectangles[0].rid, len(group.rectangles)
+            take = sum(first + i in answer for i in range(size))
+            others = answer.difference(range(first, first + size))
+            for move in (-2, -1, 1):
+                new = min(max(take + move, 0), size)
+                selections.append(others.union(range(first, first + new)))
+        for q in (0.1, 0.3, 0.5, 0.7, 0.9):
+            selections.append(frozenset(i for i in ids if rng.random() < q))
+        selections += [
+            answer | {-1},
+            answer | {n_rects},
+            frozenset(i for i in ids if rng.random() < 0.5) | {n_rects + 3, -5},
+        ]
+        for chosen in selections:
+            sel = Selection(chosen=chosen)
+            report = check_feasible(cov, sel)
+            assert report == reference_scan(cov, sel)
+            kinds["prefix"] += bool(report.prefix_violations)
+            kinds["demand"] += bool(report.demand_violations)
+            kinds["ok"] += report.ok
+            kinds["outside"] += not chosen.issubset(ids)
+            checked += 1
+    assert checked >= 20_000 and min(kinds.values()) >= 1_000, (checked, kinds)
 
 
 def test_check_feasible_at_the_horizon_edge():

@@ -3,6 +3,7 @@ from random import Random
 import pytest
 
 from flowcover.grid import (
+    GridCell,
     build_grid,
     cell_at,
     cell_chain,
@@ -124,6 +125,28 @@ def test_cells_are_built_once_per_grid():
             for level in range(grid.lmax + 1):
                 assert cell_at(grid, level, x) is cell_at(grid, level, x)
                 assert chain[level] is cell_at(grid, level, x)
+
+
+def test_cell_chain_builds_one_cell_per_level(monkeypatch):
+    # K=1000: building each chain cell's siblings would make 999 more a level
+    grid = build_grid(T=900_000_000, K=1000, shift=12345)
+    built = []
+    init = GridCell.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(GridCell, "__init__", counting_init)
+    chain = cell_chain(grid, 987_654_321)
+    assert grid.lmax == 3 and len(built) == 3
+    assert [(c.level, c.begin, c.end, c.K) for c in chain[1:]] == built
+    # a second chain through the same level-1 cell builds only its new cells,
+    # and reading the root's children later hands out the same objects
+    second = cell_chain(grid, 987_000_000)
+    assert len(built) == 5 and second[1] is chain[1]
+    assert grid.root.children[grid.root.child_index(987_654_321)] is chain[1]
+    assert len(built) == 5 + 999
 
 
 def test_children_reads_return_the_same_cells():

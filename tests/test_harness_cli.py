@@ -728,8 +728,8 @@ def test_cli_error_exit_code(tmp_path, capsys):
 
 
 def test_oversized_horizon_is_one_error_line(tmp_path, monkeypatch, capsys):
-    # a release of 2e9 asks the covering for a demand column per time step;
-    # the allocation's MemoryError is stood in for here
+    # a large K over a long horizon lays out up to K**2 rectangles per chain
+    # cell; the allocation's MemoryError is stood in for here
     def out_of_memory(*args, **kwargs):
         raise MemoryError
 
@@ -739,8 +739,24 @@ def test_oversized_horizon_is_one_error_line(tmp_path, monkeypatch, capsys):
     _assert_one_line_error(
         _instance_commands(inst)[:2],  # check fails on its solution record first
         capsys,
-        "out of memory; the horizon (largest release plus total processing) is too large",
+        "out of memory; the reduction has too many rectangles for this K",
     )
+
+
+def test_huge_release_solves_and_checks(tmp_path, capsys):
+    # a release of 2e9 makes a horizon of 2e9; the covering, the scan and
+    # the oracle pay per rectangle, not per time step, so it solves at once
+    inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+    inst.write_text(
+        '{"jobs":[{"id":1,"release":5,"processing":3,"weight":2},'
+        '{"id":2,"release":2000000000,"processing":1,"weight":1}]}'
+    )
+    assert main(["solve", "--K", "2", "--instance", str(inst), "--out", str(sol)]) == 0
+    record = json.loads(sol.read_text())
+    assert record["T"] > 2_000_000_000 and record["feasible"] is True
+    capsys.readouterr()
+    assert main(["check", "--instance", str(inst), "--solution", str(sol)]) == 0
+    assert capsys.readouterr().out.startswith(f"check: OK cost={record['cost']} ")
 
 
 def _instance_commands(inst):

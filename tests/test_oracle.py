@@ -155,8 +155,9 @@ def test_no_feasible_selection_raises_not_asserts(monkeypatch):
     # demands past every capacity break the invariant that the full selection
     # is feasible; under python -O too, the oracle must say so
     cov = reduce_instance(make_instance([(0, 2, 1), (1, 1, 1)]), K=2, seed=0)
-    # the oracle reads d(r_j, t) = excess[t] - row_offset[j - 1]: 100 everywhere
-    monkeypatch.setattr(cov, "excess", [100] * len(cov.excess))
+    # the oracle reads d(r_j, x) = excess[x] - row_offset[j - 1] at each run
+    # start x: 100 everywhere
+    monkeypatch.setattr(cov, "excess", dict.fromkeys(cov.excess, 100))
     monkeypatch.setattr(cov, "row_offset", [0] * len(cov.row_offset))
     with pytest.raises(RuntimeError, match="no feasible selection"):
         brute_force_covering(cov)
